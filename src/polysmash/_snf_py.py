@@ -1,10 +1,23 @@
 """Pure-Python Smith normal form kernel.
 
 Sparse elimination over arbitrary-precision integers.  The compiled twin
-(polysmash._snf_cy) implements the same algorithm; polysmash.exactlin picks
-whichever is available at import time.
+(polysmash._snf_cy) applies the same pivot rule and so chooses the same pivot
+sequence, with a full scan per pivot instead of the cache below;
+polysmash.exactlin picks whichever is available at import time.
 
 The matrix is handed over as a dict {(row, col): value} with no zero values.
+
+Pivot rule: the entry with the least key (|v|, (rlen - 1) * (clen - 1)), the
+second term being the Markowitz fill bound from the lengths of the entry's row
+and column; ties go to the first entry in scan order (rows in the order they
+first appear in the input, entries in row dict order).
+
+The search is incremental.  Each row caches its first minimal entry as
+(|v|, fill, row order, row, col), so a pivot is the min over the cache.  After
+a pivot step only the rows whose entries changed are rescanned.  A row that
+merely shares a column whose length changed has that entry's key recomputed
+against its cached one; it is rescanned only when its cached entry's key went
+up or when the new key ties the cached one, because then entry order decides.
 """
 
 
@@ -13,7 +26,8 @@ def snf_diagonal(entries, nrows, ncols):
 
     Returns the list of nonzero diagonal values (absolute values, in pivot
     order, divisibility NOT yet enforced).  Pivot choice: smallest absolute
-    value, ties broken by Markowitz fill count, to limit coefficient growth.
+    value, ties broken by Markowitz fill count, to limit coefficient growth;
+    see the module docstring for how the search is kept up to date.
     """
     # row -> {col: val}, col -> set of rows
     rows = {}
@@ -22,27 +36,22 @@ def snf_diagonal(entries, nrows, ncols):
         if v:
             rows.setdefault(i, {})[j] = v
             colrows.setdefault(j, set()).add(i)
+    # row -> (|v|, fill, row order, row, col) of its first minimal entry
+    cache = {}
+    for n, (i, row) in enumerate(rows.items()):
+        a, f, j = _row_min(row, colrows)
+        cache[i] = (a, f, n, i, j)
 
     diagonal = []
     while rows:
-        # pivot selection
-        best = None
-        best_key = None
-        for i, row in rows.items():
-            rlen = len(row)
-            for j, v in row.items():
-                key = (abs(v), (rlen - 1) * (len(colrows[j]) - 1))
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (i, j)
-                    if key[0] == 1 and key[1] == 0:
-                        break
-            else:
-                continue
-            break
-        pi, pj = best
+        _, _, _, pi, pj = min(cache.values())
+        before = {}  # col -> its length before this pivot step
+        dirty = set()  # rows whose entries changed
 
         while True:
+            for j in rows[pi]:
+                if j not in before:
+                    before[j] = len(colrows[j])
             p = rows[pi][pj]
             # clear the pivot column by row operations
             for i in list(colrows[pj]):
@@ -52,6 +61,7 @@ def snf_diagonal(entries, nrows, ncols):
                 q = a // p
                 if q:
                     _row_axpy(rows, colrows, i, pi, -q)
+                    dirty.add(i)
                 if rows.get(i, {}).get(pj):
                     # remainder left: it is smaller than |p|, make it the pivot
                     pi = i
@@ -66,6 +76,7 @@ def snf_diagonal(entries, nrows, ncols):
                     q = a // p
                     if q:
                         _col_axpy(rows, colrows, j, pj, -q)
+                        dirty.add(pi)
                     if rows.get(pi, {}).get(j):
                         pj = j
                         break
@@ -77,7 +88,62 @@ def snf_diagonal(entries, nrows, ncols):
         # pivot row/col are now empty except the removed pivot
         if pi in rows and not rows[pi]:
             del rows[pi]
+        dirty.add(pi)
+        _update_cache(rows, colrows, cache, before, dirty)
     return diagonal
+
+
+def _row_min(row, colrows):
+    """(|v|, fill, col) of the row's first entry with the least key."""
+    rl = len(row) - 1
+    bj = None
+    for j, v in row.items():
+        a = v if v > 0 else -v
+        f = rl * (len(colrows[j]) - 1)
+        if bj is None or a < ba or (a == ba and f < bf):
+            ba, bf, bj = a, f, j
+            if a == 1 and f == 0:
+                break
+    return ba, bf, bj
+
+
+def _update_cache(rows, colrows, cache, before, dirty):
+    """Bring the row cache up to date after a pivot step.
+
+    Rows in `dirty` are rescanned.  Every other row keeps its length, so of
+    its entries only those in a column whose length changed have a new key;
+    the others keep keys no smaller than the cached one, and any equal one
+    comes after the cached entry.  A new key below the running minimum
+    replaces the cached entry; a tie, or the cached entry's own key going
+    up, leaves the order undecided and the row is rescanned.
+    """
+    for j, n in before.items():
+        col = colrows.get(j)
+        if col is None or len(col) == n:
+            continue
+        cm = len(col) - 1
+        for r in col:
+            if r in dirty:
+                continue
+            row = rows[r]
+            v = row[j]
+            a = v if v > 0 else -v
+            f = (len(row) - 1) * cm
+            ca, cf, o, _, cj = cache[r]
+            if a < ca or (a == ca and f < cf):
+                cache[r] = (a, f, o, r, j)
+            elif a == ca and f == cf:
+                if cj != j:
+                    dirty.add(r)
+            elif cj == j:
+                dirty.add(r)
+    for r in dirty:
+        row = rows.get(r)
+        if row is None:
+            cache.pop(r, None)
+        else:
+            a, f, j = _row_min(row, colrows)
+            cache[r] = (a, f, cache[r][2], r, j)
 
 
 def _row_axpy(rows, colrows, i, k, c):

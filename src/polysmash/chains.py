@@ -21,6 +21,10 @@ class ChainComplex:
 
     bases: {degree: [label, ...]}
     boundaries: {degree n: SparseIntMatrix mapping C_n -> C_{n-1}}
+
+    dd_checked records that d o d = 0 has been verified, by construction with
+    check=True or by a later check_dd_zero(); homology() checks only complexes
+    where it is still False.
     """
 
     def __init__(self, bases, boundaries, check=True):
@@ -36,6 +40,7 @@ class ChainComplex:
                     f"boundary matrix shape mismatch in degree {n}"
                 )
             self.boundaries[n] = M
+        self.dd_checked = False
         if check:
             self.check_dd_zero()
 
@@ -56,12 +61,15 @@ class ChainComplex:
                 prod = self.boundary(n) @ self.boundary(n + 1)
                 if not prod.is_zero():
                     raise MalformedComplexError(f"d_{n} o d_{n + 1} != 0")
+        self.dd_checked = True
 
     def shift(self, s):
         """Move every degree n basis to degree n + s."""
         bases = {n + s: labels for n, labels in self.bases.items()}
         boundaries = {n + s: M for n, M in self.boundaries.items()}
-        return ChainComplex(bases, boundaries, check=False)
+        shifted = ChainComplex(bases, boundaries, check=False)
+        shifted.dd_checked = self.dd_checked
+        return shifted
 
     def euler(self):
         return sum((-1) ** n * self.rank(n) for n in self.degrees())
@@ -116,7 +124,8 @@ class HomologyTable(dict):
 
 def homology(C: ChainComplex) -> HomologyTable:
     """Reduced homology of a chain complex, degree by degree."""
-    C.check_dd_zero()
+    if not C.dd_checked:
+        C.check_dd_zero()
     snf = {n: smith_normal_form(C.boundary(n)) for n in C.degrees()}
     table = {}
     for n in C.degrees():

@@ -6,7 +6,10 @@ rationals are fractions.Fraction.  No floating point.
 
 The Smith normal form elimination loop has a compiled twin (built from
 _snf_cy.pyx).  It is selected at import time; set POLYSMASH_PURE=1 to force
-the pure-Python kernel.
+the pure-Python kernel.  Both kernels take as pivot the entry with the least
+(|v|, Markowitz fill), ties to the first in scan order, so they eliminate
+through the same pivot sequence; the pure kernel keeps that search up to date
+from a per-row cache instead of rescanning every nonzero (see _snf_py).
 """
 
 from __future__ import annotations
@@ -130,8 +133,14 @@ def smith_normal_form(M: SparseIntMatrix) -> SmithForm:
 
 
 def _fix_divisibility(diagonal):
-    """Turn a diagonal of an equivalent diagonal matrix into invariant factors."""
+    """Turn a diagonal of an equivalent diagonal matrix into invariant factors.
+
+    Units divide everything, so only the entries above 1 go through the
+    pairwise gcd loop; the units lead the sorted result.
+    """
     d = [abs(x) for x in diagonal if x]
+    units = d.count(1)
+    d = [x for x in d if x != 1]
     changed = True
     while changed:
         changed = False
@@ -142,7 +151,7 @@ def _fix_divisibility(diagonal):
                     d[i], d[j] = g, d[i] * d[j] // g
                     changed = True
     d.sort()
-    return d
+    return [1] * units + d
 
 
 def rank_rational(M) -> int:
@@ -239,7 +248,8 @@ def lp_max(P: RationalLP) -> LPResult:
     basis = [total + i for i in range(m)]
     cost1 = [Fraction(0)] * total + [Fraction(-1)] * m
     status = _simplex(tableau, basis, cost1, total + m)
-    assert status == "optimal"  # phase 1 is always bounded
+    if status != "optimal":  # phase 1 is bounded below by 0
+        raise RuntimeError(f"simplex phase 1 ended {status!r}, expected 'optimal'")
     if sum(tableau[i][-1] for i in range(m) if basis[i] >= total) != 0:
         return LPResult("infeasible")
     _drive_out_artificials(tableau, basis, total)

@@ -243,7 +243,8 @@ def proper_intersection(simplex_a, simplex_b):
     res = lp_max(RationalLP(objective, a_eq=a_eq, b_eq=b_eq))
     if res.status == "infeasible":
         return True, None
-    assert res.status == "optimal", res
+    if res.status != "optimal":
+        raise RuntimeError(f"proper-intersection LP ended {res.status!r}: {res}")
     if res.value == 0:
         return True, None
     u = res.point[: len(A)]

@@ -20,6 +20,7 @@ from __future__ import annotations
 from .chains import (
     ChainComplex,
     HomologyTable,
+    MalformedComplexError,
     homology,
     homology_shift,
     homology_equal,
@@ -167,7 +168,10 @@ def _assemble(labels, boundary_fn):
         for j, lab in enumerate(labs):
             for tgt, coeff in boundary_fn(lab).items():
                 td, ti = index[tgt]
-                assert td == d - 1
+                if td != d - 1:
+                    raise MalformedComplexError(
+                        f"boundary of {lab!r} in degree {d} reaches {tgt!r} in degree {td}"
+                    )
                 M[ti, j] = coeff
         boundaries[d] = M
     return ChainComplex(bases, boundaries)

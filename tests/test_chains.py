@@ -74,6 +74,37 @@ def test_malformed_complex_detected():
     ChainComplex(bases, {1: bad})
 
 
+def test_homology_checks_unchecked_complex():
+    bases = {0: ["a"], 1: ["e"], 2: ["f"]}
+    d = SparseIntMatrix.from_dense([[1]])
+    cc = ChainComplex(bases, {1: d, 2: d}, check=False)
+    assert not cc.dd_checked
+    with pytest.raises(MalformedComplexError):
+        homology(cc)
+    with pytest.raises(MalformedComplexError):
+        homology(cc.shift(2))
+
+
+def test_checked_complex_is_not_checked_again(monkeypatch):
+    calls = []
+    check = ChainComplex.check_dd_zero
+
+    def counting(self):
+        calls.append(self)
+        check(self)
+
+    monkeypatch.setattr(ChainComplex, "check_dd_zero", counting)
+    cc = simplicial_chain_complex(simplex_boundary(3))
+    assert len(calls) == 1 and cc.dd_checked
+    homology(cc)
+    homology(cc.shift(3))
+    assert len(calls) == 1
+    unchecked = ChainComplex(cc.bases, cc.boundaries, check=False)
+    homology(unchecked)
+    homology(unchecked)
+    assert len(calls) == 2 and unchecked.dd_checked
+
+
 def test_shift():
     cc = simplicial_chain_complex(simplex_boundary(2))
     shifted = cc.shift(3)

@@ -5,15 +5,24 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polysmash import _snf_py
+from polysmash.complexes import from_facets
 from polysmash.exactlin import (
     RationalLP,
     SmithForm,
     SparseIntMatrix,
+    _fix_divisibility,
     lp_max,
     rank_rational,
     smith_normal_form,
 )
+from polysmash.smashmodel import reduction_path_model
+
+from conftest import RP2_FACETS
+from snf_reference import fix_divisibility_reference, full_scan_snf_diagonal
 
 
 def snf_oracle(dense):
@@ -107,25 +116,97 @@ def test_snf_against_oracle_200_matrices():
         assert list(got.factors) == expected, dense
 
 
-def test_compiled_and_pure_kernels_agree():
-    from polysmash import _snf_py
-    from polysmash.exactlin import _fix_divisibility
+@pytest.fixture(scope="module")
+def rp2_reduction_matrices():
+    """Boundary matrices of the RP^2, J = 1^6 reduction model (up to 914 rows)."""
+    cc = reduction_path_model(from_facets(6, RP2_FACETS), (1,) * 6)
+    return [cc.boundary(n) for n in cc.degrees() if cc.boundary(n).entries]
 
+
+def test_compiled_and_pure_kernels_agree(rp2_reduction_matrices):
     try:
         from polysmash import _snf_cy
     except ImportError:
         pytest.skip("compiled kernel not built")
     rng = random.Random(9)
+    cases = []
     for _ in range(100):
         rows = rng.randint(1, 7)
         cols = rng.randint(1, 7)
-        dense = random_dense(rng, rows, cols)
+        cases.append(SparseIntMatrix.from_dense(random_dense(rng, rows, cols)))
+    # same pivot rule, so the same raw diagonal in pivot order
+    for M in cases + rp2_reduction_matrices:
+        a = _snf_py.snf_diagonal(dict(M.entries), M.rows, M.cols)
+        b = _snf_cy.snf_diagonal(dict(M.entries), M.rows, M.cols)
+        assert a == b, M
+
+
+def random_entries(rng, rows, cols, density, vmax):
+    out = {}
+    for i in range(rows):
+        for j in range(cols):
+            if rng.random() < density:
+                v = rng.randint(-vmax, vmax)
+                if v:
+                    out[i, j] = v
+    return out
+
+
+def assert_same_diagonal(entries, rows, cols):
+    got = _snf_py.snf_diagonal(dict(entries), rows, cols)
+    assert got == full_scan_snf_diagonal(dict(entries), rows, cols), entries
+
+
+def test_snf_pivots_match_full_scan_on_random_matrices():
+    # raw diagonal in pivot order: equal only if every pivot is the same
+    rng = random.Random(31)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 24), rng.randint(1, 24)
+        density = rng.choice((0.1, 0.2, 0.35, 0.5))
+        assert_same_diagonal(random_entries(rng, rows, cols, density, 9), rows, cols)
+
+
+def test_snf_pivots_match_full_scan_on_unit_rectangles():
+    rng = random.Random(32)
+    for _ in range(4):
         entries = {
-            (i, j): v for i, r in enumerate(dense) for j, v in enumerate(r) if v
+            (i, j): rng.choice((-1, 1))
+            for j in range(120)
+            for i in rng.sample(range(100), 3)
         }
-        a = _fix_divisibility(_snf_py.snf_diagonal(dict(entries), rows, cols))
-        b = _fix_divisibility(_snf_cy.snf_diagonal(dict(entries), rows, cols))
-        assert a == b, dense
+        assert_same_diagonal(entries, 100, 120)
+
+
+def test_snf_pivots_match_full_scan_on_rp2_reduction(rp2_reduction_matrices):
+    assert max(M.rows for M in rp2_reduction_matrices) == 914
+    for M in rp2_reduction_matrices:
+        assert_same_diagonal(M.entries, M.rows, M.cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda cols: st.lists(
+            st.lists(st.integers(-6, 6), min_size=cols, max_size=cols),
+            min_size=1,
+            max_size=7,
+        )
+    )
+)
+def test_snf_property_against_oracle(dense):
+    got = smith_normal_form(SparseIntMatrix.from_dense(dense))
+    assert list(got.factors) == snf_oracle(dense)
+
+
+def test_fix_divisibility_matches_reference():
+    rng = random.Random(33)
+    for _ in range(500):
+        n = rng.randint(0, 40)
+        diagonal = [
+            1 if rng.random() < 0.85 else rng.choice((-1, 1)) * rng.randint(1, 30)
+            for _ in range(n)
+        ]
+        assert _fix_divisibility(diagonal) == fix_divisibility_reference(diagonal)
 
 
 def test_snf_known_values():

@@ -1,5 +1,11 @@
 """Smash-product cell models: cell counts, boundary signs, both model paths."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from polysmash.chains import homology, homology_equal
@@ -119,3 +125,29 @@ def test_quotient_requires_cubical(triangle_boundary):
     model, _ = direct_smash_model(triangle_boundary, (0, 0, 0))
     with pytest.raises(ValueError):
         quotient_outer_boundary(model)
+
+
+def test_assemble_degree_check_survives_optimize():
+    # the check must raise, not assert, so that it also runs under python -O
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = textwrap.dedent(
+        """
+        from polysmash.chains import MalformedComplexError
+        from polysmash.smashmodel import _assemble
+
+        labels = [("v", 0), ("e", 1), ("t", 2)]
+        try:
+            _assemble(labels, lambda lab: {"v": 1} if lab == "t" else {})
+        except MalformedComplexError as e:
+            print("raised:", e)
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised:"), proc.stdout
