@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import SparseIntMatrix, rank_rational, smith_normal_form
+from .exactlin import SparseIntMatrix, smith_normal_form
 
 
 class MalformedComplexError(ValueError):
@@ -180,13 +180,3 @@ def chain_complex_of_faces(faces_by_dim) -> ChainComplex:
                 M[index[n - 1][sub], j] = (-1) ** pos
         boundaries[n] = M
     return ChainComplex(bases, boundaries)
-
-
-def euler_consistency(C: ChainComplex) -> bool:
-    """Chain-level Euler characteristic equals the homology-level one."""
-    return C.euler() == homology(C).euler()
-
-
-def rank_consistency(M: SparseIntMatrix) -> bool:
-    """rank over Q equals the number of nonzero invariant factors."""
-    return rank_rational(M) == smith_normal_form(M).rank

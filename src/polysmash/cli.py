@@ -1,7 +1,8 @@
 """Command-line surface: complex file parsing, homology and model commands,
 verification batches, machine-readable reports.
 
-Exit codes: 0 all checks pass, 1 at least one check failed, 2 bad input.
+Exit codes: 0 all checks pass, 1 at least one check failed, 2 bad input,
+3 internal error (a failed d o d = 0 check or an exact-LP status check).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import complexes as cxm
-from .chains import homology, simplicial_chain_complex
+from .chains import MalformedComplexError, homology, simplicial_chain_complex
 from .complexes import SimplicialComplex, double_iterated, from_facets, random_complex
 from .geomjoin import (
     eval_psi,
@@ -229,34 +230,9 @@ def _verify_main_batch(args, report):
             js = j_samples(K.m, args.jmax)
         for J in js:
             sub = verify_main(K, J)
-            if args.inject_fault == "boundary-sign":
-                _inject_boundary_fault(K, J, sub)
             for c in sub.checks:
                 c.name = f"{name} J={J}: {c.name}"
             report.extend(sub)
-
-
-def _inject_boundary_fault(K, J, sub):
-    # test harness hook: corrupt one boundary sign and re-run d o d = 0
-    from .chains import MalformedComplexError
-
-    _, cc = direct_smash_model(K, J)
-    ok = True
-    # flip one boundary sign in a degree where d o d is actually constrained
-    for d in sorted(cc.boundaries):
-        if d - 1 not in cc.boundaries or ok is False:
-            continue
-        M = cc.boundaries[d]
-        for key in sorted(M.entries):
-            M.entries[key] = -M.entries[key]
-            try:
-                cc.check_dd_zero()
-                M.entries[key] = -M.entries[key]  # no effect, restore
-            except MalformedComplexError:
-                ok = False
-                break
-    sub.add(Check("boundary d o d = 0 after fault injection", ok, "0", "nonzero",
-                  "kernel"))
 
 
 def _verify_geometry(args, report):
@@ -376,10 +352,7 @@ def build_parser():
     p.add_argument("--m", type=int, default=2, help="geometry: max m")
     p.add_argument("--k", type=int, default=1, help="geometry: max k")
     p.add_argument("--grid", type=int, default=8, help="geometry: grid denominator")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--inject-fault", choices=["boundary-sign"], default=None,
-                   help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("gen", help="generate a random complex corpus")
@@ -402,9 +375,9 @@ def main(argv=None):
         return 2
     try:
         return args.fn(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except (MalformedComplexError, RuntimeError) as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -142,32 +142,6 @@ def double(K: SimplicialComplex, i: int):
     return from_facets(K.m + 1, gens), RenameMap.identity(K.m).doubled(i, ib)
 
 
-def double_faces_bruteforce(K: SimplicialComplex, i: int):
-    """Face list of the doubling, straight from its defining four families.
-
-    Independent of double(); used to cross-check the facet construction.
-    """
-    ib = K.m + 1
-    faces = set()
-    for sigma in K.faces():
-        rest = tuple(v for v in sigma if v != i)
-        if i in sigma:
-            top = tuple(sorted(rest + (i, ib)))
-        else:
-            faces.update(_subsets(tuple(sorted(sigma + (i,)))))
-            faces.update(_subsets(tuple(sorted(sigma + (ib,)))))
-            continue
-        faces.update(_subsets(top))
-    # families 2 and 3 cover sigma u {i_a}/{i_b} for i not in sigma; family 1
-    # contributes the doubled faces and their subsets via _subsets above
-    return sorted(faces, key=lambda t: (len(t), t))
-
-
-def _subsets(t):
-    for r in range(len(t) + 1):
-        yield from combinations(t, r)
-
-
 def double_iterated(K: SimplicialComplex, J):
     """Apply double() sum(J) times.
 

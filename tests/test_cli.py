@@ -1,4 +1,4 @@
-"""CLI surface: file formats, exit codes, JSON determinism, fault injection."""
+"""CLI surface: file formats, exit codes, JSON determinism, internal errors."""
 
 import json
 
@@ -12,7 +12,9 @@ from polysmash.cli import (
     parse_complex_text,
     parse_j,
 )
+from polysmash import geomjoin, smashmodel
 from polysmash.complexes import double, from_facets
+from polysmash.exactlin import LPResult
 
 
 def write(tmp_path, name, text):
@@ -154,14 +156,29 @@ def test_verify_json_deterministic(tmp_path, capsys):
     assert all(c["location"] for c in data["checks"])
 
 
-def test_fault_injection_exits_1(tmp_path, capsys):
+def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
+    # one wrong Leibniz sign breaks d o d = 0: a program fault, not bad input
     p = write(tmp_path, "s1.txt", "1 2\n1 3\n2 3\n")
-    code = main(
-        ["verify", "main", p, "--j", "0,0,0", "--inject-fault", "boundary-sign"]
-    )
-    assert code == 1
-    out = capsys.readouterr().out
-    assert "FAIL" in out and "d o d" in out
+    leibniz = smashmodel.direct_boundary
+
+    def one_sign_flipped(sigma, prefix):
+        out = leibniz(sigma, prefix)
+        if sigma == (1, 2):
+            out[("face", (2,))] *= -1
+        return out
+
+    monkeypatch.setattr(smashmodel, "direct_boundary", one_sign_flipped)
+    assert main(["verify", "main", p, "--j", "1,0,0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and "o d" in err
+    assert main(["verify", "main", p, "--j", "1,0"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_lp_status_failure_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(geomjoin, "lp_max", lambda P: LPResult("unbounded"))
+    assert main(["verify", "geometry", "--m", "2", "--k", "1", "--grid", "2"]) == 3
+    assert "proper-intersection LP ended 'unbounded'" in capsys.readouterr().err
 
 
 def test_verify_geometry_small(capsys):

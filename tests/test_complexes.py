@@ -1,12 +1,13 @@
 """Complex combinatorics: doubling fixtures, joins, suspensions, generators."""
 
+from itertools import combinations
+
 import pytest
 
 from polysmash.chains import homology, simplicial_chain_complex
 from polysmash.complexes import (
     SimplicialComplex,
     double,
-    double_faces_bruteforce,
     double_iterated,
     empty_complex,
     facet_equal_upto_relabel,
@@ -75,6 +76,32 @@ def test_double_triangle_boundary_vertex_1():
     assert rename.name(1) == "1a" and rename.name(4) == "1b"
     bij = facet_equal_upto_relabel(D, simplex_boundary(3))
     assert bij is not None
+
+
+def double_faces_bruteforce(K: SimplicialComplex, i: int):
+    """Face list of the doubling, straight from its defining four families.
+
+    Independent of double(); used to cross-check the facet construction.
+    """
+    ib = K.m + 1
+    faces = set()
+    for sigma in K.faces():
+        rest = tuple(v for v in sigma if v != i)
+        if i in sigma:
+            top = tuple(sorted(rest + (i, ib)))
+        else:
+            faces.update(_subsets(tuple(sorted(sigma + (i,)))))
+            faces.update(_subsets(tuple(sorted(sigma + (ib,)))))
+            continue
+        faces.update(_subsets(top))
+    # families 2 and 3 cover sigma u {i_a}/{i_b} for i not in sigma; family 1
+    # contributes the doubled faces and their subsets via _subsets above
+    return sorted(faces, key=lambda t: (len(t), t))
+
+
+def _subsets(t):
+    for r in range(len(t) + 1):
+        yield from combinations(t, r)
 
 
 def test_double_matches_bruteforce(full_corpus):

@@ -1,4 +1,5 @@
-"""Smash-product cell models: cell counts, boundary signs, both model paths."""
+"""Smash-product cell models: cell counts, the orientation and quotient
+identities, both model paths."""
 
 import os
 import subprocess
@@ -8,23 +9,32 @@ from pathlib import Path
 
 import pytest
 
-from polysmash.chains import homology, homology_equal
-from polysmash.complexes import from_facets, simplex_boundary
+from polysmash import smashmodel
+from polysmash.chains import (
+    HomologyGroup,
+    homology,
+    homology_equal,
+    simplicial_chain_complex,
+)
+from polysmash.cli import main
+from polysmash.complexes import double_iterated, empty_complex
 from polysmash.smashmodel import (
-    CellModel,
     cubical_polyprod_model,
     direct_smash_model,
     expected_homology,
+    orientation_holds,
     quotient_outer_boundary,
     reduction_path_model,
     verify_main,
 )
 
+from test_acceptance import j_vectors
+
 
 def test_direct_model_cell_count(triangle_boundary):
-    model, cc = direct_smash_model(triangle_boundary, (1, 1, 1))
-    # basepoint + one cell per face (7 faces including the empty one)
-    assert model.cell_count() == 8
+    orientation, cc = direct_smash_model(triangle_boundary, (1, 1, 1))
+    # one cell per face (7 faces including the empty one); no basepoint
+    assert len(orientation) == 7
     # dims: empty face at 3, vertices at 4, edges at 5
     assert sorted(cc.bases) == [3, 4, 5]
     assert [len(cc.bases[d]) for d in sorted(cc.bases)] == [1, 3, 3]
@@ -38,19 +48,30 @@ def test_direct_model_rejects_bad_j(triangle_boundary):
 
 
 def test_cubical_model_cell_count(two_points):
-    model = cubical_polyprod_model(two_points)
-    # faces (), (1), (2) contribute 2^2 + 2 + 2 cells
-    assert model.cell_count() == 8
+    # faces (), (1), (2) contribute 2^2 + 2 + 2 cells, named by the
+    # coordinates outside the face that are pinned at 2
+    cells = list(cubical_polyprod_model(two_points).cells())
+    assert sorted(cells) == [
+        (("cube", (), ()), 0),
+        (("cube", (), (1,)), 0),
+        (("cube", (), (1, 2)), 0),
+        (("cube", (), (2,)), 0),
+        (("cube", (1,), ()), 1),
+        (("cube", (1,), (2,)), 1),
+        (("cube", (2,), ()), 1),
+        (("cube", (2,), (1,)), 1),
+    ]
 
 
-def test_cubical_boundary_dd_zero(triangle_boundary):
+def test_cubical_boundary_dd_zero(two_points, triangle_boundary):
+    # d o d = 0 is checked when the complex is built; the (D^1, S^0)
+    # polyhedral products here are the boundary of the square and of the cube
+    cc = cubical_polyprod_model(two_points).chain_complex()
+    assert cc.dd_checked
+    assert dict(homology(cc)) == {1: HomologyGroup(1)}
     cc = cubical_polyprod_model(triangle_boundary).chain_complex()
-    cc.check_dd_zero()
-    # the full subspace of the cube here is the boundary of a polytope ball;
-    # reduced homology concentrated like S^1 x S^1 minus ... just check chi
-    assert cc.euler() == sum(
-        (-1) ** d * len(b) for d, b in cc.bases.items()
-    )
+    assert [cc.rank(d) for d in cc.degrees()] == [1, 8, 12, 6]
+    assert dict(homology(cc)) == {2: HomologyGroup(1)}
 
 
 def test_quotient_matches_direct_at_j_zero(full_corpus):
@@ -74,24 +95,71 @@ def test_quotient_matches_direct_at_j_zero(full_corpus):
             )
 
 
-def test_leibniz_orientation(triangle_boundary):
-    # the raw Leibniz boundary differs from the normalized one exactly by
-    # the orientation sign s(sigma) = (-1)^(sum over i in sigma of j_1+...+j_{i-1})
-    J = (1, 2, 1)
-    model = CellModel("direct", triangle_boundary, J)
-    prefix = [0, 0, 1, 3]  # partial sums of J shifted by one
+def test_orientation_holds_on_corpus(full_corpus):
+    # the Leibniz boundary is S . d_K . S entry by entry, for every J
+    nontrivial = 0
+    for name, K in full_corpus.items():
+        CK = simplicial_chain_complex(K)
+        for J in j_vectors(K.m):
+            orientation, cc = direct_smash_model(K, J)
+            assert orientation_holds(orientation, cc, CK, sum(J) + 1), (name, J)
+            nontrivial += any(s == -1 for s in orientation.values())
+    assert nontrivial  # the check is not vacuous: some cells are reoriented
 
-    def s(sigma):
-        return (-1) ** sum(prefix[i] for i in sigma)
 
-    for sigma in triangle_boundary.faces():
-        if not sigma:
-            continue
-        raw = model.leibniz_boundary(sigma)
-        normalized = model.boundary(("face", sigma))
-        for cell, coeff in normalized.items():
-            tau = cell[1]
-            assert raw[cell] == coeff * s(sigma) * s(tau), (sigma, tau)
+def reorient(cc, cell):
+    """Negate one basis cell of degree n: its column of d_n and its row of
+    d_{n+1}, so that d o d stays zero."""
+    n = next(d for d, labels in cc.bases.items() if cell in labels)
+    i = cc.bases[n].index(cell)
+    for d, at in ((n, 1), (n + 1, 0)):
+        M = cc.boundaries.get(d)
+        for key in M.entries if M else ():
+            if key[at] == i:
+                M.entries[key] = -M.entries[key]
+    return cc
+
+
+def test_reoriented_cell_fails_the_orientation_check(
+    triangle_boundary, tmp_path, monkeypatch, capsys
+):
+    J = (1, 0, 0)
+    orientation, cc = direct_smash_model(triangle_boundary, J)
+    reorient(cc, ("face", (1,)))
+    cc.check_dd_zero()  # still a chain complex, with the same homology
+    CK = simplicial_chain_complex(triangle_boundary)
+    assert not orientation_holds(orientation, cc, CK, sum(J) + 1)
+
+    model = smashmodel.direct_smash_model
+
+    def reoriented(K, J):
+        orientation, cc = model(K, J)
+        return orientation, reorient(cc, ("face", (1,)))
+
+    monkeypatch.setattr(smashmodel, "direct_smash_model", reoriented)
+    p = tmp_path / "s1.txt"
+    p.write_text("1 2\n1 3\n2 3\n")
+    assert main(["verify", "main", str(p), "--j", "1,0,0"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] s1.txt J=(1, 0, 0): direct vs suspension shift" in out
+    # the failed check runs the model's own SNF, which still agrees
+    assert "[PASS] s1.txt J=(1, 0, 0): direct vs reduction path" in out
+    assert "3 passed, 1 failed" in out
+
+
+def test_quotient_is_shifted_simplicial_complex_of_kj(full_corpus):
+    # the reduction route at chain level: C(K(J)) shifted up by one, matrix
+    # for matrix, under the bijection face <-> cube cell with no 2s
+    corpus = dict(full_corpus, empty=empty_complex(2))
+    for name, K in corpus.items():
+        for J in j_vectors(K.m):
+            quot = reduction_path_model(K, J)
+            CKJ = simplicial_chain_complex(double_iterated(K, J)[0]).shift(1)
+            assert quot.bases == {
+                n: [("cube", f, ()) for f in faces] for n, faces in CKJ.bases.items()
+            }, (name, J)
+            for n in quot.bases:
+                assert quot.boundary(n) == CKJ.boundary(n), (name, J, n)
 
 
 def test_verify_main_small_cases(two_points, triangle_boundary):
@@ -119,12 +187,6 @@ def test_models_agree_on_random(random_corpus):
     _, cc = direct_smash_model(K, J)
     eq, _ = homology_equal(homology(cc), expected_homology(K, J))
     assert eq
-
-
-def test_quotient_requires_cubical(triangle_boundary):
-    model, _ = direct_smash_model(triangle_boundary, (0, 0, 0))
-    with pytest.raises(ValueError):
-        quotient_outer_boundary(model)
 
 
 def test_assemble_degree_check_survives_optimize():
