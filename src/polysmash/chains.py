@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import SparseIntMatrix, smith_normal_form
+from .exactlin import InvariantError, SparseIntMatrix, smith_normal_form
 
 
 class MalformedComplexError(ValueError):
@@ -85,7 +85,7 @@ class HomologyGroup:
     def __post_init__(self):
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a:
-                raise ValueError("torsion coefficients violate divisibility")
+                raise InvariantError("torsion coefficients violate divisibility")
 
     def is_zero(self):
         return self.betti == 0 and not self.torsion

@@ -2,7 +2,8 @@
 verification batches, machine-readable reports.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 bad input,
-3 internal error (a failed d o d = 0 check or an exact-LP status check).
+3 internal error (a failed d o d = 0 check, a broken divisibility chain of
+invariant factors, or an exact-LP status or exact-division check).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from pathlib import Path
 from . import complexes as cxm
 from .chains import MalformedComplexError, homology, simplicial_chain_complex
 from .complexes import SimplicialComplex, double_iterated, from_facets, random_complex
+from .exactlin import InvariantError
 from .geomjoin import (
     eval_psi,
     eval_psi_inverse,
@@ -375,7 +377,7 @@ def main(argv=None):
         return 2
     try:
         return args.fn(args)
-    except (MalformedComplexError, RuntimeError) as e:
+    except (MalformedComplexError, InvariantError, RuntimeError) as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 3
     except ValueError as e:

@@ -2,7 +2,10 @@
 rational rank, and a small exact-rational simplex solver.
 
 Everything here is exact: integers are Python's arbitrary-precision ints and
-rationals are fractions.Fraction.  No floating point.
+rationals are fractions.Fraction.  No floating point.  The simplex solver
+takes rational data but pivots fraction-free: an integer tableau over one
+common denominator, with exact divisions, and the same Bland pivots the
+rational tableau would take.
 
 The Smith normal form elimination loop has a compiled twin (built from
 _snf_cy.pyx).  It is selected at import time; set POLYSMASH_PURE=1 to force
@@ -17,7 +20,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from itertools import chain
+from math import gcd, lcm
 
 from . import _snf_py
 
@@ -107,6 +111,10 @@ class SparseIntMatrix:
         return out
 
 
+class InvariantError(ValueError):
+    """An internal invariant failed: a fault in the program, not in its input."""
+
+
 @dataclass(frozen=True)
 class SmithForm:
     """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix."""
@@ -117,7 +125,7 @@ class SmithForm:
     def __post_init__(self):
         for a, b in zip(self.factors, self.factors[1:]):
             if b % a:
-                raise ValueError("invariant factors violate the divisibility chain")
+                raise InvariantError("invariant factors violate the divisibility chain")
 
     @property
     def torsion(self):
@@ -220,20 +228,39 @@ class LPResult:
 
 
 def lp_max(P: RationalLP) -> LPResult:
-    """Exact two-phase simplex.  Bland's rule, so termination is guaranteed."""
+    """Exact two-phase simplex.  Bland's rule, so termination is guaranteed.
+
+    The tableau is fraction-free (Edmonds 1967, Bareiss 1968): integer
+    entries over one positive common denominator d.  The data rows are
+    scaled by L, the lcm of every denominator in the data, and the
+    artificial identity is left unscaled.  That rescales columns (and the
+    artificial variables) by positive constants only, so every reduced-cost
+    sign and every ratio comparison, hence every Bland choice, is the one
+    the rational tableau makes, and the result is the same status, value
+    and point.
+    """
     n = len(P.objective)
     nslack = len(P.a_ub)
+    L = lcm(*(
+        _rational(x).denominator
+        for x in chain(P.objective, P.b_eq, P.b_ub, *P.a_eq, *P.a_ub)
+    ))
+
+    def scaled(x):
+        x = _rational(x)
+        return x.numerator * (L // x.denominator)
+
     # standard form: [x, slacks] >= 0, equality rows only
     rows = []
     rhs = []
     for row, b in zip(P.a_eq, P.b_eq):
-        rows.append([Fraction(x) for x in row] + [Fraction(0)] * nslack)
-        rhs.append(Fraction(b))
+        rows.append([scaled(x) for x in row] + [0] * nslack)
+        rhs.append(scaled(b))
     for k, (row, b) in enumerate(zip(P.a_ub, P.b_ub)):
-        r = [Fraction(x) for x in row] + [Fraction(0)] * nslack
-        r[n + k] = Fraction(1)
+        r = [scaled(x) for x in row] + [0] * nslack
+        r[n + k] = L
         rows.append(r)
-        rhs.append(Fraction(b))
+        rhs.append(scaled(b))
     m = len(rows)
     total = n + nslack
     for i in range(m):
@@ -242,17 +269,17 @@ def lp_max(P: RationalLP) -> LPResult:
             rhs[i] = -rhs[i]
 
     # phase 1: artificial basis, minimize sum of artificials
-    tableau = [rows[i] + [Fraction(0)] * m + [rhs[i]] for i in range(m)]
+    tableau = [rows[i] + [0] * m + [rhs[i]] for i in range(m)]
     for i in range(m):
-        tableau[i][total + i] = Fraction(1)
+        tableau[i][total + i] = 1
     basis = [total + i for i in range(m)]
-    cost1 = [Fraction(0)] * total + [Fraction(-1)] * m
-    status = _simplex(tableau, basis, cost1, total + m)
+    cost1 = [0] * total + [-1] * m
+    status, d = _simplex(tableau, basis, 1, cost1, total + m)
     if status != "optimal":  # phase 1 is bounded below by 0
         raise RuntimeError(f"simplex phase 1 ended {status!r}, expected 'optimal'")
     if sum(tableau[i][-1] for i in range(m) if basis[i] >= total) != 0:
         return LPResult("infeasible")
-    _drive_out_artificials(tableau, basis, total)
+    d = _drive_out_artificials(tableau, basis, total, d)
     # drop artificial columns and any redundant rows still basic in one
     keep = [i for i in range(m) if basis[i] < total]
     tableau = [tableau[i][:total] + [tableau[i][-1]] for i in keep]
@@ -260,61 +287,97 @@ def lp_max(P: RationalLP) -> LPResult:
 
     # phase 2
     cost2 = [Fraction(P.objective[j]) if j < n else Fraction(0) for j in range(total)]
-    status = _simplex(tableau, basis, cost2, total)
+    status, d = _simplex(tableau, basis, d, [scaled(c) for c in cost2], total)
     if status == "unbounded":
         return LPResult("unbounded")
     x = [Fraction(0)] * total
     for i, b in enumerate(basis):
-        if b < total:
-            x[b] = tableau[i][-1]
+        x[b] = Fraction(tableau[i][-1], d)
     value = sum(c * v for c, v in zip(cost2, x))
     return LPResult("optimal", value, tuple(x[:n]))
 
 
-def _simplex(tableau, basis, cost, ncols):
-    """Maximize cost.x in place.  Returns "optimal" or "unbounded"."""
-    m = len(tableau)
+def _rational(x):
+    # Fraction(x) for data that is not already an int or a Fraction
+    return x if type(x) in (int, Fraction) else Fraction(x)
+
+
+def _simplex(tableau, basis, d, cost, ncols):
+    """Maximize cost.x in place on the integer tableau over denominator d.
+
+    Returns (status, d) with status "optimal" or "unbounded".  The reduced
+    cost of column j is (cost_j d - sum_i cost_{basis i} tableau[i][j]) / d,
+    so its sign is that of the integer numerator; ratios are compared by
+    cross-multiplication.
+    """
     while True:
-        # reduced costs: c_j - c_B . B^{-1} A_j
-        y = [cost[basis[i]] for i in range(m)]
-        entering = None
-        for j in range(ncols):
-            if j in basis:
-                continue
-            red = cost[j] - sum(y[i] * tableau[i][j] for i in range(m))
-            if red > 0:
-                entering = j  # Bland: first improving index
-                break
+        y = [(row, cost[b]) for row, b in zip(tableau, basis) if cost[b]]
+        in_basis = set(basis)
+        entering = next(
+            (
+                j for j in range(ncols)
+                if j not in in_basis and cost[j] * d - sum(c * row[j] for row, c in y) > 0
+            ),
+            None,
+        )  # Bland: first improving index
         if entering is None:
-            return "optimal"
+            return "optimal", d
         leaving = None
-        best = None
-        for i in range(m):
-            a = tableau[i][entering]
+        for i, row in enumerate(tableau):
+            a = row[entering]
             if a > 0:
-                ratio = tableau[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
+                if leaving is None:
+                    leaving = i
+                    continue
+                best = tableau[leaving]
+                lhs = row[-1] * best[entering]
+                rhs = best[-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
                     leaving = i
         if leaving is None:
-            return "unbounded"
-        _pivot(tableau, basis, leaving, entering)
+            return "unbounded", d
+        d = _pivot(tableau, basis, d, leaving, entering)
 
 
-def _pivot(tableau, basis, i, j):
-    p = tableau[i][j]
-    tableau[i] = [x / p for x in tableau[i]]
-    for r in range(len(tableau)):
-        if r != i and tableau[r][j]:
-            c = tableau[r][j]
-            tableau[r] = [a - c * b for a, b in zip(tableau[r], tableau[i])]
-    basis[i] = j
+def _pivot(tableau, basis, d, r, c):
+    """Pivot the tableau tableau / d on entry (r, c); returns the new
+    denominator |tableau[r][c]|.
+
+    A negative pivot negates the tableau first (only driving out artificials
+    meets one), so the denominator stays positive.  Every other row becomes
+    (p row - row[c] pivot_row) / d, an exact division by Sylvester's
+    identity; a remainder means a broken tableau and raises RuntimeError.
+    """
+    p = tableau[r][c]
+    if p < 0:
+        p = -p
+        tableau[r] = [-x for x in tableau[r]]
+    prow = tableau[r]
+    for i, row in enumerate(tableau):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            row = [p * x - f * y for x, y in zip(row, prow)]
+        elif p != d:
+            row = [p * x for x in row]
+        else:
+            continue
+        if d != 1:
+            quot = [x // d for x in row]
+            if any(q * d != x for q, x in zip(quot, row)):
+                raise RuntimeError(f"fraction-free pivot: row {i} not divisible by {d}")
+            row = quot
+        tableau[i] = row
+    basis[r] = c
+    return p
 
 
-def _drive_out_artificials(tableau, basis, total):
+def _drive_out_artificials(tableau, basis, total, d):
     for i in range(len(basis)):
         if basis[i] >= total:
             j = next((j for j in range(total) if tableau[i][j]), None)
             if j is not None:
-                _pivot(tableau, basis, i, j)
+                d = _pivot(tableau, basis, d, i, j)
             # else: redundant row, keep the artificial at value 0
+    return d

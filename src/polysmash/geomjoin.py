@@ -2,8 +2,12 @@
 general-position (joinability) predicates, and the map evaluators used to
 sanity-check the cube/suspension reparametrizations.
 
-All coordinates are fractions.Fraction; every predicate is decided exactly
-(rank tests, rational LPs, determinant volume ratios).  No floats.
+Coordinates are exact rationals (fractions.Fraction), and every predicate
+is decided exactly: rank tests, the exact LP (integer fraction-free
+elimination inside), and determinant volume ratios.  Point-in-simplex and
+barycentric coordinates go through a BarycentricFrame, which factors a
+reference simplex once, so each point against it costs one integer
+mat-vec.  No floats.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .chains import (
     chain_complex_of_faces,
@@ -47,56 +52,106 @@ def affinely_independent(points):
     return rank_rational(homog) == len(pts)
 
 
-def solve_linear(rows, rhs):
-    """Solve the exact linear system rows . t = rhs; None if inconsistent.
+class BarycentricFrame:
+    """Barycentric coordinates against one vertex list, factored once.
 
-    If underdetermined, free variables are set to 0.
+    Gauss-Jordan runs once on [M | I], where M holds the homogeneous vertex
+    columns (1, v).  The recorded row operations E turn each point p into
+    E (1, p) by one sparse integer mat-vec: the solve rows give the
+    coordinates at the pivot columns (free coordinates are 0), and the
+    consistency rows vanish unless p leaves the affine hull.  Pivot columns
+    depend on M alone, so these are the coordinates plain elimination on
+    M t = (1, p) finds, for affinely dependent vertices too.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    A = [[F(x) for x in row] + [F(b)] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if A[i][c]), None)
-        if pr is None:
-            continue
-        A[r], A[pr] = A[pr], A[r]
-        p = A[r][c]
-        A[r] = [x / p for x in A[r]]
-        for i in range(m):
-            if i != r and A[i][c]:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if A[i][n]:
+
+    def __init__(self, vertices):
+        verts = list(vertices)
+        nv = len(verts)
+        dim = len(verts[0]) if verts else 0
+        m = dim + 1
+        rows = [[F(1)] * nv] + [[F(v[d]) for v in verts] for d in range(dim)]
+        A = [row + [F(int(i == j)) for j in range(m)] for i, row in enumerate(rows)]
+        pivots = []
+        r = 0
+        for c in range(nv):
+            pr = next((i for i in range(r, m) if A[i][c]), None)
+            if pr is None:
+                continue
+            A[r], A[pr] = A[pr], A[r]
+            p = A[r][c]
+            A[r] = [x / p for x in A[r]]
+            for i in range(m):
+                if i != r and A[i][c]:
+                    f = A[i][c]
+                    A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+            pivots.append(c)
+            r += 1
+            if r == m:
+                break
+        self.size = nv
+        self._solve = [(c, _integer_row(A[i][nv:])) for i, c in enumerate(pivots)]
+        self._consistency = [_integer_row(A[i][nv:])[1] for i in range(r, m)]
+
+    def coords(self, p):
+        """t with sum(t) = 1 and sum t_i v_i = p, or None off the affine hull."""
+        q, b = _homogeneous(p)
+        if any(_dot(row, b) for row in self._consistency):
             return None
-    t = [F(0)] * n
-    for i, c in enumerate(pivots):
-        t[c] = A[i][n]
-    return tuple(t)
+        t = [F(0)] * self.size
+        for c, (den, row) in self._solve:
+            t[c] = F(_dot(row, b), den * q)
+        return tuple(t)
+
+    def contains(self, p):
+        """p lies in the closed simplex: in the hull, every coordinate >= 0."""
+        _, b = _homogeneous(p)
+        return not any(_dot(row, b) for row in self._consistency) and all(
+            _dot(row, b) >= 0 for _, (_, row) in self._solve
+        )
+
+    def volume_ratio(self, piece):
+        """vol(piece) / vol(frame simplex) for a piece with as many vertices,
+        lying in the frame's affine hull; None if it leaves the hull."""
+        pc = sorted(piece)
+        if len(pc) != self.size:
+            return None
+        rows = []
+        for p in pc:
+            t = self.coords(p)
+            if t is None:
+                return None
+            rows.append(list(t))
+        return abs(determinant(rows))
+
+
+def _integer_row(row):
+    """A rational row as (positive denominator, [(index, integer)] nonzeros)."""
+    den = lcm(*(x.denominator for x in row))
+    return den, [(j, (x * den).numerator) for j, x in enumerate(row) if x]
+
+
+def _homogeneous(p):
+    """(q, b) with b the integer vector q * (1, p), q > 0."""
+    q = lcm(*(x.denominator for x in p))
+    return q, [q] + [x.numerator * (q // x.denominator) for x in p]
+
+
+def _dot(row, b):
+    return sum(e * b[j] for j, e in row)
 
 
 def barycentric_coords(vertices, p):
     """Coordinates t with sum(t) = 1 and sum t_i v_i = p, or None.
 
     Unique when the vertices are affinely independent (coords may be
-    negative: p need not lie inside the simplex).
+    negative: p need not lie inside the simplex).  Callers with many points
+    against one simplex build its BarycentricFrame once instead.
     """
-    verts = list(vertices)
-    n = len(p)
-    rows = [[v[d] for v in verts] for d in range(n)]
-    rows.append([F(1)] * len(verts))
-    return solve_linear(rows, list(p) + [F(1)])
+    return BarycentricFrame(vertices).coords(p)
 
 
 def point_in_simplex(vertices, p):
-    t = barycentric_coords(vertices, p)
-    return t is not None and all(x >= 0 for x in t)
+    return BarycentricFrame(vertices).contains(p)
 
 
 def determinant(rows):
@@ -168,8 +223,12 @@ class EmbeddedComplex:
     def is_empty(self):
         return self.maximal == frozenset({frozenset()})
 
+    def frames(self):
+        """A BarycentricFrame per nonempty maximal simplex."""
+        return [BarycentricFrame(sorted(s)) for s in self.maximal if s]
+
     def contains_point(self, p):
-        return any(s and point_in_simplex(sorted(s), p) for s in self.maximal)
+        return any(f.contains(p) for f in self.frames())
 
     def union(self, other):
         if self.ambient != other.ambient:
@@ -406,17 +465,7 @@ def realization_AK(config: StandardConfig, K):
 def volume_ratio(piece, reference):
     """vol(piece) / vol(reference) for two simplices of equal dimension lying
     in the reference's affine hull; None if the piece leaves the hull."""
-    ref = sorted(reference)
-    pc = sorted(piece)
-    if len(pc) != len(ref):
-        return None
-    rows = []
-    for p in pc:
-        t = barycentric_coords(ref, p)
-        if t is None:
-            return None
-        rows.append(list(t))
-    return abs(determinant(rows))
+    return BarycentricFrame(sorted(reference)).volume_ratio(piece)
 
 
 def tiling_check(pieces, reference, container=None):
@@ -429,8 +478,9 @@ def tiling_check(pieces, reference, container=None):
     """
     failures = []
     total = F(0)
+    frame = BarycentricFrame(sorted(reference))
     for s in pieces:
-        r = volume_ratio(s, reference)
+        r = frame.volume_ratio(s)
         if r is None:
             failures.append({"kind": "outside affine hull", "simplex": sorted(s)})
             continue
@@ -446,9 +496,10 @@ def tiling_check(pieces, reference, container=None):
                 }
             )
     if container is not None:
+        frames = container.frames()
         for s in pieces:
             for p in s:
-                if not container.contains_point(p):
+                if not any(f.contains(p) for f in frames):
                     failures.append({"kind": "vertex outside container", "point": p})
     return not failures, failures, total
 
@@ -501,7 +552,8 @@ def verify_gjs(config: StandardConfig, sigma) -> VerificationReport:
                      "joinable" if ok else "not joinable", "gjs"))
     join = geometric_join(a_sigma, s_sigma, check=False)
 
-    verts_ok = all(delta_sigma.contains_point(p) for p in join.vertices())
+    frames = delta_sigma.frames()
+    verts_ok = all(any(f.contains(p) for f in frames) for p in join.vertices())
     report.add(Check("join vertices inside Delta_sigma", verts_ok, "contained",
                      "contained" if verts_ok else "outside", "gjs"))
 
@@ -565,15 +617,13 @@ def _carrier_refined_by(A, B):
         return A.maximal == B.maximal
     assigned = set()
     for P in pieces_a:
-        verts = sorted(P)
-        tiles = [
-            Q for Q in pieces_b if all(point_in_simplex(verts, p) for p in Q)
-        ]
+        frame = BarycentricFrame(sorted(P))
+        tiles = [Q for Q in pieces_b if all(frame.contains(p) for p in Q)]
         total = F(0)
         for Q in tiles:
             assigned.add(Q)
             if len(Q) == len(P):
-                r = volume_ratio(Q, P)
+                r = frame.volume_ratio(Q)
                 if r is None:
                     return False
                 total += r
@@ -724,12 +774,14 @@ def naturality_check_k0(p, l, samples) -> VerificationReport:
         raise ValueError("need 1 <= p <= l")
     report = VerificationReport(f"naturality p={p} l={l}")
     bad = []
+    count = 0
     for x, lam in samples:
+        count += 1
         lhs = eval_psi(l, pad_zeros(x, l), lam)
         rhs = pad_zeros(eval_psi(p, tuple(F(c) for c in x), lam), l)
         if lhs != rhs:
             bad.append((x, lam, lhs, rhs))
-    report.add(Check(f"psi naturality on {len(list(samples))} samples", not bad,
+    report.add(Check(f"psi naturality on {count} samples", not bad,
                      "all equal", f"{len(bad)} mismatches", "naturality k=0"))
     return report
 

@@ -1,6 +1,7 @@
 """CLI surface: file formats, exit codes, JSON determinism, internal errors."""
 
 import json
+from hashlib import sha256
 
 import pytest
 
@@ -12,9 +13,17 @@ from polysmash.cli import (
     parse_complex_text,
     parse_j,
 )
-from polysmash import geomjoin, smashmodel
+from polysmash import exactlin, geomjoin, smashmodel
+from polysmash.chains import HomologyGroup
 from polysmash.complexes import double, from_facets
-from polysmash.exactlin import LPResult
+from polysmash.exactlin import InvariantError, LPResult, SmithForm
+
+from conftest import RP2_FACETS
+
+# sha256 of `verify geometry --m 2 --k 2 --json` without wall_time, as
+# json.dumps(report, indent=2); recorded before the frame and fraction-free
+# LP kernels, so any later speed-up must keep the report byte-identical
+GEOMETRY_M2_K2_DIGEST = "d8c2cdb6e471e6c860925975ccc9882dfb40f1e2ec8551a005cf4c31fe66bdcb"
 
 
 def write(tmp_path, name, text):
@@ -179,6 +188,27 @@ def test_lp_status_failure_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(geomjoin, "lp_max", lambda P: LPResult("unbounded"))
     assert main(["verify", "geometry", "--m", "2", "--k", "1", "--grid", "2"]) == 3
     assert "proper-intersection LP ended 'unbounded'" in capsys.readouterr().err
+
+
+def test_invariant_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # a broken divisibility chain is a program fault, not bad input
+    for bad in (lambda: SmithForm((2, 3), 2), lambda: HomologyGroup(0, (4, 2))):
+        with pytest.raises(InvariantError):
+            bad()
+    p = write(tmp_path, "rp2.txt", "\n".join(" ".join(map(str, f)) for f in RP2_FACETS))
+    fix = exactlin._fix_divisibility
+    monkeypatch.setattr(exactlin, "_fix_divisibility", lambda d: fix(d)[::-1])
+    assert main(["homology", p]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and "divisibility" in err
+
+
+def test_geometry_report_is_pinned(capsys):
+    assert main(["verify", "geometry", "--m", "2", "--k", "2", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    data.pop("wall_time")
+    digest = sha256(json.dumps(data, indent=2).encode()).hexdigest()
+    assert digest == GEOMETRY_M2_K2_DIGEST
 
 
 def test_verify_geometry_small(capsys):

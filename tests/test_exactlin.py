@@ -1,6 +1,7 @@
 """Exact linear algebra: SNF against an independent oracle, rank, LP."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polysmash import _snf_py
+from polysmash import _snf_py, exactlin
 from polysmash.complexes import from_facets
 from polysmash.exactlin import (
     RationalLP,
@@ -21,7 +22,9 @@ from polysmash.exactlin import (
 )
 from polysmash.smashmodel import reduction_path_model
 
+import lp_reference
 from conftest import RP2_FACETS
+from lp_reference import lp_max as reference_lp_max
 from snf_reference import fix_divisibility_reference, full_scan_snf_diagonal
 
 
@@ -305,3 +308,96 @@ def test_lp_weak_duality_spot_check():
     y = [Fraction(2), Fraction(1)]  # dual feasible: A^T y >= c, y >= 0
     assert r.value <= y[0] * 4 + y[1] * 2
     assert r.value == 10  # x = (2, 2)
+
+
+# -- the fraction-free LP against the Fraction tableau ----------------------
+
+
+def _rational(rng):
+    return Fraction(rng.choice([0, 0, 0, 1, -1, 2, -2, 3, -3, 4, -4]), rng.randint(1, 4))
+
+
+def random_lp(rng):
+    """Equality and <= rows with denominators up to 4.  Most draws are
+    feasible by construction, at a random nonnegative point, and some repeat
+    a multiple of an equality row; the rest have random right-hand sides."""
+    n = rng.randint(1, 5)
+    a_eq = [[_rational(rng) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+    a_ub = [[_rational(rng) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+    if rng.random() < 0.6:
+        x0 = [abs(_rational(rng)) for _ in range(n)]
+        b_eq = [sum(a * x for a, x in zip(row, x0)) for row in a_eq]
+        b_ub = [
+            sum(a * x for a, x in zip(row, x0)) + abs(_rational(rng)) * rng.randint(0, 1)
+            for row in a_ub
+        ]
+    else:
+        b_eq = [_rational(rng) for _ in a_eq]
+        b_ub = [_rational(rng) for _ in a_ub]
+    if a_eq and rng.random() < 0.3:
+        c = _rational(rng) or Fraction(1)
+        i = rng.randrange(len(a_eq))
+        a_eq.append([c * x for x in a_eq[i]])
+        b_eq.append(c * b_eq[i])
+    objective = [_rational(rng) for _ in range(n)]
+    return RationalLP(objective, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
+
+
+def test_lp_matches_fraction_reference_on_random_lps(monkeypatch):
+    # the same LPResult through the same pivots, (row, column) each; the
+    # negative pivots (driving out artificials) exercise the negation of the
+    # fraction-free tableau
+    pivots = {"library": [], "reference": []}
+    negative = []
+    pivot, reference_pivot = exactlin._pivot, lp_reference._pivot
+
+    def spy(tableau, basis, d, r, c):
+        pivots["library"].append((r, c))
+        negative.append(tableau[r][c] < 0)
+        return pivot(tableau, basis, d, r, c)
+
+    def reference_spy(tableau, basis, r, c):
+        pivots["reference"].append((r, c))
+        return reference_pivot(tableau, basis, r, c)
+
+    monkeypatch.setattr(exactlin, "_pivot", spy)
+    monkeypatch.setattr(lp_reference, "_pivot", reference_spy)
+    rng = random.Random(4)
+    statuses = Counter()
+    for _ in range(2000):
+        P = random_lp(rng)
+        got = lp_max(P)
+        assert got == reference_lp_max(P), P
+        assert pivots["library"] == pivots["reference"], P
+        pivots["library"].clear()
+        pivots["reference"].clear()
+        statuses[got.status] += 1
+    assert min(statuses[s] for s in ("optimal", "infeasible", "unbounded")) >= 200, statuses
+    assert sum(negative) >= 100
+
+
+_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@st.composite
+def rational_lps(draw):
+    n = draw(st.integers(1, 4))
+    row = st.lists(_rationals, min_size=n, max_size=n)
+    a_eq = draw(st.lists(row, max_size=3))
+    a_ub = draw(st.lists(row, max_size=3))
+    b_eq = draw(st.lists(_rationals, min_size=len(a_eq), max_size=len(a_eq)))
+    b_ub = draw(st.lists(_rationals, min_size=len(a_ub), max_size=len(a_ub)))
+    return RationalLP(draw(row), a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_lps())
+def test_lp_property_matches_fraction_reference(P):
+    assert lp_max(P) == reference_lp_max(P)
+
+
+def test_fraction_free_pivot_checks_exact_division():
+    # tableau / 2 pivoted on the 3: the other row becomes (0, 5, -1) / 2,
+    # which no consistent integer tableau can produce
+    with pytest.raises(RuntimeError, match="not divisible"):
+        exactlin._pivot([[3, 1, 1], [1, 2, 0]], [0, 1], 2, 0, 0)

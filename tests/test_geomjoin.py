@@ -1,13 +1,17 @@
 """Geometric joins over Q^n: predicates, standard configuration, carrier
 equality, and the exact map evaluators."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from polysmash import geomjoin
 from polysmash.chains import homology, simplicial_chain_complex
-from polysmash.complexes import from_facets, simplex_boundary
+from polysmash.complexes import empty_complex, from_facets, full_simplex, simplex_boundary
+from polysmash.exactlin import lp_max
 from polysmash.geomjoin import (
+    BarycentricFrame,
     ConePoint,
     EmbeddedComplex,
     SuspensionPoint,
@@ -40,6 +44,9 @@ from polysmash.geomjoin import (
     volume_ratio,
 )
 
+from bary_reference import barycentric_reference
+from lp_reference import lp_max as reference_lp_max
+
 
 def pt(*coords):
     return tuple(F(c) for c in coords)
@@ -62,6 +69,74 @@ def test_barycentric_and_membership():
     # off the affine hull entirely
     edge = [pt(0, 0), pt(2, 0)]
     assert barycentric_coords(edge, pt(1, 1)) is None
+
+
+def test_frame_matches_reference_solve():
+    # simplices of every dimension up to the ambient one, plus dependent
+    # vertex lists; points in the hull (inside and outside the simplex) and
+    # off it
+    rng = random.Random(11)
+
+    def rational():
+        return F(rng.randint(-6, 6), rng.randint(1, 4))
+
+    seen = {"inside": 0, "outside": 0, "off hull": 0}
+    for ambient in range(1, 5):
+        for nverts in range(ambient + 3):
+            for _ in range(12):
+                verts = [tuple(rational() for _ in range(ambient)) for _ in range(nverts)]
+                if nverts >= 3 and rng.random() < 0.3:
+                    verts[-1] = tuple(
+                        (a + b) / 2 for a, b in zip(verts[0], verts[1])
+                    )
+                frame = BarycentricFrame(verts)
+                for _ in range(6):
+                    if verts and rng.random() < 0.6:
+                        w = [abs(rational()) + F(1, 5) for _ in verts]
+                        if len(w) > 1 and rng.random() < 0.5:
+                            w[0] = -sum(w[1:]) / 2
+                        total = sum(w)
+                        p = tuple(
+                            sum(wi * v[d] for wi, v in zip(w, verts)) / total
+                            for d in range(ambient)
+                        )
+                    else:
+                        p = tuple(rational() for _ in range(ambient))
+                    expected = barycentric_reference(verts, p)
+                    assert frame.coords(p) == expected, (verts, p)
+                    assert barycentric_coords(verts, p) == expected
+                    inside = expected is not None and all(x >= 0 for x in expected)
+                    assert frame.contains(p) == inside == point_in_simplex(verts, p)
+                    if expected is None:
+                        seen["off hull"] += 1
+                    else:
+                        seen["inside" if inside else "outside"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_proper_intersection_lps_match_reference(monkeypatch):
+    # every LP that verify_gjs and verify_W_union raise at m <= 2, k <= 2
+    seen = []
+
+    def recording(P):
+        res = lp_max(P)
+        seen.append((P, res))
+        return res
+
+    monkeypatch.setattr(geomjoin, "lp_max", recording)
+    for m in (1, 2):
+        for k in (0, 1, 2):
+            cfg = standard_config(m, k)
+            for size in range(1, m + 1):
+                assert verify_gjs(cfg, tuple(range(1, size + 1))).passed
+            corpus = [empty_complex(m), full_simplex(m - 1)]
+            if m >= 2:
+                corpus.append(from_facets(m, [(i,) for i in range(1, m + 1)]))
+            for K in corpus:
+                assert verify_W_union(cfg, K).passed
+    assert len(seen) >= 50
+    for P, res in seen:
+        assert res == reference_lp_max(P)
 
 
 def test_determinant():
@@ -311,6 +386,13 @@ def test_naturality_squares():
             ]
             r = naturality_check_k0(p, l, samples)
             assert r.passed, (p, l)
+
+
+def test_naturality_counts_generator_samples():
+    samples = ((x, lam) for x in simplex_grid(2, 2) for lam in unit_grid(2))
+    r = naturality_check_k0(2, 3, samples)
+    assert r.passed
+    assert r.checks[0].name == f"psi naturality on {len(simplex_grid(2, 2)) * 3} samples"
 
 
 def test_grids():
