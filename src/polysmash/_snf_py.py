@@ -1,9 +1,5 @@
-"""Pure-Python Smith normal form kernel.
-
-Sparse elimination over arbitrary-precision integers.  The compiled twin
-(polysmash._snf_cy) applies the same pivot rule and so chooses the same pivot
-sequence, with a full scan per pivot instead of the cache below;
-polysmash.exactlin picks whichever is available at import time.
+"""Smith normal form kernel: sparse elimination over arbitrary-precision
+integers, called by polysmash.exactlin.smith_normal_form.
 
 The matrix is handed over as a dict {(row, col): value} with no zero values.
 

@@ -288,6 +288,11 @@ def _verify_maps(args, report):
 
 
 def cmd_verify(args):
+    if args.what in ("geometry", "all"):
+        for flag, value, least in (("--m", args.m, 0), ("--k", args.k, 0),
+                                   ("--grid", args.grid, 1)):
+            if value < least:
+                raise ParseError(f"{flag} must be >= {least}, got {value}")
     report = VerificationReport(f"verify {args.what}")
     if args.what in ("main", "all"):
         _verify_main_batch(args, report)
@@ -302,10 +307,14 @@ def cmd_verify(args):
 
 
 def cmd_gen(args):
+    try:
+        density = Fraction(args.density)
+    except ZeroDivisionError:
+        raise ParseError(f"--density {args.density!r} has a zero denominator")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for idx in range(args.count):
-        K = random_complex(args.m, args.max_dim, Fraction(args.density), args.seed + idx)
+        K = random_complex(args.m, args.max_dim, density, args.seed + idx)
         lines = [f"# seed {args.seed + idx}", f"m={K.m}"]
         facets = sorted(K.facets, key=lambda t: (len(t), t))
         if facets == [()]:
@@ -351,7 +360,8 @@ def build_parser():
     p.add_argument("input", nargs="?", help="complex file or corpus dir (main)")
     p.add_argument("--j", help="verify a single dimension vector")
     p.add_argument("--jmax", type=int, default=3)
-    p.add_argument("--m", type=int, default=2, help="geometry: max m")
+    p.add_argument("--m", type=int, default=2,
+                   help="geometry: max m (0: the map checks only)")
     p.add_argument("--k", type=int, default=1, help="geometry: max k")
     p.add_argument("--grid", type=int, default=8, help="geometry: grid denominator")
     p.add_argument("--json", action="store_true")

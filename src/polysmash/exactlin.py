@@ -7,35 +7,20 @@ takes rational data but pivots fraction-free: an integer tableau over one
 common denominator, with exact divisions, and the same Bland pivots the
 rational tableau would take.
 
-The Smith normal form elimination loop has a compiled twin (built from
-_snf_cy.pyx).  It is selected at import time; set POLYSMASH_PURE=1 to force
-the pure-Python kernel.  Both kernels take as pivot the entry with the least
-(|v|, Markowitz fill), ties to the first in scan order, so they eliminate
-through the same pivot sequence; the pure kernel keeps that search up to date
-from a per-row cache instead of rescanning every nonzero (see _snf_py).
+The Smith normal form elimination loop lives in _snf_py.  It takes as pivot
+the entry with the least (|v|, Markowitz fill), ties to the first in scan
+order, and keeps that search up to date from a per-row cache instead of
+rescanning every nonzero.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
-from . import _snf_py
-
-if os.environ.get("POLYSMASH_PURE"):
-    _snf_kernel = _snf_py
-    KERNEL = "pure"
-else:
-    try:
-        from . import _snf_cy as _snf_kernel  # type: ignore[no-redef]
-
-        KERNEL = "compiled"
-    except ImportError:
-        _snf_kernel = _snf_py
-        KERNEL = "pure"
+from ._snf_py import snf_diagonal
 
 
 class SparseIntMatrix:
@@ -135,7 +120,7 @@ class SmithForm:
 
 def smith_normal_form(M: SparseIntMatrix) -> SmithForm:
     """Smith normal form via sparse elementary row/column elimination."""
-    diagonal = _snf_kernel.snf_diagonal(dict(M.entries), M.rows, M.cols)
+    diagonal = snf_diagonal(dict(M.entries), M.rows, M.cols)
     factors = _fix_divisibility(diagonal)
     return SmithForm(tuple(factors), len(factors))
 

@@ -216,6 +216,30 @@ def test_verify_geometry_small(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--grid", "0"), ("--grid", "-2"), ("--m", "-1"), ("--k", "-1")]
+)
+def test_verify_geometry_rejects_out_of_range_arguments(flag, value, capsys):
+    given = {"--m": "1", "--k": "0", "--grid": "2", flag: value}
+    argv = ["verify", "geometry"] + [tok for item in given.items() for tok in item]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} must be >=")
+
+
+def test_verify_geometry_m0_runs_the_map_checks_only(capsys):
+    assert main(["verify", "geometry", "--m", "0", "--grid", "2", "--json"]) == 0
+    names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
+    assert names and all(n.startswith(("psi", "naturality")) for n in names)
+
+
+def test_gen_zero_denominator_density_exits_2(tmp_path, capsys):
+    out = tmp_path / "c"
+    argv = ["gen", "--m", "3", "--max-dim", "1", "--density", "1/0", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: --density '1/0'")
+    assert not out.exists()
+
+
 def test_gen_deterministic(tmp_path, capsys):
     out1 = tmp_path / "c1"
     out2 = tmp_path / "c2"

@@ -126,24 +126,6 @@ def rp2_reduction_matrices():
     return [cc.boundary(n) for n in cc.degrees() if cc.boundary(n).entries]
 
 
-def test_compiled_and_pure_kernels_agree(rp2_reduction_matrices):
-    try:
-        from polysmash import _snf_cy
-    except ImportError:
-        pytest.skip("compiled kernel not built")
-    rng = random.Random(9)
-    cases = []
-    for _ in range(100):
-        rows = rng.randint(1, 7)
-        cols = rng.randint(1, 7)
-        cases.append(SparseIntMatrix.from_dense(random_dense(rng, rows, cols)))
-    # same pivot rule, so the same raw diagonal in pivot order
-    for M in cases + rp2_reduction_matrices:
-        a = _snf_py.snf_diagonal(dict(M.entries), M.rows, M.cols)
-        b = _snf_cy.snf_diagonal(dict(M.entries), M.rows, M.cols)
-        assert a == b, M
-
-
 def random_entries(rng, rows, cols, density, vmax):
     out = {}
     for i in range(rows):

@@ -11,6 +11,7 @@ import pytest
 
 from polysmash import smashmodel
 from polysmash.chains import (
+    ChainComplex,
     HomologyGroup,
     homology,
     homology_equal,
@@ -168,6 +169,32 @@ def test_verify_main_small_cases(two_points, triangle_boundary):
     r = verify_main(triangle_boundary, (1, 1, 1))
     assert r.passed
     assert len(r.checks) == 4
+
+
+def test_verify_main_checks_dd_once_per_distinct_complex(named_corpus, monkeypatch):
+    # a passing orientation and d o d = 0 on C(K) imply it on the direct
+    # model, so only C(K) and the quotient over K(J) are checked
+    cases = [
+        (K, J)
+        for K in named_corpus.values()
+        for J in ((0,) * K.m, (1,) + (0,) * (K.m - 1))
+    ]
+    expected = [
+        [simplicial_chain_complex(K).bases, reduction_path_model(K, J).bases]
+        for K, J in cases
+    ]
+    checked = []
+    check_dd_zero = ChainComplex.check_dd_zero
+
+    def recording(cc):
+        checked.append(cc.bases)
+        return check_dd_zero(cc)
+
+    monkeypatch.setattr(ChainComplex, "check_dd_zero", recording)
+    for (K, J), bases in zip(cases, expected):
+        checked.clear()
+        assert verify_main(K, J).passed, (K, J)
+        assert checked == bases, (K, J)
 
 
 def test_expected_homology_shift(triangle_boundary):
