@@ -8,8 +8,6 @@ from .chains import (
     HomologyTable,
     MalformedComplexError,
     homology,
-    homology_equal,
-    homology_shift,
     simplicial_chain_complex,
 )
 from .complexes import (
@@ -18,7 +16,6 @@ from .complexes import (
     double,
     double_iterated,
     empty_complex,
-    facet_equal_upto_relabel,
     from_facets,
     full_simplex,
     join_abstract,
@@ -48,7 +45,6 @@ from .geomjoin import (
 )
 from .report import Check, VerificationReport
 from .smashmodel import (
-    cubical_polyprod_model,
     direct_smash_model,
     expected_homology,
     quotient_outer_boundary,
@@ -74,19 +70,15 @@ __all__ = [
     "SparseIntMatrix",
     "StandardConfig",
     "VerificationReport",
-    "cubical_polyprod_model",
     "direct_smash_model",
     "double",
     "double_iterated",
     "empty_complex",
     "expected_homology",
-    "facet_equal_upto_relabel",
     "from_facets",
     "full_simplex",
     "geometric_join",
     "homology",
-    "homology_equal",
-    "homology_shift",
     "join_abstract",
     "joinable",
     "lp_max",

@@ -136,32 +136,16 @@ def homology(C: ChainComplex) -> HomologyTable:
     return HomologyTable(table)
 
 
-def homology_shift(H: HomologyTable, s: int) -> HomologyTable:
-    return H.shifted(s)
-
-
-def homology_equal(A: HomologyTable, B: HomologyTable):
-    """Per-degree comparison; returns (equal, [(degree, group_A, group_B), ...])."""
-    degrees = sorted(set(A) | set(B))
-    mismatches = [
-        (n, A.group(n), B.group(n)) for n in degrees if A.group(n) != B.group(n)
-    ]
-    return not mismatches, mismatches
-
-
-def simplicial_chain_complex(K, augmented=True) -> ChainComplex:
-    """Chain complex of a SimplicialComplex, faces ordered lexicographically.
+def simplicial_chain_complex(K) -> ChainComplex:
+    """Augmented chain complex of a SimplicialComplex, faces ordered
+    lexicographically.
 
     Boundary of a sorted simplex drops vertices with alternating signs; the
-    augmented form adds the empty face as the single degree -1 generator.
+    empty face is the single degree -1 generator.
     """
     faces_by_dim = {}
     for f in K.faces():
         faces_by_dim.setdefault(len(f) - 1, []).append(f)
-    if not augmented:
-        faces_by_dim.pop(-1, None)
-        if not faces_by_dim:
-            return ChainComplex({}, {})
     return chain_complex_of_faces(faces_by_dim)
 
 

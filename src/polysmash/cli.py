@@ -31,7 +31,6 @@ from .geomjoin import (
 )
 from .report import Check, VerificationReport
 from .smashmodel import (
-    cubical_polyprod_model,
     direct_smash_model,
     expected_homology,
     quotient_outer_boundary,
@@ -60,6 +59,8 @@ def parse_complex_text(text, source="<input>") -> SimplicialComplex:
                 m = int(line[2:])
             except ValueError:
                 raise ParseError(f"{source}:{lineno}: bad header {line!r}")
+            if m < 1:
+                raise ParseError(f"{source}:{lineno}: m must be >= 1, got {m}")
             continue
         if line == "empty":
             is_empty = True
@@ -194,7 +195,7 @@ def cmd_smash(args):
     else:  # cubical: the quotient model of the all-(D^1,S^0) case
         if any(J):
             raise ParseError("--path cubical requires J = 0")
-        H = homology(quotient_outer_boundary(cubical_polyprod_model(K)))
+        H = homology(quotient_outer_boundary(K))
     expected = expected_homology(K, J)
     if args.json:
         payload = {
@@ -287,12 +288,18 @@ def _verify_maps(args, report):
             report.extend(naturality_check_k0(p, l, samples))
 
 
+def _check_at_least(*bounds):
+    """Reject an integer option below its least value as bad input."""
+    for flag, value, least in bounds:
+        if value < least:
+            raise ParseError(f"{flag} must be >= {least}, got {value}")
+
+
 def cmd_verify(args):
+    if args.what in ("main", "all"):
+        _check_at_least(("--jmax", args.jmax, 0))
     if args.what in ("geometry", "all"):
-        for flag, value, least in (("--m", args.m, 0), ("--k", args.k, 0),
-                                   ("--grid", args.grid, 1)):
-            if value < least:
-                raise ParseError(f"{flag} must be >= {least}, got {value}")
+        _check_at_least(("--m", args.m, 0), ("--k", args.k, 0), ("--grid", args.grid, 1))
     report = VerificationReport(f"verify {args.what}")
     if args.what in ("main", "all"):
         _verify_main_batch(args, report)
@@ -307,6 +314,8 @@ def cmd_verify(args):
 
 
 def cmd_gen(args):
+    _check_at_least(("--m", args.m, 1), ("--max-dim", args.max_dim, 0),
+                    ("--count", args.count, 0))
     try:
         density = Fraction(args.density)
     except ZeroDivisionError:

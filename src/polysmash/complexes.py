@@ -127,19 +127,21 @@ def double(K: SimplicialComplex, i: int):
     Faces of the result: for sigma in K with i in sigma, (sigma \\ i) u {i_a, i_b};
     for sigma in K without i, sigma u {i_a} and sigma u {i_b}; and all subsets.
     Labels: i_a keeps label i, i_b gets label m+1.
+
+    Built from the facets alone, as the simplicial wedge of K at i: sigma u
+    {i_b} for each facet sigma of K, and sigma u {i_a} when i is not in sigma.
+    No two of these are nested, so there is nothing to minimalize.
     """
     if not 1 <= i <= K.m:
         raise ValueError(f"vertex {i} outside 1..{K.m}")
     ib = K.m + 1
-    gens = []
-    for sigma in K.faces():
-        rest = tuple(v for v in sigma if v != i)
-        if i in sigma:
-            gens.append(rest + (i, ib))
-        else:
-            gens.append(rest + (i,))
-            gens.append(rest + (ib,))
-    return from_facets(K.m + 1, gens), RenameMap.identity(K.m).doubled(i, ib)
+    facets = set()
+    for sigma in K.facets:
+        facets.add(sigma + (ib,))
+        if i not in sigma:
+            facets.add(tuple(sorted(sigma + (i,))))
+    rename = RenameMap.identity(K.m).doubled(i, ib)
+    return SimplicialComplex(ib, frozenset(facets)), rename
 
 
 def double_iterated(K: SimplicialComplex, J):
@@ -202,53 +204,3 @@ def random_complex(m, max_dim, density, seed) -> SimplicialComplex:
             if rng.randrange(p.denominator) < p.numerator:
                 gens.append(cand)
     return from_facets(m, gens) if gens else empty_complex(m)
-
-
-def facet_equal_upto_relabel(K: SimplicialComplex, L: SimplicialComplex):
-    """Search for a vertex bijection carrying facets of K onto facets of L.
-
-    Returns the bijection {vertex of K: vertex of L} or None.  Backtracking
-    over used vertices only; ghost vertices may map anywhere, so they are
-    ignored (and vertex counts of used vertices must agree).
-    """
-    fk = sorted(K.facets, key=lambda t: (len(t), t))
-    fl = set(L.facets)
-    if sorted(len(f) for f in fk) != sorted(len(f) for f in fl):
-        return None
-    used_k = sorted({v for f in fk for v in f})
-    used_l = {v for f in fl for v in f}
-    if len(used_k) != len(used_l):
-        return None
-
-    def extend(mapping, remaining):
-        if not remaining:
-            image = {tuple(sorted(mapping[v] for v in f)) for f in fk}
-            return mapping if image == fl else None
-        f = remaining[0]
-        unmapped = [v for v in f if v not in mapping]
-        # candidate facets of L consistent with the partial map
-        for g in fl:
-            if len(g) != len(f):
-                continue
-            gset = set(g)
-            if any(mapping.get(v, None) not in gset for v in f if v in mapping):
-                continue
-            targets = [w for w in g if w not in mapping.values()]
-            if len(targets) < len(unmapped):
-                continue
-            for assign in _injections(unmapped, targets):
-                new = dict(mapping)
-                new.update(assign)
-                out = extend(new, remaining[1:])
-                if out is not None:
-                    return out
-        return None
-
-    return extend({}, fk)
-
-
-def _injections(sources, targets):
-    from itertools import permutations
-
-    for perm in permutations(targets, len(sources)):
-        yield dict(zip(sources, perm))

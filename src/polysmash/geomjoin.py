@@ -1,6 +1,6 @@
 """Exact-rational geometry: embedded complexes in Q^n, geometric joins,
-general-position (joinability) predicates, and the map evaluators used to
-sanity-check the cube/suspension reparametrizations.
+general-position (joinability) predicates, and the cube reparametrization
+psi with its inverse and its naturality, checked on rational grids.
 
 Coordinates are exact rationals (fractions.Fraction), and every predicate
 is decided exactly: rank tests, the exact LP (integer fraction-free
@@ -17,13 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .chains import (
-    chain_complex_of_faces,
-    homology,
-    homology_equal,
-    homology_shift,
-    simplicial_chain_complex,
-)
+from .chains import chain_complex_of_faces, homology, simplicial_chain_complex
 from .exactlin import RationalLP, lp_max, rank_rational
 from .report import Check, VerificationReport
 
@@ -150,10 +144,6 @@ def barycentric_coords(vertices, p):
     return BarycentricFrame(vertices).coords(p)
 
 
-def point_in_simplex(vertices, p):
-    return BarycentricFrame(vertices).contains(p)
-
-
 def determinant(rows):
     A = [[F(x) for x in row] for row in rows]
     n = len(A)
@@ -226,16 +216,6 @@ class EmbeddedComplex:
     def frames(self):
         """A BarycentricFrame per nonempty maximal simplex."""
         return [BarycentricFrame(sorted(s)) for s in self.maximal if s]
-
-    def contains_point(self, p):
-        return any(f.contains(p) for f in self.frames())
-
-    def union(self, other):
-        if self.ambient != other.ambient:
-            raise ValueError("ambient dimension mismatch")
-        return EmbeddedComplex.from_simplices(
-            self.ambient, set(self.maximal) | set(other.maximal)
-        )
 
     def chain_complex(self):
         """Augmented simplicial chain complex on integer-relabeled vertices."""
@@ -462,12 +442,6 @@ def realization_AK(config: StandardConfig, K):
 # ---------------------------------------------------------------------------
 
 
-def volume_ratio(piece, reference):
-    """vol(piece) / vol(reference) for two simplices of equal dimension lying
-    in the reference's affine hull; None if the piece leaves the hull."""
-    return BarycentricFrame(sorted(reference)).volume_ratio(piece)
-
-
 def tiling_check(pieces, reference, container=None):
     """Certify that a family of top-dimensional simplices tiles a region.
 
@@ -587,11 +561,9 @@ def verify_W_union(config: StandardConfig, K) -> VerificationReport:
 
     union = EmbeddedComplex.from_simplices(config.n, union_simplices)
     H_union = union.homology()
-    H_expected = homology_shift(
-        homology(simplicial_chain_complex(K)), config.k * config.m
-    )
-    eq, _ = homology_equal(H_union, H_expected)
-    report.add(Check("union W_sigma homology = km-shifted homology of K", eq,
+    H_expected = homology(simplicial_chain_complex(K)).shifted(config.k * config.m)
+    report.add(Check("union W_sigma homology = km-shifted homology of K",
+                     H_union == H_expected,
                      str(H_expected), str(H_union), "w2"))
     return report
 
@@ -637,59 +609,8 @@ def _carrier_refined_by(A, B):
 
 
 # ---------------------------------------------------------------------------
-# map evaluators
+# the cube reparametrization psi
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SuspensionPoint:
-    """[pole, x, t] in S^0 * X with t = 0 the pole end and t = 1 the X end."""
-
-    pole: str  # "s1" | "s2"
-    x: tuple
-    t: Fraction
-
-    def key(self):
-        if self.t == 0:
-            return ("pole", self.pole)
-        if self.t == 1:
-            return ("base", self.x)
-        return (self.pole, self.x, self.t)
-
-    def __eq__(self, other):
-        return isinstance(other, SuspensionPoint) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-
-@dataclass(frozen=True)
-class ConePoint:
-    """[c, x, t] in CX with t = 0 the cone point."""
-
-    x: tuple
-    t: Fraction
-
-    def key(self):
-        return "cone" if self.t == 0 else (self.x, self.t)
-
-    def __eq__(self, other):
-        return isinstance(other, ConePoint) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-
-def eval_theta(x, lam) -> SuspensionPoint:
-    """Cone-to-suspension collapse: the first half of the cone parameter runs
-    up the s1 half, the second half runs down the s2 half."""
-    lam = F(lam)
-    if not 0 <= lam <= 1:
-        raise ValueError("lambda must be in [0, 1]")
-    x = tuple(F(c) for c in x)
-    if 2 * lam <= 1:
-        return SuspensionPoint("s1", x, 2 * lam)
-    return SuspensionPoint("s2", x, 2 - 2 * lam)
 
 
 def eval_psi(n, x, lam):
@@ -733,34 +654,6 @@ def eval_psi_inverse(n, y):
         # total = (2 - 2 lam) + (2 lam - 1) * 2 / tbar, solved for lam
         lam = (total - 2 + 2 / tbar) / (4 / tbar - 2)
     return x, lam
-
-
-def eval_phi_p(points, weights):
-    """The join-to-geometric-join comparison map: the convex combination."""
-    weights = [F(w) for w in weights]
-    if sum(weights) != 1 or any(w < 0 for w in weights):
-        raise ValueError("weights must be barycentric")
-    if len(points) != len(weights):
-        raise ValueError("points/weights length mismatch")
-    n = len(points[0])
-    return tuple(
-        sum(w * F(p[d]) for w, p in zip(weights, points)) for d in range(n)
-    )
-
-
-def eval_cone_join_split(x, y, t, lam):
-    """Cone over a join -> product of cones: [c,[x,y,t],lam] maps to
-    ([c,x,2 lam min(t,1/2)], [c,y,2 lam min(1-t,1/2)])."""
-    t = F(t)
-    lam = F(lam)
-    if not (0 <= t <= 1 and 0 <= lam <= 1):
-        raise ValueError("parameters must be in [0, 1]")
-    x = tuple(F(c) for c in x)
-    y = tuple(F(c) for c in y)
-    return (
-        ConePoint(x, 2 * lam * min(t, F(1, 2))),
-        ConePoint(y, 2 * lam * min(1 - t, F(1, 2))),
-    )
 
 
 def pad_zeros(x, total):

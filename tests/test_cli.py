@@ -56,6 +56,13 @@ def test_parse_text_errors():
         parse_complex_text("m=2\n1 3\n")
 
 
+@pytest.mark.parametrize("header", ["m=0", "m=-3"])
+@pytest.mark.parametrize("body", ["", "empty\n", "1 2\n"])
+def test_parse_text_rejects_header_below_one(header, body):
+    with pytest.raises(ParseError, match=rf"^k\.txt:2: m must be >= 1, got {header[2:]}$"):
+        parse_complex_text(f"# header\n{header}\n{body}", source="k.txt")
+
+
 def test_load_json_complex(tmp_path):
     p = write(tmp_path, "k.json", '{"m": 3, "facets": [[1,2],[2,3]]}')
     assert load_complex(p) == from_facets(3, [(1, 2), (2, 3)])
@@ -230,6 +237,28 @@ def test_verify_geometry_m0_runs_the_map_checks_only(capsys):
     assert main(["verify", "geometry", "--m", "0", "--grid", "2", "--json"]) == 0
     names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
     assert names and all(n.startswith(("psi", "naturality")) for n in names)
+
+
+@pytest.mark.parametrize("what, jmax", [("main", "-1"), ("main", "-4"), ("all", "-1")])
+def test_verify_rejects_negative_jmax(what, jmax, tmp_path, capsys):
+    p = write(tmp_path, "s1.txt", "1 2\n1 3\n2 3\n")
+    assert main(["verify", what, p, "--jmax", jmax]) == 2
+    assert capsys.readouterr().err == f"error: --jmax must be >= 0, got {jmax}\n"
+
+
+@pytest.mark.parametrize(
+    "flag, value, least", [("--m", "0", 1), ("--max-dim", "-1", 0), ("--count", "-2", 0)]
+)
+def test_gen_rejects_out_of_range_arguments(flag, value, least, tmp_path, capsys):
+    out = tmp_path / "c"
+    given = {"--m": "3", "--max-dim": "1", "--density": "1/2", "--count": "2",
+             "--out": str(out), flag: value}
+    argv = ["gen"] + [tok for item in given.items() for tok in item]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} must be >= {least}, got {value}\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_gen_zero_denominator_density_exits_2(tmp_path, capsys):

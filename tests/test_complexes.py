@@ -3,6 +3,8 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polysmash.chains import homology, simplicial_chain_complex
 from polysmash.complexes import (
@@ -10,7 +12,6 @@ from polysmash.complexes import (
     double,
     double_iterated,
     empty_complex,
-    facet_equal_upto_relabel,
     from_facets,
     full_simplex,
     join_abstract,
@@ -18,6 +19,19 @@ from polysmash.complexes import (
     simplex_boundary,
     suspension,
 )
+
+from relabel_reference import facet_equal_upto_relabel
+
+
+@st.composite
+def complexes(draw, min_m=1, max_m=5):
+    """A complex on 1..m from up to five generating faces of at most three
+    vertices; no generators gives the empty complex, and vertices outside
+    every generator are ghosts."""
+    m = draw(st.integers(min_m, max_m))
+    gens = draw(st.lists(st.sets(st.integers(1, m), min_size=1, max_size=3),
+                         max_size=5))
+    return from_facets(m, gens)
 
 
 def test_faces_and_f_vector():
@@ -113,6 +127,16 @@ def test_double_matches_bruteforce(full_corpus):
             ), (name, i)
 
 
+@settings(max_examples=150, deadline=None)
+@given(complexes(max_m=6))
+@example(empty_complex(1))
+@example(from_facets(4, [(1, 2), (2,)]))  # ghost vertices 3 and 4
+def test_double_property_matches_bruteforce(K):
+    for i in range(1, K.m + 1):
+        D, _ = double(K, i)
+        assert D.faces() == double_faces_bruteforce(K, i), (K, i)
+
+
 def test_double_shifts_homology(full_corpus):
     for name, K in full_corpus.items():
         H = homology(simplicial_chain_complex(K))
@@ -129,6 +153,17 @@ def test_double_iterated_order_independent():
     K1, _ = double(K, 1)
     D21, _ = double(K1, 2)
     assert facet_equal_upto_relabel(D12, D21) is not None
+
+
+@settings(max_examples=100, deadline=None)
+@given(complexes(min_m=2), st.data())
+def test_doubling_order_independent_property(K, data):
+    # doubling i then j equals doubling j then i, up to relabelling
+    i, j = data.draw(st.lists(st.integers(1, K.m), min_size=2, max_size=2, unique=True))
+    Dij, _ = double(double(K, i)[0], j)
+    Dji, _ = double(double(K, j)[0], i)
+    assert Dij.m == Dji.m == K.m + 2
+    assert facet_equal_upto_relabel(Dij, Dji) is not None, (K, i, j)
 
 
 def test_double_iterated_total_count():
@@ -149,6 +184,14 @@ def test_join_and_suspension():
     assert homology(simplicial_chain_complex(susp)).get(1).betti == 1
     double_susp = suspension(two, 2)
     assert homology(simplicial_chain_complex(double_susp)).get(2).betti == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(complexes())
+@example(empty_complex(1))
+def test_suspension_shifts_homology_property(K):
+    H = homology(simplicial_chain_complex(K))
+    assert homology(simplicial_chain_complex(suspension(K))) == H.shifted(1)
 
 
 def test_suspension_of_empty_complex():

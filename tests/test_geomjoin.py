@@ -1,5 +1,5 @@
 """Geometric joins over Q^n: predicates, standard configuration, carrier
-equality, and the exact map evaluators."""
+equality, and the cube reparametrization psi."""
 
 import random
 from fractions import Fraction as F
@@ -12,25 +12,19 @@ from polysmash.complexes import empty_complex, from_facets, full_simplex, simple
 from polysmash.exactlin import lp_max
 from polysmash.geomjoin import (
     BarycentricFrame,
-    ConePoint,
     EmbeddedComplex,
-    SuspensionPoint,
     affinely_independent,
     barycentric_coords,
     carrier_equal,
     determinant,
     embedded_point,
     empty_embedded,
-    eval_cone_join_split,
-    eval_phi_p,
     eval_psi,
     eval_psi_inverse,
-    eval_theta,
     geometric_join,
     geometric_join_many,
     joinable,
     naturality_check_k0,
-    point_in_simplex,
     proper_intersection,
     realization_AK,
     sigma_complexes,
@@ -41,7 +35,6 @@ from polysmash.geomjoin import (
     verify_gji,
     verify_gjs,
     verify_W_union,
-    volume_ratio,
 )
 
 from bary_reference import barycentric_reference
@@ -62,8 +55,8 @@ def test_affine_independence():
 def test_barycentric_and_membership():
     tri = [pt(0, 0), pt(2, 0), pt(0, 2)]
     assert barycentric_coords(tri, pt(1, 1)) == (F(0), F(1, 2), F(1, 2))
-    assert point_in_simplex(tri, pt(F(1, 2), F(1, 2)))
-    assert not point_in_simplex(tri, pt(2, 2))
+    assert BarycentricFrame(tri).contains(pt(F(1, 2), F(1, 2)))
+    assert not BarycentricFrame(tri).contains(pt(2, 2))
     # outside the simplex but inside the affine hull: negative coordinate
     assert min(barycentric_coords(tri, pt(3, 3))) < 0
     # off the affine hull entirely
@@ -106,7 +99,7 @@ def test_frame_matches_reference_solve():
                     assert frame.coords(p) == expected, (verts, p)
                     assert barycentric_coords(verts, p) == expected
                     inside = expected is not None and all(x >= 0 for x in expected)
-                    assert frame.contains(p) == inside == point_in_simplex(verts, p)
+                    assert frame.contains(p) == inside
                     if expected is None:
                         seen["off hull"] += 1
                     else:
@@ -263,11 +256,13 @@ def test_realization_AK_homology(triangle_boundary):
 
 def test_volume_ratio():
     ref = [pt(0, 0), pt(1, 0), pt(0, 1)]
-    assert volume_ratio([pt(0, 0), pt(F(1, 2), 0), pt(0, F(1, 2))], ref) == F(1, 4)
-    assert volume_ratio(ref, ref) == 1
+    frame = BarycentricFrame(ref)
+    assert frame.volume_ratio([pt(0, 0), pt(F(1, 2), 0), pt(0, F(1, 2))]) == F(1, 4)
+    assert frame.volume_ratio(ref) == 1
     # piece off the reference's affine hull
     ref3 = [pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0)]
-    assert volume_ratio([pt(0, 0, 0), pt(1, 0, 0), pt(0, 0, 1)], ref3) is None
+    piece = [pt(0, 0, 0), pt(1, 0, 0), pt(0, 0, 1)]
+    assert BarycentricFrame(ref3).volume_ratio(piece) is None
 
 
 def test_carrier_equal_positive_and_negative():
@@ -313,20 +308,7 @@ def test_verify_W_union_disconnected():
     assert r.passed, str(r)
 
 
-# -- map evaluators ---------------------------------------------------------
-
-
-def test_theta_quotient_identifications():
-    x = pt(F(1, 3), F(2, 3))
-    y = pt(F(1, 2), F(1, 2))
-    # lam = 1/2 hits the base copy of X, shared by both halves
-    assert eval_theta(x, F(1, 2)) == SuspensionPoint("s1", x, F(1))
-    assert eval_theta(x, F(1, 2)) == SuspensionPoint("s2", x, F(1))
-    # both poles are independent of x
-    assert eval_theta(x, 0) == eval_theta(y, 0)
-    assert eval_theta(x, 1) == eval_theta(y, 1)
-    assert eval_theta(x, 0) != eval_theta(x, 1)
-    assert eval_theta(x, F(1, 4)) != eval_theta(y, F(1, 4))
+# -- the cube reparametrization psi ---------------------------------------------------------
 
 
 def test_psi_seam_and_boundary():
@@ -355,27 +337,6 @@ def test_psi_validates_input():
         eval_psi(2, (F(1, 2), F(1, 2)), 2)
     with pytest.raises(ValueError):
         eval_psi_inverse(1, (F(5, 2),))
-
-
-def test_phi_p_convex_combination():
-    pts = [pt(1, 0), pt(0, 1)]
-    assert eval_phi_p(pts, [F(1, 3), F(2, 3)]) == pt(F(1, 3), F(2, 3))
-    with pytest.raises(ValueError):
-        eval_phi_p(pts, [F(1, 2), F(1, 4)])
-
-
-def test_cone_join_split_quotient():
-    x = pt(1, 0)
-    y = pt(0, 1)
-    a, b = eval_cone_join_split(x, y, F(1, 2), 1)
-    assert a == ConePoint(x, F(1)) and b == ConePoint(y, F(1))
-    # at lam = 0 everything is the cone point, regardless of x, y, t
-    a0, b0 = eval_cone_join_split(x, y, F(1, 4), 0)
-    a1, b1 = eval_cone_join_split(y, x, F(3, 4), 0)
-    assert (a0, b0) == (ConePoint(y, 0), ConePoint(x, 0))
-    # t = 0 is the y end of the join: the x factor sits at the cone point
-    a, b = eval_cone_join_split(x, y, 0, F(1, 2))
-    assert a.t == 0 and b.t == F(1, 2)
 
 
 def test_naturality_squares():
