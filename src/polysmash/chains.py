@@ -3,11 +3,26 @@
 Degrees may start at -1: the augmented simplicial chain complex keeps the
 empty face as a single degree -1 generator, so all homology here is reduced
 homology, including the convention H~_{-1}(empty space) = Z.
+
+homology() first deletes unit reduction pairs (Kaczynski-Mrozek-Slusarek
+1998; Mrozek-Batko 2009): cells a in C_{n-1} and b in C_n with
+<db, a> = +-1, where either
+
+* a is the only remaining boundary cell of b (a coreduction), or
+* b is the only remaining coface of a (a free face).
+
+Deleting such a pair is a chain homotopy equivalence over Z.  The general
+reduction replaces dc by dc - (<dc, a> / <db, a>) db for every other n-cell
+c; here that correction is zero, because db has no term besides a, or
+<dc, a> = 0 for every c other than b.  So no remaining matrix entry changes:
+rows and columns are only dropped, and Smith normal form runs on the
+boundary matrices of the cells that survive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .exactlin import InvariantError, SparseIntMatrix, smith_normal_form
 
@@ -123,17 +138,87 @@ class HomologyTable(dict):
 
 
 def homology(C: ChainComplex) -> HomologyTable:
-    """Reduced homology of a chain complex, degree by degree."""
+    """Reduced homology of a chain complex, degree by degree.
+
+    Unit reduction pairs, coreductions and free faces, are deleted first
+    (see the module docstring).  The surviving cells span a chain complex
+    homotopy equivalent to C whose boundary entries are those of C, so
+    Smith normal form runs on the surviving rows and columns only, and the
+    Betti numbers come from the surviving ranks.
+    """
     if not C.dd_checked:
         C.check_dd_zero()
-    snf = {n: smith_normal_form(C.boundary(n)) for n in C.degrees()}
-    table = {}
-    for n in C.degrees():
-        rank_in = snf[n + 1].rank if (n + 1) in snf else 0
-        betti = C.rank(n) - snf[n].rank - rank_in
-        torsion = snf[n + 1].torsion if (n + 1) in snf else ()
-        table[n] = HomologyGroup(betti, torsion)
-    return HomologyTable(table)
+    alive, down = _delete_unit_pairs(C)
+    survivors = {n: list(compress(range(C.rank(n)), alive[n])) for n in C.degrees()}
+    rank, torsion = {}, {}
+    for n, cols in survivors.items():
+        rows = {k: r for r, k in enumerate(survivors.get(n - 1, ()))}
+        M = SparseIntMatrix(len(rows), len(cols))
+        for c, k in enumerate(cols):
+            for i in down[n][k]:
+                if i in rows:
+                    M[rows[i], c] = C.boundaries[n].entries[i, k]
+        snf = smith_normal_form(M)
+        rank[n], torsion[n] = snf.rank, snf.torsion
+    return HomologyTable({
+        n: HomologyGroup(len(cols) - rank[n] - rank.get(n + 1, 0), torsion.get(n + 1, ()))
+        for n, cols in survivors.items()
+    })
+
+
+def _delete_unit_pairs(C: ChainComplex):
+    """Delete unit reduction pairs until none is left.
+
+    Returns ({n: bytearray alive flag per cell of C_n}, {n: per cell of C_n,
+    the indices of its boundary cells in C_{n-1}}).  Only int adjacency
+    lists, remaining counts and the flags are kept; coefficients are read
+    back from the boundary matrices.
+    """
+    size = {n: C.rank(n) for n in C.degrees()}
+    down = {n: [[] for _ in range(s)] for n, s in size.items()}
+    up = {n: [[] for _ in range(s)] for n, s in size.items()}
+    for n, M in C.boundaries.items():
+        faces, cofaces = down[n], up[n - 1]
+        for i, j in M.entries:
+            faces[j].append(i)
+            cofaces[i].append(j)
+    # remaining boundary cells and cofaces of each cell
+    ndown = {n: [len(x) for x in lists] for n, lists in down.items()}
+    nup = {n: [len(x) for x in lists] for n, lists in up.items()}
+    alive = {n: bytearray([1]) * s for n, s in size.items()}
+
+    stack = [(n, k) for n, s in size.items() for k in range(s)
+             if ndown[n][k] == 1 or nup[n][k] == 1]
+    while stack:
+        n, k = stack.pop()
+        if not alive[n][k]:
+            continue
+        # pair (d, a, b): a in C_{d-1}, b in C_d
+        pair = None
+        if ndown[n][k] == 1:
+            a = next(i for i in down[n][k] if alive[n - 1][i])
+            if C.boundaries[n].entries[a, k] in (1, -1):
+                pair = (n, a, k)
+        if pair is None and nup[n][k] == 1:
+            b = next(j for j in up[n][k] if alive[n + 1][j])
+            if C.boundaries[n + 1].entries[k, b] in (1, -1):
+                pair = (n + 1, k, b)
+        if pair is None:
+            continue
+        d, a, b = pair
+        alive[d - 1][a] = alive[d][b] = 0
+        for m, cell in ((d - 1, a), (d, b)):
+            for i in down[m][cell]:
+                if alive[m - 1][i]:
+                    nup[m - 1][i] -= 1
+                    if nup[m - 1][i] == 1:
+                        stack.append((m - 1, i))
+            for j in up[m][cell]:
+                if alive[m + 1][j]:
+                    ndown[m + 1][j] -= 1
+                    if ndown[m + 1][j] == 1:
+                        stack.append((m + 1, j))
+    return alive, down
 
 
 def simplicial_chain_complex(K) -> ChainComplex:

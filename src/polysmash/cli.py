@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from . import complexes as cxm
@@ -87,7 +88,11 @@ def parse_complex_text(text, source="<input>") -> SimplicialComplex:
 def parse_complex_json(text, source="<input>") -> SimplicialComplex:
     try:
         data = json.loads(text)
-        return from_facets(data["m"], [tuple(f) for f in data["facets"]] or [()])
+        m, facets = data["m"], [tuple(f) for f in data["facets"]]
+        for x in (m, *chain.from_iterable(facets)):
+            if type(x) is not int:  # bool is an int subclass: refuse it too
+                raise ValueError(f"{x!r} is not an integer")
+        return from_facets(m, facets or [()])
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"{source}: bad JSON complex: {e}")
 

@@ -1,7 +1,10 @@
 """Chain complexes and homology: conventions, fixtures, consistency checks."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from polysmash import chains
 from polysmash.chains import (
     ChainComplex,
     HomologyGroup,
@@ -11,8 +14,17 @@ from polysmash.chains import (
     homology,
     simplicial_chain_complex,
 )
-from polysmash.complexes import empty_complex, from_facets, simplex_boundary
+from polysmash.complexes import (
+    empty_complex,
+    from_facets,
+    random_complex,
+    simplex_boundary,
+)
 from polysmash.exactlin import SparseIntMatrix, rank_rational, smith_normal_form
+from polysmash.smashmodel import direct_smash_model, reduction_path_model
+
+from conftest import RP2_FACETS
+from homology_reference import homology_full_snf
 
 
 def test_sphere_homology():
@@ -138,3 +150,92 @@ def test_chain_complex_of_faces_torus_like():
         faces.setdefault(len(f) - 1, []).append(f)
     H = homology(chain_complex_of_faces(faces))
     assert dict(H) == {1: HomologyGroup(0, (2,))}
+
+
+# -- unit reduction pairs against SNF on every full boundary matrix ----------
+
+RP2 = from_facets(6, RP2_FACETS)
+
+
+@st.composite
+def drawn_complexes(draw, max_m=6):
+    return random_complex(
+        draw(st.integers(1, max_m)),
+        draw(st.integers(0, 3)),
+        draw(st.sampled_from(["1/3", "1/2", "2/3", "1"])),
+        draw(st.integers(0, 10**6)),
+    )
+
+
+@st.composite
+def small_j(draw, m, total=4):
+    """J with entries <= 2 and sum(J) <= total, so that the full-SNF
+    reference on C(K(J)) stays fast."""
+    J = []
+    for e in draw(st.lists(st.integers(0, 2), min_size=m, max_size=m)):
+        J.append(min(e, total - sum(J)))
+    return tuple(J)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_complexes())
+@example(RP2)
+@example(empty_complex(3))
+def test_homology_matches_full_snf_on_random_complexes(K):
+    C = simplicial_chain_complex(K)
+    assert homology(C) == homology_full_snf(C)
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_complexes(max_m=5), st.data())
+@example(RP2, None)
+def test_homology_matches_full_snf_on_kj_quotients(K, data):
+    J = (1, 1, 0, 0, 0, 0) if data is None else data.draw(small_j(K.m))
+    C = reduction_path_model(K, J)
+    assert homology(C) == homology_full_snf(C)
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn_complexes(), st.data())
+@example(RP2, None)
+def test_homology_matches_full_snf_on_direct_models(K, data):
+    J = (2, 1, 0, 2, 1, 1) if data is None else data.draw(
+        st.lists(st.integers(0, 2), min_size=K.m, max_size=K.m))
+    _, C = direct_smash_model(K, J)
+    assert homology(C) == homology_full_snf(C)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_complexes(), st.data())
+@example(RP2, None)
+def test_homology_matches_full_snf_on_scaled_complexes(K, data):
+    # scaling whole boundary matrices keeps d o d = 0 and brings in
+    # non-unit entries and torsion
+    C = simplicial_chain_complex(K)
+    scale = st.sampled_from([1, -1, 2, -2, 3, -3])
+    boundaries = {}
+    for n, M in C.boundaries.items():
+        c = 2 if data is None else data.draw(scale)
+        boundaries[n] = SparseIntMatrix(M.rows, M.cols, {e: c * v for e, v in M.entries.items()})
+    scaled = ChainComplex(C.bases, boundaries)
+    assert homology(scaled) == homology_full_snf(scaled)
+
+
+def test_reduction_leaves_little_for_snf(monkeypatch):
+    seen = []
+    snf = chains.smith_normal_form
+
+    def recording(M):
+        seen.append(len(M.entries))
+        return snf(M)
+
+    monkeypatch.setattr(chains, "smith_normal_form", recording)
+    # the boundary of a simplex reduces to its top-degree generator
+    assert homology(simplicial_chain_complex(simplex_boundary(4))) == {3: HomologyGroup(1)}
+    assert sum(seen) == 0
+    # 3,672 cells and 20,952 boundary entries over K(J) for RP^2, J = 1^6
+    seen.clear()
+    C = reduction_path_model(RP2, (1,) * 6)
+    assert sum(len(M.entries) for M in C.boundaries.values()) == 20952
+    assert homology(C) == {8: HomologyGroup(0, (2,))}
+    assert sum(seen) < 100

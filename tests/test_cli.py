@@ -20,6 +20,12 @@ from polysmash.exactlin import InvariantError, LPResult, SmithForm
 
 from conftest import RP2_FACETS
 
+# sha256 of `verify main --json --jmax 3` on the corpus of `gen --m 4
+# --max-dim 3 --density 1/2 --seed 7 --count 4` plus RP^2 as rp2.txt, without
+# wall_time, as json.dumps(report, indent=2); recorded while homology still ran
+# Smith normal form on every full boundary matrix
+MAIN_M4_DIGEST = "cfe63bdd61db19f8208299e35de1f2090cf930b30c0b3d777bb492f3075233ac"
+
 # sha256 of `verify geometry --m 2 --k 2 --json` without wall_time, as
 # json.dumps(report, indent=2); recorded before the frame and fraction-free
 # LP kernels, so any later speed-up must keep the report byte-identical
@@ -69,6 +75,21 @@ def test_load_json_complex(tmp_path):
     bad = write(tmp_path, "bad.json", '{"facets": [[1]]}')
     with pytest.raises(ParseError):
         load_complex(bad)
+
+
+@pytest.mark.parametrize("text", [
+    '{"m": 2.5, "facets": [[1, 2]]}',
+    '{"m": true, "facets": [[1]]}',
+    '{"m": 3, "facets": [[1.0, 2]]}',
+    '{"m": 3, "facets": [[true, 2]]}',
+])
+def test_json_complex_rejects_non_integers(text, tmp_path, capsys):
+    p = write(tmp_path, "k.json", text)
+    with pytest.raises(ParseError, match="is not an integer"):
+        load_complex(p)
+    assert main(["double", p, "--i", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
 
 
 def test_parse_j():
@@ -216,6 +237,19 @@ def test_geometry_report_is_pinned(capsys):
     data.pop("wall_time")
     digest = sha256(json.dumps(data, indent=2).encode()).hexdigest()
     assert digest == GEOMETRY_M2_K2_DIGEST
+
+
+def test_verify_main_report_is_pinned(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    assert main(["gen", "--m", "4", "--max-dim", "3", "--density", "1/2",
+                 "--seed", "7", "--count", "4", "--out", str(corpus)]) == 0
+    write(corpus, "rp2.txt", "\n".join(" ".join(map(str, f)) for f in RP2_FACETS))
+    capsys.readouterr()
+    assert main(["verify", "main", str(corpus), "--jmax", "3", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    data.pop("wall_time")
+    digest = sha256(json.dumps(data, indent=2).encode()).hexdigest()
+    assert digest == MAIN_M4_DIGEST
 
 
 def test_verify_geometry_small(capsys):
