@@ -325,6 +325,8 @@ def cmd_gen(args):
         density = Fraction(args.density)
     except ZeroDivisionError:
         raise ParseError(f"--density {args.density!r} has a zero denominator")
+    if not 0 <= density <= 1:
+        raise ParseError(f"--density must be in [0, 1], got {args.density}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for idx in range(args.count):

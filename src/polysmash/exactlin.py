@@ -1,5 +1,6 @@
 """Exact arithmetic kernels: sparse integer matrices, Smith normal form,
-rational rank, and a small exact-rational simplex solver.
+rational rank, fraction-free integer rank and determinant, and a small
+exact-rational simplex solver.
 
 Everything here is exact: integers are Python's arbitrary-precision ints and
 rationals are fractions.Fraction.  No floating point.  The simplex solver
@@ -176,6 +177,43 @@ def rank_rational(M) -> int:
         rank += 1
         col += 1
     return rank
+
+
+def bareiss(rows):
+    """(rank, det) of an integer matrix by fraction-free elimination
+    (Bareiss 1968).
+
+    Each step turns every row below the pivot p into (p row - f pivot_row)
+    // prev, with f the row's entry in the pivot column and prev the pivot
+    before p.  By Sylvester's identity each entry is then a minor of the
+    input, so the division is exact and no entry outgrows those minors.
+    Columns without a pivot are skipped.  det is the determinant of a square
+    matrix, and 0 for a singular or non-square one.
+    """
+    A = [list(row) for row in rows]
+    m = len(A)
+    ncols = len(A[0]) if m else 0
+    rank, prev, sign = 0, 1, 1
+    for c in range(ncols):
+        pr = next((i for i in range(rank, m) if A[i][c]), None)
+        if pr is None:
+            continue
+        if pr != rank:
+            A[rank], A[pr] = A[pr], A[rank]
+            sign = -sign
+        prow = A[rank]
+        p = prow[c]
+        for i in range(rank + 1, m):
+            f = A[i][c]
+            if f:
+                A[i] = [(p * x - f * y) // prev for x, y in zip(A[i], prow)]
+            elif p != prev:
+                A[i] = [p * x // prev for x in A[i]]
+        prev = p
+        rank += 1
+        if rank == m:
+            break
+    return rank, sign * prev if rank == m == ncols else 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
-"""Exact-rational geometry: embedded complexes in Q^n, geometric joins,
+"""Exact geometry: embedded complexes in Q^n, geometric joins,
 general-position (joinability) predicates, and the cube reparametrization
 psi with its inverse and its naturality, checked on rational grids.
 
-Coordinates are exact rationals (fractions.Fraction), and every predicate
-is decided exactly: rank tests, the exact LP (integer fraction-free
-elimination inside), and determinant volume ratios.  Point-in-simplex and
+Points are tuples of ints or Fractions, and every predicate is decided
+exactly.  The standard configuration lives on integer points: its unit
+vectors and block barycenters scaled by L = k + 1, which changes no
+incidence, containment or volume ratio.  Affine independence and
+determinants run fraction-free Bareiss elimination on rows scaled to
+integers, the exact LP pivots an integer tableau, and point-in-simplex and
 barycentric coordinates go through a BarycentricFrame, which factors a
 reference simplex once, so each point against it costs one integer
-mat-vec.  No floats.
+mat-vec.  The psi maps compute on integer numerators over one common
+denominator.  Fractions are built only for answers: coordinates, volume
+ratios and psi values.  No floats.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from itertools import combinations
 from math import lcm
 
 from .chains import chain_complex_of_faces, homology, simplicial_chain_complex
-from .exactlin import RationalLP, lp_max, rank_rational
+from .exactlin import RationalLP, _rational, bareiss, lp_max
 from .report import Check, VerificationReport
 
 F = Fraction
@@ -39,68 +44,84 @@ def unit(n, i):
 
 
 def affinely_independent(points):
-    pts = list(points)
-    if not pts:
-        return True
-    homog = [list(p) + [F(1)] for p in pts]
-    return rank_rational(homog) == len(pts)
+    """The homogeneous rows (1, p), each scaled to integers, have full rank."""
+    rows = [_homogeneous(p)[1] for p in points]
+    return bareiss(rows)[0] == len(rows)
 
 
 class BarycentricFrame:
     """Barycentric coordinates against one vertex list, factored once.
 
-    Gauss-Jordan runs once on [M | I], where M holds the homogeneous vertex
-    columns (1, v).  The recorded row operations E turn each point p into
-    E (1, p) by one sparse integer mat-vec: the solve rows give the
-    coordinates at the pivot columns (free coordinates are 0), and the
-    consistency rows vanish unless p leaves the affine hull.  Pivot columns
-    depend on M alone, so these are the coordinates plain elimination on
+    Fraction-free Gauss-Jordan (Bareiss's update, applied above the pivot
+    too) runs once on [Q M | Q], where M holds the homogeneous vertex
+    columns (1, v) and the diagonal Q scales each row of M to integers.  It
+    ends with every pivot equal to one integer d, and its right half is the
+    integer matrix E with E M reduced.  Each point p then costs one sparse
+    integer mat-vec E b, b = q (1, p): the solve rows give the coordinates
+    times d q at the pivot columns (free coordinates are 0), and the
+    consistency rows vanish unless p leaves the affine hull.  Each row stays
+    a nonzero multiple of the row plain Gauss-Jordan on [M | I] holds, so
+    the pivot columns, and the coordinates, are those plain elimination on
     M t = (1, p) finds, for affinely dependent vertices too.
     """
 
     def __init__(self, vertices):
-        verts = list(vertices)
+        verts = [(1, *v) for v in vertices]
         nv = len(verts)
-        dim = len(verts[0]) if verts else 0
-        m = dim + 1
-        rows = [[F(1)] * nv] + [[F(v[d]) for v in verts] for d in range(dim)]
-        A = [row + [F(int(i == j)) for j in range(m)] for i, row in enumerate(rows)]
+        m = len(verts[0]) if verts else 1
+        A = []
+        for i in range(m):
+            q, row = _scaled([v[i] for v in verts])
+            A.append(row + [q if j == i else 0 for j in range(m)])
         pivots = []
-        r = 0
+        r, prev = 0, 1
         for c in range(nv):
             pr = next((i for i in range(r, m) if A[i][c]), None)
             if pr is None:
                 continue
             A[r], A[pr] = A[pr], A[r]
-            p = A[r][c]
-            A[r] = [x / p for x in A[r]]
+            prow = A[r]
+            p = prow[c]
             for i in range(m):
-                if i != r and A[i][c]:
+                if i != r:
                     f = A[i][c]
-                    A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+                    A[i] = [(p * x - f * y) // prev for x, y in zip(A[i], prow)]
+            prev = p
             pivots.append(c)
             r += 1
             if r == m:
                 break
+        sign = 1 if prev > 0 else -1
         self.size = nv
-        self._solve = [(c, _integer_row(A[i][nv:])) for i, c in enumerate(pivots)]
-        self._consistency = [_integer_row(A[i][nv:])[1] for i in range(r, m)]
+        self._den = abs(prev)
+        self._solve = [(c, _nonzeros(A[i][nv:], sign)) for i, c in enumerate(pivots)]
+        self._consistency = [_nonzeros(A[i][nv:], 1) for i in range(r, m)]
 
-    def coords(self, p):
-        """t with sum(t) = 1 and sum t_i v_i = p, or None off the affine hull."""
+    def _numerators(self, p):
+        """(q, t) with q (1, p) integer and the coordinates t / (d q), or
+        None off the affine hull."""
         q, b = _homogeneous(p)
         if any(_dot(row, b) for row in self._consistency):
             return None
-        t = [F(0)] * self.size
-        for c, (den, row) in self._solve:
-            t[c] = F(_dot(row, b), den * q)
-        return tuple(t)
+        t = [0] * self.size
+        for c, row in self._solve:
+            t[c] = _dot(row, b)
+        return q, t
+
+    def coords(self, p):
+        """t with sum(t) = 1 and sum t_i v_i = p, or None off the affine hull."""
+        solved = self._numerators(p)
+        if solved is None:
+            return None
+        q, t = solved
+        den = self._den * q
+        return tuple(F(x, den) for x in t)
 
     def contains(self, p):
         """p lies in the closed simplex: in the hull, every coordinate >= 0."""
         _, b = _homogeneous(p)
         return not any(_dot(row, b) for row in self._consistency) and all(
-            _dot(row, b) >= 0 for _, (_, row) in self._solve
+            _dot(row, b) >= 0 for _, row in self._solve
         )
 
     def volume_ratio(self, piece):
@@ -110,24 +131,31 @@ class BarycentricFrame:
         if len(pc) != self.size:
             return None
         rows = []
+        scale = 1
         for p in pc:
-            t = self.coords(p)
-            if t is None:
+            solved = self._numerators(p)
+            if solved is None:
                 return None
-            rows.append(list(t))
-        return abs(determinant(rows))
+            q, t = solved
+            rows.append(t)
+            scale *= self._den * q
+        return abs(determinant(rows)) / scale
 
 
-def _integer_row(row):
-    """A rational row as (positive denominator, [(index, integer)] nonzeros)."""
-    den = lcm(*(x.denominator for x in row))
-    return den, [(j, (x * den).numerator) for j, x in enumerate(row) if x]
+def _nonzeros(row, sign):
+    """The nonzero entries of sign * row as [(index, value)]."""
+    return [(j, sign * x) for j, x in enumerate(row) if x]
+
+
+def _scaled(row):
+    """(q, b) with b the integer row q * row, q > 0 the least such."""
+    q = lcm(*(x.denominator for x in row))
+    return q, [x.numerator * (q // x.denominator) for x in row]
 
 
 def _homogeneous(p):
     """(q, b) with b the integer vector q * (1, p), q > 0."""
-    q = lcm(*(x.denominator for x in p))
-    return q, [q] + [x.numerator * (q // x.denominator) for x in p]
+    return _scaled((1, *p))
 
 
 def _dot(row, b):
@@ -145,23 +173,15 @@ def barycentric_coords(vertices, p):
 
 
 def determinant(rows):
-    A = [[F(x) for x in row] for row in rows]
-    n = len(A)
-    det = F(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if A[i][c]), None)
-        if pr is None:
-            return F(0)
-        if pr != c:
-            A[c], A[pr] = A[pr], A[c]
-            det = -det
-        det *= A[c][c]
-        p = A[c][c]
-        for i in range(c + 1, n):
-            if A[i][c]:
-                f = A[i][c] / p
-                A[i] = [x - f * y for x, y in zip(A[i], A[c])]
-    return det
+    """Determinant of a square rational matrix: Bareiss elimination on the
+    rows scaled to integers, divided by the product of the scales."""
+    scale = 1
+    ints = []
+    for row in rows:
+        q, b = _scaled(row)
+        scale *= q
+        ints.append(b)
+    return F(bareiss(ints)[1], scale)
 
 
 # ---------------------------------------------------------------------------
@@ -267,18 +287,12 @@ def proper_intersection(simplex_a, simplex_b):
     if affinely_independent(set(A) | set(B)):
         return True, None
     n = len(A[0])
-    nvars = len(A) + len(B)
-    objective = [F(0) if p in shared else F(1) for p in A]
-    objective += [F(0) if q in shared else F(1) for q in B]
-    a_eq = []
-    b_eq = []
-    for d in range(n):
-        a_eq.append([p[d] for p in A] + [-q[d] for q in B])
-        b_eq.append(F(0))
-    a_eq.append([F(1)] * len(A) + [F(0)] * len(B))
-    b_eq.append(F(1))
-    a_eq.append([F(0)] * len(A) + [F(1)] * len(B))
-    b_eq.append(F(1))
+    objective = [int(p not in shared) for p in A] + [int(q not in shared) for q in B]
+    a_eq = [[p[d] for p in A] + [-q[d] for q in B] for d in range(n)]
+    b_eq = [0] * n
+    a_eq.append([1] * len(A) + [0] * len(B))
+    a_eq.append([0] * len(A) + [1] * len(B))
+    b_eq += [1, 1]
     res = lp_max(RationalLP(objective, a_eq=a_eq, b_eq=b_eq))
     if res.status == "infeasible":
         return True, None
@@ -354,7 +368,13 @@ def geometric_join_many(parts, check=True):
 @dataclass(frozen=True)
 class StandardConfig:
     """v_i^l = e_{(k+1)(i-1)+l}; a_i the barycenter of its block; Delta_i the
-    block simplex; S_i its boundary (all proper faces)."""
+    block simplex; S_i its boundary (all proper faces).
+
+    v and a give the paper's rational points.  The complexes are built on
+    the integer points L v_i^l and L a_i with L = k + 1: a uniform positive
+    scaling keeps every independence, containment, proper intersection and
+    volume ratio, and integer points hash and compare fast.
+    """
 
     m: int
     k: int
@@ -370,12 +390,21 @@ class StandardConfig:
     def v(self, i, l):
         return unit(self.n, (self.k + 1) * (i - 1) + l)
 
-    def block(self, i):
-        return [self.v(i, l) for l in range(1, self.k + 2)]
-
     def a(self, i):
-        pts = self.block(i)
-        return tuple(sum(c) / (self.k + 1) for c in zip(*pts))
+        return tuple(F(c, self.k + 1) for c in self.scaled_a(i))
+
+    def block(self, i):
+        """The vertices of Delta_i scaled by L: L v_i^1, ..., L v_i^L."""
+        L = self.k + 1
+        return [
+            tuple(L if j == c else 0 for j in range(self.n))
+            for c in range(L * (i - 1), L * i)
+        ]
+
+    def scaled_a(self, i):
+        """L a_i: 1 on the coordinates of block i, 0 elsewhere."""
+        L = self.k + 1
+        return tuple(int(L * (i - 1) <= j < L * i) for j in range(self.n))
 
     def delta(self, i):
         return EmbeddedComplex.from_simplices(self.n, [frozenset(self.block(i))])
@@ -390,7 +419,7 @@ class StandardConfig:
         )
 
     def a_point_complex(self, i):
-        return embedded_point(self.a(i))
+        return embedded_point(self.scaled_a(i))
 
 
 def standard_config(m, k) -> StandardConfig:
@@ -398,7 +427,8 @@ def standard_config(m, k) -> StandardConfig:
 
 
 def sigma_complexes(config: StandardConfig, sigma):
-    """(Delta_sigma, S_sigma, S*_sigma, a_sigma) for sigma a subset of [m]."""
+    """(Delta_sigma, S_sigma, S*_sigma, a_sigma) for sigma a subset of [m],
+    on the configuration's integer points."""
     sigma = sorted(set(sigma))
     comp = [i for i in range(1, config.m + 1) if i not in sigma]
     n = config.n
@@ -410,7 +440,7 @@ def sigma_complexes(config: StandardConfig, sigma):
             [config.sphere(i) for i in sigma], check=False
         )
         a_sigma = EmbeddedComplex.from_simplices(
-            n, [frozenset(config.a(i) for i in sigma)]
+            n, [frozenset(config.scaled_a(i) for i in sigma)]
         )
     else:
         delta_sigma = empty_embedded(n)
@@ -425,12 +455,12 @@ def sigma_complexes(config: StandardConfig, sigma):
 
 def realization_AK(config: StandardConfig, K):
     """A(K): the simplices a_sigma, sigma in K -- a realization of K on the
-    block barycenters."""
+    block barycenters (scaled by L, as every configuration complex is)."""
     if K.m != config.m:
         raise ValueError("K and configuration disagree on m")
     sims = []
     for sigma in K.faces():
-        pts = frozenset(config.a(i) for i in sigma)
+        pts = frozenset(config.scaled_a(i) for i in sigma)
         if sigma and not affinely_independent(pts):
             raise ValueError("barycenters unexpectedly dependent")
         sims.append(pts)
@@ -618,41 +648,48 @@ def eval_psi(n, x, lam):
 
     x is barycentric on the (n-1)-simplex, lam in [0, 1]; lam <= 1/2 scales
     to the inner half, lam >= 1/2 pushes out until the largest coordinate
-    reaches 2.
+    reaches 2.  With x = X / D over one common denominator D and lam = p / q,
+    the scale is 2 p / q on the inner half and
+    ((2q - 2p) M + 2 D (2p - q)) / (q M) outside it, M = max X.
     """
-    x = tuple(F(c) for c in x)
-    lam = F(lam)
-    if len(x) != n:
+    D, X = _scaled([_rational(c) for c in x])
+    lam = _rational(lam)
+    p, q = lam.numerator, lam.denominator
+    if len(X) != n:
         raise ValueError("x has wrong length")
-    if any(c < 0 for c in x) or sum(x) != 1:
+    if any(c < 0 for c in X) or sum(X) != D:
         raise ValueError("x is not barycentric")
-    if not 0 <= lam <= 1:
+    if not 0 <= p <= q:
         raise ValueError("lambda must be in [0, 1]")
-    tbar = max(x)
-    if 2 * lam <= 1:
-        scale = 2 * lam
+    if 2 * p <= q:
+        num, den = 2 * p, q * D
     else:
-        scale = (2 - 2 * lam) + (2 * lam - 1) * 2 / tbar
-    return tuple(scale * c for c in x)
+        M = max(X)
+        num, den = (2 * q - 2 * p) * M + 2 * D * (2 * p - q), q * M * D
+    return tuple(F(num * c, den) for c in X)
 
 
 def eval_psi_inverse(n, y):
-    """Inverse of eval_psi; y = 0 returns the barycenter at lam = 0."""
-    y = tuple(F(c) for c in y)
-    if len(y) != n:
+    """Inverse of eval_psi; y = 0 returns the barycenter at lam = 0.
+
+    With y = Y / D, S = sum Y and M = max Y: x = Y / S, and lam = S / 2D when
+    S <= D, else (S M - 2 D M + 2 D S) / (2 D (2S - M)), which solves
+    S / D = (2 - 2 lam) + (2 lam - 1) 2 S / M for lam.
+    """
+    D, Y = _scaled([_rational(c) for c in y])
+    if len(Y) != n:
         raise ValueError("y has wrong length")
-    if any(c < 0 or c > 2 for c in y):
+    if any(c < 0 or c > 2 * D for c in Y):
         raise ValueError("y outside the cube [0, 2]^n")
-    total = sum(y)
-    if total == 0:
+    S = sum(Y)
+    if S == 0:
         return tuple(F(1, n) for _ in range(n)), F(0)
-    x = tuple(c / total for c in y)
-    tbar = max(x)
-    if total <= 1:
-        lam = total / 2
+    x = tuple(F(c, S) for c in Y)
+    if S <= D:
+        lam = F(S, 2 * D)
     else:
-        # total = (2 - 2 lam) + (2 lam - 1) * 2 / tbar, solved for lam
-        lam = (total - 2 + 2 / tbar) / (4 / tbar - 2)
+        M = max(Y)
+        lam = F(S * M - 2 * D * M + 2 * D * S, 2 * D * (2 * S - M))
     return x, lam
 
 
@@ -671,7 +708,7 @@ def naturality_check_k0(p, l, samples) -> VerificationReport:
     for x, lam in samples:
         count += 1
         lhs = eval_psi(l, pad_zeros(x, l), lam)
-        rhs = pad_zeros(eval_psi(p, tuple(F(c) for c in x), lam), l)
+        rhs = pad_zeros(eval_psi(p, x, lam), l)
         if lhs != rhs:
             bad.append((x, lam, lhs, rhs))
     report.add(Check(f"psi naturality on {count} samples", not bad,

@@ -31,6 +31,11 @@ MAIN_M4_DIGEST = "cfe63bdd61db19f8208299e35de1f2090cf930b30c0b3d777bb492f3075233
 # LP kernels, so any later speed-up must keep the report byte-identical
 GEOMETRY_M2_K2_DIGEST = "d8c2cdb6e471e6c860925975ccc9882dfb40f1e2ec8551a005cf4c31fe66bdcb"
 
+# sha256 of `verify geometry --m 3 --k 1 --json` without wall_time, as
+# json.dumps(report, indent=2); recorded while the standard configuration
+# still lived on Fraction points
+GEOMETRY_M3_K1_DIGEST = "cb607edc477105cf3838f4021dd6f74b54216c384c3a5763cd1457794e12aa05"
+
 
 def write(tmp_path, name, text):
     p = tmp_path / name
@@ -239,6 +244,14 @@ def test_geometry_report_is_pinned(capsys):
     assert digest == GEOMETRY_M2_K2_DIGEST
 
 
+def test_geometry_m3_k1_report_is_pinned(capsys):
+    assert main(["verify", "geometry", "--m", "3", "--k", "1", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    data.pop("wall_time")
+    digest = sha256(json.dumps(data, indent=2).encode()).hexdigest()
+    assert digest == GEOMETRY_M3_K1_DIGEST
+
+
 def test_verify_main_report_is_pinned(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     assert main(["gen", "--m", "4", "--max-dim", "3", "--density", "1/2",
@@ -300,6 +313,19 @@ def test_gen_zero_denominator_density_exits_2(tmp_path, capsys):
     argv = ["gen", "--m", "3", "--max-dim", "1", "--density", "1/0", "--out", str(out)]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: --density '1/0'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("density", ["3/2", "-1/2", "2", "-0.25"])
+@pytest.mark.parametrize("count", ["2", "0"])
+def test_gen_rejects_density_outside_unit_interval(density, count, tmp_path, capsys):
+    out = tmp_path / "c"
+    argv = ["gen", "--m", "3", "--max-dim", "1", f"--density={density}",
+            "--count", count, "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --density must be in [0, 1], got {density}\n"
+    assert captured.out == ""
     assert not out.exists()
 
 

@@ -5,11 +5,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polysmash import geomjoin
 from polysmash.chains import homology, simplicial_chain_complex
 from polysmash.complexes import empty_complex, from_facets, full_simplex, simplex_boundary
-from polysmash.exactlin import lp_max
+from polysmash.exactlin import bareiss, lp_max, rank_rational
 from polysmash.geomjoin import (
     BarycentricFrame,
     EmbeddedComplex,
@@ -37,6 +39,7 @@ from polysmash.geomjoin import (
     verify_W_union,
 )
 
+import geom_reference as ref
 from bary_reference import barycentric_reference
 from lp_reference import lp_max as reference_lp_max
 
@@ -218,6 +221,26 @@ def test_standard_config_m2_k1():
     assert cfg.sphere(1).ambient == 4
 
 
+def test_config_complexes_live_on_integer_points():
+    # Delta_i, S_i and the barycenter complexes use L v and L a, L = k + 1,
+    # while v and a stay the paper's rational points
+    for m, k in [(1, 0), (2, 1), (3, 2)]:
+        cfg = standard_config(m, k)
+        L = k + 1
+        scaled_a = []
+        for i in range(1, m + 1):
+            block = [tuple(L * c for c in cfg.v(i, l)) for l in range(1, L + 1)]
+            assert cfg.block(i) == block
+            assert cfg.delta(i).vertices() == sorted(block)
+            scaled_a.append(tuple(L * c for c in cfg.a(i)))
+            assert cfg.a_point_complex(i).vertices() == [scaled_a[-1]]
+            assert all(type(c) is int for p in cfg.block(i) for c in p)
+            assert all(type(c) is int for c in cfg.scaled_a(i))
+        _, _, _, a_sigma = sigma_complexes(cfg, range(1, m + 1))
+        assert a_sigma.vertices() == sorted(scaled_a)
+        assert realization_AK(cfg, full_simplex(m - 1)).vertices() == sorted(scaled_a)
+
+
 def test_standard_config_k0_sphere_empty():
     cfg = standard_config(2, 0)
     assert cfg.sphere(1).is_empty()
@@ -361,3 +384,160 @@ def test_grids():
     assert pt(F(1, 2), F(1, 2)) in g
     assert all(sum(x) == 1 for x in g)
     assert unit_grid(2) == [F(0), F(1, 2), F(1)]
+
+
+# -- differential properties against the Fraction references -------------------------------
+
+
+def rationals(low, high):
+    """Fractions a / d in [low, high] with d <= 12."""
+    return st.integers(1, 12).flatmap(
+        lambda d: st.integers(low * d, high * d).map(lambda a: F(a, d))
+    )
+
+
+small_rationals = rationals(-6, 6)
+unit_interval = rationals(0, 1)
+cube_coordinates = rationals(0, 2)
+
+
+@st.composite
+def barycentric_points(draw, max_n=5):
+    """x on the (n-1)-simplex, n <= max_n, over a denominator d <= 12."""
+    n = draw(st.integers(1, max_n))
+    d = draw(st.integers(1, 12))
+    cuts = sorted(draw(st.lists(st.integers(0, d), min_size=n - 1, max_size=n - 1)))
+    return tuple(F(b - a, d) for a, b in zip([0] + cuts, cuts + [d]))
+
+
+@st.composite
+def bad_psi_arguments(draw):
+    """(n, x, lam) that eval_psi must reject, one defect each."""
+    x = list(draw(barycentric_points()))
+    lam = draw(unit_interval)
+    excess = draw(rationals(0, 3).filter(lambda t: t > 0))
+    kind = draw(st.sampled_from(["negative", "sum", "lambda", "length"]))
+    n = len(x)
+    if kind == "negative":  # mass moved off x_0 past zero; the sum stays 1
+        x.append(F(0))
+        n += 1
+        shift = x[0] + excess
+        x[0] -= shift
+        x[1] += shift
+    elif kind == "sum":
+        x[draw(st.integers(0, n - 1))] += excess
+    elif kind == "lambda":
+        lam = draw(st.sampled_from([-excess, 1 + excess]))
+    else:
+        n += draw(st.sampled_from([-1, 1]))
+    return n, tuple(x), lam
+
+
+@st.composite
+def bad_psi_inverse_arguments(draw):
+    """(n, y) that eval_psi_inverse must reject: y leaves the cube or has
+    the wrong length."""
+    y = draw(st.lists(cube_coordinates, min_size=1, max_size=5))
+    n = len(y)
+    excess = draw(rationals(0, 3).filter(lambda t: t > 0))
+    kind = draw(st.sampled_from(["below", "above", "length"]))
+    if kind == "length":
+        n += draw(st.sampled_from([-1, 1]))
+    else:
+        i = draw(st.integers(0, n - 1))
+        y[i] = -excess if kind == "below" else 2 + excess
+    return n, tuple(y)
+
+
+@st.composite
+def point_sets(draw):
+    """Rational point lists in Q^dim, some forced dependent."""
+    dim = draw(st.integers(1, 4))
+    count = draw(st.integers(0, dim + 2))
+    flat = draw(st.lists(small_rationals, min_size=dim * count, max_size=dim * count))
+    pts = [tuple(flat[i * dim:(i + 1) * dim]) for i in range(count)]
+    if count >= 3 and draw(st.booleans()):
+        # the last point on the line through the first two
+        t = draw(small_rationals)
+        pts[-1] = tuple(a + t * (b - a) for a, b in zip(pts[0], pts[1]))
+    return pts
+
+
+@st.composite
+def square_matrices(draw, entries=small_rationals):
+    """Square rational matrices up to 5 x 5, some with a dependent row."""
+    n = draw(st.integers(0, 5))
+    flat = draw(st.lists(entries, min_size=n * n, max_size=n * n))
+    rows = [flat[i * n:(i + 1) * n] for i in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        s, t = draw(entries), draw(entries)
+        rows[-1] = [s * a + t * b for a, b in zip(rows[0], rows[1])]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(barycentric_points(), unit_interval)
+@example((F(1),), F(0))
+@example((F(1, 3), F(2, 3)), F(1, 2))
+@example((F(1, 4), F(1, 4), F(1, 2)), F(1))
+def test_psi_matches_reference(x, lam):
+    y = geomjoin.eval_psi(len(x), x, lam)
+    assert y == ref.eval_psi(len(x), x, lam)
+    assert all(type(c) is F for c in y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(cube_coordinates, min_size=1, max_size=5))
+@example([F(0), F(0), F(0)])
+@example([F(2), F(2)])
+@example([F(1, 3), F(2, 3)])
+def test_psi_inverse_matches_reference(y):
+    x, lam = eval_psi_inverse(len(y), y)
+    assert (x, lam) == ref.eval_psi_inverse(len(y), y)
+    assert all(type(c) is F for c in x + (lam,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bad_psi_arguments())
+def test_psi_rejects_what_the_reference_rejects(args):
+    with pytest.raises(ValueError):
+        ref.eval_psi(*args)
+    with pytest.raises(ValueError):
+        eval_psi(*args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bad_psi_inverse_arguments())
+def test_psi_inverse_rejects_what_the_reference_rejects(args):
+    with pytest.raises(ValueError):
+        ref.eval_psi_inverse(*args)
+    with pytest.raises(ValueError):
+        eval_psi_inverse(*args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets())
+@example([])
+@example([pt(0, 0), pt(1, 1), pt(2, 2)])
+@example([pt(F(1, 2)), pt(F(1, 3))])
+def test_affine_independence_matches_reference(pts):
+    assert affinely_independent(pts) == ref.affinely_independent(pts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+@example([])
+@example([[F(0), F(1)], [F(1), F(0)]])
+def test_determinant_matches_reference(rows):
+    assert determinant(rows) == ref.determinant(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda r: st.integers(0, 5).flatmap(
+    lambda c: st.lists(st.lists(st.integers(-30, 30), min_size=c, max_size=c),
+                       min_size=r, max_size=r))))
+def test_bareiss_rank_and_determinant(rows):
+    rank, det = bareiss(rows)
+    assert rank == rank_rational(rows)
+    square = len(rows) == (len(rows[0]) if rows else 0)
+    assert det == (ref.determinant(rows) if square else 0)
