@@ -47,7 +47,6 @@ from .report import Check, VerificationReport
 from .smashmodel import (
     direct_smash_model,
     expected_homology,
-    quotient_outer_boundary,
     reduction_path_model,
     verify_main,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "join_abstract",
     "joinable",
     "lp_max",
-    "quotient_outer_boundary",
     "random_complex",
     "rank_rational",
     "reduction_path_model",

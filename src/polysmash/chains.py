@@ -234,9 +234,10 @@ def simplicial_chain_complex(K) -> ChainComplex:
     return chain_complex_of_faces(faces_by_dim)
 
 
-def chain_complex_of_faces(faces_by_dim) -> ChainComplex:
-    """Simplicial chain complex from {dim: [sorted vertex tuple, ...]}."""
-    bases = {n: sorted(faces) for n, faces in faces_by_dim.items() if faces}
+def chain_complex_of_faces(faces_by_degree) -> ChainComplex:
+    """Simplicial chain complex from {degree: [sorted vertex tuple, ...]},
+    where each face sits one degree above its facets."""
+    bases = {n: sorted(faces) for n, faces in faces_by_degree.items() if faces}
     index = {n: {f: i for i, f in enumerate(fs)} for n, fs in bases.items()}
     boundaries = {}
     for n in bases:

@@ -34,7 +34,6 @@ from .report import Check, VerificationReport
 from .smashmodel import (
     direct_smash_model,
     expected_homology,
-    quotient_outer_boundary,
     reduction_path_model,
     verify_main,
 )
@@ -195,12 +194,8 @@ def cmd_smash(args):
     if args.path == "direct":
         _, cc = direct_smash_model(K, J)
         H = homology(cc)
-    elif args.path == "reduction":
+    else:
         H = homology(reduction_path_model(K, J))
-    else:  # cubical: the quotient model of the all-(D^1,S^0) case
-        if any(J):
-            raise ParseError("--path cubical requires J = 0")
-        H = homology(quotient_outer_boundary(K))
     expected = expected_homology(K, J)
     if args.json:
         payload = {
@@ -366,8 +361,7 @@ def build_parser():
     p = sub.add_parser("smash", help="smash-product model homology vs expectation")
     p.add_argument("input")
     p.add_argument("--j", help="dimension vector, e.g. 1,1,1 (default all zero)")
-    p.add_argument("--path", choices=["direct", "reduction", "cubical"],
-                   default="direct")
+    p.add_argument("--path", choices=["direct", "reduction"], default="direct")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_smash)
 

@@ -32,8 +32,8 @@ class SimplicialComplex:
         s = frozenset(sigma)
         return any(s <= set(f) for f in self.facets)
 
-    def faces(self, n=None):
-        """All faces in lexicographic order; with n, only faces of cardinality n.
+    def faces(self):
+        """All faces, ordered by cardinality and then lexicographically.
 
         The empty face has cardinality 0 and is listed first.
         """
@@ -41,10 +41,7 @@ class SimplicialComplex:
         for f in self.facets:
             for r in range(len(f) + 1):
                 seen.update(combinations(f, r))
-        out = sorted(seen, key=lambda t: (len(t), t))
-        if n is not None:
-            out = [f for f in out if len(f) == n]
-        return out
+        return sorted(seen, key=lambda t: (len(t), t))
 
     def dim(self):
         return max(len(f) for f in self.facets) - 1

@@ -233,10 +233,6 @@ class EmbeddedComplex:
     def is_empty(self):
         return self.maximal == frozenset({frozenset()})
 
-    def frames(self):
-        """A BarycentricFrame per nonempty maximal simplex."""
-        return [BarycentricFrame(sorted(s)) for s in self.maximal if s]
-
     def chain_complex(self):
         """Augmented simplicial chain complex on integer-relabeled vertices."""
         label = {p: i for i, p in enumerate(self.vertices(), start=1)}
@@ -472,17 +468,17 @@ def realization_AK(config: StandardConfig, K):
 # ---------------------------------------------------------------------------
 
 
-def tiling_check(pieces, reference, container=None):
-    """Certify that a family of top-dimensional simplices tiles a region.
+def tiling_check(pieces, frame):
+    """Certify that a family of top-dimensional simplices tiles the simplex
+    of a BarycentricFrame.
 
     pieces must pairwise intersect properly, every vertex must lie in the
-    container complex (when given), and the volume ratios against the
-    reference simplex must sum to the expected total (returned for the
-    caller to compare).  Returns (ok, failures, total_ratio).
+    simplex, and the volume ratios against it must sum to the expected total
+    (returned for the caller to compare).  Returns (ok, failures,
+    total_ratio).
     """
     failures = []
     total = F(0)
-    frame = BarycentricFrame(sorted(reference))
     for s in pieces:
         r = frame.volume_ratio(s)
         if r is None:
@@ -499,12 +495,10 @@ def tiling_check(pieces, reference, container=None):
                     "witness": witness,
                 }
             )
-    if container is not None:
-        frames = container.frames()
-        for s in pieces:
-            for p in s:
-                if not any(f.contains(p) for f in frames):
-                    failures.append({"kind": "vertex outside container", "point": p})
+    for s in pieces:
+        for p in s:
+            if not frame.contains(p):
+                failures.append({"kind": "vertex outside the simplex", "point": p})
     return not failures, failures, total
 
 
@@ -556,16 +550,15 @@ def verify_gjs(config: StandardConfig, sigma) -> VerificationReport:
                      "joinable" if ok else "not joinable", "gjs"))
     join = geometric_join(a_sigma, s_sigma, check=False)
 
-    frames = delta_sigma.frames()
-    verts_ok = all(any(f.contains(p) for f in frames) for p in join.vertices())
+    # Delta_sigma is one simplex, factored once
+    frame = BarycentricFrame(sorted(next(iter(delta_sigma.maximal))))
+    verts_ok = all(frame.contains(p) for p in join.vertices())
     report.add(Check("join vertices inside Delta_sigma", verts_ok, "contained",
                      "contained" if verts_ok else "outside", "gjs"))
 
     # at k = 0, S_sigma is the empty space and the join is a_sigma itself;
     # either way the pieces tile Delta_sigma, of normalized volume 1
-    reference = sorted(next(iter(delta_sigma.maximal)))
-    ok, failures, total = tiling_check(list(join.maximal), reference,
-                                       container=delta_sigma)
+    ok, failures, total = tiling_check(list(join.maximal), frame)
     report.add(Check("pieces intersect properly and stay inside", ok,
                      "no violations", f"{len(failures)} violations", "gjs"))
     report.add(Check("volume identity (tiling of Delta_sigma)", total == 1, "1",

@@ -12,13 +12,12 @@ stated once, as a checked map:
   boundary to the simplicial one, d = S . d_K . S, so the model is C(K)
   shifted up by sum(J) + 1: the suspension identity at chain level;
 
-* the reduction route: double vertices until every pair is (D^1, S^0), then
-  take the cubical model of the polyhedral product inside [0,2]^m.  A cube
-  cell ("cube", sigma, twos) is a face sigma of K(J) spanning [0,2] in its
-  own coordinates, with the coordinates in twos pinned at 2 and every other
-  one at 0.  Collapsing the outer boundary (some coordinate at 2) keeps the
-  cells with twos == (), one per face, so the quotient is C(K(J)) shifted up
-  by one.
+* the reduction route: double vertices until every pair is (D^1, S^0).
+  The smash product over K(J) of (D^1, S^0) is the cube [0,2]^m with its
+  outer boundary collapsed, and the cellular chains of that quotient are
+  C(K(J)) shifted up by one: one cell per face of K(J), in the degree of its
+  cardinality, with the simplicial boundary.  tests/cubical_reference.py
+  builds the cubical complex and checks that identity.
 
 verify_main checks the orientation entry by entry and computes homology once
 per distinct complex, C(K) and the quotient over K(J).
@@ -30,6 +29,7 @@ from .chains import (
     ChainComplex,
     HomologyTable,
     MalformedComplexError,
+    chain_complex_of_faces,
     homology,
     simplicial_chain_complex,
 )
@@ -42,12 +42,8 @@ def face_cell(sigma):
     return ("face", tuple(sigma))
 
 
-def cube_cell(sigma, twos=()):
-    """twos: sorted tuple of the coordinates outside sigma pinned at 2."""
-    return ("cube", tuple(sigma), tuple(twos))
-
-
-def _assemble(labels, boundary_fn, check=True):
+def _assemble(labels, boundary_fn):
+    """Unchecked ChainComplex from (label, degree) pairs and a boundary rule."""
     bases = {}
     for lab, d in labels:
         bases.setdefault(d, []).append(lab)
@@ -68,7 +64,7 @@ def _assemble(labels, boundary_fn, check=True):
                     )
                 M[ti, j] = coeff
         boundaries[d] = M
-    return ChainComplex(bases, boundaries, check)
+    return ChainComplex(bases, boundaries, check=False)
 
 
 # -- direct model ----------------------------------------------------------
@@ -106,9 +102,7 @@ def direct_smash_model(K: SimplicialComplex, J):
     orientation = {
         lab: (-1) ** sum(prefix[i - 1] for i in lab[1]) for lab, _ in labels
     }
-    return orientation, _assemble(
-        labels, lambda lab: direct_boundary(lab[1], prefix), check=False
-    )
+    return orientation, _assemble(labels, lambda lab: direct_boundary(lab[1], prefix))
 
 
 def orientation_holds(orientation, cc: ChainComplex, CK: ChainComplex, shift) -> bool:
@@ -128,44 +122,17 @@ def orientation_holds(orientation, cc: ChainComplex, CK: ChainComplex, shift) ->
     return True
 
 
-# -- cubical model and the reduction route ---------------------------------
-
-
-def cube_boundary(sigma, twos):
-    """Boundary of a cube cell: dropping vertex i, at position pos of sigma,
-    pins coordinate i at 2 with sign (-1)^pos and at 0 with the opposite."""
-    out = {}
-    for pos, i in enumerate(sigma):
-        rest = sigma[:pos] + sigma[pos + 1 :]
-        out[cube_cell(rest, tuple(sorted(twos + (i,))))] = (-1) ** pos
-        out[cube_cell(rest, twos)] = -((-1) ** pos)
-    return out
-
-
-def quotient_outer_boundary(K: SimplicialComplex) -> ChainComplex:
-    """The cubical model of the (D^1, S^0) polyhedral product over K inside
-    [0,2]^m, with every cell that has some coordinate pinned at 2 collapsed
-    to the basepoint.
-
-    Surviving cells are the twos == () cells, one per face of K; boundary
-    terms landing in collapsed cells are dropped.  Survivors are oriented by
-    (-1)^|face|, which negates every surviving term, so that the matrices are
-    the simplicial ones.
-    """
-
-    def boundary(label):
-        terms = cube_boundary(label[1], ()).items()
-        return {cell: -coeff for cell, coeff in terms if not cell[2]}
-
-    labels = [(cube_cell(sigma), len(sigma)) for sigma in K.faces()]
-    return _assemble(labels, boundary)
+# -- the reduction route -----------------------------------------------------
 
 
 def reduction_path_model(K: SimplicialComplex, J) -> ChainComplex:
     """The section-by-section route: double down to (D^1, S^0), then the
-    cubical model and its outer-boundary quotient over K(J)."""
+    chains of the smash product over K(J), C(K(J)) shifted up by one."""
     KJ, _ = double_iterated(K, J)
-    return quotient_outer_boundary(KJ)
+    faces_by_size = {}
+    for f in KJ.faces():
+        faces_by_size.setdefault(len(f), []).append(f)
+    return chain_complex_of_faces(faces_by_size)
 
 
 def expected_homology(K: SimplicialComplex, J) -> HomologyTable:

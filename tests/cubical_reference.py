@@ -1,14 +1,35 @@
-"""The full cubical model of the (D^1, S^0) polyhedral product over K.
+"""The cubical model of the (D^1, S^0) polyhedral product over K.
 
-Test-only: the library keeps just its outer-boundary quotient.  The full
-complex is built here from the library's cube cells and boundary, to check
-that the quotient is taken from a genuine chain complex.
+Test-only: the library builds the reduction route as C(K(J)) shifted up by
+one.  Here that complex is built the long way, as the cellular chains of the
+polyhedral product inside [0,2]^m and its quotient by the outer boundary, so
+that the tests state the identity once.
+
+A cube cell ("cube", sigma, twos) is a face sigma of K spanning [0,2] in its
+own coordinates, with the coordinates in twos pinned at 2 and every other one
+at 0.
 """
 
 from itertools import combinations
 
 from polysmash.complexes import SimplicialComplex
-from polysmash.smashmodel import _assemble, cube_boundary, cube_cell
+from polysmash.smashmodel import _assemble
+
+
+def cube_cell(sigma, twos=()):
+    """twos: sorted tuple of the coordinates outside sigma pinned at 2."""
+    return ("cube", tuple(sigma), tuple(twos))
+
+
+def cube_boundary(sigma, twos):
+    """Boundary of a cube cell: dropping vertex i, at position pos of sigma,
+    pins coordinate i at 2 with sign (-1)^pos and at 0 with the opposite."""
+    out = {}
+    for pos, i in enumerate(sigma):
+        rest = sigma[:pos] + sigma[pos + 1 :]
+        out[cube_cell(rest, tuple(sorted(twos + (i,))))] = (-1) ** pos
+        out[cube_cell(rest, twos)] = -((-1) ** pos)
+    return out
 
 
 def cells(K: SimplicialComplex):
@@ -34,4 +55,25 @@ def chain_complex(K: SimplicialComplex):
         _, sigma, twos = label
         return cube_boundary(sigma, twos) if sigma else {aug: 1}
 
-    return _assemble(list(cells(K)) + [(aug, -1)], boundary)
+    cc = _assemble(list(cells(K)) + [(aug, -1)], boundary)
+    cc.check_dd_zero()
+    return cc
+
+
+def quotient_outer_boundary(K: SimplicialComplex):
+    """The cubical model with every cell that has some coordinate pinned at
+    2 collapsed to the basepoint.
+
+    Surviving cells are the twos == () cells, one per face of K; boundary
+    terms landing in collapsed cells are dropped.  Survivors are oriented by
+    (-1)^|face|, which negates every surviving term, so that the matrices are
+    the simplicial ones.
+    """
+
+    def boundary(label):
+        terms = cube_boundary(label[1], ()).items()
+        return {cell: -coeff for cell, coeff in terms if not cell[2]}
+
+    cc = _assemble([(cube_cell(sigma), len(sigma)) for sigma in K.faces()], boundary)
+    cc.check_dd_zero()
+    return cc

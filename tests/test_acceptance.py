@@ -30,11 +30,11 @@ from polysmash.geomjoin import (
 from polysmash.smashmodel import (
     direct_smash_model,
     expected_homology,
-    quotient_outer_boundary,
     reduction_path_model,
     verify_main,
 )
 
+from cubical_reference import quotient_outer_boundary
 from relabel_reference import facet_equal_upto_relabel
 from test_exactlin import random_dense, snf_oracle
 

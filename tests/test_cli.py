@@ -160,16 +160,27 @@ def test_smash_paths_agree(tmp_path, capsys):
         data = json.loads(capsys.readouterr().out)
         assert data["agree"]
         assert data["model"] == {"5": "Z"}
-    assert main(["smash", p, "--path", "cubical", "--json"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["agree"] and data["model"] == {"2": "Z"}
+    # J = 0 by default: what the former cubical path printed
+    for path in [[], ["--path", "reduction"]]:
+        assert main(["smash", p, *path, "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["model"] == data["expected"] == {"2": "Z"}
+        assert data["agree"] is True
 
 
 def test_smash_bad_j_exits_2(tmp_path, capsys):
     p = write(tmp_path, "s1.txt", "1 2\n1 3\n2 3\n")
     assert main(["smash", p, "--j", "1,1"]) == 2
-    assert main(["smash", p, "--j", "1,1,1", "--path", "cubical"]) == 2
     capsys.readouterr()
+
+
+def test_smash_path_cubical_is_rejected(tmp_path, capsys):
+    # the cubical quotient is --path reduction at J = 0; argparse refuses it
+    p = write(tmp_path, "s1.txt", "1 2\n1 3\n2 3\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["smash", p, "--path", "cubical"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'cubical'" in capsys.readouterr().err
 
 
 def test_verify_corpus_exit_0(tmp_path, capsys):

@@ -317,6 +317,25 @@ def test_verify_gjs_small():
         verify_gjs(standard_config(2, 1), ())
 
 
+def test_verify_gjs_failure_counts_are_pinned(monkeypatch):
+    # barycenters doubled: a_sigma leaves Delta_sigma, so the containment,
+    # tiling and volume checks fail; the counts are hull misses, improper
+    # pairs and piece vertices outside Delta_sigma
+    scaled_a = geomjoin.StandardConfig.scaled_a
+    monkeypatch.setattr(geomjoin.StandardConfig, "scaled_a",
+                        lambda self, i: tuple(2 * x for x in scaled_a(self, i)))
+    cfg = standard_config(2, 1)
+    for sigma, violations in [((1,), 4), ((1, 2), 12)]:
+        checks = [(c.name, c.passed, c.actual) for c in verify_gjs(cfg, sigma).checks]
+        assert checks == [
+            ("a_sigma joinable to S_sigma", True, "joinable"),
+            ("join vertices inside Delta_sigma", False, "outside"),
+            ("pieces intersect properly and stay inside", False,
+             f"{violations} violations"),
+            ("volume identity (tiling of Delta_sigma)", False, "0"),
+        ], sigma
+
+
 def test_verify_W_union_triangle():
     cfg = standard_config(3, 1)
     K = simplex_boundary(2)

@@ -22,12 +22,12 @@ from polysmash.smashmodel import (
     direct_smash_model,
     expected_homology,
     orientation_holds,
-    quotient_outer_boundary,
     reduction_path_model,
     verify_main,
 )
 
 import cubical_reference
+from cubical_reference import quotient_outer_boundary
 from test_acceptance import j_vectors
 
 
@@ -148,18 +148,50 @@ def test_reoriented_cell_fails_the_orientation_check(
 
 
 def test_quotient_is_shifted_simplicial_complex_of_kj(full_corpus):
-    # the reduction route at chain level: C(K(J)) shifted up by one, matrix
-    # for matrix, under the bijection face <-> cube cell with no 2s
+    # the reduction route at chain level: the cubical quotient over K(J) is
+    # the library's C(K(J)) shifted up by one, matrix for matrix, under the
+    # bijection cube cell with no 2s <-> face
     corpus = dict(full_corpus, empty=empty_complex(2))
     for name, K in corpus.items():
         for J in j_vectors(K.m):
-            quot = reduction_path_model(K, J)
-            CKJ = simplicial_chain_complex(double_iterated(K, J)[0]).shift(1)
+            model = reduction_path_model(K, J)
+            quot = quotient_outer_boundary(double_iterated(K, J)[0])
             assert quot.bases == {
-                n: [("cube", f, ()) for f in faces] for n, faces in CKJ.bases.items()
+                n: [("cube", f, ()) for f in faces] for n, faces in model.bases.items()
             }, (name, J)
             for n in quot.bases:
-                assert quot.boundary(n) == CKJ.boundary(n), (name, J, n)
+                assert quot.boundary(n) == model.boundary(n), (name, J, n)
+
+
+def test_quotient_collapses_the_full_cubical_complex(full_corpus):
+    # the quotient is taken from a genuine chain complex: drop from the full
+    # cubical complex every cell with a coordinate at 2 (and the augmentation,
+    # which the basepoint absorbs), orient the survivors by (-1)^|face|, and
+    # the matrices are those of quotient_outer_boundary
+    corpus = dict(full_corpus, empty=empty_complex(2))
+    for name, K in corpus.items():
+        if K.m > 4:
+            continue
+        full = cubical_reference.chain_complex(K)
+        quot = quotient_outer_boundary(K)
+        kept = {
+            n: [i for i, lab in enumerate(labs) if lab[0] == "cube" and not lab[2]]
+            for n, labs in full.bases.items()
+        }
+        assert quot.bases == {
+            n: [full.bases[n][i] for i in ix] for n, ix in kept.items() if ix
+        }, name
+        for n in quot.bases:
+            rows = {i: r for r, i in enumerate(kept.get(n - 1, ()))}
+            cols = {j: c for c, j in enumerate(kept[n])}
+            # a degree n survivor is a face of cardinality n, so reorienting
+            # both ends multiplies each entry by (-1)^n (-1)^(n-1) = -1
+            collapsed = {
+                (rows[i], cols[j]): -v
+                for (i, j), v in full.boundary(n).entries.items()
+                if i in rows and j in cols
+            }
+            assert quot.boundary(n).entries == collapsed, (name, n)
 
 
 def test_verify_main_small_cases(two_points, triangle_boundary):
