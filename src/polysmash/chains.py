@@ -71,10 +71,25 @@ class ChainComplex:
         return self.boundaries.get(n, SparseIntMatrix(rows, cols))
 
     def check_dd_zero(self):
+        """d_n o d_{n+1} = 0, column by column: each column of d_{n+1} is
+        pushed through the columns of d_n it meets, and the sum must
+        vanish."""
         for n in self.degrees():
-            if self.rank(n - 1) and self.rank(n + 1):
-                prod = self.boundary(n) @ self.boundary(n + 1)
-                if not prod.is_zero():
+            inner, outer = self.boundaries.get(n + 1), self.boundaries.get(n)
+            if inner is None or outer is None:
+                continue
+            columns = [[] for _ in range(outer.cols)]
+            for (i, j), v in outer.entries.items():
+                columns[j].append((i, v))
+            below = [[] for _ in range(inner.cols)]
+            for (j, k), w in inner.entries.items():
+                below[k].append((j, w))
+            for terms in below:
+                image = {}
+                for j, w in terms:
+                    for i, v in columns[j]:
+                        image[i] = image.get(i, 0) + v * w
+                if any(image.values()):
                     raise MalformedComplexError(f"d_{n} o d_{n + 1} != 0")
         self.dd_checked = True
 
@@ -243,10 +258,10 @@ def chain_complex_of_faces(faces_by_degree) -> ChainComplex:
     for n in bases:
         if (n - 1) not in bases:
             continue
-        M = SparseIntMatrix(len(bases[n - 1]), len(bases[n]))
+        below = index[n - 1]
+        entries = {}
         for j, f in enumerate(bases[n]):
             for pos in range(len(f)):
-                sub = f[:pos] + f[pos + 1 :]
-                M[index[n - 1][sub], j] = (-1) ** pos
-        boundaries[n] = M
+                entries[below[f[:pos] + f[pos + 1 :]], j] = -1 if pos & 1 else 1
+        boundaries[n] = SparseIntMatrix(len(bases[n - 1]), len(bases[n]), entries)
     return ChainComplex(bases, boundaries)

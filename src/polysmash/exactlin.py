@@ -34,8 +34,11 @@ class SparseIntMatrix:
         self.cols = cols
         self.entries = {}
         if entries:
-            for (i, j), v in entries.items():
-                self[i, j] = v
+            for key in entries:
+                i, j = key
+                if not (0 <= i < rows and 0 <= j < cols):
+                    raise IndexError(f"entry {key} outside {rows}x{cols} matrix")
+            self.entries = {key: int(v) for key, v in entries.items() if v}
 
     def __getitem__(self, key):
         return self.entries.get(key, 0)
@@ -59,24 +62,6 @@ class SparseIntMatrix:
 
     def __repr__(self):
         return f"SparseIntMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
-
-    def transpose(self):
-        return SparseIntMatrix(
-            self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()}
-        )
-
-    def __matmul__(self, other):
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        by_row = {}
-        for (i, k), v in other.entries.items():
-            by_row.setdefault(i, []).append((k, v))
-        prod = {}
-        for (i, j), v in self.entries.items():
-            for k, w in by_row.get(j, ()):
-                key = (i, k)
-                prod[key] = prod.get(key, 0) + v * w
-        return SparseIntMatrix(self.rows, other.cols, prod)
 
     def is_zero(self):
         return not self.entries

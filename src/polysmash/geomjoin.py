@@ -7,12 +7,15 @@ exactly.  The standard configuration lives on integer points: its unit
 vectors and block barycenters scaled by L = k + 1, which changes no
 incidence, containment or volume ratio.  Affine independence and
 determinants run fraction-free Bareiss elimination on rows scaled to
-integers, the exact LP pivots an integer tableau, and point-in-simplex and
-barycentric coordinates go through a BarycentricFrame, which factors a
-reference simplex once, so each point against it costs one integer
-mat-vec.  The psi maps compute on integer numerators over one common
-denominator.  Fractions are built only for answers: coordinates, volume
-ratios and psi values.  No floats.
+integers.  Proper intersection is proved first by a separating
+functional, one integer dot product per vertex; the exact LP, which pivots
+an integer tableau, runs only when that functional proves nothing, and
+finds the witness of an improper pair.  Point-in-simplex and barycentric
+coordinates go through a BarycentricFrame, which factors a reference
+simplex once, so each point against it costs one integer mat-vec.  The psi
+maps compute on integer numerators over one common denominator.  Fractions
+are built only for answers: coordinates, volume ratios and psi values.  No
+floats.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 from .chains import chain_complex_of_faces, homology, simplicial_chain_complex
 from .exactlin import RationalLP, _rational, bareiss, lp_max
@@ -149,6 +152,8 @@ def _nonzeros(row, sign):
 
 def _scaled(row):
     """(q, b) with b the integer row q * row, q > 0 the least such."""
+    if all(type(x) is int for x in row):
+        return 1, list(row)
     q = lcm(*(x.denominator for x in row))
     return q, [x.numerator * (q // x.denominator) for x in row]
 
@@ -268,19 +273,24 @@ class JoinCertificate:
 
 
 def proper_intersection(simplex_a, simplex_b):
-    """conv(A) n conv(B) == conv(A n B), decided by exact LP.
+    """conv(A) n conv(B) == conv(A n B), decided exactly.
 
-    Maximizes total barycentric mass on non-shared vertices over all pairs of
-    representations of a common point; proper iff the maximum is 0 (or the
-    intersection is empty).  Returns (bool, witness point or None).
+    Faces of a common simplex always intersect properly.  Otherwise a
+    separating functional is tried first (see _separated); it proves
+    properness with one dot product per vertex.  When it declines, an exact
+    LP maximizes the total barycentric mass on non-shared vertices over all
+    pairs of representations of a common point: proper iff the maximum is 0
+    (or the intersection is empty), and an optimal point gives the witness.
+    Returns (bool, witness point or None).
     """
     A = sorted(simplex_a)
     B = sorted(simplex_b)
     if not A or not B:
         return True, None
     shared = set(A) & set(B)
-    # faces of a common simplex always intersect properly
     if affinely_independent(set(A) | set(B)):
+        return True, None
+    if _separated(A, B, shared):
         return True, None
     n = len(A[0])
     objective = [int(p not in shared) for p in A] + [int(q not in shared) for q in B]
@@ -299,6 +309,76 @@ def proper_intersection(simplex_a, simplex_b):
     u = res.point[: len(A)]
     witness = tuple(sum(ui * p[d] for ui, p in zip(u, A)) for d in range(n))
     return False, witness
+
+
+def _separated(A, B, shared):
+    """A linear functional h certifies conv(A) n conv(B) = conv(S), S = shared.
+
+    With A' = A - S and B' = B - S, h is |A'| sum(B') - |B'| sum(A'), the
+    difference of the two centroids scaled to integers, made orthogonal to
+    every s - s_0 (s in S) by fraction-free Gram-Schmidt unless it already
+    is, as on every pair of the standard configuration.  The points are
+    scaled by one common positive integer first, which keeps properness.
+    If A' or B' is empty, one simplex is a face of the other.
+
+    Why an accepted h is a proof (_separates checks its hypotheses): let
+    x = sum lambda_p p = sum mu_q q be a common point (convex combinations
+    over A and over B).  With h.s = c on S, h.p < c on A' and h.q > c on
+    B', we get h.x <= c, with equality only if lambda lives on S, and
+    h.x >= c, with equality only if mu lives on S.  So h.x = c and
+    x in conv(S).  With S empty, max over A' < min over B' leaves no common
+    point.  False means only that this h proves nothing.
+    """
+    a1 = [p for p in A if p not in shared]
+    b1 = [q for q in B if q not in shared]
+    if not a1 or not b1:
+        return True
+    pts = _integer_points(a1 + b1 + sorted(shared))
+    na, nb = len(a1), len(b1)
+    a1, b1, s = pts[:na], pts[na : na + nb], pts[na + nb :]
+    h = [na * sum(qs) - nb * sum(ps) for ps, qs in zip(zip(*a1), zip(*b1))]
+    if len({_vdot(h, p) for p in s}) > 1:
+        basis = []  # pairs (o, o.o), pairwise orthogonal, spanning the s - s_0
+        for p in s[1:]:
+            o = _orthogonal([x - y for x, y in zip(p, s[0])], basis)
+            if any(o):
+                basis.append((o, _vdot(o, o)))
+        h = _orthogonal(h, basis)
+    return _separates(h, a1, b1, s)
+
+
+def _orthogonal(w, basis):
+    """A positive multiple of w minus its projection on the span of an
+    orthogonal basis: w <- (o.o) w - (w.o) o for each o, then divided by
+    the gcd of its entries."""
+    for o, oo in basis:
+        wo = _vdot(w, o)
+        if wo:
+            w = [oo * x - wo * y for x, y in zip(w, o)]
+    g = gcd(*w)
+    return [x // g for x in w] if g > 1 else w
+
+
+def _separates(h, a1, b1, s):
+    """h.s is one value c on s, h.p < c on a1 and h.q > c on b1; with s
+    empty, max h.p < min h.q.  Points are integer lists."""
+    top = max(_vdot(h, p) for p in a1)
+    bottom = min(_vdot(h, q) for q in b1)
+    if not s:
+        return top < bottom
+    c = _vdot(h, s[0])
+    return top < c < bottom and all(_vdot(h, p) == c for p in s[1:])
+
+
+def _integer_points(points):
+    """The points scaled by one common q > 0 to integer lists."""
+    n = len(points[0])
+    _, flat = _scaled([x for p in points for x in p])
+    return [flat[i : i + n] for i in range(0, len(flat), n)]
+
+
+def _vdot(u, v):
+    return sum(x * y for x, y in zip(u, v))
 
 
 def joinable(X: EmbeddedComplex, Y: EmbeddedComplex):

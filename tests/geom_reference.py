@@ -5,12 +5,14 @@ moved to integer points: affine independence by rank_rational on Fraction
 rows, the determinant by Gaussian elimination over Fraction, and the cube
 reparametrization psi and its inverse on Fraction coordinates.  The integer
 versions must give the same answers, and raise ValueError on the same bad
-input.
+input.  proper_intersection is the LP-only decision from before the
+separating functional: the library must give the same answer and the same
+witness.
 """
 
 from fractions import Fraction
 
-from polysmash.exactlin import rank_rational
+from polysmash.exactlin import RationalLP, lp_max, rank_rational
 
 F = Fraction
 
@@ -21,6 +23,36 @@ def affinely_independent(points):
         return True
     homog = [list(p) + [F(1)] for p in pts]
     return rank_rational(homog) == len(pts)
+
+
+def proper_intersection(simplex_a, simplex_b):
+    """conv(A) n conv(B) == conv(A n B) by exact LP: the maximal barycentric
+    mass on non-shared vertices over all pairs of representations of a
+    common point is 0, or there is no common point."""
+    A = sorted(simplex_a)
+    B = sorted(simplex_b)
+    if not A or not B:
+        return True, None
+    shared = set(A) & set(B)
+    if affinely_independent(set(A) | set(B)):
+        return True, None
+    n = len(A[0])
+    objective = [int(p not in shared) for p in A] + [int(q not in shared) for q in B]
+    a_eq = [[p[d] for p in A] + [-q[d] for q in B] for d in range(n)]
+    b_eq = [0] * n
+    a_eq.append([1] * len(A) + [0] * len(B))
+    a_eq.append([0] * len(A) + [1] * len(B))
+    b_eq += [1, 1]
+    res = lp_max(RationalLP(objective, a_eq=a_eq, b_eq=b_eq))
+    if res.status == "infeasible":
+        return True, None
+    if res.status != "optimal":
+        raise RuntimeError(f"proper-intersection LP ended {res.status!r}: {res}")
+    if res.value == 0:
+        return True, None
+    u = res.point[: len(A)]
+    witness = tuple(sum(ui * p[d] for ui, p in zip(u, A)) for d in range(n))
+    return False, witness
 
 
 def determinant(rows):

@@ -221,6 +221,48 @@ def test_homology_matches_full_snf_on_scaled_complexes(K, data):
     assert homology(scaled) == homology_full_snf(scaled)
 
 
+def dd_reference(C):
+    """The first degree n with d_n d_{n+1} != 0, by dense products; None if
+    there is none."""
+    for n in C.degrees():
+        outer, inner = C.boundary(n).to_dense(), C.boundary(n + 1).to_dense()
+        for row in outer:
+            for col in zip(*inner):
+                if sum(a * b for a, b in zip(row, col)):
+                    return n
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_complexes(), st.data())
+@example(RP2, None)
+def test_dd_check_matches_dense_products(K, data):
+    # one boundary entry moved off its value (changed, zeroed or added)
+    C = simplicial_chain_complex(K)
+    boundaries = dict(C.boundaries)
+    if boundaries:
+        if data is None:
+            n, i, j, v = 2, 0, 0, 0
+        else:
+            n = data.draw(st.sampled_from(sorted(boundaries)))
+            M = boundaries[n]
+            i, j = data.draw(st.integers(0, M.rows - 1)), data.draw(st.integers(0, M.cols - 1))
+            v = data.draw(st.integers(-2, 2))
+        M = boundaries[n]
+        entries = dict(M.entries)
+        entries[i, j] = v
+        boundaries[n] = SparseIntMatrix(M.rows, M.cols, entries)
+    broken = ChainComplex(C.bases, boundaries, check=False)
+    bad = dd_reference(broken)
+    if bad is None:
+        broken.check_dd_zero()
+        assert broken.dd_checked
+    else:
+        with pytest.raises(MalformedComplexError, match=rf"^d_{bad} o d_{bad + 1} != 0$"):
+            broken.check_dd_zero()
+        assert not broken.dd_checked
+
+
 def test_reduction_leaves_little_for_snf(monkeypatch):
     seen = []
     snf = chains.smith_normal_form

@@ -229,6 +229,8 @@ def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
 
 
 def test_lp_status_failure_exits_3(monkeypatch, capsys):
+    # the separating functional declines, so the LP runs on every pair
+    monkeypatch.setattr(geomjoin, "_separated", lambda A, B, shared: False)
     monkeypatch.setattr(geomjoin, "lp_max", lambda P: LPResult("unbounded"))
     assert main(["verify", "geometry", "--m", "2", "--k", "1", "--grid", "2"]) == 3
     assert "proper-intersection LP ended 'unbounded'" in capsys.readouterr().err

@@ -224,10 +224,16 @@ def test_sparse_matrix_basics():
     assert (1, 2) not in M.entries
     with pytest.raises(IndexError):
         M[2, 0] = 1
-    A = SparseIntMatrix.from_dense([[1, 2], [3, 4]])
-    B = SparseIntMatrix.from_dense([[0, 1], [1, 0]])
-    assert (A @ B).to_dense() == [[2, 1], [4, 3]]
-    assert A.transpose().to_dense() == [[1, 3], [2, 4]]
+    A = SparseIntMatrix.from_dense([[1, 0], [3, 4]])
+    assert A.entries == {(0, 0): 1, (1, 0): 3, (1, 1): 4}
+    assert A.to_dense() == [[1, 0], [3, 4]]
+    # the constructor drops zeros, stores ints, and rejects an entry outside
+    # the matrix even when it is zero
+    N = SparseIntMatrix(2, 2, {(0, 0): Fraction(3), (1, 1): 0})
+    assert N.entries == {(0, 0): 3} and type(N[0, 0]) is int
+    for key in [(2, 0), (0, 2), (-1, 1)]:
+        with pytest.raises(IndexError, match=rf"^entry \({key[0]}, {key[1]}\) outside 2x2 matrix$"):
+            SparseIntMatrix(2, 2, {(0, 0): 1, key: 0})
 
 
 def test_rank_rational_fraction_rows():

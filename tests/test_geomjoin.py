@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polysmash import geomjoin
@@ -110,16 +110,8 @@ def test_frame_matches_reference_solve():
     assert min(seen.values()) >= 100, seen
 
 
-def test_proper_intersection_lps_match_reference(monkeypatch):
-    # every LP that verify_gjs and verify_W_union raise at m <= 2, k <= 2
-    seen = []
-
-    def recording(P):
-        res = lp_max(P)
-        seen.append((P, res))
-        return res
-
-    monkeypatch.setattr(geomjoin, "lp_max", recording)
+def verify_small_configs():
+    """verify_gjs and verify_W_union at m <= 2, k <= 2, each must pass."""
     for m in (1, 2):
         for k in (0, 1, 2):
             cfg = standard_config(m, k)
@@ -130,9 +122,62 @@ def test_proper_intersection_lps_match_reference(monkeypatch):
                 corpus.append(from_facets(m, [(i,) for i in range(1, m + 1)]))
             for K in corpus:
                 assert verify_W_union(cfg, K).passed
+
+
+def test_proper_intersection_lps_match_reference(monkeypatch):
+    # every LP that verify_gjs and verify_W_union raise at m <= 2, k <= 2
+    # once the separating functional declines every pair
+    seen = []
+
+    def recording(P):
+        res = lp_max(P)
+        seen.append((P, res))
+        return res
+
+    monkeypatch.setattr(geomjoin, "_separated", lambda A, B, shared: False)
+    monkeypatch.setattr(geomjoin, "lp_max", recording)
+    verify_small_configs()
     assert len(seen) >= 50
     for P, res in seen:
         assert res == reference_lp_max(P)
+
+
+def test_small_configs_never_reach_the_lp(monkeypatch):
+    # the separating functional proves every pair the verifiers meet at
+    # m <= 2, k <= 2 proper
+    lps, accepted = [], []
+    separated = geomjoin._separated
+
+    def counting(A, B, shared):
+        ok = separated(A, B, shared)
+        accepted.append(ok)
+        return ok
+
+    monkeypatch.setattr(geomjoin, "_separated", counting)
+    monkeypatch.setattr(geomjoin, "lp_max", lambda P: lps.append(P))
+    verify_small_configs()
+    assert lps == []
+    assert len(accepted) >= 50 and all(accepted)
+
+
+def test_t_touch_is_improper():
+    # the segments touch at (1, 0), inside one and a vertex of the other:
+    # no functional separates them strictly, so the LP finds the witness
+    a = [pt(0, 0), pt(2, 0)]
+    b = [pt(1, 0), pt(1, 1)]
+    assert not geomjoin._separated(sorted(a), sorted(b), set())
+    assert proper_intersection(a, b) == (False, pt(1, 0))
+    assert proper_intersection(b, a) == (False, pt(1, 0))
+
+
+def test_functional_is_made_orthogonal_to_the_shared_face():
+    # triangles on opposite sides of their common edge, skewed: the centroid
+    # difference (3, -2) is not constant on the edge, its part orthogonal to
+    # the edge is, and it separates the two apexes
+    a = [pt(0, 0), pt(2, 0), pt(0, 1)]
+    b = [pt(0, 0), pt(2, 0), pt(3, -1)]
+    assert geomjoin._separated(sorted(a), sorted(b), set(a) & set(b))
+    assert proper_intersection(a, b) == (True, None)
 
 
 def test_determinant():
@@ -560,3 +605,66 @@ def test_bareiss_rank_and_determinant(rows):
     assert rank == rank_rational(rows)
     square = len(rows) == (len(rows[0]) if rows else 0)
     assert det == (ref.determinant(rows) if square else 0)
+
+
+@st.composite
+def simplex_pairs(draw, own_vertices=False):
+    """(A, B, forced): affinely independent rational simplices in Q^n,
+    n <= 3, that may share vertices; with own_vertices, each has a vertex
+    the other lacks.  A forced pair has a vertex of B at a positive
+    combination of the vertices of A, |A| >= 2, so it is improper: that
+    vertex lies in conv(A) but not in conv(B - {it}), which holds
+    conv(A n B)."""
+    dim = draw(st.integers(1, 3))
+    points = st.tuples(*[small_rationals] * dim)
+    na = draw(st.integers(1, dim + 1))
+    A = draw(st.lists(points, min_size=na, max_size=na, unique=True))
+    ns = draw(st.integers(0, na - 1 if own_vertices else na))
+    shared = draw(st.lists(st.sampled_from(A), min_size=ns, max_size=ns, unique=True))
+    nown = draw(st.integers(0 if ns and not own_vertices else 1, dim + 1 - ns))
+    own = draw(st.lists(points.filter(lambda p: p not in A), min_size=nown, max_size=nown))
+    B = shared + own
+    forced = len(A) >= 2 and bool(own) and draw(st.booleans())
+    if forced:
+        w = draw(st.lists(st.integers(1, 5), min_size=len(A), max_size=len(A)))
+        B[-1] = tuple(
+            F(sum(wi * p[d] for wi, p in zip(w, A)), sum(w)) for d in range(dim)
+        )
+    assume(ref.affinely_independent(A) and ref.affinely_independent(B))
+    return A, B, forced
+
+
+T_TOUCH = ([pt(0, 0), pt(2, 0)], [pt(1, 0), pt(1, 1)], False)
+# two triangles on one side of their common edge: they overlap
+SAME_SIDE = ([pt(0, 0), pt(1, 0), pt(0, 1)], [pt(0, 0), pt(1, 0), pt(1, 1)], False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(simplex_pairs())
+@example(T_TOUCH)
+@example(SAME_SIDE)
+@example(([pt(0, 0), pt(1, 1)], [pt(1, 0), pt(0, 1)], False))
+@example(([pt(0, 0), pt(1, 0), pt(0, 1)], [pt(1, 1), pt(1, 0), pt(0, 1)], False))
+def test_proper_intersection_matches_lp_reference(pair):
+    A, B, forced = pair
+    got = proper_intersection(frozenset(A), frozenset(B))
+    assert got == ref.proper_intersection(frozenset(A), frozenset(B))
+    if forced:
+        assert not got[0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(simplex_pairs(own_vertices=True), st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+@example(T_TOUCH, [0, 1, 0])
+@example(SAME_SIDE, [2, -1, 0])
+def test_any_accepted_functional_proves_properness(pair, h):
+    # the acceptance test is sound whatever functional it is handed
+    A, B, _ = pair
+    shared = set(A) & set(B)
+    a1 = [p for p in A if p not in shared]
+    b1 = [q for q in B if q not in shared]
+    pts = geomjoin._integer_points(a1 + b1 + sorted(shared))
+    na, nb = len(a1), len(b1)
+    h = h[: len(A[0])]
+    if geomjoin._separates(h, pts[:na], pts[na:na + nb], pts[na + nb:]):
+        assert ref.proper_intersection(A, B)[0]
