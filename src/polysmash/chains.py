@@ -4,6 +4,12 @@ Degrees may start at -1: the augmented simplicial chain complex keeps the
 empty face as a single degree -1 generator, so all homology here is reduced
 homology, including the convention H~_{-1}(empty space) = Z.
 
+A ChainComplex stores each boundary d_n as its columns, a (row, coeff) list
+per n-cell; the d o d check and the reduction below read them as they are,
+and SparseIntMatrix is built only for Smith normal form and boundary(n).
+simplicial_chain_complex labels faces by vertex bitmasks, in lexicographic
+order.
+
 homology() first deletes unit reduction pairs (Kaczynski-Mrozek-Slusarek
 1998; Mrozek-Batko 2009): cells a in C_{n-1} and b in C_n with
 <db, a> = +-1, where either
@@ -21,6 +27,7 @@ boundary matrices of the cells that survive.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from itertools import compress
 
@@ -35,26 +42,31 @@ class ChainComplex:
     """Graded free abelian groups with integer boundary maps.
 
     bases: {degree: [label, ...]}
-    boundaries: {degree n: SparseIntMatrix mapping C_n -> C_{n-1}}
+    columns: {degree n: per cell of C_n, its boundary [(row, coeff), ...] on
+    distinct rows of C_{n-1} with nonzero coefficients}; kept, not copied.
 
     dd_checked records that d o d = 0 has been verified, by construction with
     check=True or by a later check_dd_zero(); homology() checks only complexes
     where it is still False.
     """
 
-    def __init__(self, bases, boundaries, check=True):
+    def __init__(self, bases, columns, check=True):
         self.bases = {n: list(labels) for n, labels in bases.items() if labels}
-        self.boundaries = {}
-        for n, M in boundaries.items():
-            if n not in self.bases or (n - 1) not in self.bases:
-                if not M.is_zero():
-                    raise MalformedComplexError(f"boundary in degree {n} without bases")
-                continue
-            if M.rows != len(self.bases[n - 1]) or M.cols != len(self.bases[n]):
+        self.columns = {}
+        for n, cols in columns.items():
+            if len(cols) != self.rank(n):
                 raise MalformedComplexError(
-                    f"boundary matrix shape mismatch in degree {n}"
+                    f"boundary in degree {n} has {len(cols)} columns for {self.rank(n)} cells"
                 )
-            self.boundaries[n] = M
+            rows = self.rank(n - 1)
+            for col in cols:
+                if len({i for i, v in col if v and 0 <= i < rows}) != len(col):
+                    raise MalformedComplexError(
+                        f"boundary column in degree {n} has a zero coefficient, "
+                        f"a repeated row or a row outside C_{n - 1}"
+                    )
+            if rows and cols:
+                self.columns[n] = cols
         self.dd_checked = False
         if check:
             self.check_dd_zero()
@@ -66,39 +78,37 @@ class ChainComplex:
         return len(self.bases.get(n, ()))
 
     def boundary(self, n):
-        rows = self.rank(n - 1)
-        cols = self.rank(n)
-        return self.boundaries.get(n, SparseIntMatrix(rows, cols))
+        """d_n as a SparseIntMatrix, built from its columns on each call."""
+        entries = {(i, j): v for j, col in enumerate(self.columns.get(n, ())) for i, v in col}
+        return SparseIntMatrix(self.rank(n - 1), self.rank(n), entries)
+
+    @property
+    def boundaries(self):
+        """{degree n: d_n as a SparseIntMatrix}, built on each access."""
+        return {n: self.boundary(n) for n in self.columns}
 
     def check_dd_zero(self):
         """d_n o d_{n+1} = 0, column by column: each column of d_{n+1} is
         pushed through the columns of d_n it meets, and the sum must
         vanish."""
         for n in self.degrees():
-            inner, outer = self.boundaries.get(n + 1), self.boundaries.get(n)
+            inner, outer = self.columns.get(n + 1), self.columns.get(n)
             if inner is None or outer is None:
                 continue
-            columns = [[] for _ in range(outer.cols)]
-            for (i, j), v in outer.entries.items():
-                columns[j].append((i, v))
-            below = [[] for _ in range(inner.cols)]
-            for (j, k), w in inner.entries.items():
-                below[k].append((j, w))
-            for terms in below:
+            for terms in inner:
                 image = {}
                 for j, w in terms:
-                    for i, v in columns[j]:
+                    for i, v in outer[j]:
                         image[i] = image.get(i, 0) + v * w
                 if any(image.values()):
                     raise MalformedComplexError(f"d_{n} o d_{n + 1} != 0")
         self.dd_checked = True
 
     def shift(self, s):
-        """Move every degree n basis to degree n + s."""
-        bases = {n + s: labels for n, labels in self.bases.items()}
-        boundaries = {n + s: M for n, M in self.boundaries.items()}
-        shifted = ChainComplex(bases, boundaries, check=False)
-        shifted.dd_checked = self.dd_checked
+        """Move every degree n basis to degree n + s, sharing the columns."""
+        shifted = copy(self)
+        shifted.bases = {n + s: labels for n, labels in self.bases.items()}
+        shifted.columns = {n + s: cols for n, cols in self.columns.items()}
         return shifted
 
     def euler(self):
@@ -168,12 +178,10 @@ def homology(C: ChainComplex) -> HomologyTable:
     rank, torsion = {}, {}
     for n, cols in survivors.items():
         rows = {k: r for r, k in enumerate(survivors.get(n - 1, ()))}
-        M = SparseIntMatrix(len(rows), len(cols))
-        for c, k in enumerate(cols):
-            for i in down[n][k]:
-                if i in rows:
-                    M[rows[i], c] = C.boundaries[n].entries[i, k]
-        snf = smith_normal_form(M)
+        entries = {
+            (rows[i], c): v for c, k in enumerate(cols) for i, v in down[n][k] if i in rows
+        }
+        snf = smith_normal_form(SparseIntMatrix(len(rows), len(cols), entries))
         rank[n], torsion[n] = snf.rank, snf.torsion
     return HomologyTable({
         n: HomologyGroup(len(cols) - rank[n] - rank.get(n + 1, 0), torsion.get(n + 1, ()))
@@ -184,19 +192,19 @@ def homology(C: ChainComplex) -> HomologyTable:
 def _delete_unit_pairs(C: ChainComplex):
     """Delete unit reduction pairs until none is left.
 
-    Returns ({n: bytearray alive flag per cell of C_n}, {n: per cell of C_n,
-    the indices of its boundary cells in C_{n-1}}).  Only int adjacency
-    lists, remaining counts and the flags are kept; coefficients are read
-    back from the boundary matrices.
+    Returns ({n: bytearray alive flag per cell of C_n}, {n: the columns of
+    d_n, one (row, coeff) list per cell of C_n}).  The columns are C's own,
+    read as each cell's boundary cells with their coefficients; only the
+    coface lists, remaining counts and the flags are built here.
     """
     size = {n: C.rank(n) for n in C.degrees()}
-    down = {n: [[] for _ in range(s)] for n, s in size.items()}
+    down = {n: C.columns.get(n) or [()] * s for n, s in size.items()}
     up = {n: [[] for _ in range(s)] for n, s in size.items()}
-    for n, M in C.boundaries.items():
-        faces, cofaces = down[n], up[n - 1]
-        for i, j in M.entries:
-            faces[j].append(i)
-            cofaces[i].append(j)
+    for n, cols in C.columns.items():
+        cofaces = up[n - 1]
+        for j, col in enumerate(cols):
+            for i, _ in col:
+                cofaces[i].append(j)
     # remaining boundary cells and cofaces of each cell
     ndown = {n: [len(x) for x in lists] for n, lists in down.items()}
     nup = {n: [len(x) for x in lists] for n, lists in up.items()}
@@ -211,19 +219,19 @@ def _delete_unit_pairs(C: ChainComplex):
         # pair (d, a, b): a in C_{d-1}, b in C_d
         pair = None
         if ndown[n][k] == 1:
-            a = next(i for i in down[n][k] if alive[n - 1][i])
-            if C.boundaries[n].entries[a, k] in (1, -1):
+            a, v = next((i, v) for i, v in down[n][k] if alive[n - 1][i])
+            if v in (1, -1):
                 pair = (n, a, k)
         if pair is None and nup[n][k] == 1:
             b = next(j for j in up[n][k] if alive[n + 1][j])
-            if C.boundaries[n + 1].entries[k, b] in (1, -1):
+            if next(v for i, v in down[n + 1][b] if i == k) in (1, -1):
                 pair = (n + 1, k, b)
         if pair is None:
             continue
         d, a, b = pair
         alive[d - 1][a] = alive[d][b] = 0
         for m, cell in ((d - 1, a), (d, b)):
-            for i in down[m][cell]:
+            for i, _ in down[m][cell]:
                 if alive[m - 1][i]:
                     nup[m - 1][i] -= 1
                     if nup[m - 1][i] == 1:
@@ -237,31 +245,41 @@ def _delete_unit_pairs(C: ChainComplex):
 
 
 def simplicial_chain_complex(K) -> ChainComplex:
-    """Augmented chain complex of a SimplicialComplex, faces ordered
-    lexicographically.
+    """Augmented chain complex of a SimplicialComplex, its faces the
+    submasks of the facets, vertex v at bit K.m - v (see face_of_mask).
 
-    Boundary of a sorted simplex drops vertices with alternating signs; the
-    empty face is the single degree -1 generator.
+    Descending mask order within a degree is the lexicographic order of
+    sorted vertex tuples.  The boundary drops a face's vertices in
+    increasing order, its bits from the highest down, with alternating signs.
     """
-    faces_by_dim = {}
-    for f in K.faces():
-        faces_by_dim.setdefault(len(f) - 1, []).append(f)
-    return chain_complex_of_faces(faces_by_dim)
-
-
-def chain_complex_of_faces(faces_by_degree) -> ChainComplex:
-    """Simplicial chain complex from {degree: [sorted vertex tuple, ...]},
-    where each face sits one degree above its facets."""
-    bases = {n: sorted(faces) for n, faces in faces_by_degree.items() if faces}
-    index = {n: {f: i for i, f in enumerate(fs)} for n, fs in bases.items()}
-    boundaries = {}
-    for n in bases:
-        if (n - 1) not in bases:
+    faces = {0}
+    for facet in K.facets:
+        top = sum(1 << (K.m - v) for v in facet)
+        s = top
+        while s:
+            faces.add(s)
+            s = (s - 1) & top
+    levels = {}
+    for f in faces:
+        levels.setdefault(f.bit_count() - 1, []).append(f)
+    bases, columns = {}, {}
+    for n in sorted(levels):
+        bases[n] = level = sorted(levels[n], reverse=True)
+        if n < 0:
             continue
-        below = index[n - 1]
-        entries = {}
-        for j, f in enumerate(bases[n]):
-            for pos in range(len(f)):
-                entries[below[f[:pos] + f[pos + 1 :]], j] = -1 if pos & 1 else 1
-        boundaries[n] = SparseIntMatrix(len(bases[n - 1]), len(bases[n]), entries)
-    return ChainComplex(bases, boundaries)
+        below = {f: i for i, f in enumerate(bases[n - 1])}
+        cols = columns[n] = []
+        for f in level:
+            col, rest, sign = [], f, 1
+            while rest:
+                bit = 1 << (rest.bit_length() - 1)
+                col.append((below[f ^ bit], sign))
+                rest ^= bit
+                sign = -sign
+            cols.append(col)
+    return ChainComplex(bases, columns)
+
+
+def face_of_mask(mask, m):
+    """The sorted vertex tuple of a face label of simplicial_chain_complex."""
+    return tuple(v for v in range(1, m + 1) if mask >> (m - v) & 1)

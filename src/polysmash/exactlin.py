@@ -63,9 +63,6 @@ class SparseIntMatrix:
     def __repr__(self):
         return f"SparseIntMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
 
-    def is_zero(self):
-        return not self.entries
-
     @classmethod
     def from_dense(cls, dense):
         rows = len(dense)

@@ -25,7 +25,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
-from .chains import chain_complex_of_faces, homology, simplicial_chain_complex
+from .chains import homology, simplicial_chain_complex
+from .complexes import SimplicialComplex
 from .exactlin import RationalLP, _rational, bareiss, lp_max
 from .report import Check, VerificationReport
 
@@ -225,29 +226,15 @@ class EmbeddedComplex:
     def vertices(self):
         return sorted({p for s in self.maximal for p in s})
 
-    def simplices(self):
-        """All faces (frozensets), including the empty one."""
-        seen = set()
-        for s in self.maximal:
-            verts = sorted(s)
-            for r in range(len(verts) + 1):
-                for c in combinations(verts, r):
-                    seen.add(frozenset(c))
-        return seen
-
     def is_empty(self):
         return self.maximal == frozenset({frozenset()})
 
     def chain_complex(self):
-        """Augmented simplicial chain complex on integer-relabeled vertices."""
+        """Augmented simplicial chain complex on the vertices relabelled
+        1, 2, ... in sorted order."""
         label = {p: i for i, p in enumerate(self.vertices(), start=1)}
-        faces_by_dim = {}
-        for s in self.simplices():
-            f = tuple(sorted(label[p] for p in s))
-            faces_by_dim.setdefault(len(f) - 1, set()).add(f)
-        return chain_complex_of_faces(
-            {d: sorted(fs) for d, fs in faces_by_dim.items()}
-        )
+        facets = frozenset(tuple(sorted(label[p] for p in s)) for s in self.maximal)
+        return simplicial_chain_complex(SimplicialComplex(max(len(label), 1), facets))
 
     def homology(self):
         return homology(self.chain_complex())

@@ -29,12 +29,11 @@ from .chains import (
     ChainComplex,
     HomologyTable,
     MalformedComplexError,
-    chain_complex_of_faces,
+    face_of_mask,
     homology,
     simplicial_chain_complex,
 )
 from .complexes import SimplicialComplex, double_iterated
-from .exactlin import SparseIntMatrix
 from .report import Check, VerificationReport
 
 
@@ -50,21 +49,23 @@ def _assemble(labels, boundary_fn):
     for d in bases:
         bases[d].sort()
     index = {lab: (d, i) for d, labs in bases.items() for i, lab in enumerate(labs)}
-    boundaries = {}
+    columns = {}
     for d, labs in bases.items():
         if (d - 1) not in bases:
             continue
-        M = SparseIntMatrix(len(bases[d - 1]), len(labs))
-        for j, lab in enumerate(labs):
+        cols = columns[d] = []
+        for lab in labs:
+            col = []
             for tgt, coeff in boundary_fn(lab).items():
                 td, ti = index[tgt]
                 if td != d - 1:
                     raise MalformedComplexError(
                         f"boundary of {lab!r} in degree {d} reaches {tgt!r} in degree {td}"
                     )
-                M[ti, j] = coeff
-        boundaries[d] = M
-    return ChainComplex(bases, boundaries, check=False)
+                if coeff:
+                    col.append((ti, coeff))
+            cols.append(col)
+    return ChainComplex(bases, columns, check=False)
 
 
 # -- direct model ----------------------------------------------------------
@@ -105,10 +106,11 @@ def direct_smash_model(K: SimplicialComplex, J):
     return orientation, _assemble(labels, lambda lab: direct_boundary(lab[1], prefix))
 
 
-def orientation_holds(orientation, cc: ChainComplex, CK: ChainComplex, shift) -> bool:
-    """Entry by entry: cc is CK shifted up by shift, with boundary S . d_K . S
-    for S the diagonal orientation map."""
-    faces = {n + shift: [face_cell(f) for f in fs] for n, fs in CK.bases.items()}
+def orientation_holds(orientation, cc: ChainComplex, CK: ChainComplex, shift, m) -> bool:
+    """Entry by entry: cc is CK = C(K) shifted up by shift, with boundary
+    S . d_K . S for S the diagonal orientation map; m is K.m, which decodes
+    CK's face masks."""
+    faces = {n + shift: [face_cell(face_of_mask(f, m)) for f in fs] for n, fs in CK.bases.items()}
     if cc.bases != faces:
         return False
     for n, cols in cc.bases.items():
@@ -128,11 +130,7 @@ def orientation_holds(orientation, cc: ChainComplex, CK: ChainComplex, shift) ->
 def reduction_path_model(K: SimplicialComplex, J) -> ChainComplex:
     """The section-by-section route: double down to (D^1, S^0), then the
     chains of the smash product over K(J), C(K(J)) shifted up by one."""
-    KJ, _ = double_iterated(K, J)
-    faces_by_size = {}
-    for f in KJ.faces():
-        faces_by_size.setdefault(len(f), []).append(f)
-    return chain_complex_of_faces(faces_by_size)
+    return simplicial_chain_complex(double_iterated(K, J)[0]).shift(1)
 
 
 def expected_homology(K: SimplicialComplex, J) -> HomologyTable:
@@ -153,7 +151,7 @@ def verify_main(K: SimplicialComplex, J) -> VerificationReport:
     CK = simplicial_chain_complex(K)
     expected = homology(CK).shifted(shift)
     orientation, direct_cc = direct_smash_model(K, J)
-    oriented = orientation_holds(orientation, direct_cc, CK, shift)
+    oriented = orientation_holds(orientation, direct_cc, CK, shift, K.m)
     direct = expected if oriented else homology(direct_cc)
     reduced = homology(reduction_path_model(K, J))
 

@@ -1,7 +1,13 @@
 """Chain complexes and homology: conventions, fixtures, consistency checks."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polysmash import chains
@@ -10,19 +16,23 @@ from polysmash.chains import (
     HomologyGroup,
     HomologyTable,
     MalformedComplexError,
-    chain_complex_of_faces,
+    face_of_mask,
     homology,
     simplicial_chain_complex,
 )
 from polysmash.complexes import (
+    double_iterated,
     empty_complex,
     from_facets,
     random_complex,
     simplex_boundary,
 )
 from polysmash.exactlin import SparseIntMatrix, rank_rational, smith_normal_form
+from polysmash.geomjoin import EmbeddedComplex
 from polysmash.smashmodel import direct_smash_model, reduction_path_model
 
+import chains_reference
+from chains_reference import chain_complex_of_faces
 from conftest import RP2_FACETS
 from homology_reference import homology_full_snf
 
@@ -73,28 +83,61 @@ def test_dd_zero_everywhere(full_corpus):
 
 def test_malformed_complex_detected():
     bases = {0: ["a", "b"], 1: ["e"]}
-    bad = SparseIntMatrix.from_dense([[1], [1]])
+    bad = [[(0, 1), (1, 1)]]
     bases2 = {0: ["a"], 1: ["e"], 2: ["f"]}
-    d1 = SparseIntMatrix.from_dense([[1]])
-    d2 = SparseIntMatrix.from_dense([[1]])
+    d = [[(0, 1)]]
     with pytest.raises(MalformedComplexError):
-        ChainComplex(bases2, {1: d1, 2: d2})
-    # shape mismatch
+        ChainComplex(bases2, {1: d, 2: d})
+    # shape mismatch: two columns for one cell
     with pytest.raises(MalformedComplexError):
-        ChainComplex(bases, {1: SparseIntMatrix(1, 1, {(0, 0): 1})})
+        ChainComplex(bases, {1: [[(0, 1)], [(1, 1)]]})
     # fine without the offending composition
     ChainComplex(bases, {1: bad})
 
 
+@pytest.mark.parametrize("column", [[(2, 1)], [(-1, 1)], [(0, 0)], [(0, 1), (0, -1)]])
+def test_bad_column_is_rejected_at_construction(column):
+    # a row outside C_0, a negative row, a zero coefficient, a repeated row
+    with pytest.raises(MalformedComplexError, match="boundary column in degree 1"):
+        ChainComplex({0: ["a", "b"], 1: ["e"]}, {1: [column]}, check=False)
+
+
 def test_homology_checks_unchecked_complex():
     bases = {0: ["a"], 1: ["e"], 2: ["f"]}
-    d = SparseIntMatrix.from_dense([[1]])
+    d = [[(0, 1)]]
     cc = ChainComplex(bases, {1: d, 2: d}, check=False)
     assert not cc.dd_checked
     with pytest.raises(MalformedComplexError):
         homology(cc)
     with pytest.raises(MalformedComplexError):
         homology(cc.shift(2))
+
+
+def test_dd_check_survives_optimize():
+    # homology must raise, not assert, on a d o d-broken complex, so that the
+    # check also runs under python -O
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = textwrap.dedent(
+        """
+        from polysmash.chains import ChainComplex, MalformedComplexError, homology
+
+        d = [[(0, 1)]]
+        cc = ChainComplex({0: ["a"], 1: ["e"], 2: ["f"]}, {1: d, 2: d}, check=False)
+        try:
+            homology(cc)
+        except MalformedComplexError as e:
+            print("raised:", e)
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised: d_1 o d_2 != 0\n", proc.stdout
 
 
 def test_checked_complex_is_not_checked_again(monkeypatch):
@@ -111,7 +154,7 @@ def test_checked_complex_is_not_checked_again(monkeypatch):
     homology(cc)
     homology(cc.shift(3))
     assert len(calls) == 1
-    unchecked = ChainComplex(cc.bases, cc.boundaries, check=False)
+    unchecked = ChainComplex(cc.bases, cc.columns, check=False)
     homology(unchecked)
     homology(unchecked)
     assert len(calls) == 2 and unchecked.dd_checked
@@ -213,11 +256,11 @@ def test_homology_matches_full_snf_on_scaled_complexes(K, data):
     # non-unit entries and torsion
     C = simplicial_chain_complex(K)
     scale = st.sampled_from([1, -1, 2, -2, 3, -3])
-    boundaries = {}
-    for n, M in C.boundaries.items():
+    columns = {}
+    for n, cols in C.columns.items():
         c = 2 if data is None else data.draw(scale)
-        boundaries[n] = SparseIntMatrix(M.rows, M.cols, {e: c * v for e, v in M.entries.items()})
-    scaled = ChainComplex(C.bases, boundaries)
+        columns[n] = [[(i, c * v) for i, v in col] for col in cols]
+    scaled = ChainComplex(C.bases, columns)
     assert homology(scaled) == homology_full_snf(scaled)
 
 
@@ -239,20 +282,18 @@ def dd_reference(C):
 def test_dd_check_matches_dense_products(K, data):
     # one boundary entry moved off its value (changed, zeroed or added)
     C = simplicial_chain_complex(K)
-    boundaries = dict(C.boundaries)
-    if boundaries:
+    columns = dict(C.columns)
+    if columns:
         if data is None:
             n, i, j, v = 2, 0, 0, 0
         else:
-            n = data.draw(st.sampled_from(sorted(boundaries)))
-            M = boundaries[n]
-            i, j = data.draw(st.integers(0, M.rows - 1)), data.draw(st.integers(0, M.cols - 1))
+            n = data.draw(st.sampled_from(sorted(columns)))
+            i = data.draw(st.integers(0, C.rank(n - 1) - 1))
+            j = data.draw(st.integers(0, C.rank(n) - 1))
             v = data.draw(st.integers(-2, 2))
-        M = boundaries[n]
-        entries = dict(M.entries)
-        entries[i, j] = v
-        boundaries[n] = SparseIntMatrix(M.rows, M.cols, entries)
-    broken = ChainComplex(C.bases, boundaries, check=False)
+        cols = columns[n] = list(columns[n])
+        cols[j] = [(r, w) for r, w in cols[j] if r != i] + ([(i, v)] if v else [])
+    broken = ChainComplex(C.bases, columns, check=False)
     bad = dd_reference(broken)
     if bad is None:
         broken.check_dd_zero()
@@ -281,3 +322,111 @@ def test_reduction_leaves_little_for_snf(monkeypatch):
     assert sum(len(M.entries) for M in C.boundaries.values()) == 20952
     assert homology(C) == {8: HomologyGroup(0, (2,))}
     assert sum(seen) < 100
+
+
+# -- the mask builder against the tuple reference -----------------------------
+
+
+def assert_matches_reference(C, R, m):
+    """Decoded bases, every column (entries in the reference's order) and
+    the homology are those of the tuple-built reference R."""
+    assert {n: [face_of_mask(f, m) for f in fs] for n, fs in C.bases.items()} == R.bases
+    assert C.columns == R.columns
+    assert C.boundaries == R.boundaries
+    assert homology(C) == homology(R)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_complexes(max_m=7))
+@example(RP2)
+@example(empty_complex(3))
+def test_simplicial_chain_complex_matches_tuple_reference(K):
+    assert_matches_reference(
+        simplicial_chain_complex(K), chains_reference.simplicial_chain_complex(K), K.m
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_complexes(max_m=5), st.data())
+@example(RP2, None)
+def test_reduction_model_matches_tuple_reference(K, data):
+    J = (1, 1, 0, 0, 0, 0) if data is None else data.draw(small_j(K.m))
+    KJ, _ = double_iterated(K, J)
+    faces_by_size = {}
+    for f in KJ.faces():
+        faces_by_size.setdefault(len(f), []).append(f)
+    R = chain_complex_of_faces(faces_by_size)
+    assert_matches_reference(reduction_path_model(K, J), R, KJ.m)
+
+
+@st.composite
+def embedded_complexes(draw):
+    """A random K realized on scaled, permuted and translated unit vectors
+    of Q^m, so that sorted point order relabels its vertices."""
+    K = draw(drawn_complexes(max_m=7))
+    m = K.m
+    axis = draw(st.permutations(range(m)))
+    scale = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+    offset = draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m))
+    point = {
+        v: tuple(offset[c] + (scale[v - 1] if axis[v - 1] == c else 0) for c in range(m))
+        for v in range(1, m + 1)
+    }
+    return EmbeddedComplex.from_simplices(
+        m, [frozenset(point[v] for v in f) for f in K.facets]
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(embedded_complexes())
+def test_embedded_chain_complex_matches_tuple_reference(X):
+    assert_matches_reference(
+        X.chain_complex(),
+        chains_reference.embedded_chain_complex(X),
+        max(len(X.vertices()), 1),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn_complexes(max_m=7), st.data())
+@example(RP2, None)
+def test_flipped_coefficient_fails_dd_check(K, data):
+    # flipping the entry of d_n at row g negates one term of d_{n-1} d_n on
+    # that column, which then reads -2 v d_{n-1}(g) != 0 for n >= 1, while
+    # d_{n-2} d_{n-1} is untouched: the check fails first in degree n - 1
+    C = simplicial_chain_complex(K)
+    degrees = [n for n in C.columns if n >= 1]
+    assume(degrees)
+    if data is None:
+        n, j, k = 1, 0, 0
+    else:
+        n = data.draw(st.sampled_from(degrees))
+        j = data.draw(st.integers(0, C.rank(n) - 1))
+        k = data.draw(st.integers(0, len(C.columns[n][j]) - 1))
+    columns = dict(C.columns)
+    cols = columns[n] = list(columns[n])
+    cols[j] = [(i, -v if p == k else v) for p, (i, v) in enumerate(cols[j])]
+    broken = ChainComplex(C.bases, columns, check=False)
+    with pytest.raises(MalformedComplexError, match=rf"^d_{n - 1} o d_{n} != 0$"):
+        broken.check_dd_zero()
+    assert not broken.dd_checked
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn_complexes(max_m=7), st.data())
+@example(RP2, None)
+def test_out_of_range_row_fails_construction(K, data):
+    C = simplicial_chain_complex(K)
+    assume(C.columns)
+    if data is None:
+        n, j, k, row = 0, 0, 0, 1
+    else:
+        n = data.draw(st.sampled_from(sorted(C.columns)))
+        j = data.draw(st.integers(0, C.rank(n) - 1))
+        k = data.draw(st.integers(0, len(C.columns[n][j]) - 1))
+        row = data.draw(st.sampled_from([C.rank(n - 1), C.rank(n - 1) + 5, -1]))
+    columns = dict(C.columns)
+    cols = columns[n] = list(columns[n])
+    cols[j] = [(row if p == k else i, v) for p, (i, v) in enumerate(cols[j])]
+    with pytest.raises(MalformedComplexError, match=f"row outside C_{n - 1}"):
+        ChainComplex(C.bases, columns, check=False)
