@@ -7,20 +7,23 @@ exactly.  The standard configuration lives on integer points: its unit
 vectors and block barycenters scaled by L = k + 1, which changes no
 incidence, containment or volume ratio.  Affine independence and
 determinants run fraction-free Bareiss elimination on rows scaled to
-integers.  Proper intersection is proved first by a separating
-functional, one integer dot product per vertex; the exact LP, which pivots
-an integer tableau, runs only when that functional proves nothing, and
-finds the witness of an improper pair.  Point-in-simplex and barycentric
-coordinates go through a BarycentricFrame, which factors a reference
-simplex once, so each point against it costs one integer mat-vec.  The psi
-maps compute on integer numerators over one common denominator.  Fractions
-are built only for answers: coordinates, volume ratios and psi values.  No
-floats.
+integers.  Proper intersection has two routes: a separating functional,
+one integer dot product per vertex, then, only when that functional proves
+nothing, the exact LP, which pivots an integer tableau and finds the
+witness of an improper pair.  geometric_join only builds a join; joinable
+decides whether it is geometric.  A verifier that needs both reads the
+pairs joinable decided instead of testing them again, so each proper
+intersection and each containment is decided once per verifier call.
+Point-in-simplex and barycentric coordinates go through a
+BarycentricFrame, which factors a reference simplex once, so each point
+against it costs one integer mat-vec.  The psi maps compute on integer
+numerators over one common denominator.  Fractions are built only for
+answers: coordinates, volume ratios and psi values.  No floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -253,17 +256,10 @@ def empty_embedded(ambient):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class JoinCertificate:
-    ok: bool
-    failures: list = field(default_factory=list)  # dicts with kind/simplices/witness
-
-
 def proper_intersection(simplex_a, simplex_b):
     """conv(A) n conv(B) == conv(A n B), decided exactly.
 
-    Faces of a common simplex always intersect properly.  Otherwise a
-    separating functional is tried first (see _separated); it proves
+    A separating functional is tried first (see _separated); it proves
     properness with one dot product per vertex.  When it declines, an exact
     LP maximizes the total barycentric mass on non-shared vertices over all
     pairs of representations of a common point: proper iff the maximum is 0
@@ -275,8 +271,6 @@ def proper_intersection(simplex_a, simplex_b):
     if not A or not B:
         return True, None
     shared = set(A) & set(B)
-    if affinely_independent(set(A) | set(B)):
-        return True, None
     if _separated(A, B, shared):
         return True, None
     n = len(A[0])
@@ -371,19 +365,20 @@ def _vdot(u, v):
 def joinable(X: EmbeddedComplex, Y: EmbeddedComplex):
     """Decide geometric joinability of two embedded complexes.
 
-    (a) every pair of simplices (one from each side) has an affinely
-    independent combined vertex set, and (b) every two of the resulting join
-    simplices intersect properly.  Returns (bool, JoinCertificate).
+    (a) every pair of simplices (one from each side) is disjoint with an
+    affinely independent combined vertex set, and (b) every two of the
+    resulting join simplices intersect properly.  Returns (ok, failures),
+    failures a list of dicts with kind, simplices and, for an improper
+    intersection, its witness.
     """
     if X.ambient != Y.ambient:
         raise ValueError("ambient dimension mismatch")
-    cert = JoinCertificate(True)
+    failures = []
     join_simplices = []
     for s in X.maximal:
         for t in Y.maximal:
             if s & t or not affinely_independent(s | t):
-                cert.ok = False
-                cert.failures.append(
+                failures.append(
                     {"kind": "affine dependence", "simplices": (sorted(s), sorted(t))}
                 )
             else:
@@ -391,35 +386,35 @@ def joinable(X: EmbeddedComplex, Y: EmbeddedComplex):
     for sa, sb in combinations(join_simplices, 2):
         ok, witness = proper_intersection(sa, sb)
         if not ok:
-            cert.ok = False
-            cert.failures.append(
+            failures.append(
                 {
                     "kind": "improper intersection",
                     "simplices": (sorted(sa), sorted(sb)),
                     "witness": witness,
                 }
             )
-    return cert.ok, cert
+    return not failures, failures
 
 
-def geometric_join(X: EmbeddedComplex, Y: EmbeddedComplex, check=True):
-    """Join simplices pairwise; carrier is all convex combinations."""
-    if check:
-        ok, cert = joinable(X, Y)
-        if not ok:
-            raise ValueError(f"not geometrically joinable: {cert.failures[:1]}")
+def geometric_join(X: EmbeddedComplex, Y: EmbeddedComplex):
+    """The complex of the joined simplices s | t, s in X and t in Y.
+
+    Only builds: whether the join is geometric (its carrier is all convex
+    combinations, and the joined simplices meet properly) is joinable's
+    decision, which the verifiers call where they need it.
+    """
     return EmbeddedComplex.from_simplices(
         X.ambient, [s | t for s in X.maximal for t in Y.maximal]
     )
 
 
-def geometric_join_many(parts, check=True):
+def geometric_join_many(parts):
     parts = list(parts)
     if not parts:
         raise ValueError("empty join")
     out = parts[0]
     for nxt in parts[1:]:
-        out = geometric_join(out, nxt, check=check)
+        out = geometric_join(out, nxt)
     return out
 
 
@@ -499,9 +494,7 @@ def sigma_complexes(config: StandardConfig, sigma):
         delta_sigma = EmbeddedComplex.from_simplices(
             n, [frozenset(p for i in sigma for p in config.block(i))]
         )
-        s_sigma = geometric_join_many(
-            [config.sphere(i) for i in sigma], check=False
-        )
+        s_sigma = geometric_join_many([config.sphere(i) for i in sigma])
         a_sigma = EmbeddedComplex.from_simplices(
             n, [frozenset(config.scaled_a(i) for i in sigma)]
         )
@@ -510,7 +503,7 @@ def sigma_complexes(config: StandardConfig, sigma):
         s_sigma = empty_embedded(n)
         a_sigma = empty_embedded(n)
     if comp:
-        s_star = geometric_join_many([config.sphere(j) for j in comp], check=False)
+        s_star = geometric_join_many([config.sphere(j) for j in comp])
     else:
         s_star = empty_embedded(n)
     return delta_sigma, s_sigma, s_star, a_sigma
@@ -528,45 +521,6 @@ def realization_AK(config: StandardConfig, K):
             raise ValueError("barycenters unexpectedly dependent")
         sims.append(pts)
     return EmbeddedComplex.from_simplices(config.n, sims)
-
-
-# ---------------------------------------------------------------------------
-# carrier-equality certification (containment + properness + volume)
-# ---------------------------------------------------------------------------
-
-
-def tiling_check(pieces, frame):
-    """Certify that a family of top-dimensional simplices tiles the simplex
-    of a BarycentricFrame.
-
-    pieces must pairwise intersect properly, every vertex must lie in the
-    simplex, and the volume ratios against it must sum to the expected total
-    (returned for the caller to compare).  Returns (ok, failures,
-    total_ratio).
-    """
-    failures = []
-    total = F(0)
-    for s in pieces:
-        r = frame.volume_ratio(s)
-        if r is None:
-            failures.append({"kind": "outside affine hull", "simplex": sorted(s)})
-            continue
-        total += r
-    for sa, sb in combinations(pieces, 2):
-        ok, witness = proper_intersection(sa, sb)
-        if not ok:
-            failures.append(
-                {
-                    "kind": "improper intersection",
-                    "simplices": (sorted(sa), sorted(sb)),
-                    "witness": witness,
-                }
-            )
-    for s in pieces:
-        for p in s:
-            if not frame.contains(p):
-                failures.append({"kind": "vertex outside the simplex", "point": p})
-    return not failures, failures, total
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +550,7 @@ def verify_gji(config: StandardConfig, sigma) -> VerificationReport:
                 continue
             ok, _ = joinable(acc, member)
             ok_all = ok_all and ok
-            acc = geometric_join(acc, member, check=False)
+            acc = geometric_join(acc, member)
         report.add(Check(f"collection {name} joinable", ok_all, "joinable",
                          "joinable" if ok_all else "not joinable", "gji"))
     return report
@@ -612,22 +566,32 @@ def verify_gjs(config: StandardConfig, sigma) -> VerificationReport:
     report = VerificationReport(f"gjs m={config.m} k={config.k} sigma={sigma}")
     delta_sigma, s_sigma, _, a_sigma = sigma_complexes(config, sigma)
 
-    ok, _ = joinable(a_sigma, s_sigma)
+    ok, failures = joinable(a_sigma, s_sigma)
     report.add(Check("a_sigma joinable to S_sigma", ok, "joinable",
                      "joinable" if ok else "not joinable", "gjs"))
-    join = geometric_join(a_sigma, s_sigma, check=False)
+    # a_sigma is one simplex, so the pieces are exactly the join simplices
+    # whose pairs joinable has just tested for proper intersection
+    pieces = list(geometric_join(a_sigma, s_sigma).maximal)
+    improper = sum(f["kind"] == "improper intersection" for f in failures)
 
-    # Delta_sigma is one simplex, factored once
+    # Delta_sigma is one simplex, factored once; containment is decided once
+    # per join vertex, and a piece lies inside iff its vertices do
     frame = BarycentricFrame(sorted(next(iter(delta_sigma.maximal))))
-    verts_ok = all(frame.contains(p) for p in join.vertices())
+    verts = {p for s in pieces for p in s}
+    inside = {p for p in verts if frame.contains(p)}
+    verts_ok = inside == verts
     report.add(Check("join vertices inside Delta_sigma", verts_ok, "contained",
                      "contained" if verts_ok else "outside", "gjs"))
 
     # at k = 0, S_sigma is the empty space and the join is a_sigma itself;
     # either way the pieces tile Delta_sigma, of normalized volume 1
-    ok, failures, total = tiling_check(list(join.maximal), frame)
-    report.add(Check("pieces intersect properly and stay inside", ok,
-                     "no violations", f"{len(failures)} violations", "gjs"))
+    ratios = [frame.volume_ratio(s) for s in pieces]
+    total = sum(r for r in ratios if r is not None)
+    violations = (
+        ratios.count(None) + improper + sum(p not in inside for s in pieces for p in s)
+    )
+    report.add(Check("pieces intersect properly and stay inside", not violations,
+                     "no violations", f"{violations} violations", "gjs"))
     report.add(Check("volume identity (tiling of Delta_sigma)", total == 1, "1",
                      str(total), "gjs"))
     return report
@@ -642,8 +606,8 @@ def verify_W_union(config: StandardConfig, K) -> VerificationReport:
     union_simplices = set()
     for sigma in K.faces():
         delta_sigma, _, s_star, a_sigma = sigma_complexes(config, sigma)
-        side_a = geometric_join(delta_sigma, s_star, check=False)
-        side_b = geometric_join(a_sigma, s_full, check=False)
+        side_a = geometric_join(delta_sigma, s_star)
+        side_b = geometric_join(a_sigma, s_full)
         union_simplices.update(side_b.maximal)
         ok = carrier_equal(side_a, side_b)
         report.add(Check(f"W_sigma two presentations agree, sigma={sorted(sigma)}",
@@ -677,10 +641,12 @@ def _carrier_refined_by(A, B):
     pieces_b = [s for s in B.maximal if s]
     if not pieces_a or not pieces_b:
         return A.maximal == B.maximal
+    verts_b = {p for Q in pieces_b for p in Q}
     assigned = set()
     for P in pieces_a:
         frame = BarycentricFrame(sorted(P))
-        tiles = [Q for Q in pieces_b if all(frame.contains(p) for p in Q)]
+        inside = {p for p in verts_b if frame.contains(p)}
+        tiles = [Q for Q in pieces_b if Q <= inside]
         total = F(0)
         for Q in tiles:
             assigned.add(Q)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from polysmash import geomjoin
 from polysmash.chains import homology, simplicial_chain_complex
+from polysmash.cli import main
 from polysmash.complexes import empty_complex, from_facets, full_simplex, simplex_boundary
 from polysmash.exactlin import bareiss, lp_max, rank_rational
 from polysmash.geomjoin import (
@@ -142,9 +143,9 @@ def test_proper_intersection_lps_match_reference(monkeypatch):
         assert res == reference_lp_max(P)
 
 
-def test_small_configs_never_reach_the_lp(monkeypatch):
-    # the separating functional proves every pair the verifiers meet at
-    # m <= 2, k <= 2 proper
+def count_functional_and_lps(monkeypatch):
+    """(accepted, lps): every answer of the separating functional and every
+    LP, recorded while the caller runs."""
     lps, accepted = [], []
     separated = geomjoin._separated
 
@@ -155,9 +156,41 @@ def test_small_configs_never_reach_the_lp(monkeypatch):
 
     monkeypatch.setattr(geomjoin, "_separated", counting)
     monkeypatch.setattr(geomjoin, "lp_max", lambda P: lps.append(P))
+    return accepted, lps
+
+
+def test_small_configs_never_reach_the_lp(monkeypatch):
+    # the separating functional proves every pair the verifiers meet at
+    # m <= 2, k <= 2 proper
+    accepted, lps = count_functional_and_lps(monkeypatch)
     verify_small_configs()
     assert lps == []
     assert len(accepted) >= 50 and all(accepted)
+
+
+def test_geometry_sweep_never_reaches_the_lp(monkeypatch):
+    # the CLI's sweep at m <= 3, k <= 2, W on the boundary of the 2-simplex
+    # included (the grid only sizes the map checks): no benchmark workload
+    # reaches the LP, so this count is what shows the standard configuration
+    # falling back to it
+    accepted, lps = count_functional_and_lps(monkeypatch)
+    assert main(["verify", "geometry", "--m", "3", "--k", "2", "--grid", "1"]) == 0
+    assert lps == []
+    assert len(accepted) >= 2000 and all(accepted)
+
+
+def test_independent_pair_the_functional_declines_goes_to_the_lp(monkeypatch):
+    # the vertices of A and B are affinely independent, so the segments meet
+    # properly (in nothing), but the centroid difference does not separate
+    # them: the exact LP decides the pair
+    a = [pt(0, 0, 0), pt(10, 0, 0)]
+    b = [pt(9, 1, 0), pt(-100, 0, 1)]
+    assert affinely_independent(a + b)
+    assert not geomjoin._separated(sorted(a), sorted(b), set())
+    lps = []
+    monkeypatch.setattr(geomjoin, "lp_max", lambda P: lps.append(P) or lp_max(P))
+    assert proper_intersection(a, b) == (True, None)
+    assert len(lps) == 1
 
 
 def test_t_touch_is_improper():
@@ -226,15 +259,17 @@ def test_joinable_positive_and_negative():
     B = EmbeddedComplex.from_simplices(
         2, [frozenset({pt(1, 1)}), frozenset({pt(1, 0)})]
     )
-    ok, cert = joinable(A, B)
+    ok, failures = joinable(A, B)
     assert not ok
-    assert any(f["kind"] == "improper intersection" for f in cert.failures)
+    assert any(f["kind"] == "improper intersection" for f in failures)
+    # geometric_join only builds: it returns the four segments all the same
+    assert len(geometric_join(A, B).maximal) == 4
     # collinear combination: affine dependence failure
     P = embedded_point(pt(0, 0))
     Q = EmbeddedComplex.from_simplices(2, [frozenset({pt(1, 1), pt(2, 2)})])
-    ok, cert = joinable(P, Q)
+    ok, failures = joinable(P, Q)
     assert not ok
-    assert any(f["kind"] == "affine dependence" for f in cert.failures)
+    assert any(f["kind"] == "affine dependence" for f in failures)
 
 
 def test_join_with_empty_space_is_identity():
@@ -378,6 +413,22 @@ def test_verify_gjs_failure_counts_are_pinned(monkeypatch):
             ("pieces intersect properly and stay inside", False,
              f"{violations} violations"),
             ("volume identity (tiling of Delta_sigma)", False, "0"),
+        ], sigma
+
+
+def test_verify_gjs_reads_improper_pairs_from_joinable(monkeypatch):
+    # every join pair called improper: joinability fails, and each improper
+    # pair is one violation of the tiling, counted once
+    monkeypatch.setattr(geomjoin, "proper_intersection", lambda a, b: (False, None))
+    cfg = standard_config(2, 1)
+    for sigma, pairs in [((1,), 1), ((1, 2), 6)]:
+        checks = [(c.name, c.passed, c.actual) for c in verify_gjs(cfg, sigma).checks]
+        assert checks == [
+            ("a_sigma joinable to S_sigma", False, "not joinable"),
+            ("join vertices inside Delta_sigma", True, "contained"),
+            ("pieces intersect properly and stay inside", False,
+             f"{pairs} violations"),
+            ("volume identity (tiling of Delta_sigma)", True, "1"),
         ], sigma
 
 
