@@ -19,18 +19,8 @@ from . import complexes as cxm
 from .chains import MalformedComplexError, homology, simplicial_chain_complex
 from .complexes import SimplicialComplex, double_iterated, from_facets, random_complex
 from .exactlin import InvariantError
-from .geomjoin import (
-    eval_psi,
-    eval_psi_inverse,
-    naturality_check_k0,
-    simplex_grid,
-    standard_config,
-    unit_grid,
-    verify_gji,
-    verify_gjs,
-    verify_W_union,
-)
-from .report import Check, VerificationReport
+from .geomjoin import standard_config, verify_gji, verify_gjs, verify_maps, verify_W_union
+from .report import VerificationReport
 from .smashmodel import (
     direct_smash_model,
     expected_homology,
@@ -254,38 +244,7 @@ def _verify_geometry(args, report):
                 corpus.append(cxm.simplex_boundary(m - 1))
             for K in corpus:
                 report.extend(verify_W_union(cfg, K))
-    _verify_maps(args, report)
-
-
-def _verify_maps(args, report):
-    grid_d = args.grid
-    for n in range(1, 5):
-        xs = simplex_grid(n, grid_d)
-        lams = unit_grid(grid_d)
-        seam_ok = all(
-            eval_psi(n, x, Fraction(1, 2)) == tuple(x) for x in xs
-        )
-        report.add(Check(f"psi seam agreement n={n}", seam_ok, "x at lam=1/2",
-                         "ok" if seam_ok else "mismatch", "Psidef"))
-        outer_ok = all(max(eval_psi(n, x, 1)) == 2 for x in xs)
-        report.add(Check(f"psi(.,1) hits the outer boundary n={n}", outer_ok,
-                         "max coord 2", "ok" if outer_ok else "mismatch", "CD"))
-        round_ok = all(
-            eval_psi_inverse(n, eval_psi(n, x, lam)) == (tuple(x), lam)
-            for x in xs
-            for lam in lams
-            if lam > 0
-        )
-        report.add(Check(f"psi round trip n={n}", round_ok, "identity",
-                         "ok" if round_ok else "mismatch", "Psidef"))
-    for l in range(1, 5):
-        for p in range(1, l + 1):
-            samples = [
-                (x, lam)
-                for x in simplex_grid(p, min(grid_d, 4))
-                for lam in unit_grid(min(grid_d, 4))
-            ]
-            report.extend(naturality_check_k0(p, l, samples))
+    report.extend(verify_maps(args.grid))
 
 
 def _check_at_least(*bounds):

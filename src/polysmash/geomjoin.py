@@ -17,8 +17,11 @@ intersection and each containment is decided once per verifier call.
 Point-in-simplex and barycentric coordinates go through a
 BarycentricFrame, which factors a reference simplex once, so each point
 against it costs one integer mat-vec.  The psi maps compute on integer
-numerators over one common denominator.  Fractions are built only for
-answers: coordinates, volume ratios and psi values.  No floats.
+numerators over one common denominator, and the map checks (verify_maps)
+compare those numerators by cross-multiplication over a grid generated in
+lowest terms; only eval_psi and eval_psi_inverse build Fractions from them.
+Otherwise Fractions are built only for answers: coordinates and volume
+ratios.  No floats.
 """
 
 from __future__ import annotations
@@ -488,25 +491,40 @@ def sigma_complexes(config: StandardConfig, sigma):
     """(Delta_sigma, S_sigma, S*_sigma, a_sigma) for sigma a subset of [m],
     on the configuration's integer points."""
     sigma = sorted(set(sigma))
-    comp = [i for i in range(1, config.m + 1) if i not in sigma]
-    n = config.n
-    if sigma:
-        delta_sigma = EmbeddedComplex.from_simplices(
-            n, [frozenset(p for i in sigma for p in config.block(i))]
-        )
-        s_sigma = geometric_join_many([config.sphere(i) for i in sigma])
-        a_sigma = EmbeddedComplex.from_simplices(
-            n, [frozenset(config.scaled_a(i) for i in sigma)]
-        )
-    else:
-        delta_sigma = empty_embedded(n)
-        s_sigma = empty_embedded(n)
-        a_sigma = empty_embedded(n)
-    if comp:
-        s_star = geometric_join_many([config.sphere(j) for j in comp])
-    else:
-        s_star = empty_embedded(n)
-    return delta_sigma, s_sigma, s_star, a_sigma
+    comp = [j for j in range(1, config.m + 1) if j not in sigma]
+    spheres = [config.sphere(i) for i in range(1, config.m + 1)]
+    return (
+        _delta_sigma(config, sigma),
+        _sphere_join(config, spheres, sigma),
+        _sphere_join(config, spheres, comp),
+        _a_sigma(config, sigma),
+    )
+
+
+def _delta_sigma(config, sigma):
+    """Delta_sigma: one simplex on the blocks of sigma, empty if sigma is."""
+    if not sigma:
+        return empty_embedded(config.n)
+    return EmbeddedComplex.from_simplices(
+        config.n, [frozenset(p for i in sigma for p in config.block(i))]
+    )
+
+
+def _a_sigma(config, sigma):
+    """a_sigma: the simplex on the barycenters a_i, i in sigma."""
+    if not sigma:
+        return empty_embedded(config.n)
+    return EmbeddedComplex.from_simplices(
+        config.n, [frozenset(config.scaled_a(i) for i in sigma)]
+    )
+
+
+def _sphere_join(config, spheres, indices):
+    """The join of the block spheres spheres[i - 1], i in indices; the empty
+    space if there are none."""
+    if not indices:
+        return empty_embedded(config.n)
+    return geometric_join_many([spheres[i - 1] for i in indices])
 
 
 def realization_AK(config: StandardConfig, K):
@@ -602,12 +620,14 @@ def verify_W_union(config: StandardConfig, K) -> VerificationReport:
     carriers; the union over K has the homology of the km-fold suspension."""
     report = VerificationReport(f"W m={config.m} k={config.k}")
     full = list(range(1, config.m + 1))
-    _, s_full, _, _ = sigma_complexes(config, full)
+    # each block sphere is built once and shared by S_[m] and every S*_sigma
+    spheres = [config.sphere(i) for i in full]
+    s_full = _sphere_join(config, spheres, full)
     union_simplices = set()
     for sigma in K.faces():
-        delta_sigma, _, s_star, a_sigma = sigma_complexes(config, sigma)
-        side_a = geometric_join(delta_sigma, s_star)
-        side_b = geometric_join(a_sigma, s_full)
+        s_star = _sphere_join(config, spheres, [j for j in full if j not in sigma])
+        side_a = geometric_join(_delta_sigma(config, sigma), s_star)
+        side_b = geometric_join(_a_sigma(config, sigma), s_full)
         union_simplices.update(side_b.maximal)
         ok = carrier_equal(side_a, side_b)
         report.add(Check(f"W_sigma two presentations agree, sigma={sorted(sigma)}",
@@ -674,13 +694,29 @@ def eval_psi(n, x, lam):
 
     x is barycentric on the (n-1)-simplex, lam in [0, 1]; lam <= 1/2 scales
     to the inner half, lam >= 1/2 pushes out until the largest coordinate
-    reaches 2.  With x = X / D over one common denominator D and lam = p / q,
-    the scale is 2 p / q on the inner half and
-    ((2q - 2p) M + 2 D (2p - q)) / (q M) outside it, M = max X.
+    reaches 2.  A Fraction view of _psi.
     """
     D, X = _scaled([_rational(c) for c in x])
     lam = _rational(lam)
-    p, q = lam.numerator, lam.denominator
+    Y, E = _psi(n, X, D, lam.numerator, lam.denominator)
+    return tuple(F(c, E) for c in Y)
+
+
+def eval_psi_inverse(n, y):
+    """Inverse of eval_psi; y = 0 returns the barycenter at lam = 0.  A
+    Fraction view of _psi_inverse."""
+    D, Y = _scaled([_rational(c) for c in y])
+    (X, S), (a, b) = _psi_inverse(n, Y, D)
+    return tuple(F(c, S) for c in X), F(a, b)
+
+
+def _psi(n, X, D, p, q):
+    """psi on integers: x = X / D (D > 0) and lam = p / q (q > 0) give
+    psi(x, lam) = Y / E, returned as (Y, E).
+
+    With M = max X, the scale is 2 p / q on the inner half and
+    ((2q - 2p) M + 2 D (2p - q)) / (q M) outside it.
+    """
     if len(X) != n:
         raise ValueError("x has wrong length")
     if any(c < 0 for c in X) or sum(X) != D:
@@ -692,54 +728,108 @@ def eval_psi(n, x, lam):
     else:
         M = max(X)
         num, den = (2 * q - 2 * p) * M + 2 * D * (2 * p - q), q * M * D
-    return tuple(F(num * c, den) for c in X)
+    return [num * c for c in X], den
 
 
-def eval_psi_inverse(n, y):
-    """Inverse of eval_psi; y = 0 returns the barycenter at lam = 0.
+def _psi_inverse(n, Y, E):
+    """The inverse of psi on integers: y = Y / E (E > 0) gives
+    ((X, S), (a, b)) with x = X / S and lam = a / b.
 
-    With y = Y / D, S = sum Y and M = max Y: x = Y / S, and lam = S / 2D when
-    S <= D, else (S M - 2 D M + 2 D S) / (2 D (2S - M)), which solves
-    S / D = (2 - 2 lam) + (2 lam - 1) 2 S / M for lam.
+    With S = sum Y and M = max Y: x = Y / S, and lam = S / 2E when S <= E,
+    else (S M - 2 E M + 2 E S) / (2 E (2S - M)), which solves
+    S / E = (2 - 2 lam) + (2 lam - 1) 2 S / M for lam.  Both are
+    homogeneous in (Y, E), so any common denominator gives the same point.
     """
-    D, Y = _scaled([_rational(c) for c in y])
     if len(Y) != n:
         raise ValueError("y has wrong length")
-    if any(c < 0 or c > 2 * D for c in Y):
+    if any(c < 0 or c > 2 * E for c in Y):
         raise ValueError("y outside the cube [0, 2]^n")
     S = sum(Y)
     if S == 0:
-        return tuple(F(1, n) for _ in range(n)), F(0)
-    x = tuple(F(c, S) for c in Y)
-    if S <= D:
-        lam = F(S, 2 * D)
-    else:
-        M = max(Y)
-        lam = F(S * M - 2 * D * M + 2 * D * S, 2 * D * (2 * S - M))
-    return x, lam
-
-
-def pad_zeros(x, total):
-    return tuple(x) + (F(0),) * (total - len(x))
+        return ([1] * n, n), (0, 1)
+    if S <= E:
+        return (Y, S), (S, 2 * E)
+    M = max(Y)
+    return (Y, S), (S * M - 2 * E * M + 2 * E * S, 2 * E * (2 * S - M))
 
 
 def naturality_check_k0(p, l, samples) -> VerificationReport:
     """Coordinate-inclusion naturality of the cube reparametrization:
-    padding with zeros before or after eval_psi gives the same point."""
+    padding with zeros before or after psi gives the same point."""
+    def numerators():
+        for x, lam in samples:
+            D, X = _scaled([_rational(c) for c in x])
+            lam = _rational(lam)
+            yield X, D, lam.numerator, lam.denominator
+
+    return _naturality(p, l, numerators())
+
+
+def _naturality(p, l, samples):
+    """naturality_check_k0 on integer samples (X, D, a, b), x = X / D and
+    lam = a / b: psi_l(x, 0...0) and (psi_p(x), 0...0) are compared by
+    cross-multiplication."""
     if not 1 <= p <= l:
         raise ValueError("need 1 <= p <= l")
     report = VerificationReport(f"naturality p={p} l={l}")
-    bad = []
-    count = 0
-    for x, lam in samples:
+    pad = [0] * (l - p)
+    count = bad = 0
+    for X, D, a, b in samples:
         count += 1
-        lhs = eval_psi(l, pad_zeros(x, l), lam)
-        rhs = pad_zeros(eval_psi(p, x, lam), l)
-        if lhs != rhs:
-            bad.append((x, lam, lhs, rhs))
+        lhs, e_lhs = _psi(l, list(X) + pad, D, a, b)
+        rhs, e_rhs = _psi(p, X, D, a, b)
+        bad += any(u * e_rhs != v * e_lhs for u, v in zip(lhs, rhs + pad))
     report.add(Check(f"psi naturality on {count} samples", not bad,
-                     "all equal", f"{len(bad)} mismatches", "naturality k=0"))
+                     "all equal", f"{bad} mismatches", "naturality k=0"))
     return report
+
+
+def verify_maps(grid) -> VerificationReport:
+    """The cube maps on rational grids of denominators up to grid, for
+    n <= 4: the seam at lam = 1/2, the outer boundary at lam = 1, the round
+    trip psi^-1 o psi = id for lam > 0, and naturality under padding (on
+    the grid capped at 4).  Every identity compares integer numerators by
+    cross-multiplication."""
+    report = VerificationReport(f"maps grid={grid}")
+    # lam > 0 only: psi(., 0) is the cone point, which psi^-1 sends to the
+    # barycenter whatever x was
+    lams = _unit_numerators(grid)[1:]
+    for n in range(1, 5):
+        xs = _simplex_numerators(n, grid)
+        seam_ok = True
+        outer_ok = True
+        for X, D in xs:
+            Y, E = _psi(n, X, D, 1, 2)
+            seam_ok &= all(y * D == c * E for y, c in zip(Y, X))
+            Y, E = _psi(n, X, D, 1, 1)
+            outer_ok &= max(Y) == 2 * E
+        report.add(Check(f"psi seam agreement n={n}", seam_ok, "x at lam=1/2",
+                         "ok" if seam_ok else "mismatch", "Psidef"))
+        report.add(Check(f"psi(.,1) hits the outer boundary n={n}", outer_ok,
+                         "max coord 2", "ok" if outer_ok else "mismatch", "CD"))
+        round_ok = all(
+            _round_trip(n, X, D, a, b) for X, D in xs for a, b in lams
+        )
+        report.add(Check(f"psi round trip n={n}", round_ok, "identity",
+                         "ok" if round_ok else "mismatch", "Psidef"))
+    small = min(grid, 4)
+    small_lams = _unit_numerators(small)
+    for l in range(1, 5):
+        for p in range(1, l + 1):
+            samples = [
+                (X, D, a, b)
+                for X, D in _simplex_numerators(p, small)
+                for a, b in small_lams
+            ]
+            report.extend(_naturality(p, l, samples))
+    return report
+
+
+def _round_trip(n, X, D, a, b):
+    """psi^-1(psi(X / D, a / b)) = (X / D, a / b), by cross-multiplication."""
+    Y, E = _psi(n, X, D, a, b)
+    (X2, S), (a2, b2) = _psi_inverse(n, Y, E)
+    return a2 * b == a * b2 and all(u * D == c * S for u, c in zip(X2, X))
 
 
 # ---------------------------------------------------------------------------
@@ -749,12 +839,27 @@ def naturality_check_k0(p, l, samples) -> VerificationReport:
 
 def simplex_grid(n, max_denominator):
     """All barycentric points of the (n-1)-simplex with coordinates of the
-    form a/d, d <= max_denominator."""
-    pts = set()
-    for d in range(1, max_denominator + 1):
-        for comp in _compositions(d, n):
-            pts.add(tuple(F(a, d) for a in comp))
-    return sorted(pts)
+    form a/d, d <= max_denominator: the Fraction view of
+    _simplex_numerators."""
+    return [
+        tuple(F(c, d) for c in X) for X, d in _simplex_numerators(n, max_denominator)
+    ]
+
+
+def _simplex_numerators(n, max_denominator):
+    """Each point of simplex_grid once, in lowest terms, as (X, d) with
+    x = X / d: the compositions X of d <= max_denominator into n parts
+    whose entries have gcd 1."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if max_denominator < 1:
+        raise ValueError("need a denominator >= 1")
+    return [
+        (X, d)
+        for d in range(1, max_denominator + 1)
+        for X in _compositions(d, n)
+        if gcd(*X) == 1
+    ]
 
 
 def _compositions(total, parts):
@@ -767,4 +872,13 @@ def _compositions(total, parts):
 
 
 def unit_grid(denominator):
-    return [F(i, denominator) for i in range(denominator + 1)]
+    """i / denominator for i = 0, ..., denominator."""
+    return [F(a, b) for a, b in _unit_numerators(denominator)]
+
+
+def _unit_numerators(denominator):
+    """unit_grid in lowest terms as (a, b) pairs."""
+    if denominator < 1:
+        raise ValueError("need a denominator >= 1")
+    d = denominator
+    return [(i // gcd(i, d), d // gcd(i, d)) for i in range(d + 1)]

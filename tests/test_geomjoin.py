@@ -1,6 +1,9 @@
 """Geometric joins over Q^n: predicates, standard configuration, carrier
 equality, and the cube reparametrization psi."""
 
+import itertools
+import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -37,6 +40,7 @@ from polysmash.geomjoin import (
     unit_grid,
     verify_gji,
     verify_gjs,
+    verify_maps,
     verify_W_union,
 )
 
@@ -719,3 +723,158 @@ def test_any_accepted_functional_proves_properness(pair, h):
     h = h[: len(A[0])]
     if geomjoin._separates(h, pts[:na], pts[na:na + nb], pts[na + nb:]):
         assert ref.proper_intersection(A, B)[0]
+
+
+# -- the integer cube-map kernels and verify_maps -------------------------------------------
+
+
+def fraction_grid(n, max_denominator):
+    """The grid as a set of Fraction points, built from every tuple of
+    numerators that sums to its denominator."""
+    return {
+        tuple(F(a, d) for a in X)
+        for d in range(1, max_denominator + 1)
+        for X in itertools.product(range(d + 1), repeat=n)
+        if sum(X) == d
+    }
+
+
+def test_integer_grid_is_the_fraction_grid_once():
+    for n in range(1, 5):
+        for d in range(1, 9):
+            numerators = geomjoin._simplex_numerators(n, d)
+            points = [tuple(F(a, e) for a in X) for X, e in numerators]
+            assert len(set(points)) == len(points)
+            assert set(points) == fraction_grid(n, d)
+            # each point in lowest terms
+            assert all(sum(X) == e and math.gcd(*X) == 1 for X, e in numerators)
+            grid = simplex_grid(n, d)
+            assert len(set(grid)) == len(grid)
+            assert set(grid) == set(points)
+
+
+@pytest.mark.parametrize("n, d", [(0, 3), (-1, 2), (2, 0), (1, -3)])
+def test_simplex_grid_rejects_bad_sizes(n, d):
+    with pytest.raises(ValueError):
+        simplex_grid(n, d)
+
+
+@pytest.mark.parametrize("d", [0, -2])
+def test_unit_grid_rejects_bad_denominators(d):
+    with pytest.raises(ValueError):
+        unit_grid(d)
+
+
+@st.composite
+def integer_samples(draw, max_n=5, max_den=50):
+    """(X, D, a, b): x = X / D barycentric on the (n-1)-simplex and
+    lam = a / b in [0, 1], denominators up to max_den, not always in lowest
+    terms (both are scaled by a common factor up to 3)."""
+    n = draw(st.integers(1, max_n))
+    d = draw(st.integers(1, max_den))
+    cuts = sorted(draw(st.lists(st.integers(0, d), min_size=n - 1, max_size=n - 1)))
+    X = [b - a for a, b in zip([0] + cuts, cuts + [d])]
+    b = draw(st.integers(1, max_den))
+    a = draw(st.integers(0, b))
+    s, t = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return [s * c for c in X], s * d, t * a, t * b
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_samples(), st.integers(0, 2))
+@example(([1], 1, 1, 1), 2)
+@example(([0, 0, 1], 1, 1, 2), 1)
+@example(([37, 13], 50, 49, 50), 1)
+@example(([2, 2], 4, 0, 3), 0)
+def test_psi_kernels_match_reference(sample, extra):
+    X, D, a, b = sample
+    n = len(X)
+    x, lam = tuple(F(c, D) for c in X), F(a, b)
+    Y, E = geomjoin._psi(n, X, D, a, b)
+    y = tuple(F(c, E) for c in Y)
+    assert y == ref.eval_psi(n, x, lam)
+    (X2, S), (a2, b2) = geomjoin._psi_inverse(n, Y, E)
+    back = tuple(F(c, S) for c in X2), F(a2, b2)
+    assert back == ref.eval_psi_inverse(n, y)
+    if lam > 0:
+        assert back == (x, lam)
+        assert geomjoin._round_trip(n, X, D, a, b)
+    # naturality: padding by extra zeros before or after psi
+    l = n + extra
+    pad = (F(0),) * extra
+    agree = ref.eval_psi(l, x + pad, lam) == ref.eval_psi(n, x, lam) + pad
+    assert geomjoin._naturality(n, l, [(X, D, a, b)]).passed == agree
+
+
+def test_naturality_check_rejects_what_psi_rejects():
+    with pytest.raises(ValueError):
+        naturality_check_k0(3, 2, [])
+    for x, lam in [((F(1, 2), F(1, 4)), F(1, 2)), ((F(1),), F(1)), ((F(1), F(0)), 2)]:
+        with pytest.raises(ValueError):
+            naturality_check_k0(2, 3, [(x, lam)])
+
+
+def test_verify_maps_matches_the_cli_and_passes(capsys):
+    r = verify_maps(8)
+    assert r.passed
+    names = [c.name for c in r.checks]
+    assert len(names) == 12 + 10
+    assert main(["verify", "geometry", "--m", "0", "--grid", "8", "--json"]) == 0
+    cli_report = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in cli_report["checks"]] == names
+
+
+def failed_checks(report):
+    return {c.name for c in report.checks if not c.passed}
+
+
+def test_wrong_inverse_fails_the_round_trip(monkeypatch):
+    # the inner lam branch taken up to S <= 2E instead of S <= E; at n = 1
+    # psi is 2 lam on both halves, so only n >= 2 can see it
+    def wrong_inverse(n, Y, E):
+        (X, S), lam = real_inverse(n, Y, E)
+        return (X, S), ((S, 2 * E) if 0 < S <= 2 * E else lam)
+
+    real_inverse = geomjoin._psi_inverse
+    monkeypatch.setattr(geomjoin, "_psi_inverse", wrong_inverse)
+    assert failed_checks(verify_maps(8)) == {f"psi round trip n={n}" for n in (2, 3, 4)}
+
+
+def test_seam_scale_off_by_one_fails_the_seam(monkeypatch):
+    # the inner half scaled by (2p + 1) / q instead of 2p / q
+    def wrong_psi(n, X, D, p, q):
+        Y, E = real_psi(n, X, D, p, q)
+        if 2 * p <= q:
+            Y = [(2 * p + 1) * c for c in X]
+        return Y, E
+
+    real_psi = geomjoin._psi
+    monkeypatch.setattr(geomjoin, "_psi", wrong_psi)
+    failed = failed_checks(verify_maps(8))
+    assert {f"psi seam agreement n={n}" for n in range(1, 5)} <= failed
+    assert not any(name.startswith("psi(.,1)") for name in failed)
+
+
+def zeros_first(Y, E):
+    return [0] + Y[:-1]
+
+
+def last_coordinate_one(Y, E):
+    return Y[:-1] + [E]
+
+
+@pytest.mark.parametrize("misplace", [zeros_first, last_coordinate_one])
+def test_naturality_side_padded_wrongly_fails(monkeypatch, misplace):
+    # psi of a point whose last coordinate is 0 comes out padded wrongly:
+    # its zero moved first, or its last coordinate 1.  psi_l(x, 0...0) and
+    # (psi_p(x), 0...0) then disagree whenever l > p, and agree at l = p
+    def wrong_psi(n, X, D, p, q):
+        Y, E = real_psi(n, X, D, p, q)
+        if n > 1 and X[-1] == 0:
+            Y = misplace(Y, E)
+        return Y, E
+
+    real_psi = geomjoin._psi
+    monkeypatch.setattr(geomjoin, "_psi", wrong_psi)
+    natural = [c.passed for c in verify_maps(8).checks if c.location == "naturality k=0"]
+    assert natural == [p == l for l in range(1, 5) for p in range(1, l + 1)]
