@@ -5,10 +5,13 @@ empty face as a single degree -1 generator, so all homology here is reduced
 homology, including the convention H~_{-1}(empty space) = Z.
 
 A ChainComplex stores each boundary d_n as its columns, a (row, coeff) list
-per n-cell; the d o d check and the reduction below read them as they are,
-and SparseIntMatrix is built only for Smith normal form and boundary(n).
-simplicial_chain_complex labels faces by vertex bitmasks, in lexicographic
-order.
+per n-cell, and their transpose as coface lists, the n-cells meeting each
+(n-1)-cell.  One walk per degree, in ascending degree, checks the columns,
+records the coface lists and, when checking d o d = 0, pushes each column
+of d_n through d_{n-1}; the reduction below reads columns and coface lists
+as they are, and SparseIntMatrix is built only for Smith normal form and
+boundary(n).  simplicial_chain_complex labels faces by vertex bitmasks, in
+lexicographic order.
 
 homology() first deletes unit reduction pairs (Kaczynski-Mrozek-Slusarek
 1998; Mrozek-Batko 2009): cells a in C_{n-1} and b in C_n with
@@ -43,7 +46,15 @@ class ChainComplex:
 
     bases: {degree: [label, ...]}
     columns: {degree n: per cell of C_n, its boundary [(row, coeff), ...] on
-    distinct rows of C_{n-1} with nonzero coefficients}; kept, not copied.
+    distinct rows of C_{n-1} with nonzero int coefficients}; kept, not copied.
+    cofaces: {degree n: per cell of C_n, the cells of C_{n+1} whose boundary
+    has a term on it, in increasing order}, the transpose of the columns.
+
+    The constructor walks the columns once per degree, in ascending degree.
+    The walk checks the column count and each column (rows inside C_{n-1},
+    none repeated, nonzero int coefficients) and appends the column to the
+    coface list of each of its rows.  With check=True the walk is
+    check_dd_zero(), which also pushes each column of d_n through d_{n-1}.
 
     dd_checked records that d o d = 0 has been verified, by construction with
     check=True or by a later check_dd_zero(); homology() checks only complexes
@@ -52,24 +63,12 @@ class ChainComplex:
 
     def __init__(self, bases, columns, check=True):
         self.bases = {n: list(labels) for n, labels in bases.items() if labels}
-        self.columns = {}
-        for n, cols in columns.items():
-            if len(cols) != self.rank(n):
-                raise MalformedComplexError(
-                    f"boundary in degree {n} has {len(cols)} columns for {self.rank(n)} cells"
-                )
-            rows = self.rank(n - 1)
-            for col in cols:
-                if len({i for i, v in col if v and 0 <= i < rows}) != len(col):
-                    raise MalformedComplexError(
-                        f"boundary column in degree {n} has a zero coefficient, "
-                        f"a repeated row or a row outside C_{n - 1}"
-                    )
-            if rows and cols:
-                self.columns[n] = cols
+        self.columns = columns
         self.dd_checked = False
         if check:
             self.check_dd_zero()
+        else:
+            self._walk(push=False)
 
     def degrees(self):
         return sorted(self.bases)
@@ -88,31 +87,71 @@ class ChainComplex:
         return {n: self.boundary(n) for n in self.columns}
 
     def check_dd_zero(self):
-        """d_n o d_{n+1} = 0, column by column: each column of d_{n+1} is
-        pushed through the columns of d_n it meets, and the sum must
-        vanish."""
-        for n in self.degrees():
-            inner, outer = self.columns.get(n + 1), self.columns.get(n)
-            if inner is None or outer is None:
-                continue
-            for terms in inner:
-                image = {}
-                for j, w in terms:
-                    for i, v in outer[j]:
-                        image[i] = image.get(i, 0) + v * w
-                if any(image.values()):
-                    raise MalformedComplexError(f"d_{n} o d_{n + 1} != 0")
+        """d_{n-1} o d_n = 0, column by column: the walk of the constructor,
+        which also pushes each column of d_n through the columns of d_{n-1}
+        it meets; the sum must vanish."""
+        self._walk(push=True)
         self.dd_checked = True
 
+    def _walk(self, push):
+        """One pass per degree, ascending; columns and cofaces are replaced
+        only once every degree has passed."""
+        columns = {}
+        cofaces = {n: [[] for _ in labels] for n, labels in self.bases.items()}
+        for n in sorted(self.columns):
+            cols = self.columns[n]
+            if len(cols) != self.rank(n):
+                raise MalformedComplexError(
+                    f"boundary in degree {n} has {len(cols)} columns for {self.rank(n)} cells"
+                )
+            rows, up = self.rank(n - 1), cofaces.get(n - 1)
+            outer = columns.get(n - 1) if push else None
+            if outer is not None:
+                # d_{n-1} of the current column, by rows of C_{n-2}; it is
+                # zero again after every column that passes
+                image = [0] * self.rank(n - 2)
+            for c, col in enumerate(cols):
+                for i, v in col:
+                    if not 0 <= i < rows or v.__class__ is not int or not v:
+                        raise _bad_column(n, v)
+                    row_up = up[i]
+                    if row_up and row_up[-1] == c:
+                        raise _bad_column(n, v)
+                    row_up.append(c)
+                    if outer is not None:
+                        for r, w in outer[i]:
+                            image[r] += v * w
+                if outer is not None:
+                    for i, _ in col:
+                        for r, _ in outer[i]:
+                            if image[r]:
+                                raise MalformedComplexError(f"d_{n - 1} o d_{n} != 0")
+            if rows and cols:
+                columns[n] = cols
+        self.columns, self.cofaces = columns, cofaces
+
     def shift(self, s):
-        """Move every degree n basis to degree n + s, sharing the columns."""
+        """Move every degree n basis to degree n + s, sharing the columns
+        and the coface lists."""
         shifted = copy(self)
         shifted.bases = {n + s: labels for n, labels in self.bases.items()}
         shifted.columns = {n + s: cols for n, cols in self.columns.items()}
+        shifted.cofaces = {n + s: lists for n, lists in self.cofaces.items()}
         return shifted
 
     def euler(self):
         return sum((-1) ** n * self.rank(n) for n in self.degrees())
+
+
+def _bad_column(n, v):
+    if v.__class__ is not int:
+        return MalformedComplexError(
+            f"boundary column in degree {n} has a coefficient {v!r} that is not an int"
+        )
+    return MalformedComplexError(
+        f"boundary column in degree {n} has a zero coefficient, "
+        f"a repeated row or a row outside C_{n - 1}"
+    )
 
 
 @dataclass(frozen=True)
@@ -193,54 +232,67 @@ def _delete_unit_pairs(C: ChainComplex):
     """Delete unit reduction pairs until none is left.
 
     Returns ({n: bytearray alive flag per cell of C_n}, {n: the columns of
-    d_n, one (row, coeff) list per cell of C_n}).  The columns are C's own,
-    read as each cell's boundary cells with their coefficients; only the
-    coface lists, remaining counts and the flags are built here.
+    d_n, one (row, coeff) list per cell of C_n}).  The columns and coface
+    lists are C's own, read as each cell's boundary cells with their
+    coefficients and its cofaces; only the remaining counts and the flags
+    are built here.
     """
     size = {n: C.rank(n) for n in C.degrees()}
     down = {n: C.columns.get(n) or [()] * s for n, s in size.items()}
-    up = {n: [[] for _ in range(s)] for n, s in size.items()}
-    for n, cols in C.columns.items():
-        cofaces = up[n - 1]
-        for j, col in enumerate(cols):
-            for i, _ in col:
-                cofaces[i].append(j)
+    up = C.cofaces
     # remaining boundary cells and cofaces of each cell
-    ndown = {n: [len(x) for x in lists] for n, lists in down.items()}
-    nup = {n: [len(x) for x in lists] for n, lists in up.items()}
+    ndown = {n: list(map(len, lists)) for n, lists in down.items()}
+    nup = {n: list(map(len, lists)) for n, lists in up.items()}
     alive = {n: bytearray([1]) * s for n, s in size.items()}
 
-    stack = [(n, k) for n, s in size.items() for k in range(s)
-             if ndown[n][k] == 1 or nup[n][k] == 1]
+    stack = []
+    for n, s in size.items():
+        faces, cofaces = ndown[n], nup[n]
+        stack += [(n, k) for k in range(s) if faces[k] == 1 or cofaces[k] == 1]
     while stack:
         n, k = stack.pop()
         if not alive[n][k]:
             continue
         # pair (d, a, b): a in C_{d-1}, b in C_d
         pair = None
+        # the count says exactly one boundary cell or coface is still alive
         if ndown[n][k] == 1:
-            a, v = next((i, v) for i, v in down[n][k] if alive[n - 1][i])
-            if v in (1, -1):
+            live = alive[n - 1]
+            for a, v in down[n][k]:
+                if live[a]:
+                    break
+            if v == 1 or v == -1:
                 pair = (n, a, k)
         if pair is None and nup[n][k] == 1:
-            b = next(j for j in up[n][k] if alive[n + 1][j])
-            if next(v for i, v in down[n + 1][b] if i == k) in (1, -1):
+            live = alive[n + 1]
+            for b in up[n][k]:
+                if live[b]:
+                    break
+            for i, v in down[n + 1][b]:
+                if i == k:
+                    break
+            if v == 1 or v == -1:
                 pair = (n + 1, k, b)
         if pair is None:
             continue
         d, a, b = pair
         alive[d - 1][a] = alive[d][b] = 0
         for m, cell in ((d - 1, a), (d, b)):
-            for i, _ in down[m][cell]:
-                if alive[m - 1][i]:
-                    nup[m - 1][i] -= 1
-                    if nup[m - 1][i] == 1:
-                        stack.append((m - 1, i))
-            for j in up[m][cell]:
-                if alive[m + 1][j]:
-                    ndown[m + 1][j] -= 1
-                    if ndown[m + 1][j] == 1:
-                        stack.append((m + 1, j))
+            faces, cofaces = down[m][cell], up[m][cell]
+            if faces:
+                live, count = alive[m - 1], nup[m - 1]
+                for i, _ in faces:
+                    if live[i]:
+                        count[i] -= 1
+                        if count[i] == 1:
+                            stack.append((m - 1, i))
+            if cofaces:
+                live, count = alive[m + 1], ndown[m + 1]
+                for j in cofaces:
+                    if live[j]:
+                        count[j] -= 1
+                        if count[j] == 1:
+                            stack.append((m + 1, j))
     return alive, down
 
 
@@ -262,6 +314,7 @@ def simplicial_chain_complex(K) -> ChainComplex:
     levels = {}
     for f in faces:
         levels.setdefault(f.bit_count() - 1, []).append(f)
+    bits = [1 << (K.m - v) for v in range(1, K.m + 1)]
     bases, columns = {}, {}
     for n in sorted(levels):
         bases[n] = level = sorted(levels[n], reverse=True)
@@ -270,12 +323,11 @@ def simplicial_chain_complex(K) -> ChainComplex:
         below = {f: i for i, f in enumerate(bases[n - 1])}
         cols = columns[n] = []
         for f in level:
-            col, rest, sign = [], f, 1
-            while rest:
-                bit = 1 << (rest.bit_length() - 1)
-                col.append((below[f ^ bit], sign))
-                rest ^= bit
-                sign = -sign
+            col, sign = [], 1
+            for bit in bits:
+                if f & bit:
+                    col.append((below[f ^ bit], sign))
+                    sign = -sign
             cols.append(col)
     return ChainComplex(bases, columns)
 

@@ -24,8 +24,20 @@ from math import gcd, lcm
 from ._snf_py import snf_diagonal
 
 
+def _integral(key, value):
+    """value as an int; ValueError unless it is integral."""
+    n = int(value)
+    if n != value:
+        raise ValueError(f"entry {key} = {value!r} is not an integer")
+    return n
+
+
 class SparseIntMatrix:
-    """Sparse matrix over Z, stored as {(row, col): nonzero int}."""
+    """Sparse matrix over Z, stored as {(row, col): nonzero int}.
+
+    An integral value of another type, such as Fraction(3), is stored as
+    its int; a non-integral value raises ValueError.
+    """
 
     def __init__(self, rows, cols, entries=None):
         if rows < 0 or cols < 0:
@@ -38,7 +50,10 @@ class SparseIntMatrix:
                 i, j = key
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise IndexError(f"entry {key} outside {rows}x{cols} matrix")
-            self.entries = {key: int(v) for key, v in entries.items() if v}
+            self.entries = {
+                key: v if v.__class__ is int else _integral(key, v)
+                for key, v in entries.items() if v
+            }
 
     def __getitem__(self, key):
         return self.entries.get(key, 0)
@@ -48,7 +63,7 @@ class SparseIntMatrix:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry {key} outside {self.rows}x{self.cols} matrix")
         if value:
-            self.entries[key] = int(value)
+            self.entries[key] = _integral(key, value)
         else:
             self.entries.pop(key, None)
 

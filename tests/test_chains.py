@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -93,11 +94,18 @@ def test_malformed_complex_detected():
         ChainComplex(bases, {1: [[(0, 1)], [(1, 1)]]})
     # fine without the offending composition
     ChainComplex(bases, {1: bad})
+    # homology would read the 1/2 as int(1/2) = 0 and return a wrong group
+    with pytest.raises(MalformedComplexError, match="^boundary column in degree 0 has a coefficient"):
+        ChainComplex({-1: ["e"], 0: ["a", "b"]}, {0: [[(0, Fraction(1, 2))], [(0, 1)]]})
 
 
-@pytest.mark.parametrize("column", [[(2, 1)], [(-1, 1)], [(0, 0)], [(0, 1), (0, -1)]])
+@pytest.mark.parametrize("column", [
+    [(2, 1)], [(-1, 1)], [(0, 0)], [(0, 1), (0, -1)],
+    [(0, 1), (1, 1), (0, 1)], [(0, Fraction(1, 2))], [(0, 0.5)], [(0, 2.0)],
+])
 def test_bad_column_is_rejected_at_construction(column):
     # a row outside C_0, a negative row, a zero coefficient, a repeated row
+    # (next to its twin or not), coefficients that are not ints
     with pytest.raises(MalformedComplexError, match="boundary column in degree 1"):
         ChainComplex({0: ["a", "b"], 1: ["e"]}, {1: [column]}, check=False)
 
@@ -322,6 +330,52 @@ def test_reduction_leaves_little_for_snf(monkeypatch):
     assert sum(len(M.entries) for M in C.boundaries.values()) == 20952
     assert homology(C) == {8: HomologyGroup(0, (2,))}
     assert sum(seen) < 100
+
+
+# -- the coface lists ----------------------------------------------------------
+
+
+def cofaces_reference(C):
+    """Per cell of C_n, the columns of d_{n+1} with a term on it, read off
+    the sorted (row, column) keys of the boundary matrices."""
+    up = {n: [[] for _ in range(C.rank(n))] for n in C.degrees()}
+    for n in C.degrees():
+        for i, j in sorted(C.boundary(n + 1).entries):
+            up[n][i].append(j)
+    return up
+
+
+@st.composite
+def walked_complexes(draw):
+    """C(K), C(K(J)) shifted by one, a shifted C(K), or one of them rebuilt
+    with check=False."""
+    K = draw(drawn_complexes(max_m=7))
+    kind = draw(st.sampled_from(["K", "KJ", "shifted"]))
+    if kind == "KJ":
+        C = reduction_path_model(K, draw(small_j(K.m, total=3)))
+    else:
+        C = simplicial_chain_complex(K)
+        if kind == "shifted":
+            C = C.shift(draw(st.integers(-3, 3)))
+    if draw(st.booleans()):
+        C = ChainComplex(C.bases, C.columns, check=False)
+    return C
+
+
+@settings(max_examples=300, deadline=None)
+@given(walked_complexes())
+@example(reduction_path_model(RP2, (1, 1, 0, 0, 0, 0)))
+@example(simplicial_chain_complex(empty_complex(3)).shift(2))
+def test_cofaces_are_the_transpose_of_the_columns(C):
+    # each (row, column) entry once, in increasing column order, in every
+    # degree including those with no coface
+    assert set(C.cofaces) == set(C.bases)
+    assert C.cofaces == cofaces_reference(C)
+    assert sum(map(len, (x for lists in C.cofaces.values() for x in lists))) == sum(
+        len(col) for cols in C.columns.values() for col in cols
+    )
+    assert homology(C) == homology_full_snf(C)
+    assert C.cofaces == cofaces_reference(C)
 
 
 # -- the mask builder against the tuple reference -----------------------------

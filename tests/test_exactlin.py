@@ -236,6 +236,19 @@ def test_sparse_matrix_basics():
             SparseIntMatrix(2, 2, {(0, 0): 1, key: 0})
 
 
+def test_sparse_matrix_rejects_non_integral_values():
+    # int() would store Fraction(1, 2) as a zero entry and 2.5 as 2
+    for value in [Fraction(1, 2), 2.5, Fraction(-7, 3)]:
+        with pytest.raises(ValueError, match=r"^entry \(1, 1\) = .* is not an integer$"):
+            SparseIntMatrix(2, 2, {(0, 0): 1, (1, 1): value})
+        M = SparseIntMatrix(2, 2, {(0, 0): 1})
+        with pytest.raises(ValueError, match=r"^entry \(1, 1\) = .* is not an integer$"):
+            M[1, 1] = value
+        assert M.entries == {(0, 0): 1}
+    M[1, 1] = Fraction(-6, 3)
+    assert M.entries == {(0, 0): 1, (1, 1): -2} and type(M[1, 1]) is int
+
+
 def test_rank_rational_fraction_rows():
     rows = [
         [Fraction(1, 2), Fraction(1, 3)],
