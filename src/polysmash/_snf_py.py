@@ -1,7 +1,8 @@
 """Smith normal form kernel: sparse elimination over arbitrary-precision
 integers, called by polysmash.exactlin.smith_normal_form.
 
-The matrix is handed over as a dict {(row, col): value} with no zero values.
+The matrix is handed over as a dict {(row, col): value} with no zero values;
+the kernel only reads it.
 
 Pivot rule: the entry with the least key (|v|, (rlen - 1) * (clen - 1)), the
 second term being the Markowitz fill bound from the lengths of the entry's row
@@ -14,6 +15,16 @@ a pivot step only the rows whose entries changed are rescanned.  A row that
 merely shares a column whose length changed has that entry's key recomputed
 against its cached one; it is rescanned only when its cached entry's key went
 up or when the new key ties the cached one, because then entry order decides.
+
+A pivot step clears the pivot column by row operations; a nonzero remainder
+becomes the pivot and the step starts over.  Once column pj holds only the
+pivot p, col_j -= q * col_pj changes only the pivot row, so that row is
+cleared by scalar remainders: a becomes a % p (floor, a - (a // p) * p), a
+zero leaves, a nonzero one becomes the pivot.  The column sets of rows change
+only on fill and cancellation, and the history of each set must stay so: the
+order of the pivot column's set picks the row whose remainder is the next
+pivot.  Adding a present element leaves a set as it was; recreating or
+reordering one would not.
 """
 
 
@@ -45,45 +56,47 @@ def snf_diagonal(entries, nrows, ncols):
         dirty = set()  # rows whose entries changed
 
         while True:
-            for j in rows[pi]:
+            prow = rows[pi]
+            for j in prow:
                 if j not in before:
                     before[j] = len(colrows[j])
-            p = rows[pi][pj]
+            p = prow[pj]
             # clear the pivot column by row operations
             for i in list(colrows[pj]):
                 if i == pi:
                     continue
-                a = rows[i][pj]
-                q = a // p
+                row = rows[i]
+                q = row[pj] // p
                 if q:
-                    _row_axpy(rows, colrows, i, pi, -q)
+                    _row_axpy(row, prow, colrows, i, -q)
                     dirty.add(i)
-                if rows.get(i, {}).get(pj):
+                if pj in row:
                     # remainder left: it is smaller than |p|, make it the pivot
                     pi = i
                     break
             else:
-                # column clear; clear the pivot row by column operations
-                prow = rows[pi]
+                # column pj holds only the pivot, so col_j -= q * col_pj
+                # changes only the pivot row: its entry becomes the remainder
                 for j in list(prow):
                     if j == pj:
                         continue
-                    a = prow[j]
-                    q = a // p
+                    q, r = divmod(prow[j], p)
                     if q:
-                        _col_axpy(rows, colrows, j, pj, -q)
                         dirty.add(pi)
-                    if rows.get(pi, {}).get(j):
+                    if r:
+                        prow[j] = r
                         pj = j
                         break
+                    del prow[j]
+                    col = colrows[j]
+                    col.discard(pi)
+                    if not col:
+                        del colrows[j]
                 else:
                     break
-                continue
-        diagonal.append(abs(rows[pi][pj]))
-        _drop_entry(rows, colrows, pi, pj)
-        # pivot row/col are now empty except the removed pivot
-        if pi in rows and not rows[pi]:
-            del rows[pi]
+        # the pivot is now alone in its row and column
+        diagonal.append(abs(prow.pop(pj)))
+        del colrows[pj]
         dirty.add(pi)
         _update_cache(rows, colrows, cache, before, dirty)
     return diagonal
@@ -106,21 +119,20 @@ def _row_min(row, colrows):
 def _update_cache(rows, colrows, cache, before, dirty):
     """Bring the row cache up to date after a pivot step.
 
-    Rows in `dirty` are rescanned.  Every other row keeps its length, so of
-    its entries only those in a column whose length changed have a new key;
-    the others keep keys no smaller than the cached one, and any equal one
-    comes after the cached entry.  A new key below the running minimum
-    replaces the cached entry; a tie, or the cached entry's own key going
-    up, leaves the order undecided and the row is rescanned.
+    Rows in `dirty` are rescanned, or dropped once empty.  Every other row
+    keeps its length, so of its entries only those in a column whose length
+    changed have a new key; the others keep keys no smaller than the cached
+    one, and any equal one comes after the cached entry.  A new key below
+    the running minimum replaces the cached entry; a tie, or the cached
+    entry's own key going up, leaves the order undecided and the row is
+    rescanned.
     """
     for j, n in before.items():
         col = colrows.get(j)
         if col is None or len(col) == n:
             continue
         cm = len(col) - 1
-        for r in col:
-            if r in dirty:
-                continue
+        for r in col - dirty:
             row = rows[r]
             v = row[j]
             a = v if v > 0 else -v
@@ -134,50 +146,27 @@ def _update_cache(rows, colrows, cache, before, dirty):
             elif cj == j:
                 dirty.add(r)
     for r in dirty:
-        row = rows.get(r)
-        if row is None:
-            cache.pop(r, None)
-        else:
+        row = rows[r]
+        if row:
             a, f, j = _row_min(row, colrows)
             cache[r] = (a, f, cache[r][2], r, j)
+        else:
+            del rows[r], cache[r]
 
 
-def _row_axpy(rows, colrows, i, k, c):
-    """row_i += c * row_k (c nonzero)."""
-    target = rows.setdefault(i, {})
-    for j, v in rows[k].items():
-        w = target.get(j, 0) + c * v
-        if w:
-            target[j] = w
-            colrows.setdefault(j, set()).add(i)
-        elif j in target:
-            del target[j]
-            colrows[j].discard(i)
-            if not colrows[j]:
-                del colrows[j]
-    if not target:
-        del rows[i]
-
-
-def _col_axpy(rows, colrows, j, k, c):
-    """col_j += c * col_k (c nonzero)."""
-    for i in list(colrows.get(k, ())):
-        v = rows[i][k]
-        w = rows[i].get(j, 0) + c * v
-        if w:
-            rows[i][j] = w
-            colrows.setdefault(j, set()).add(i)
-        elif j in rows[i]:
-            del rows[i][j]
-            if not rows[i]:
-                del rows[i]
-            colrows[j].discard(i)
-            if not colrows[j]:
-                del colrows[j]
-
-
-def _drop_entry(rows, colrows, i, j):
-    del rows[i][j]
-    colrows[j].discard(i)
-    if not colrows[j]:
-        del colrows[j]
+def _row_axpy(target, source, colrows, i, c):
+    """Row i (target) += c * source, c nonzero.  Every column of source holds
+    the pivot row, so its set exists and never empties; it changes only on
+    fill and cancellation."""
+    for j, v in source.items():
+        w = target.get(j)
+        if w is None:
+            target[j] = c * v
+            colrows[j].add(i)
+        else:
+            w += c * v
+            if w:
+                target[j] = w
+            else:
+                del target[j]
+                colrows[j].discard(i)

@@ -112,11 +112,12 @@ class ChainComplex:
                 image = [0] * self.rank(n - 2)
             for c, col in enumerate(cols):
                 for i, v in col:
-                    if not 0 <= i < rows or v.__class__ is not int or not v:
-                        raise _bad_column(n, v)
+                    if (i.__class__ is not int or v.__class__ is not int
+                            or not 0 <= i < rows or not v):
+                        raise _bad_column(n, i, v)
                     row_up = up[i]
                     if row_up and row_up[-1] == c:
-                        raise _bad_column(n, v)
+                        raise _bad_column(n, i, v)
                     row_up.append(c)
                     if outer is not None:
                         for r, w in outer[i]:
@@ -143,7 +144,11 @@ class ChainComplex:
         return sum((-1) ** n * self.rank(n) for n in self.degrees())
 
 
-def _bad_column(n, v):
+def _bad_column(n, i, v):
+    if i.__class__ is not int:
+        return MalformedComplexError(
+            f"boundary column in degree {n} has a row {i!r} that is not an int"
+        )
     if v.__class__ is not int:
         return MalformedComplexError(
             f"boundary column in degree {n} has a coefficient {v!r} that is not an int"

@@ -5,11 +5,14 @@ incremental: it rescans every nonzero for each pivot.  The library kernel
 must pick the same pivots, so its raw diagonal must equal this one value
 for value.  fix_divisibility_reference runs the pairwise gcd loop over every
 diagonal entry, units included.
+
+The reference is frozen: it imports nothing from polysmash._snf_py.  Its
+elimination primitives _row_axpy, _col_axpy and _drop_entry are the
+library's own from before the pivot row was cleared by scalar remainders,
+so a fault in the library's primitives cannot also sit in the reference.
 """
 
 from math import gcd
-
-from polysmash._snf_py import _col_axpy, _drop_entry, _row_axpy
 
 
 def full_scan_snf_diagonal(entries, nrows, ncols):
@@ -85,3 +88,44 @@ def fix_divisibility_reference(diagonal):
                     changed = True
     d.sort()
     return d
+
+
+def _row_axpy(rows, colrows, i, k, c):
+    """row_i += c * row_k (c nonzero)."""
+    target = rows.setdefault(i, {})
+    for j, v in rows[k].items():
+        w = target.get(j, 0) + c * v
+        if w:
+            target[j] = w
+            colrows.setdefault(j, set()).add(i)
+        elif j in target:
+            del target[j]
+            colrows[j].discard(i)
+            if not colrows[j]:
+                del colrows[j]
+    if not target:
+        del rows[i]
+
+
+def _col_axpy(rows, colrows, j, k, c):
+    """col_j += c * col_k (c nonzero)."""
+    for i in list(colrows.get(k, ())):
+        v = rows[i][k]
+        w = rows[i].get(j, 0) + c * v
+        if w:
+            rows[i][j] = w
+            colrows.setdefault(j, set()).add(i)
+        elif j in rows[i]:
+            del rows[i][j]
+            if not rows[i]:
+                del rows[i]
+            colrows[j].discard(i)
+            if not colrows[j]:
+                del colrows[j]
+
+
+def _drop_entry(rows, colrows, i, j):
+    del rows[i][j]
+    colrows[j].discard(i)
+    if not colrows[j]:
+        del colrows[j]

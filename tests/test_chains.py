@@ -102,10 +102,12 @@ def test_malformed_complex_detected():
 @pytest.mark.parametrize("column", [
     [(2, 1)], [(-1, 1)], [(0, 0)], [(0, 1), (0, -1)],
     [(0, 1), (1, 1), (0, 1)], [(0, Fraction(1, 2))], [(0, 0.5)], [(0, 2.0)],
+    [(True, 1), (0, -1)], [(0.0, 1), (1, -1)],
 ])
 def test_bad_column_is_rejected_at_construction(column):
     # a row outside C_0, a negative row, a zero coefficient, a repeated row
-    # (next to its twin or not), coefficients that are not ints
+    # (next to its twin or not), coefficients that are not ints, rows that
+    # are not ints (True would be read as row 1)
     with pytest.raises(MalformedComplexError, match="boundary column in degree 1"):
         ChainComplex({0: ["a", "b"], 1: ["e"]}, {1: [column]}, check=False)
 

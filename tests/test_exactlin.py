@@ -168,6 +168,34 @@ def test_snf_pivots_match_full_scan_on_rp2_reduction(rp2_reduction_matrices):
         assert_same_diagonal(M.entries, M.rows, M.cols)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 10).flatmap(
+        lambda cols: st.lists(
+            st.lists(st.integers(-50, 50), min_size=cols, max_size=cols),
+            min_size=1,
+            max_size=10,
+        )
+    )
+)
+def test_snf_pivots_match_full_scan_with_large_entries(dense):
+    # entries up to 50 run long remainder chains in both clearing phases
+    M = SparseIntMatrix.from_dense(dense)
+    assert_same_diagonal(M.entries, M.rows, M.cols)
+
+
+def test_snf_leaves_its_input_unchanged():
+    # smith_normal_form hands M.entries to the kernel without a copy
+    rng = random.Random(31)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 24), rng.randint(1, 24)
+        density = rng.choice((0.1, 0.2, 0.35, 0.5))
+        M = SparseIntMatrix(rows, cols, random_entries(rng, rows, cols, density, 9))
+        before = list(M.entries.items())
+        smith_normal_form(M)
+        assert list(M.entries.items()) == before
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(1, 7).flatmap(
