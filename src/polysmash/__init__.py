@@ -18,10 +18,8 @@ from .complexes import (
     empty_complex,
     from_facets,
     full_simplex,
-    join_abstract,
     random_complex,
     simplex_boundary,
-    suspension,
 )
 from .exactlin import (
     InvariantError,
@@ -78,7 +76,6 @@ __all__ = [
     "full_simplex",
     "geometric_join",
     "homology",
-    "join_abstract",
     "joinable",
     "lp_max",
     "random_complex",
@@ -88,7 +85,6 @@ __all__ = [
     "simplicial_chain_complex",
     "smith_normal_form",
     "standard_config",
-    "suspension",
     "verify_W_union",
     "verify_gji",
     "verify_gjs",

@@ -34,9 +34,9 @@ class ParseError(ValueError):
 
 
 def parse_complex_text(text, source="<input>") -> SimplicialComplex:
-    """Text format: optional 'm=<int>' header, one facet per line as space
-    separated positive integers, '#' comments, blank lines ignored, a single
-    'empty' line for the complex {empty face}."""
+    """Text format: an optional 'm=<int>' header, given at most once, one
+    facet per line as space separated positive integers, '#' comments, blank
+    lines ignored, a single 'empty' line for the complex {empty face}."""
     m = None
     facets = []
     is_empty = False
@@ -45,6 +45,8 @@ def parse_complex_text(text, source="<input>") -> SimplicialComplex:
         if not line:
             continue
         if line.startswith("m="):
+            if m is not None:
+                raise ParseError(f"{source}:{lineno}: repeated header {line!r}")
             try:
                 m = int(line[2:])
             except ValueError:
@@ -282,16 +284,19 @@ def cmd_gen(args):
     if not 0 <= density <= 1:
         raise ParseError(f"--density must be in [0, 1], got {args.density}")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for idx in range(args.count):
-        K = random_complex(args.m, args.max_dim, density, args.seed + idx)
-        lines = [f"# seed {args.seed + idx}", f"m={K.m}"]
-        facets = sorted(K.facets, key=lambda t: (len(t), t))
-        if facets == [()]:
-            lines.append("empty")
-        else:
-            lines += [" ".join(map(str, f)) for f in facets]
-        (out / f"random_{args.seed + idx}.txt").write_text("\n".join(lines) + "\n")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for idx in range(args.count):
+            K = random_complex(args.m, args.max_dim, density, args.seed + idx)
+            lines = [f"# seed {args.seed + idx}", f"m={K.m}"]
+            facets = sorted(K.facets, key=lambda t: (len(t), t))
+            if facets == [()]:
+                lines.append("empty")
+            else:
+                lines += [" ".join(map(str, f)) for f in facets]
+            (out / f"random_{args.seed + idx}.txt").write_text("\n".join(lines) + "\n")
+    except OSError as e:
+        raise ParseError(f"--out {args.out}: {e}")
     print(f"wrote {args.count} complexes to {out}")
     return 0
 

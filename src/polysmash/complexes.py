@@ -4,9 +4,8 @@ Complexes are stored by their facets (maximal faces); the empty face is
 always a face, and K = {empty} is the legal empty complex.  Vertices that
 appear in no facet are allowed: m is always explicit.
 
-Includes the combinatorial operations used throughout: join, suspension,
-vertex doubling (replacing a vertex i by an edge {i_a, i_b}) and its
-iterated form.
+Includes the combinatorial operation used throughout: vertex doubling
+(replacing a vertex i by an edge {i_a, i_b}) and its iterated form.
 """
 
 from __future__ import annotations
@@ -28,10 +27,6 @@ class SimplicialComplex:
                 if not 1 <= v <= self.m:
                     raise ValueError(f"vertex {v} outside 1..{self.m}")
 
-    def is_face(self, sigma):
-        s = frozenset(sigma)
-        return any(s <= set(f) for f in self.facets)
-
     def faces(self):
         """All faces, ordered by cardinality and then lexicographically.
 
@@ -42,17 +37,6 @@ class SimplicialComplex:
             for r in range(len(f) + 1):
                 seen.update(combinations(f, r))
         return sorted(seen, key=lambda t: (len(t), t))
-
-    def dim(self):
-        return max(len(f) for f in self.facets) - 1
-
-    def f_vector(self):
-        """Face counts per dimension 0..dim (empty face not counted)."""
-        counts = {}
-        for f in self.faces():
-            if f:
-                counts[len(f) - 1] = counts.get(len(f) - 1, 0) + 1
-        return [counts.get(d, 0) for d in range(self.dim() + 1)]
 
     def euler_reduced(self):
         """chi~ = sum_{n >= -1} (-1)^n f_n with f_{-1} = 1 for the empty face."""
@@ -161,26 +145,6 @@ def double_iterated(K: SimplicialComplex, J):
         result, _ = double(result, i)
         rename = rename.doubled(i, result.m)
     return result, rename
-
-
-def join_abstract(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
-    """Combinatorial join: faces sigma u tau with L's vertices shifted by K.m."""
-    shift = K.m
-    facets = [
-        f + tuple(v + shift for v in g) for f in K.facets for g in L.facets
-    ]
-    return from_facets(K.m + L.m, facets)
-
-
-def suspension(K: SimplicialComplex, t=1) -> SimplicialComplex:
-    """t-fold join with the two-point complex S^0."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    s0 = from_facets(2, [(1,), (2,)])
-    result = K
-    for _ in range(t):
-        result = join_abstract(s0, result)
-    return result
 
 
 def random_complex(m, max_dim, density, seed) -> SimplicialComplex:

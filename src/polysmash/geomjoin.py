@@ -19,8 +19,7 @@ BarycentricFrame, which factors a reference simplex once, so each point
 against it costs one integer mat-vec.  The psi maps compute on integer
 numerators over one common denominator, and the map checks (verify_maps)
 compare those numerators by cross-multiplication over a grid generated in
-lowest terms; only eval_psi and eval_psi_inverse build Fractions from them.
-Otherwise Fractions are built only for answers: coordinates and volume
+lowest terms.  Fractions are built only for answers: coordinates and volume
 ratios.  No floats.
 """
 
@@ -33,7 +32,7 @@ from math import gcd, lcm
 
 from .chains import homology, simplicial_chain_complex
 from .complexes import SimplicialComplex
-from .exactlin import RationalLP, _rational, bareiss, lp_max
+from .exactlin import RationalLP, bareiss, lp_max
 from .report import Check, VerificationReport
 
 F = Fraction
@@ -42,10 +41,6 @@ F = Fraction
 # ---------------------------------------------------------------------------
 # points and exact linear helpers
 # ---------------------------------------------------------------------------
-
-
-def point(*coords):
-    return tuple(F(c) for c in coords)
 
 
 def unit(n, i):
@@ -689,27 +684,6 @@ def _carrier_refined_by(A, B):
 # ---------------------------------------------------------------------------
 
 
-def eval_psi(n, x, lam):
-    """Cone over the standard simplex -> the side-2 cube, exactly.
-
-    x is barycentric on the (n-1)-simplex, lam in [0, 1]; lam <= 1/2 scales
-    to the inner half, lam >= 1/2 pushes out until the largest coordinate
-    reaches 2.  A Fraction view of _psi.
-    """
-    D, X = _scaled([_rational(c) for c in x])
-    lam = _rational(lam)
-    Y, E = _psi(n, X, D, lam.numerator, lam.denominator)
-    return tuple(F(c, E) for c in Y)
-
-
-def eval_psi_inverse(n, y):
-    """Inverse of eval_psi; y = 0 returns the barycenter at lam = 0.  A
-    Fraction view of _psi_inverse."""
-    D, Y = _scaled([_rational(c) for c in y])
-    (X, S), (a, b) = _psi_inverse(n, Y, D)
-    return tuple(F(c, S) for c in X), F(a, b)
-
-
 def _psi(n, X, D, p, q):
     """psi on integers: x = X / D (D > 0) and lam = p / q (q > 0) give
     psi(x, lam) = Y / E, returned as (Y, E).
@@ -753,22 +727,10 @@ def _psi_inverse(n, Y, E):
     return (Y, S), (S * M - 2 * E * M + 2 * E * S, 2 * E * (2 * S - M))
 
 
-def naturality_check_k0(p, l, samples) -> VerificationReport:
-    """Coordinate-inclusion naturality of the cube reparametrization:
-    padding with zeros before or after psi gives the same point."""
-    def numerators():
-        for x, lam in samples:
-            D, X = _scaled([_rational(c) for c in x])
-            lam = _rational(lam)
-            yield X, D, lam.numerator, lam.denominator
-
-    return _naturality(p, l, numerators())
-
-
 def _naturality(p, l, samples):
-    """naturality_check_k0 on integer samples (X, D, a, b), x = X / D and
-    lam = a / b: psi_l(x, 0...0) and (psi_p(x), 0...0) are compared by
-    cross-multiplication."""
+    """Naturality of psi under zero padding on integer samples (X, D, a, b),
+    x = X / D and lam = a / b: psi_l(x, 0...0) and (psi_p(x), 0...0) are
+    compared by cross-multiplication."""
     if not 1 <= p <= l:
         raise ValueError("need 1 <= p <= l")
     report = VerificationReport(f"naturality p={p} l={l}")
@@ -837,19 +799,10 @@ def _round_trip(n, X, D, a, b):
 # ---------------------------------------------------------------------------
 
 
-def simplex_grid(n, max_denominator):
-    """All barycentric points of the (n-1)-simplex with coordinates of the
-    form a/d, d <= max_denominator: the Fraction view of
-    _simplex_numerators."""
-    return [
-        tuple(F(c, d) for c in X) for X, d in _simplex_numerators(n, max_denominator)
-    ]
-
-
 def _simplex_numerators(n, max_denominator):
-    """Each point of simplex_grid once, in lowest terms, as (X, d) with
-    x = X / d: the compositions X of d <= max_denominator into n parts
-    whose entries have gcd 1."""
+    """Each barycentric point of the (n-1)-simplex with denominator at most
+    max_denominator once, in lowest terms, as (X, d) with x = X / d: the
+    compositions X of each d into n parts whose entries have gcd 1."""
     if n < 1:
         raise ValueError("need n >= 1")
     if max_denominator < 1:
@@ -871,13 +824,8 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def unit_grid(denominator):
-    """i / denominator for i = 0, ..., denominator."""
-    return [F(a, b) for a, b in _unit_numerators(denominator)]
-
-
 def _unit_numerators(denominator):
-    """unit_grid in lowest terms as (a, b) pairs."""
+    """i / denominator for i = 0, ..., denominator, in lowest terms as (a, b)."""
     if denominator < 1:
         raise ValueError("need a denominator >= 1")
     d = denominator

@@ -1,0 +1,46 @@
+"""Complex combinatorics that only the tests use.
+
+The library needs vertex doubling and the face list; the tests also state
+facts about the combinatorial join, iterated suspension, face membership,
+dimension and face counts, so those live here as functions of a complex.
+"""
+
+from polysmash.complexes import SimplicialComplex, from_facets
+
+
+def is_face(K: SimplicialComplex, sigma):
+    s = frozenset(sigma)
+    return any(s <= set(f) for f in K.facets)
+
+
+def dim(K: SimplicialComplex):
+    return max(len(f) for f in K.facets) - 1
+
+
+def f_vector(K: SimplicialComplex):
+    """Face counts per dimension 0..dim (empty face not counted)."""
+    counts = {}
+    for f in K.faces():
+        if f:
+            counts[len(f) - 1] = counts.get(len(f) - 1, 0) + 1
+    return [counts.get(d, 0) for d in range(dim(K) + 1)]
+
+
+def join_abstract(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
+    """Combinatorial join: faces sigma u tau with L's vertices shifted by K.m."""
+    shift = K.m
+    facets = [
+        f + tuple(v + shift for v in g) for f in K.facets for g in L.facets
+    ]
+    return from_facets(K.m + L.m, facets)
+
+
+def suspension(K: SimplicialComplex, t=1) -> SimplicialComplex:
+    """t-fold join with the two-point complex S^0."""
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    s0 = from_facets(2, [(1,), (2,)])
+    result = K
+    for _ in range(t):
+        result = join_abstract(s0, result)
+    return result

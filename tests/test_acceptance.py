@@ -16,13 +16,8 @@ from polysmash.complexes import (
 )
 from polysmash.exactlin import SparseIntMatrix, smith_normal_form
 from polysmash.geomjoin import (
-    eval_psi,
-    eval_psi_inverse,
-    naturality_check_k0,
     sigma_complexes,
-    simplex_grid,
     standard_config,
-    unit_grid,
     verify_gji,
     verify_gjs,
     verify_W_union,
@@ -35,6 +30,13 @@ from polysmash.smashmodel import (
 )
 
 from cubical_reference import quotient_outer_boundary
+from maps_views import (
+    eval_psi,
+    eval_psi_inverse,
+    naturality_check_k0,
+    simplex_grid,
+    unit_grid,
+)
 from relabel_reference import facet_equal_upto_relabel
 from test_exactlin import random_dense, snf_oracle
 

@@ -65,6 +65,8 @@ def test_parse_text_errors():
         parse_complex_text("empty\n1 2\n")
     with pytest.raises(ParseError):
         parse_complex_text("m=2\n1 3\n")
+    with pytest.raises(ParseError, match=r"^<input>:2: repeated header 'm=5'$"):
+        parse_complex_text("m=3\nm=5\n1 2\n")
 
 
 @pytest.mark.parametrize("header", ["m=0", "m=-3"])
@@ -327,6 +329,19 @@ def test_gen_zero_denominator_density_exits_2(tmp_path, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: --density '1/0'")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("below", [(), ("sub",)])
+def test_gen_out_on_a_file_exits_2(below, tmp_path, capsys):
+    blocker = tmp_path / "f.txt"
+    blocker.write_text("not a directory\n")
+    out = blocker.joinpath(*below)
+    argv = ["gen", "--m", "3", "--max-dim", "1", "--density", "1/2", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: --out {out}: ")
+    assert captured.out == ""
+    assert blocker.read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize("density", ["3/2", "-1/2", "2", "-0.25"])

@@ -25,19 +25,14 @@ from polysmash.geomjoin import (
     determinant,
     embedded_point,
     empty_embedded,
-    eval_psi,
-    eval_psi_inverse,
     geometric_join,
     geometric_join_many,
     joinable,
-    naturality_check_k0,
     proper_intersection,
     realization_AK,
     sigma_complexes,
-    simplex_grid,
     standard_config,
     unit,
-    unit_grid,
     verify_gji,
     verify_gjs,
     verify_maps,
@@ -47,6 +42,13 @@ from polysmash.geomjoin import (
 import geom_reference as ref
 from bary_reference import barycentric_reference
 from lp_reference import lp_max as reference_lp_max
+from maps_views import (
+    eval_psi,
+    eval_psi_inverse,
+    naturality_check_k0,
+    simplex_grid,
+    unit_grid,
+)
 
 
 def pt(*coords):
@@ -600,7 +602,7 @@ def square_matrices(draw, entries=small_rationals):
 @example((F(1, 3), F(2, 3)), F(1, 2))
 @example((F(1, 4), F(1, 4), F(1, 2)), F(1))
 def test_psi_matches_reference(x, lam):
-    y = geomjoin.eval_psi(len(x), x, lam)
+    y = eval_psi(len(x), x, lam)
     assert y == ref.eval_psi(len(x), x, lam)
     assert all(type(c) is F for c in y)
 

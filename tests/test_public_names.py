@@ -1,8 +1,14 @@
-"""Names other code depends on: every function the traced benchmark wraps
-(perfbench/spans.py) and every name in polysmash.__all__ must resolve, so
-that deleting one fails here and not only in the benchmark's own smoke run.
+"""Names other code depends on, and the shape of the library's code.
+
+Every function the traced benchmark wraps (perfbench/spans.py) and every
+name in polysmash.__all__ must resolve, so that deleting one fails here and
+not only in the benchmark's own smoke run.  Two AST scans keep the library
+lean and its checks live: every module-level function is reached by library
+code or by the benchmark, so test-only code lives in tests/, and no assert
+statement stands in for an invariant check that python -O would remove.
 """
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -11,7 +17,14 @@ from types import SimpleNamespace
 
 import polysmash
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+LIBRARY = sorted((ROOT / "src" / "polysmash").glob("*.py"))
+
+# Kept without a caller: the realization of A(K) in the standard
+# configuration is what certifying the W-union as an embedded complex
+# (ROADMAP item 3) will check.
+UNREACHED_ALLOWED = {"realization_AK"}
 
 
 def load_spans():
@@ -36,3 +49,49 @@ def test_benchmark_span_targets_resolve():
 def test_all_names_resolve():
     missing = [name for name in polysmash.__all__ if not hasattr(polysmash, name)]
     assert not missing, missing
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def references(tree):
+    """Names read and attributes taken anywhere in tree."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+def test_every_library_function_is_reached():
+    """A function in src/polysmash is referenced by library code outside its
+    own body or by perfbench, by name, attribute or string (a span target);
+    __init__'s re-exports do not count."""
+    outside = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = parse(path)
+        outside |= references(tree)
+        outside |= {node.value for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    trees = {path: parse(path) for path in LIBRARY if path.name != "__init__.py"}
+    # each top-level statement of the library with what it references, so
+    # that a function's own body, where recursion is no caller, can be left out
+    statements = [(node, references(node)) for tree in trees.values() for node in tree.body]
+    unreached = [
+        f"{path.stem}.{fn.name}"
+        for path, tree in trees.items()
+        for fn in tree.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and fn.name not in outside | UNREACHED_ALLOWED
+        and not any(fn.name in refs for node, refs in statements if node is not fn)
+    ]
+    assert not unreached, unreached
+
+
+def test_library_has_no_assert_statements():
+    found = [f"{path.name}:{node.lineno}" for path in LIBRARY
+             for node in ast.walk(parse(path)) if isinstance(node, ast.Assert)]
+    assert not found, found
