@@ -179,9 +179,6 @@ class HomologyGroup:
         return " + ".join(parts) if parts else "0"
 
 
-ZERO_GROUP = HomologyGroup(0)
-
-
 class HomologyTable(dict):
     """{degree: HomologyGroup}, zero groups omitted."""
 
@@ -190,9 +187,6 @@ class HomologyTable(dict):
         for n, g in dict(groups).items():
             if not g.is_zero():
                 self[n] = g
-
-    def group(self, n):
-        return self.get(n, ZERO_GROUP)
 
     def shifted(self, s):
         return HomologyTable({n + s: g for n, g in self.items()})

@@ -80,15 +80,6 @@ class SparseIntMatrix:
     def __repr__(self):
         return f"SparseIntMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
 
-    @classmethod
-    def from_dense(cls, dense):
-        rows = len(dense)
-        cols = len(dense[0]) if rows else 0
-        entries = {
-            (i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if v
-        }
-        return cls(rows, cols, entries)
-
     def to_dense(self):
         out = [[0] * self.cols for _ in range(self.rows)]
         for (i, j), v in self.entries.items():

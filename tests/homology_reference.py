@@ -2,11 +2,18 @@
 
 The library's homology() deletes unit reduction pairs before its Smith
 normal form; this is the route without that pass, kept as a differential
-reference.
+reference.  group() reads one degree of a table, the zero group included,
+which only the tests ask for.
 """
 
 from polysmash.chains import ChainComplex, HomologyGroup, HomologyTable
 from polysmash.exactlin import smith_normal_form
+
+ZERO_GROUP = HomologyGroup(0)
+
+
+def group(H: HomologyTable, n):
+    return H.get(n, ZERO_GROUP)
 
 
 def homology_full_snf(C: ChainComplex) -> HomologyTable:

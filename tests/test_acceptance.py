@@ -14,7 +14,7 @@ from polysmash.complexes import (
     from_facets,
     simplex_boundary,
 )
-from polysmash.exactlin import SparseIntMatrix, smith_normal_form
+from polysmash.exactlin import smith_normal_form
 from polysmash.geomjoin import (
     sigma_complexes,
     standard_config,
@@ -38,7 +38,7 @@ from maps_views import (
     unit_grid,
 )
 from relabel_reference import facet_equal_upto_relabel
-from test_exactlin import random_dense, snf_oracle
+from test_exactlin import from_dense, random_dense, snf_oracle
 
 
 import conftest
@@ -198,7 +198,7 @@ def test_criterion_8_kernel_oracles(full_corpus):
     rng = random.Random(2024)
     for _ in range(200):
         dense = random_dense(rng, rng.randint(1, 8), rng.randint(1, 8))
-        got = smith_normal_form(SparseIntMatrix.from_dense(dense))
+        got = smith_normal_form(from_dense(dense))
         if list(got.factors) != snf_oracle(dense):
             ok = False
     for name, K in full_corpus.items():

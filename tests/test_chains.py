@@ -36,7 +36,7 @@ import chains_reference
 from chains_reference import chain_complex_of_faces
 from complexes_reference import f_vector
 from conftest import RP2_FACETS
-from homology_reference import homology_full_snf
+from homology_reference import group, homology_full_snf
 
 
 def test_sphere_homology():
@@ -61,7 +61,7 @@ def test_rp2_fixture(rp2):
     assert rp2.euler_reduced() == 0  # chi(RP^2) = 1
     H = homology(simplicial_chain_complex(rp2))
     assert dict(H) == {1: HomologyGroup(0, (2,))}
-    assert str(H.group(1)) == "Z/2"
+    assert str(group(H, 1)) == "Z/2"
 
 
 def euler_consistency(C: ChainComplex) -> bool:

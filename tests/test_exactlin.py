@@ -28,6 +28,16 @@ from lp_reference import lp_max as reference_lp_max
 from snf_reference import fix_divisibility_reference, full_scan_snf_diagonal
 
 
+def from_dense(dense):
+    """The SparseIntMatrix of a list of rows."""
+    rows = len(dense)
+    cols = len(dense[0]) if rows else 0
+    entries = {
+        (i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if v
+    }
+    return SparseIntMatrix(rows, cols, entries)
+
+
 def snf_oracle(dense):
     """Naive Smith normal form by dense elementary operations.
 
@@ -115,7 +125,7 @@ def test_snf_against_oracle_200_matrices():
         cols = rng.randint(1, 8)
         dense = random_dense(rng, rows, cols)
         expected = snf_oracle(dense)
-        got = smith_normal_form(SparseIntMatrix.from_dense(dense))
+        got = smith_normal_form(from_dense(dense))
         assert list(got.factors) == expected, dense
 
 
@@ -180,7 +190,7 @@ def test_snf_pivots_match_full_scan_on_rp2_reduction(rp2_reduction_matrices):
 )
 def test_snf_pivots_match_full_scan_with_large_entries(dense):
     # entries up to 50 run long remainder chains in both clearing phases
-    M = SparseIntMatrix.from_dense(dense)
+    M = from_dense(dense)
     assert_same_diagonal(M.entries, M.rows, M.cols)
 
 
@@ -207,7 +217,7 @@ def test_snf_leaves_its_input_unchanged():
     )
 )
 def test_snf_property_against_oracle(dense):
-    got = smith_normal_form(SparseIntMatrix.from_dense(dense))
+    got = smith_normal_form(from_dense(dense))
     assert list(got.factors) == snf_oracle(dense)
 
 
@@ -223,9 +233,9 @@ def test_fix_divisibility_matches_reference():
 
 
 def test_snf_known_values():
-    M = SparseIntMatrix.from_dense([[2, 0], [0, 3]])
+    M = from_dense([[2, 0], [0, 3]])
     assert smith_normal_form(M).factors == (1, 6)
-    M = SparseIntMatrix.from_dense([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+    M = from_dense([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     assert smith_normal_form(M).factors == (2, 2, 156)
     M = SparseIntMatrix(3, 3)
     assert smith_normal_form(M).factors == ()
@@ -235,7 +245,7 @@ def test_snf_rank_matches_rational_rank():
     rng = random.Random(7)
     for _ in range(50):
         dense = random_dense(rng, rng.randint(1, 8), rng.randint(1, 8))
-        M = SparseIntMatrix.from_dense(dense)
+        M = from_dense(dense)
         assert smith_normal_form(M).rank == rank_rational(M)
 
 
@@ -252,7 +262,7 @@ def test_sparse_matrix_basics():
     assert (1, 2) not in M.entries
     with pytest.raises(IndexError):
         M[2, 0] = 1
-    A = SparseIntMatrix.from_dense([[1, 0], [3, 4]])
+    A = from_dense([[1, 0], [3, 4]])
     assert A.entries == {(0, 0): 1, (1, 0): 3, (1, 1): 4}
     assert A.to_dense() == [[1, 0], [3, 4]]
     # the constructor drops zeros, stores ints, and rejects an entry outside

@@ -41,6 +41,7 @@ from polysmash.geomjoin import (
 
 import geom_reference as ref
 from bary_reference import barycentric_reference
+from homology_reference import group
 from lp_reference import lp_max as reference_lp_max
 from maps_views import (
     eval_psi,
@@ -354,7 +355,7 @@ def test_s_full_join_is_sphere():
         _, s_full, _, _ = sigma_complexes(cfg, range(1, m + 1))
         H = s_full.homology()
         assert sorted(H) == [k * m - 1]
-        assert H.group(k * m - 1).betti == 1
+        assert group(H, k * m - 1).betti == 1
 
 
 def test_realization_AK_homology(triangle_boundary):

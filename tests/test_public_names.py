@@ -3,7 +3,7 @@
 Every function the traced benchmark wraps (perfbench/spans.py) and every
 name in polysmash.__all__ must resolve, so that deleting one fails here and
 not only in the benchmark's own smoke run.  Two AST scans keep the library
-lean and its checks live: every module-level function is reached by library
+lean and its checks live: every function and method is reached by library
 code or by the benchmark, so test-only code lives in tests/, and no assert
 statement stands in for an invariant check that python -O would remove.
 """
@@ -21,9 +21,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
 LIBRARY = sorted((ROOT / "src" / "polysmash").glob("*.py"))
 
-# Kept without a caller: the realization of A(K) in the standard
-# configuration is what certifying the W-union as an embedded complex
-# (ROADMAP item 3) will check.
+# Kept without a caller, and so are the functions it calls: the realization
+# of A(K) in the standard configuration is what certifying the W-union as an
+# embedded complex (ROADMAP item 3) will check.
 UNREACHED_ALLOWED = {"realization_AK"}
 
 
@@ -55,10 +55,10 @@ def parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def references(tree):
-    """Names read and attributes taken anywhere in tree."""
+def references(*trees):
+    """Names read and attributes taken anywhere in trees."""
     found = set()
-    for node in ast.walk(tree):
+    for node in (node for tree in trees for node in ast.walk(tree)):
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -67,28 +67,49 @@ def references(tree):
 
 
 def test_every_library_function_is_reached():
-    """A function in src/polysmash is referenced by library code outside its
-    own body or by perfbench, by name, attribute or string (a span target);
-    __init__'s re-exports do not count."""
-    outside = set()
+    """Every function in src/polysmash, module-level or a method, is reached
+    from what the library runs on its own or from perfbench.
+
+    The roots are perfbench's names, attributes and strings (span targets)
+    and the library's statements outside any function: module and class
+    level code, decorators and the bodies of dunder methods, which Python
+    calls by syntax.  A function is reached when a reached body names it, by
+    name or attribute, and its own body is then reached: a chain of
+    functions that call only each other stays unreached.  __init__'s
+    re-exports do not count.  The match is by name alone, so a function
+    sharing its name with any reached attribute or variable passes.
+    """
+    reached = set(UNREACHED_ALLOWED)
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         tree = parse(path)
-        outside |= references(tree)
-        outside |= {node.value for node in ast.walk(tree)
+        reached |= references(tree)
+        reached |= {node.value for node in ast.walk(tree)
                     if isinstance(node, ast.Constant) and isinstance(node.value, str)}
-    trees = {path: parse(path) for path in LIBRARY if path.name != "__init__.py"}
-    # each top-level statement of the library with what it references, so
-    # that a function's own body, where recursion is no caller, can be left out
-    statements = [(node, references(node)) for tree in trees.values() for node in tree.body]
-    unreached = [
-        f"{path.stem}.{fn.name}"
-        for path, tree in trees.items()
-        for fn in tree.body
-        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and fn.name not in outside | UNREACHED_ALLOWED
-        and not any(fn.name in refs for node, refs in statements if node is not fn)
-    ]
-    assert not unreached, unreached
+    functions = {}  # "module.[Class.]name" -> its definition
+    for path in LIBRARY:
+        if path.name == "__init__.py":
+            continue
+        for node in parse(path).body:
+            scope, items = path.stem, [node]
+            if isinstance(node, ast.ClassDef):
+                reached |= references(*node.decorator_list, *node.bases, *node.keywords)
+                scope, items = f"{path.stem}.{node.name}", node.body
+            for item in items:
+                if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    reached |= references(item)
+                elif item.name.startswith("__") and item.name.endswith("__"):
+                    reached |= references(item)
+                else:
+                    reached |= references(*item.decorator_list)
+                    functions[f"{scope}.{item.name}"] = item
+    unreached = dict(functions)
+    while True:
+        found = [q for q, fn in unreached.items() if fn.name in reached]
+        if not found:
+            break
+        for q in found:
+            reached |= references(unreached.pop(q))
+    assert not unreached, sorted(unreached)
 
 
 def test_library_has_no_assert_statements():
