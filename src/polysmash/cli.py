@@ -76,9 +76,18 @@ def parse_complex_text(text, source="<input>") -> SimplicialComplex:
         raise ParseError(f"{source}: {e}")
 
 
+def _no_repeated_keys(pairs):
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"repeated key {key!r}")
+        data[key] = value
+    return data
+
+
 def parse_complex_json(text, source="<input>") -> SimplicialComplex:
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_no_repeated_keys)
         m, facets = data["m"], [tuple(f) for f in data["facets"]]
         for x in (m, *chain.from_iterable(facets)):
             if type(x) is not int:  # bool is an int subclass: refuse it too
@@ -354,7 +363,14 @@ def build_parser():
 
 def main(argv=None):
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args, extra = ap.parse_known_args(argv)
+    # argparse binds verify's optional input at the first run of
+    # positionals, so a path after the options comes back unparsed
+    if args.command == "verify" and args.input is None and extra \
+            and not extra[0].startswith("-"):
+        args.input = extra.pop(0)
+    if extra:
+        ap.error(f"unrecognized arguments: {' '.join(extra)}")
     if args.command == "verify" and args.what in ("main", "all") and not args.input:
         print("verify main requires a complex file or corpus directory",
               file=sys.stderr)

@@ -11,16 +11,19 @@ integers.  Proper intersection has two routes: a separating functional,
 one integer dot product per vertex, then, only when that functional proves
 nothing, the exact LP, which pivots an integer tableau and finds the
 witness of an improper pair.  geometric_join only builds a join; joinable
-decides whether it is geometric.  A verifier that needs both reads the
-pairs joinable decided instead of testing them again, so each proper
-intersection and each containment is decided once per verifier call.
-Point-in-simplex and barycentric coordinates go through a
-BarycentricFrame, which factors a reference simplex once, so each point
-against it costs one integer mat-vec.  The psi maps compute on integer
-numerators over one common denominator, and the map checks (verify_maps)
-compare those numerators by cross-multiplication over a grid generated in
-lowest terms.  Fractions are built only for answers: coordinates and volume
-ratios.  No floats.
+decides whether it is geometric.  Point-in-simplex and barycentric
+coordinates go through a BarycentricFrame, which factors a reference
+simplex once and solves each point against it once, by one integer
+mat-vec.  So each proper intersection, containment and barycentric solve
+is decided once per verifier call: a verifier that needs a join and its
+joinability reads the pairs joinable decided, and containment, coordinates
+and volume ratios read the frame's one solve.  verify_W_union builds each
+sphere join once, and its union of checked pieces tests no independence
+again (geometric_join after joinable still does).  The psi maps compute
+on integer numerators over one common denominator, and the map checks
+(verify_maps) compare those numerators by cross-multiplication over a grid
+generated in lowest terms.  Fractions are built only for answers:
+coordinates and volume ratios.  No floats.
 """
 
 from __future__ import annotations
@@ -64,7 +67,8 @@ class BarycentricFrame:
     integer matrix E with E M reduced.  Each point p then costs one sparse
     integer mat-vec E b, b = q (1, p): the solve rows give the coordinates
     times d q at the pivot columns (free coordinates are 0), and the
-    consistency rows vanish unless p leaves the affine hull.  Each row stays
+    consistency rows vanish unless p leaves the affine hull; the frame keeps
+    that result for the points it has seen.  Each row stays
     a nonzero multiple of the row plain Gauss-Jordan on [M | I] holds, so
     the pivot columns, and the coordinates, are those plain elimination on
     M t = (1, p) finds, for affinely dependent vertices too.
@@ -101,10 +105,16 @@ class BarycentricFrame:
         self._den = abs(prev)
         self._solve = [(c, _nonzeros(A[i][nv:], sign)) for i, c in enumerate(pivots)]
         self._consistency = [_nonzeros(A[i][nv:], 1) for i in range(r, m)]
+        self._solved = {}  # point -> _solve_point(point)
 
     def _numerators(self, p):
         """(q, t) with q (1, p) integer and the coordinates t / (d q), or
-        None off the affine hull."""
+        None off the affine hull.  Each point is solved once per frame."""
+        if p not in self._solved:
+            self._solved[p] = self._solve_point(p)
+        return self._solved[p]
+
+    def _solve_point(self, p):
         q, b = _homogeneous(p)
         if any(_dot(row, b) for row in self._consistency):
             return None
@@ -124,10 +134,8 @@ class BarycentricFrame:
 
     def contains(self, p):
         """p lies in the closed simplex: in the hull, every coordinate >= 0."""
-        _, b = _homogeneous(p)
-        return not any(_dot(row, b) for row in self._consistency) and all(
-            _dot(row, b) >= 0 for _, row in self._solve
-        )
+        solved = self._numerators(p)
+        return solved is not None and all(x >= 0 for x in solved[1])
 
     def volume_ratio(self, piece):
         """vol(piece) / vol(frame simplex) for a piece with as many vertices,
@@ -209,20 +217,23 @@ class EmbeddedComplex:
 
     @classmethod
     def from_simplices(cls, ambient, simplices):
-        sims = [frozenset(s) for s in simplices]
-        minimal = []
-        for s in sorted(sims, key=len, reverse=True):
-            if not any(s <= t for t in minimal):
-                minimal.append(s)
-        if not minimal:
-            minimal = [frozenset()]
-        for s in minimal:
+        maximal = _maximal(frozenset(s) for s in simplices)
+        for s in maximal:
             for p in s:
                 if len(p) != ambient:
                     raise ValueError("point dimension != ambient dimension")
             if not affinely_independent(s):
                 raise ValueError("simplex vertices are affinely dependent")
-        return cls(ambient, frozenset(minimal))
+        return cls(ambient, maximal)
+
+    @classmethod
+    def union(cls, parts):
+        """The union of complexes in one ambient space.  Their simplices passed
+        from_simplices, and so would every subset: only minimalizing is left."""
+        ambient = parts[0].ambient
+        if any(X.ambient != ambient for X in parts):
+            raise ValueError("ambient dimension mismatch")
+        return cls(ambient, _maximal(s for X in parts for s in X.maximal))
 
     def vertices(self):
         return sorted({p for s in self.maximal for p in s})
@@ -239,6 +250,15 @@ class EmbeddedComplex:
 
     def homology(self):
         return homology(self.chain_complex())
+
+
+def _maximal(simplices):
+    """The simplices contained in no other, {empty simplex} if none."""
+    maximal = []
+    for s in sorted(simplices, key=len, reverse=True):
+        if not any(s <= t for t in maximal):
+            maximal.append(s)
+    return frozenset(maximal or [frozenset()])
 
 
 def embedded_point(p):
@@ -614,21 +634,28 @@ def verify_W_union(config: StandardConfig, K) -> VerificationReport:
     """Per sigma in K: Delta_sigma *~ S*_sigma and a_sigma *~ S_[m] have equal
     carriers; the union over K has the homology of the km-fold suspension."""
     report = VerificationReport(f"W m={config.m} k={config.k}")
-    full = list(range(1, config.m + 1))
-    # each block sphere is built once and shared by S_[m] and every S*_sigma
-    spheres = [config.sphere(i) for i in full]
-    s_full = _sphere_join(config, spheres, full)
-    union_simplices = set()
+    full = tuple(range(1, config.m + 1))
+    # each sphere join is built once, keyed by its block indices: the
+    # S*_sigma share their prefixes, and S*_empty is S_[m]
+    joins = {(i,): config.sphere(i) for i in full}
+    joins[()] = empty_embedded(config.n)
+
+    def sphere_join(key):
+        if key not in joins:
+            joins[key] = geometric_join(sphere_join(key[:-1]), joins[key[-1:]])
+        return joins[key]
+
+    sides_b = []
     for sigma in K.faces():
-        s_star = _sphere_join(config, spheres, [j for j in full if j not in sigma])
+        s_star = sphere_join(tuple(j for j in full if j not in sigma))
         side_a = geometric_join(_delta_sigma(config, sigma), s_star)
-        side_b = geometric_join(_a_sigma(config, sigma), s_full)
-        union_simplices.update(side_b.maximal)
+        side_b = geometric_join(_a_sigma(config, sigma), sphere_join(full))
+        sides_b.append(side_b)
         ok = carrier_equal(side_a, side_b)
         report.add(Check(f"W_sigma two presentations agree, sigma={sorted(sigma)}",
                          ok, "equal carriers", "equal" if ok else "different", "w1"))
 
-    union = EmbeddedComplex.from_simplices(config.n, union_simplices)
+    union = EmbeddedComplex.union(sides_b)
     H_union = union.homology()
     H_expected = homology(simplicial_chain_complex(K)).shifted(config.k * config.m)
     report.add(Check("union W_sigma homology = km-shifted homology of K",

@@ -99,6 +99,16 @@ def test_json_complex_rejects_non_integers(text, tmp_path, capsys):
     assert captured.err.startswith("error:") and captured.out == ""
 
 
+def test_json_complex_rejects_a_repeated_key(tmp_path, capsys):
+    # the last value used to win: this loaded as m = 5
+    p = write(tmp_path, "k.json", '{"m": 3, "m": 5, "facets": [[1, 2]]}')
+    with pytest.raises(ParseError, match="repeated key 'm'"):
+        load_complex(p)
+    assert main(["homology", p]) == 2
+    captured = capsys.readouterr()
+    assert "repeated key 'm'" in captured.err and captured.out == ""
+
+
 def test_parse_j():
     assert parse_j("1,0,2", 3) == (1, 0, 2)
     assert parse_j("1 0 2", 3) == (1, 0, 2)
@@ -195,6 +205,31 @@ def test_verify_corpus_exit_0(tmp_path, capsys):
 def test_verify_requires_input(capsys):
     assert main(["verify", "main"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("what, options", [
+    ("main", ["--jmax", "2", "--json"]),
+    ("all", ["--jmax", "1", "--m", "1", "--k", "0", "--grid", "1", "--json"]),
+])
+def test_verify_reads_the_input_before_or_after_the_options(what, options, tmp_path,
+                                                            capsys):
+    write(tmp_path, "a.txt", "1 2\n1 3\n2 3\n")
+    reports = []
+    for argv in (["verify", what, str(tmp_path), *options],
+                 ["verify", what, *options, str(tmp_path)]):
+        assert main(argv) == 0
+        data = json.loads(capsys.readouterr().out)
+        data.pop("wall_time")
+        reports.append(data)
+    assert reports[0] == reports[1]
+    assert any(c["name"].startswith("a.txt J=") for c in reports[0]["checks"])
+    # a second path is still refused, in either place
+    for argv in (["verify", what, str(tmp_path), *options, "extra"],
+                 ["verify", what, *options, str(tmp_path), "extra"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: extra" in capsys.readouterr().err
 
 
 def test_verify_json_deterministic(tmp_path, capsys):

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +20,7 @@ from polysmash.exactlin import bareiss, lp_max, rank_rational
 from polysmash.geomjoin import (
     BarycentricFrame,
     EmbeddedComplex,
+    StandardConfig,
     affinely_independent,
     barycentric_coords,
     carrier_equal,
@@ -881,3 +883,70 @@ def test_naturality_side_padded_wrongly_fails(monkeypatch, misplace):
     monkeypatch.setattr(geomjoin, "_psi", wrong_psi)
     natural = [c.passed for c in verify_maps(8).checks if c.location == "naturality k=0"]
     assert natural == [p == l for l in range(1, 5) for p in range(1, l + 1)]
+
+
+# -- each W-union fact decided once ------------------------------------------------------
+
+
+def test_W_union_frames_solve_each_point_once(monkeypatch):
+    solves = Counter()
+    solve_point = BarycentricFrame._solve_point
+
+    def counted(frame, p):
+        solves[frame, p] += 1  # the key keeps the frame alive: no id reuse
+        return solve_point(frame, p)
+
+    monkeypatch.setattr(BarycentricFrame, "_solve_point", counted)
+    assert verify_W_union(standard_config(3, 1), simplex_boundary(2)).passed
+    assert solves and max(solves.values()) == 1
+    assert len({frame for frame, _ in solves}) > 1
+
+
+def test_W_union_is_built_without_independence_tests(monkeypatch):
+    tests = Counter()
+    in_union = []
+    unions = []
+    independent = geomjoin.affinely_independent
+    union = EmbeddedComplex.union.__func__
+
+    def counted_independent(points):
+        tests[bool(in_union)] += 1
+        return independent(points)
+
+    def watched_union(cls, parts):
+        in_union.append(True)
+        try:
+            out = union(cls, parts)
+        finally:
+            in_union.pop()
+        unions.append((parts, out))
+        return out
+
+    monkeypatch.setattr(geomjoin, "affinely_independent", counted_independent)
+    monkeypatch.setattr(EmbeddedComplex, "union", classmethod(watched_union))
+    assert verify_W_union(standard_config(3, 1), simplex_boundary(2)).passed
+    assert tests[True] == 0 and tests[False] > 0
+    ((parts, out),) = unions
+    monkeypatch.setattr(geomjoin, "affinely_independent", independent)
+    simplices = [s for X in parts for s in X.maximal]
+    assert out == EmbeddedComplex.from_simplices(out.ambient, simplices)
+
+
+class _DependentBarycenters(StandardConfig):
+    """a_i moved onto the line through the first two vertices of block i."""
+
+    def scaled_a(self, i):
+        v1, v2 = self.block(i)[:2]
+        return tuple(2 * x - y for x, y in zip(v1, v2))
+
+
+def test_dependent_W_side_raises_at_its_construction():
+    # with k = 2, a_1 * S_[m] holds {a_1, L v_1^1, L v_1^2, ...}, which is
+    # dependent: geometric_join must refuse that side before any union
+    cfg = _DependentBarycenters(2, 2)
+    with pytest.raises(ValueError, match="affinely dependent") as exc:
+        verify_W_union(cfg, full_simplex(1))
+    *_, caller, join, build = exc.traceback
+    assert [caller.name, join.name, build.name] == [
+        "verify_W_union", "geometric_join", "from_simplices"]
+    assert "side_b = " in str(caller.statement)
