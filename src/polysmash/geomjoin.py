@@ -230,10 +230,7 @@ class EmbeddedComplex:
     def union(cls, parts):
         """The union of complexes in one ambient space.  Their simplices passed
         from_simplices, and so would every subset: only minimalizing is left."""
-        ambient = parts[0].ambient
-        if any(X.ambient != ambient for X in parts):
-            raise ValueError("ambient dimension mismatch")
-        return cls(ambient, _maximal(s for X in parts for s in X.maximal))
+        return cls(parts[0].ambient, _maximal(s for X in parts for s in X.maximal))
 
     def vertices(self):
         return sorted({p for s in self.maximal for p in s})
@@ -426,16 +423,6 @@ def geometric_join(X: EmbeddedComplex, Y: EmbeddedComplex):
     )
 
 
-def geometric_join_many(parts):
-    parts = list(parts)
-    if not parts:
-        raise ValueError("empty join")
-    out = parts[0]
-    for nxt in parts[1:]:
-        out = geometric_join(out, nxt)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the standard configuration
 # ---------------------------------------------------------------------------
@@ -506,12 +493,12 @@ def sigma_complexes(config: StandardConfig, sigma):
     """(Delta_sigma, S_sigma, S*_sigma, a_sigma) for sigma a subset of [m],
     on the configuration's integer points."""
     sigma = sorted(set(sigma))
-    comp = [j for j in range(1, config.m + 1) if j not in sigma]
-    spheres = [config.sphere(i) for i in range(1, config.m + 1)]
+    comp = tuple(j for j in range(1, config.m + 1) if j not in sigma)
+    joins = _sphere_joins(config)
     return (
         _delta_sigma(config, sigma),
-        _sphere_join(config, spheres, sigma),
-        _sphere_join(config, spheres, comp),
+        _sphere_join(joins, tuple(sigma)),
+        _sphere_join(joins, comp),
         _a_sigma(config, sigma),
     )
 
@@ -534,12 +521,20 @@ def _a_sigma(config, sigma):
     )
 
 
-def _sphere_join(config, spheres, indices):
-    """The join of the block spheres spheres[i - 1], i in indices; the empty
-    space if there are none."""
-    if not indices:
-        return empty_embedded(config.n)
-    return geometric_join_many([spheres[i - 1] for i in indices])
+def _sphere_joins(config):
+    """The seed of _sphere_join's dict: each block sphere under its index,
+    and the empty space under ()."""
+    joins = {(i,): config.sphere(i) for i in range(1, config.m + 1)}
+    joins[()] = empty_embedded(config.n)
+    return joins
+
+
+def _sphere_join(joins, key):
+    """The join of the block spheres i in key, an increasing tuple: the join
+    of its prefix with its last sphere, each built once and kept in joins."""
+    if key not in joins:
+        joins[key] = geometric_join(_sphere_join(joins, key[:-1]), joins[key[-1:]])
+    return joins[key]
 
 
 def realization_AK(config: StandardConfig, K):
@@ -635,21 +630,14 @@ def verify_W_union(config: StandardConfig, K) -> VerificationReport:
     carriers; the union over K has the homology of the km-fold suspension."""
     report = VerificationReport(f"W m={config.m} k={config.k}")
     full = tuple(range(1, config.m + 1))
-    # each sphere join is built once, keyed by its block indices: the
-    # S*_sigma share their prefixes, and S*_empty is S_[m]
-    joins = {(i,): config.sphere(i) for i in full}
-    joins[()] = empty_embedded(config.n)
-
-    def sphere_join(key):
-        if key not in joins:
-            joins[key] = geometric_join(sphere_join(key[:-1]), joins[key[-1:]])
-        return joins[key]
-
+    # each sphere join is built once per call: the S*_sigma share their
+    # prefixes, and S*_empty is S_[m]
+    joins = _sphere_joins(config)
     sides_b = []
     for sigma in K.faces():
-        s_star = sphere_join(tuple(j for j in full if j not in sigma))
+        s_star = _sphere_join(joins, tuple(j for j in full if j not in sigma))
         side_a = geometric_join(_delta_sigma(config, sigma), s_star)
-        side_b = geometric_join(_a_sigma(config, sigma), sphere_join(full))
+        side_b = geometric_join(_a_sigma(config, sigma), _sphere_join(joins, full))
         sides_b.append(side_b)
         ok = carrier_equal(side_a, side_b)
         report.add(Check(f"W_sigma two presentations agree, sigma={sorted(sigma)}",

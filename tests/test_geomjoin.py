@@ -28,7 +28,6 @@ from polysmash.geomjoin import (
     embedded_point,
     empty_embedded,
     geometric_join,
-    geometric_join_many,
     joinable,
     proper_intersection,
     realization_AK,
@@ -288,6 +287,15 @@ def test_join_with_empty_space_is_identity():
     assert geometric_join(E, X).maximal == X.maximal
 
 
+def geometric_join_many(parts):
+    """The left fold of geometric_join over parts."""
+    parts = list(parts)
+    out = parts[0]
+    for nxt in parts[1:]:
+        out = geometric_join(out, nxt)
+    return out
+
+
 def test_join_associative_carrier():
     p1 = embedded_point(pt(1, 0, 0))
     p2 = embedded_point(pt(0, 1, 0))
@@ -348,6 +356,18 @@ def test_sigma_complexes_m2_k1():
     _, s_one, s_star_one, _ = sigma_complexes(cfg, (1,))
     assert len(s_one.maximal) == 2
     assert len(s_star_one.maximal) == 2
+
+
+def test_sigma_complexes_sphere_joins_are_the_left_fold():
+    cfg = standard_config(3, 1)
+    spheres = {i: cfg.sphere(i) for i in (1, 2, 3)}
+    for r in (1, 2, 3):
+        for sigma in itertools.combinations((1, 2, 3), r):
+            comp = [j for j in (1, 2, 3) if j not in sigma]
+            _, s_sigma, s_star, _ = sigma_complexes(cfg, sigma)
+            assert s_sigma == geometric_join_many(spheres[i] for i in sigma)
+            assert s_star == (geometric_join_many(spheres[j] for j in comp)
+                              if comp else empty_embedded(cfg.n))
 
 
 def test_s_full_join_is_sphere():
@@ -940,13 +960,13 @@ class _DependentBarycenters(StandardConfig):
         return tuple(2 * x - y for x, y in zip(v1, v2))
 
 
-def test_dependent_W_side_raises_at_its_construction():
+def test_dependent_W_side_raises_at_its_construction(monkeypatch):
     # with k = 2, a_1 * S_[m] holds {a_1, L v_1^1, L v_1^2, ...}, which is
-    # dependent: geometric_join must refuse that side before any union
+    # dependent: building that side must refuse it, before any union
+    unions = []
+    monkeypatch.setattr(EmbeddedComplex, "union",
+                        classmethod(lambda cls, parts: unions.append(parts)))
     cfg = _DependentBarycenters(2, 2)
-    with pytest.raises(ValueError, match="affinely dependent") as exc:
+    with pytest.raises(ValueError, match="affinely dependent"):
         verify_W_union(cfg, full_simplex(1))
-    *_, caller, join, build = exc.traceback
-    assert [caller.name, join.name, build.name] == [
-        "verify_W_union", "geometric_join", "from_simplices"]
-    assert "side_b = " in str(caller.statement)
+    assert unions == []
