@@ -191,9 +191,6 @@ class HomologyTable(dict):
     def shifted(self, s):
         return HomologyTable({n + s: g for n, g in self.items()})
 
-    def euler(self):
-        return sum((-1) ** n * g.betti for n, g in self.items())
-
     def __str__(self):
         if not self:
             return "all reduced homology zero"

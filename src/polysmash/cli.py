@@ -101,7 +101,7 @@ def load_complex(path) -> SimplicialComplex:
     p = Path(path)
     try:
         text = p.read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"{path}: {e}")
     if p.suffix == ".json":
         return parse_complex_json(text, source=str(path))

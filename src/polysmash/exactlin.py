@@ -60,15 +60,6 @@ class SparseIntMatrix:
     def __getitem__(self, key):
         return self.entries.get(key, 0)
 
-    def __setitem__(self, key, value):
-        i, j = key
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"entry {key} outside {self.rows}x{self.cols} matrix")
-        if value:
-            self.entries[key] = _integral(key, value)
-        else:
-            self.entries.pop(key, None)
-
     def __eq__(self, other):
         return (
             isinstance(other, SparseIntMatrix)

@@ -46,11 +46,6 @@ F = Fraction
 # ---------------------------------------------------------------------------
 
 
-def unit(n, i):
-    """Standard basis vector e_i (1-based) in Q^n."""
-    return tuple(F(1) if j == i else F(0) for j in range(1, n + 1))
-
-
 def affinely_independent(points):
     """The homogeneous rows (1, p), each scaled to integers, have full rank."""
     rows = [_homogeneous(p)[1] for p in points]
@@ -235,9 +230,6 @@ class EmbeddedComplex:
     def vertices(self):
         return sorted({p for s in self.maximal for p in s})
 
-    def is_empty(self):
-        return self.maximal == frozenset({frozenset()})
-
     def chain_complex(self):
         """Augmented simplicial chain complex on the vertices relabelled
         1, 2, ... in sorted order."""
@@ -256,10 +248,6 @@ def _maximal(simplices):
         if not any(s <= t for t in maximal):
             maximal.append(s)
     return frozenset(maximal or [frozenset()])
-
-
-def embedded_point(p):
-    return EmbeddedComplex.from_simplices(len(p), [frozenset({p})])
 
 
 def empty_embedded(ambient):
@@ -433,10 +421,11 @@ class StandardConfig:
     """v_i^l = e_{(k+1)(i-1)+l}; a_i the barycenter of its block; Delta_i the
     block simplex; S_i its boundary (all proper faces).
 
-    v and a give the paper's rational points.  The complexes are built on
-    the integer points L v_i^l and L a_i with L = k + 1: a uniform positive
+    Every configuration complex is built on the integer points of block(i)
+    and scaled_a(i), L v_i^l and L a_i with L = k + 1: a uniform positive
     scaling keeps every independence, containment, proper intersection and
-    volume ratio, and integer points hash and compare fast.
+    volume ratio, and integer points hash and compare fast.  A block index
+    outside [1, m] raises ValueError, so no complex has a missing block.
     """
 
     m: int
@@ -450,27 +439,25 @@ class StandardConfig:
     def n(self):
         return (self.k + 1) * self.m
 
-    def v(self, i, l):
-        return unit(self.n, (self.k + 1) * (i - 1) + l)
-
-    def a(self, i):
-        return tuple(F(c, self.k + 1) for c in self.scaled_a(i))
+    def _coordinates(self, i):
+        """The coordinates of block i, 0-based."""
+        if not 1 <= i <= self.m:
+            raise ValueError(f"block index {i} is outside [1, {self.m}]")
+        L = self.k + 1
+        return range(L * (i - 1), L * i)
 
     def block(self, i):
         """The vertices of Delta_i scaled by L: L v_i^1, ..., L v_i^L."""
         L = self.k + 1
         return [
             tuple(L if j == c else 0 for j in range(self.n))
-            for c in range(L * (i - 1), L * i)
+            for c in self._coordinates(i)
         ]
 
     def scaled_a(self, i):
         """L a_i: 1 on the coordinates of block i, 0 elsewhere."""
-        L = self.k + 1
-        return tuple(int(L * (i - 1) <= j < L * i) for j in range(self.n))
-
-    def delta(self, i):
-        return EmbeddedComplex.from_simplices(self.n, [frozenset(self.block(i))])
+        cs = self._coordinates(i)
+        return tuple(int(j in cs) for j in range(self.n))
 
     def sphere(self, i):
         """S_i = boundary of Delta_i: all proper faces (empty complex if k=0)."""
@@ -481,26 +468,9 @@ class StandardConfig:
             self.n, [frozenset(c) for c in combinations(pts, len(pts) - 1)]
         )
 
-    def a_point_complex(self, i):
-        return embedded_point(self.scaled_a(i))
-
 
 def standard_config(m, k) -> StandardConfig:
     return StandardConfig(m, k)
-
-
-def sigma_complexes(config: StandardConfig, sigma):
-    """(Delta_sigma, S_sigma, S*_sigma, a_sigma) for sigma a subset of [m],
-    on the configuration's integer points."""
-    sigma = sorted(set(sigma))
-    comp = tuple(j for j in range(1, config.m + 1) if j not in sigma)
-    joins = _sphere_joins(config)
-    return (
-        _delta_sigma(config, sigma),
-        _sphere_join(joins, tuple(sigma)),
-        _sphere_join(joins, comp),
-        _a_sigma(config, sigma),
-    )
 
 
 def _delta_sigma(config, sigma):
@@ -562,9 +532,9 @@ def verify_gji(config: StandardConfig, sigma) -> VerificationReport:
     sigma = sorted(set(sigma))
     report = VerificationReport(f"gji m={config.m} k={config.k} sigma={sigma}")
     collections = {
-        "Delta_i": [config.delta(i) for i in sigma],
+        "Delta_i": [_delta_sigma(config, (i,)) for i in sigma],
         "S_i": [config.sphere(i) for i in sigma],
-        "a_i": [config.a_point_complex(i) for i in sigma],
+        "a_i": [_a_sigma(config, (i,)) for i in sigma],
     }
     for name, members in collections.items():
         ok_all = True
@@ -592,7 +562,9 @@ def verify_gjs(config: StandardConfig, sigma) -> VerificationReport:
     if not sigma:
         raise ValueError("sigma must be nonempty")
     report = VerificationReport(f"gjs m={config.m} k={config.k} sigma={sigma}")
-    delta_sigma, s_sigma, _, a_sigma = sigma_complexes(config, sigma)
+    delta_sigma = _delta_sigma(config, sigma)
+    s_sigma = _sphere_join(_sphere_joins(config), tuple(sigma))
+    a_sigma = _a_sigma(config, sigma)
 
     ok, failures = joinable(a_sigma, s_sigma)
     report.add(Check("a_sigma joinable to S_sigma", ok, "joinable",
@@ -628,6 +600,8 @@ def verify_gjs(config: StandardConfig, sigma) -> VerificationReport:
 def verify_W_union(config: StandardConfig, K) -> VerificationReport:
     """Per sigma in K: Delta_sigma *~ S*_sigma and a_sigma *~ S_[m] have equal
     carriers; the union over K has the homology of the km-fold suspension."""
+    if K.m != config.m:
+        raise ValueError("K and configuration disagree on m")
     report = VerificationReport(f"W m={config.m} k={config.k}")
     full = tuple(range(1, config.m + 1))
     # each sphere join is built once per call: the S*_sigma share their

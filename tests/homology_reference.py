@@ -3,7 +3,8 @@
 The library's homology() deletes unit reduction pairs before its Smith
 normal form; this is the route without that pass, kept as a differential
 reference.  group() reads one degree of a table, the zero group included,
-which only the tests ask for.
+and euler() the Euler characteristic of a table, which only the tests ask
+for.
 """
 
 from polysmash.chains import ChainComplex, HomologyGroup, HomologyTable
@@ -14,6 +15,11 @@ ZERO_GROUP = HomologyGroup(0)
 
 def group(H: HomologyTable, n):
     return H.get(n, ZERO_GROUP)
+
+
+def euler(H: HomologyTable):
+    """The reduced Euler characteristic sum (-1)^n betti_n."""
+    return sum((-1) ** n * g.betti for n, g in H.items())
 
 
 def homology_full_snf(C: ChainComplex) -> HomologyTable:

@@ -16,7 +16,6 @@ from polysmash.complexes import (
 )
 from polysmash.exactlin import smith_normal_form
 from polysmash.geomjoin import (
-    sigma_complexes,
     standard_config,
     verify_gji,
     verify_gjs,

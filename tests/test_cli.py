@@ -202,6 +202,15 @@ def test_verify_corpus_exit_0(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_undecodable_complex_file_is_named(tmp_path, capsys):
+    write(tmp_path, "a.txt", "1 2\n1 3\n2 3\n")
+    bad = tmp_path / "b.txt"
+    bad.write_bytes(b"1 2\n\xff\n")
+    for argv in (["homology", str(bad)], ["verify", "main", str(tmp_path)]):
+        assert main(argv) == 2
+        assert f"error: {bad}: " in capsys.readouterr().err
+
+
 def test_verify_requires_input(capsys):
     assert main(["verify", "main"]) == 2
     capsys.readouterr()

@@ -25,15 +25,12 @@ from polysmash.geomjoin import (
     barycentric_coords,
     carrier_equal,
     determinant,
-    embedded_point,
     empty_embedded,
     geometric_join,
     joinable,
     proper_intersection,
     realization_AK,
-    sigma_complexes,
     standard_config,
-    unit,
     verify_gji,
     verify_gjs,
     verify_maps,
@@ -42,6 +39,7 @@ from polysmash.geomjoin import (
 
 import geom_reference as ref
 from bary_reference import barycentric_reference
+from config_views import a, embedded_point, is_empty, sigma_complexes, unit, v
 from homology_reference import group
 from lp_reference import lp_max as reference_lp_max
 from maps_views import (
@@ -310,9 +308,9 @@ def test_join_associative_carrier():
 def test_standard_config_m2_k1():
     cfg = standard_config(2, 1)
     assert cfg.n == 4
-    assert cfg.v(1, 1) == unit(4, 1)
-    assert cfg.v(2, 2) == unit(4, 4)
-    assert cfg.a(1) == pt(F(1, 2), F(1, 2), 0, 0)
+    assert v(cfg, 1, 1) == unit(4, 1)
+    assert v(cfg, 2, 2) == unit(4, 4)
+    assert a(cfg, 1) == pt(F(1, 2), F(1, 2), 0, 0)
     S1 = cfg.sphere(1)
     assert len(S1.maximal) == 2  # two endpoints of the block edge
     assert cfg.sphere(1).ambient == 4
@@ -326,11 +324,11 @@ def test_config_complexes_live_on_integer_points():
         L = k + 1
         scaled_a = []
         for i in range(1, m + 1):
-            block = [tuple(L * c for c in cfg.v(i, l)) for l in range(1, L + 1)]
+            block = [tuple(L * c for c in v(cfg, i, l)) for l in range(1, L + 1)]
             assert cfg.block(i) == block
-            assert cfg.delta(i).vertices() == sorted(block)
-            scaled_a.append(tuple(L * c for c in cfg.a(i)))
-            assert cfg.a_point_complex(i).vertices() == [scaled_a[-1]]
+            assert geomjoin._delta_sigma(cfg, (i,)).vertices() == sorted(block)
+            scaled_a.append(tuple(L * c for c in a(cfg, i)))
+            assert geomjoin._a_sigma(cfg, (i,)).vertices() == [scaled_a[-1]]
             assert all(type(c) is int for p in cfg.block(i) for c in p)
             assert all(type(c) is int for c in cfg.scaled_a(i))
         _, _, _, a_sigma = sigma_complexes(cfg, range(1, m + 1))
@@ -340,8 +338,8 @@ def test_config_complexes_live_on_integer_points():
 
 def test_standard_config_k0_sphere_empty():
     cfg = standard_config(2, 0)
-    assert cfg.sphere(1).is_empty()
-    assert cfg.delta(1).maximal == frozenset({frozenset({unit(2, 1)})})
+    assert is_empty(cfg.sphere(1))
+    assert geomjoin._delta_sigma(cfg, (1,)).maximal == frozenset({frozenset({unit(2, 1)})})
 
 
 def test_sigma_complexes_m2_k1():
@@ -350,7 +348,7 @@ def test_sigma_complexes_m2_k1():
     assert len(next(iter(delta_sigma.maximal))) == 4
     # S_{1} * S_{2}: 2 x 2 joined edges
     assert len(s_sigma.maximal) == 4
-    assert s_star.is_empty()
+    assert is_empty(s_star)
     assert len(next(iter(a_sigma.maximal))) == 2
     # complementary case
     _, s_one, s_star_one, _ = sigma_complexes(cfg, (1,))
@@ -473,6 +471,19 @@ def test_verify_W_union_disconnected():
     K = from_facets(2, [(1,), (2,)])
     r = verify_W_union(cfg, K)
     assert r.passed, str(r)
+
+
+def test_verifiers_refuse_blocks_outside_the_configuration():
+    cfg = standard_config(2, 1)
+    with pytest.raises(ValueError, match="K and configuration disagree on m"):
+        verify_W_union(cfg, simplex_boundary(2))
+    for verify, sigma, bad in [(verify_gji, (0, 1, 2), 0), (verify_gjs, (1, 5), 5)]:
+        with pytest.raises(ValueError, match=rf"^block index {bad} is outside \[1, 2\]$"):
+            verify(cfg, sigma)
+    for i in (0, 3):
+        for point in (cfg.block, cfg.scaled_a, cfg.sphere):
+            with pytest.raises(ValueError, match=rf"^block index {i} "):
+                point(i)
 
 
 # -- the cube reparametrization psi ---------------------------------------------------------

@@ -56,14 +56,14 @@ def parse(path):
 
 
 def references(*trees):
-    """Names read and attributes taken anywhere in trees."""
-    found = set()
+    """(names read, attributes taken) anywhere in trees."""
+    names, attrs = set(), set()
     for node in (node for tree in trees for node in ast.walk(tree)):
         if isinstance(node, ast.Name):
-            found.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
-    return found
+            attrs.add(node.attr)
+    return names, attrs
 
 
 def test_every_library_function_is_reached():
@@ -75,40 +75,49 @@ def test_every_library_function_is_reached():
     level code, decorators and the bodies of dunder methods, which Python
     calls by syntax.  A function is reached when a reached body names it, by
     name or attribute, and its own body is then reached: a chain of
-    functions that call only each other stays unreached.  __init__'s
-    re-exports do not count.  The match is by name alone, so a function
-    sharing its name with any reached attribute or variable passes.
+    functions that call only each other stays unreached.  A method counts
+    only as an attribute (x.name), or a perfbench string; a module-level
+    function also by a bare name.  __init__'s re-exports do not count.  The
+    match is by name alone, so a function sharing its name with any reached
+    attribute (or, module-level, variable) passes.
     """
-    reached = set(UNREACHED_ALLOWED)
+    names, attrs = set(), set(UNREACHED_ALLOWED)
+
+    def reach(*trees):
+        found_names, found_attrs = references(*trees)
+        names.update(found_names)
+        attrs.update(found_attrs)
+
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         tree = parse(path)
-        reached |= references(tree)
-        reached |= {node.value for node in ast.walk(tree)
-                    if isinstance(node, ast.Constant) and isinstance(node.value, str)}
-    functions = {}  # "module.[Class.]name" -> its definition
+        reach(tree)
+        attrs.update(node.value for node in ast.walk(tree)
+                     if isinstance(node, ast.Constant) and isinstance(node.value, str))
+    functions = {}  # "module.[Class.]name" -> (its definition, is a method)
     for path in LIBRARY:
         if path.name == "__init__.py":
             continue
         for node in parse(path).body:
             scope, items = path.stem, [node]
             if isinstance(node, ast.ClassDef):
-                reached |= references(*node.decorator_list, *node.bases, *node.keywords)
+                reach(*node.decorator_list, *node.bases, *node.keywords)
                 scope, items = f"{path.stem}.{node.name}", node.body
             for item in items:
                 if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    reached |= references(item)
+                    reach(item)
                 elif item.name.startswith("__") and item.name.endswith("__"):
-                    reached |= references(item)
+                    reach(item)
                 else:
-                    reached |= references(*item.decorator_list)
-                    functions[f"{scope}.{item.name}"] = item
+                    reach(*item.decorator_list)
+                    functions[f"{scope}.{item.name}"] = (item, item is not node)
     unreached = dict(functions)
     while True:
-        found = [q for q, fn in unreached.items() if fn.name in reached]
+        found = [q for q, (fn, method) in unreached.items()
+                 if fn.name in attrs or (not method and fn.name in names)]
         if not found:
             break
         for q in found:
-            reached |= references(unreached.pop(q))
+            reach(unreached.pop(q)[0])
     assert not unreached, sorted(unreached)
 
 
