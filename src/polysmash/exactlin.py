@@ -171,13 +171,15 @@ def bareiss(rows):
     Columns without a pivot are skipped.  det is the determinant of a square
     matrix, and 0 for a singular or non-square one.
     """
-    A = [list(row) for row in rows]
+    A = list(rows)  # rows are replaced, never written to
     m = len(A)
     ncols = len(A[0]) if m else 0
     rank, prev, sign = 0, 1, 1
     for c in range(ncols):
-        pr = next((i for i in range(rank, m) if A[i][c]), None)
-        if pr is None:
+        for pr in range(rank, m):
+            if A[pr][c]:
+                break
+        else:
             continue
         if pr != rank:
             A[rank], A[pr] = A[pr], A[rank]

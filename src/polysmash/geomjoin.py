@@ -14,24 +14,26 @@ witness of an improper pair.  geometric_join only builds a join; joinable
 decides whether it is geometric.  Point-in-simplex and barycentric
 coordinates go through a BarycentricFrame, which factors a reference
 simplex once and solves each point against it once, by one integer
-mat-vec.  So each proper intersection, containment and barycentric solve
-is decided once per verifier call: a verifier that needs a join and its
-joinability reads the pairs joinable decided, and containment, coordinates
-and volume ratios read the frame's one solve.  verify_W_union builds each
+mat-vec.  A join that joinable accepted is built from the pairs it tested,
+with no second independence test, and containment, coordinates and volume
+ratios read the frame's one solve.  verify_W_union builds each
 sphere join once, and its union of checked pieces tests no independence
-again (geometric_join after joinable still does).  The psi maps compute
-on integer numerators over one common denominator, and the map checks
-(verify_maps) compare those numerators by cross-multiplication over a grid
-generated in lowest terms.  Fractions are built only for answers:
-coordinates and volume ratios.  No floats.
+again.  The psi maps compute on integer numerators over one common
+denominator, and the map checks (verify_maps) compare those numerators by
+cross-multiplication over a grid generated in lowest terms.  Fractions are
+built only for answers: coordinates and volume ratios.  No floats.  The
+per-point and per-pair predicates run their loops over integer rows in
+builtins (sum over map(mul, ...), min, max, filter) and list comparisons,
+not in generator expressions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import gcd, lcm
+from itertools import chain, combinations
+from math import gcd, lcm, prod
+from operator import mul
 
 from .chains import homology, simplicial_chain_complex
 from .complexes import SimplicialComplex
@@ -39,6 +41,7 @@ from .exactlin import RationalLP, bareiss, lp_max
 from .report import Check, VerificationReport
 
 F = Fraction
+_INT = frozenset([int])
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +51,7 @@ F = Fraction
 
 def affinely_independent(points):
     """The homogeneous rows (1, p), each scaled to integers, have full rank."""
-    rows = [_homogeneous(p)[1] for p in points]
+    rows = [_scaled((1, *p))[1] for p in points]
     return bareiss(rows)[0] == len(rows)
 
 
@@ -63,10 +66,12 @@ class BarycentricFrame:
     integer mat-vec E b, b = q (1, p): the solve rows give the coordinates
     times d q at the pivot columns (free coordinates are 0), and the
     consistency rows vanish unless p leaves the affine hull; the frame keeps
-    that result for the points it has seen.  Each row stays
-    a nonzero multiple of the row plain Gauss-Jordan on [M | I] holds, so
-    the pivot columns, and the coordinates, are those plain elimination on
-    M t = (1, p) finds, for affinely dependent vertices too.
+    that result for the points it has seen.  E keeps each row as its
+    nonzeros (indices, values): a dot product is one builtin sum over
+    map(mul, values, map(b.__getitem__, indices)).  Each row stays a nonzero
+    multiple of the row plain Gauss-Jordan on [M | I] holds, so the pivot
+    columns and coordinates are those plain elimination on M t = (1, p)
+    finds, for affinely dependent vertices too.
     """
 
     def __init__(self, vertices):
@@ -76,20 +81,26 @@ class BarycentricFrame:
         A = []
         for i in range(m):
             q, row = _scaled([v[i] for v in verts])
-            A.append(row + [q if j == i else 0 for j in range(m)])
+            row += [0] * m
+            row[nv + i] = q
+            A.append(row)
         pivots = []
         r, prev = 0, 1
         for c in range(nv):
-            pr = next((i for i in range(r, m) if A[i][c]), None)
-            if pr is None:
+            for pr in range(r, m):
+                if A[pr][c]:
+                    break
+            else:
                 continue
             A[r], A[pr] = A[pr], A[r]
             prow = A[r]
             p = prow[c]
-            for i in range(m):
-                if i != r:
-                    f = A[i][c]
+            for i in chain(range(r), range(r + 1, m)):
+                f = A[i][c]
+                if f:
                     A[i] = [(p * x - f * y) // prev for x, y in zip(A[i], prow)]
+                elif p != prev:
+                    A[i] = [p * x // prev for x in A[i]]
             prev = p
             pivots.append(c)
             r += 1
@@ -110,12 +121,14 @@ class BarycentricFrame:
         return self._solved[p]
 
     def _solve_point(self, p):
-        q, b = _homogeneous(p)
-        if any(_dot(row, b) for row in self._consistency):
-            return None
+        q, b = _scaled((1, *p))
+        get = b.__getitem__
+        for indices, values in self._consistency:
+            if sum(map(mul, values, map(get, indices))):
+                return None
         t = [0] * self.size
-        for c, row in self._solve:
-            t[c] = _dot(row, b)
+        for c, (indices, values) in self._solve:
+            t[c] = sum(map(mul, values, map(get, indices)))
         return q, t
 
     def coords(self, p):
@@ -128,9 +141,10 @@ class BarycentricFrame:
         return tuple(F(x, den) for x in t)
 
     def contains(self, p):
-        """p lies in the closed simplex: in the hull, every coordinate >= 0."""
+        """p lies in the closed simplex: in the hull, every coordinate >= 0.
+        (Without vertices the hull is empty, so t is never empty here.)"""
         solved = self._numerators(p)
-        return solved is not None and all(x >= 0 for x in solved[1])
+        return solved is not None and min(solved[1]) >= 0
 
     def volume_ratio(self, piece):
         """vol(piece) / vol(frame simplex) for a piece with as many vertices,
@@ -147,29 +161,22 @@ class BarycentricFrame:
             q, t = solved
             rows.append(t)
             scale *= self._den * q
-        return abs(determinant(rows)) / scale
+        det = determinant(rows)
+        return F(abs(det.numerator), det.denominator * scale)
 
 
 def _nonzeros(row, sign):
-    """The nonzero entries of sign * row as [(index, value)]."""
-    return [(j, sign * x) for j, x in enumerate(row) if x]
+    """The nonzero entries of sign * row as (indices, values)."""
+    indices = [j for j, x in enumerate(row) if x]
+    return indices, [sign * row[j] for j in indices]
 
 
 def _scaled(row):
     """(q, b) with b the integer row q * row, q > 0 the least such."""
-    if all(type(x) is int for x in row):
+    if _INT.issuperset(map(type, row)):
         return 1, list(row)
     q = lcm(*(x.denominator for x in row))
     return q, [x.numerator * (q // x.denominator) for x in row]
-
-
-def _homogeneous(p):
-    """(q, b) with b the integer vector q * (1, p), q > 0."""
-    return _scaled((1, *p))
-
-
-def _dot(row, b):
-    return sum(e * b[j] for j, e in row)
 
 
 def barycentric_coords(vertices, p):
@@ -185,13 +192,8 @@ def barycentric_coords(vertices, p):
 def determinant(rows):
     """Determinant of a square rational matrix: Bareiss elimination on the
     rows scaled to integers, divided by the product of the scales."""
-    scale = 1
-    ints = []
-    for row in rows:
-        q, b = _scaled(row)
-        scale *= q
-        ints.append(b)
-    return F(bareiss(ints)[1], scale)
+    scaled = [_scaled(row) for row in rows]
+    return F(bareiss([b for _, b in scaled])[1], prod(q for q, _ in scaled))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +247,7 @@ def _maximal(simplices):
     """The simplices contained in no other, {empty simplex} if none."""
     maximal = []
     for s in sorted(simplices, key=len, reverse=True):
-        if not any(s <= t for t in maximal):
+        if not any(map(s.issubset, maximal)):
             maximal.append(s)
     return frozenset(maximal or [frozenset()])
 
@@ -355,14 +357,15 @@ def _separates(h, a1, b1, s):
 
 
 def _integer_points(points):
-    """The points scaled by one common q > 0 to integer lists."""
-    n = len(points[0])
-    _, flat = _scaled([x for p in points for x in p])
-    return [flat[i : i + n] for i in range(0, len(flat), n)]
+    """The points scaled by one common q > 0 to integers; all-int points as they are."""
+    if not _INT.issuperset(map(type, chain.from_iterable(points))):
+        q = lcm(*[x.denominator for p in points for x in p])
+        points = [[x.numerator * (q // x.denominator) for x in p] for p in points]
+    return points
 
 
 def _vdot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def joinable(X: EmbeddedComplex, Y: EmbeddedComplex):
@@ -409,6 +412,13 @@ def geometric_join(X: EmbeddedComplex, Y: EmbeddedComplex):
     return EmbeddedComplex.from_simplices(
         X.ambient, [s | t for s in X.maximal for t in Y.maximal]
     )
+
+
+def _tested_join(X, Y):
+    """geometric_join(X, Y) once joinable(X, Y) has accepted: joinable tested
+    each s | t, so only minimalizing is left, as in EmbeddedComplex.union."""
+    joined = (s | t for s in X.maximal for t in Y.maximal)
+    return EmbeddedComplex(X.ambient, _maximal(joined))
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +470,8 @@ class StandardConfig:
         return tuple(int(j in cs) for j in range(self.n))
 
     def sphere(self, i):
-        """S_i = boundary of Delta_i: all proper faces (empty complex if k=0)."""
+        """S_i = boundary of Delta_i: all proper faces (the empty space if k=0)."""
         pts = self.block(i)
-        if len(pts) == 1:
-            return empty_embedded(self.n)
         return EmbeddedComplex.from_simplices(
             self.n, [frozenset(c) for c in combinations(pts, len(pts) - 1)]
         )
@@ -475,17 +483,13 @@ def standard_config(m, k) -> StandardConfig:
 
 def _delta_sigma(config, sigma):
     """Delta_sigma: one simplex on the blocks of sigma, empty if sigma is."""
-    if not sigma:
-        return empty_embedded(config.n)
     return EmbeddedComplex.from_simplices(
         config.n, [frozenset(p for i in sigma for p in config.block(i))]
     )
 
 
 def _a_sigma(config, sigma):
-    """a_sigma: the simplex on the barycenters a_i, i in sigma."""
-    if not sigma:
-        return empty_embedded(config.n)
+    """a_sigma: the simplex on the barycenters a_i, i in sigma, empty if sigma is."""
     return EmbeddedComplex.from_simplices(
         config.n, [frozenset(config.scaled_a(i) for i in sigma)]
     )
@@ -539,16 +543,12 @@ def verify_gji(config: StandardConfig, sigma) -> VerificationReport:
     for name, members in collections.items():
         ok_all = True
         for x, y in combinations(members, 2):
-            ok, _ = joinable(x, y)
-            ok_all = ok_all and ok
-        acc = None
-        for member in members:
-            if acc is None:
-                acc = member
-                continue
+            ok_all &= joinable(x, y)[0]
+        acc = members[0] if members else None
+        for member in members[1:]:
             ok, _ = joinable(acc, member)
-            ok_all = ok_all and ok
-            acc = geometric_join(acc, member)
+            ok_all &= ok
+            acc = (_tested_join if ok else geometric_join)(acc, member)
         report.add(Check(f"collection {name} joinable", ok_all, "joinable",
                          "joinable" if ok_all else "not joinable", "gji"))
     return report
@@ -571,14 +571,14 @@ def verify_gjs(config: StandardConfig, sigma) -> VerificationReport:
                      "joinable" if ok else "not joinable", "gjs"))
     # a_sigma is one simplex, so the pieces are exactly the join simplices
     # whose pairs joinable has just tested for proper intersection
-    pieces = list(geometric_join(a_sigma, s_sigma).maximal)
+    pieces = list((_tested_join if ok else geometric_join)(a_sigma, s_sigma).maximal)
     improper = sum(f["kind"] == "improper intersection" for f in failures)
 
     # Delta_sigma is one simplex, factored once; containment is decided once
     # per join vertex, and a piece lies inside iff its vertices do
     frame = BarycentricFrame(sorted(next(iter(delta_sigma.maximal))))
-    verts = {p for s in pieces for p in s}
-    inside = {p for p in verts if frame.contains(p)}
+    verts = set().union(*pieces)
+    inside = set(filter(frame.contains, verts))
     verts_ok = inside == verts
     report.add(Check("join vertices inside Delta_sigma", verts_ok, "contained",
                      "contained" if verts_ok else "outside", "gjs"))
@@ -645,12 +645,12 @@ def _carrier_refined_by(A, B):
     pieces_b = [s for s in B.maximal if s]
     if not pieces_a or not pieces_b:
         return A.maximal == B.maximal
-    verts_b = {p for Q in pieces_b for p in Q}
+    verts_b = set().union(*pieces_b)
     assigned = set()
     for P in pieces_a:
         frame = BarycentricFrame(sorted(P))
-        inside = {p for p in verts_b if frame.contains(p)}
-        tiles = [Q for Q in pieces_b if Q <= inside]
+        inside = set(filter(frame.contains, verts_b))
+        tiles = list(filter(inside.issuperset, pieces_b))
         total = F(0)
         for Q in tiles:
             assigned.add(Q)
@@ -682,10 +682,12 @@ def _psi(n, X, D, p, q):
     """
     if len(X) != n:
         raise ValueError("x has wrong length")
-    if any(c < 0 for c in X) or sum(X) != D:
+    if (X and min(X) < 0) or sum(X) != D:
         raise ValueError("x is not barycentric")
     if not 0 <= p <= q:
         raise ValueError("lambda must be in [0, 1]")
+    if not D or not q:  # here D = sum X >= 0 and q >= p >= 0
+        raise ValueError("x and lambda need positive denominators")
     if 2 * p <= q:
         num, den = 2 * p, q * D
     else:
@@ -705,8 +707,10 @@ def _psi_inverse(n, Y, E):
     """
     if len(Y) != n:
         raise ValueError("y has wrong length")
-    if any(c < 0 or c > 2 * E for c in Y):
+    if Y and (min(Y) < 0 or max(Y) > 2 * E):
         raise ValueError("y outside the cube [0, 2]^n")
+    if E <= 0:  # E < 0 only with y empty; E = 0 with y = 0
+        raise ValueError("y needs a positive denominator")
     S = sum(Y)
     if S == 0:
         return ([1] * n, n), (0, 1)
@@ -729,7 +733,7 @@ def _naturality(p, l, samples):
         count += 1
         lhs, e_lhs = _psi(l, list(X) + pad, D, a, b)
         rhs, e_rhs = _psi(p, X, D, a, b)
-        bad += any(u * e_rhs != v * e_lhs for u, v in zip(lhs, rhs + pad))
+        bad += [u * e_rhs for u in lhs] != [v * e_lhs for v in rhs + pad]
     report.add(Check(f"psi naturality on {count} samples", not bad,
                      "all equal", f"{bad} mismatches", "naturality k=0"))
     return report
@@ -751,7 +755,7 @@ def verify_maps(grid) -> VerificationReport:
         outer_ok = True
         for X, D in xs:
             Y, E = _psi(n, X, D, 1, 2)
-            seam_ok &= all(y * D == c * E for y, c in zip(Y, X))
+            seam_ok &= [y * D for y in Y] == [c * E for c in X]
             Y, E = _psi(n, X, D, 1, 1)
             outer_ok &= max(Y) == 2 * E
         report.add(Check(f"psi seam agreement n={n}", seam_ok, "x at lam=1/2",
@@ -780,7 +784,7 @@ def _round_trip(n, X, D, a, b):
     """psi^-1(psi(X / D, a / b)) = (X / D, a / b), by cross-multiplication."""
     Y, E = _psi(n, X, D, a, b)
     (X2, S), (a2, b2) = _psi_inverse(n, Y, E)
-    return a2 * b == a * b2 and all(u * D == c * S for u, c in zip(X2, X))
+    return a2 * b == a * b2 and [u * D for u in X2] == [c * S for c in X]
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,15 @@ These are the library's Fraction versions from before the geometry layer
 moved to integer points: affine independence by rank_rational on Fraction
 rows, the determinant by Gaussian elimination over Fraction, and the cube
 reparametrization psi and its inverse on Fraction coordinates.  The integer
-versions must give the same answers, and raise ValueError on the same bad
-input.  proper_intersection is the LP-only decision from before the
-separating functional: the library must give the same answer and the same
-witness.
+versions must give the same answers, and raise ValueError with the same
+message on the same bad input.  rank (Gaussian elimination over Fraction)
+and scaled (a row times the lcm of its denominators) state what bareiss's
+rank and the library's _scaled compute.  proper_intersection is the
+LP-only decision from before the separating functional: the library must
+give the same answer and the same witness.
 """
 
+import math
 from fractions import Fraction
 
 from polysmash.exactlin import RationalLP, lp_max, rank_rational
@@ -73,6 +76,30 @@ def determinant(rows):
                 f = A[i][c] / p
                 A[i] = [x - f * y for x, y in zip(A[i], A[c])]
     return det
+
+
+def rank(rows):
+    """Rank of a rational matrix by Gaussian elimination over Fraction."""
+    A = [[F(x) for x in row] for row in rows]
+    r = 0
+    for c in range(len(A[0]) if A else 0):
+        pr = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if pr is None:
+            continue
+        A[r], A[pr] = A[pr], A[r]
+        for i in range(r + 1, len(A)):
+            f = A[i][c] / A[r][c]
+            A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+        r += 1
+    return r
+
+
+def scaled(row):
+    """(q, b): q > 0 the least integer with q * row integral, b = q * row as
+    ints; bools count as the ints 0 and 1."""
+    row = [F(x) for x in row]
+    q = math.lcm(*(x.denominator for x in row))
+    return q, [int(x * q) for x in row]
 
 
 def eval_psi(n, x, lam):

@@ -7,6 +7,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -699,6 +700,83 @@ def test_bareiss_rank_and_determinant(rows):
 
 
 @st.composite
+def sparse_integer_matrices(draw):
+    """Integer matrices up to 6 x 6, mostly zeros, as lists of lists or of
+    tuples: columns without a pivot, row swaps and rows scaled without
+    elimination all occur."""
+    r, c = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7])
+    rows = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+    return [tuple(row) for row in rows] if draw(st.booleans()) else rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_integer_matrices())
+@example([[0, 0], [0, 5]])
+@example([(0, 2, 1), (3, 0, 0), (0, 4, 2)])
+def test_bareiss_matches_fraction_elimination(rows):
+    before = [list(row) for row in rows]
+    rank, det = bareiss(rows)
+    assert [list(row) for row in rows] == before  # bareiss writes to no row
+    assert rank == ref.rank(rows)
+    square = len(rows) == (len(rows[0]) if rows else 0)
+    assert det == (ref.determinant(rows) if square else 0)
+
+
+@st.composite
+def frames_and_points(draw):
+    """(vertices, points) in Q^n, n <= 3: up to n + 2 rational vertices with
+    coordinates of either sign, some dependent, and points both at affine
+    combinations of them (convex ones among them) and anywhere, mostly off
+    their affine hull."""
+    dim = draw(st.integers(1, 3))
+    points = st.tuples(*[small_rationals] * dim)
+    verts = draw(st.lists(points, max_size=dim + 2))
+    if len(verts) >= 3 and draw(st.booleans()):
+        t = draw(small_rationals)
+        verts[-1] = tuple(a + t * (b - a) for a, b in zip(verts[0], verts[1]))
+    pts = draw(st.lists(points, max_size=3))
+    weights = draw(st.sampled_from([small_rationals, rationals(0, 6)]))
+    for _ in range(draw(st.integers(0, 3)) if verts else 0):
+        w = draw(st.lists(weights, min_size=len(verts), max_size=len(verts)))
+        if sum(w):
+            p = (sum(wi * v[d] for wi, v in zip(w, verts)) / sum(w) for d in range(dim))
+            pts.append(tuple(p))
+    return verts, pts
+
+
+@settings(max_examples=200, deadline=None)
+@given(frames_and_points())
+@example(([], [pt(1, 2)]))
+@example(([pt(-1, 0), pt(1, 0)], [pt(0, 0), pt(3, 0), pt(0, 1)]))
+def test_frame_matches_reference_on_rational_points(case):
+    verts, points = case
+    frame = BarycentricFrame(verts)
+    for p in points:
+        expected = barycentric_reference(verts, p)
+        assert frame.coords(p) == expected
+        assert frame.contains(p) == (expected is not None and all(x >= 0 for x in expected))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.booleans(), st.integers(-20, 20), small_rationals), max_size=8))
+@example([True, False, 3])
+@example([F(1, 2), F(-2, 3), 0])
+@example([])
+def test_scaling_to_integers_matches_reference(row):
+    q, b = geomjoin._scaled(row)
+    assert (q, b) == ref.scaled(row)
+    assert all(type(x) is int for x in b)
+    # _integer_points scales points, here pairs, by one common q as well
+    pairs = [tuple(row[i:i + 2]) for i in range(0, len(row) - 1, 2)]
+    if pairs:
+        flat = ref.scaled([x for p in pairs for x in p])[1]
+        scaled = [list(p) for p in geomjoin._integer_points(pairs)]
+        assert scaled == [flat[i:i + 2] for i in range(0, len(flat), 2)]
+        assert all(type(x) is int for p in scaled for x in p)
+
+
+@st.composite
 def simplex_pairs(draw, own_vertices=False):
     """(A, B, forced): affinely independent rational simplices in Q^n,
     n <= 3, that may share vertices; with own_vertices, each has a vertex
@@ -842,6 +920,103 @@ def test_psi_kernels_match_reference(sample, extra):
     assert geomjoin._naturality(n, l, [(X, D, a, b)]).passed == agree
 
 
+@st.composite
+def bad_integer_psi_arguments(draw):
+    """(n, X, D, a, b) that _psi must reject, one defect each; D, b > 0, so
+    that the Fraction reference reads the same x = X / D and lam = a / b."""
+    X, D, a, b = draw(integer_samples())
+    n = len(X)
+    e = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["negative", "sum", "low", "high", "length"]))
+    if kind == "negative":  # mass moved off X_0 past zero; the sum stays D
+        X.append(0)
+        n += 1
+        shift = X[0] + e
+        X[0] -= shift
+        X[1] += shift
+    elif kind == "sum":
+        X[draw(st.integers(0, n - 1))] += e
+    elif kind == "low":
+        a = -e
+    elif kind == "high":
+        a = b + e
+    else:
+        n += draw(st.sampled_from([-1, 1]))
+    return n, X, D, a, b
+
+
+@st.composite
+def integer_cube_points(draw):
+    """(Y, E): y = Y / E in [0, 2]^n, n <= 5, E not always in lowest terms."""
+    E = draw(st.integers(1, 12))
+    return draw(st.lists(st.integers(0, 2 * E), min_size=1, max_size=5)), E
+
+
+@st.composite
+def bad_integer_psi_inverse_arguments(draw):
+    """(n, Y, E), E > 0, that _psi_inverse must reject: y leaves the cube or
+    has the wrong length."""
+    Y, E = draw(integer_cube_points())
+    n = len(Y)
+    e = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["below", "above", "length"]))
+    if kind == "length":
+        n += draw(st.sampled_from([-1, 1]))
+    else:
+        Y[draw(st.integers(0, n - 1))] = -e if kind == "below" else 2 * E + e
+    return n, Y, E
+
+
+def same_error(run, run_reference):
+    """Both raise ValueError, with one message."""
+    with pytest.raises(ValueError) as expected:
+        run_reference()
+    with pytest.raises(ValueError) as got:
+        run()
+    assert str(got.value) == str(expected.value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bad_integer_psi_arguments())
+@example((2, [-1, 2], 1, 1, 2))
+@example((1, [1], 1, 3, 2))
+def test_psi_kernel_rejects_with_the_reference_message(args):
+    n, X, D, a, b = args
+    same_error(lambda: geomjoin._psi(*args),
+               lambda: ref.eval_psi(n, [F(c, D) for c in X], F(a, b)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_cube_points())
+@example(([0, 0], 3))
+@example(([4, 2, 6], 3))
+def test_psi_inverse_kernel_matches_reference(case):
+    Y, E = case
+    (X, S), (a, b) = geomjoin._psi_inverse(len(Y), Y, E)
+    y = [F(c, E) for c in Y]
+    assert (tuple(F(c, S) for c in X), F(a, b)) == ref.eval_psi_inverse(len(Y), y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bad_integer_psi_inverse_arguments())
+@example((2, [0, 7], 3))
+def test_psi_inverse_kernel_rejects_with_the_reference_message(args):
+    n, Y, E = args
+    same_error(lambda: geomjoin._psi_inverse(*args),
+               lambda: ref.eval_psi_inverse(n, [F(c, E) for c in Y]))
+
+
+@pytest.mark.parametrize("kernel, args", [
+    ("_psi", (1, [0], 0, 1, 2)),
+    ("_psi", (2, [1, 1], 2, 0, 0)),
+    ("_psi_inverse", (2, [0, 0], 0)),
+])
+def test_cube_maps_refuse_zero_denominators(kernel, args):
+    # x = X / D, lam = p / q and y = Y / E are numbers only when D, q, E > 0
+    with pytest.raises(ValueError, match="positive denominator"):
+        getattr(geomjoin, kernel)(*args)
+
+
 def test_naturality_check_rejects_what_psi_rejects():
     with pytest.raises(ValueError):
         naturality_check_k0(3, 2, [])
@@ -873,6 +1048,18 @@ def test_wrong_inverse_fails_the_round_trip(monkeypatch):
 
     real_inverse = geomjoin._psi_inverse
     monkeypatch.setattr(geomjoin, "_psi_inverse", wrong_inverse)
+    assert failed_checks(verify_maps(8)) == {f"psi round trip n={n}" for n in (2, 3, 4)}
+
+
+def test_inverse_with_coordinates_swapped_fails_the_round_trip(monkeypatch):
+    # x read back with its last two coordinates swapped, lam kept: only the
+    # coordinate comparison can see it, at every n >= 2
+    def swapped_inverse(n, Y, E):
+        (X, S), lam = real_inverse(n, Y, E)
+        return (X[:-2] + X[-1:] + X[-2:-1] if n >= 2 else X, S), lam
+
+    real_inverse = geomjoin._psi_inverse
+    monkeypatch.setattr(geomjoin, "_psi_inverse", swapped_inverse)
     assert failed_checks(verify_maps(8)) == {f"psi round trip n={n}" for n in (2, 3, 4)}
 
 
@@ -981,3 +1168,59 @@ def test_dependent_W_side_raises_at_its_construction(monkeypatch):
     with pytest.raises(ValueError, match="affinely dependent"):
         verify_W_union(cfg, full_simplex(1))
     assert unions == []
+
+
+def counted(counts, name, fn):
+    """fn, counting its calls under name."""
+    def wrapper(*args):
+        counts[name] += 1
+        return fn(*args)
+    return wrapper
+
+
+def test_gji_and_gjs_build_accepted_joins_without_independence_tests(monkeypatch):
+    # once joinable accepts, the join is built from the simplices it tested:
+    # from a verifier's first joinable call on, every independence test is
+    # one of the disjoint pairs joinable tests
+    counts = Counter()
+    joinable = geomjoin.joinable
+    independent = geomjoin.affinely_independent
+
+    def counted_joinable(X, Y):
+        counts["pairs"] += sum(not s & t for s in X.maximal for t in Y.maximal)
+        return joinable(X, Y)
+
+    def counted_independent(points):
+        counts["tests"] += "pairs" in counts
+        return independent(points)
+
+    monkeypatch.setattr(geomjoin, "joinable", counted_joinable)
+    monkeypatch.setattr(geomjoin, "affinely_independent", counted_independent)
+    for m in (1, 2, 3):
+        for k in (0, 1, 2):
+            cfg = standard_config(m, k)
+            cases = [partial(verify_gji, cfg, range(1, m + 1))]
+            cases += [partial(verify_gjs, cfg, range(1, s + 1)) for s in range(1, m + 1)]
+            for case in cases:
+                counts.clear()
+                assert case().passed
+                assert counts["tests"] == counts["pairs"], (m, k, case)
+    assert counts["pairs"] > 0
+
+
+def test_geometry_sweep_work_counts_are_pinned(monkeypatch, capsys):
+    # verify geometry --m 3 --k 2 decides each fact once, so a faster kernel
+    # cannot hide extra calls.  Before verify_gji and verify_gjs built
+    # accepted joins from joinable's pairs, affinely_independent ran 2,598
+    # times (2,434 now); the other counts are unchanged
+    counts = Counter()
+    targets = [
+        (geomjoin, "affinely_independent"),
+        (BarycentricFrame, "_solve_point"),
+        (geomjoin, "proper_intersection"),
+        (geomjoin, "lp_max"),
+    ]
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, counted(counts, name, getattr(owner, name)))
+    assert main(["verify", "geometry", "--m", "3", "--k", "2"]) == 0
+    assert [counts[name] for _, name in targets] == [2434, 3033, 2574, 0]
