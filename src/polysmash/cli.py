@@ -2,8 +2,8 @@
 verification batches, machine-readable reports.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 bad input,
-3 internal error (a failed d o d = 0 check, a broken divisibility chain of
-invariant factors, or an exact-LP status or exact-division check).
+3 internal error (a failed d o d = 0 check, divisibility chain of invariant
+factors, exact-LP status, exact division or standard-configuration fact).
 """
 
 from __future__ import annotations
@@ -340,7 +340,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run verification batches")
     p.add_argument("what", choices=["main", "geometry", "all"])
-    p.add_argument("input", nargs="?", help="complex file or corpus dir (main)")
+    p.add_argument("input", nargs="?", help="complex file or corpus dir (main, all)")
     p.add_argument("--j", help="verify a single dimension vector")
     p.add_argument("--jmax", type=int, default=3)
     p.add_argument("--m", type=int, default=2,
@@ -374,6 +374,10 @@ def main(argv=None):
     if args.command == "verify" and args.what in ("main", "all") and not args.input:
         print("verify main requires a complex file or corpus directory",
               file=sys.stderr)
+        return 2
+    if args.command == "verify" and args.what == "geometry" and args.input:
+        print("verify geometry runs a fixed sweep and reads no complex file; "
+              "verify main or verify all checks one", file=sys.stderr)
         return 2
     try:
         return args.fn(args)

@@ -3,41 +3,41 @@ general-position (joinability) predicates, and the cube reparametrization
 psi with its inverse and its naturality, checked on rational grids.
 
 Points are tuples of ints or Fractions, and every predicate is decided
-exactly.  The standard configuration lives on integer points: its unit
-vectors and block barycenters scaled by L = k + 1, which changes no
-incidence, containment or volume ratio.  Affine independence and
-determinants run fraction-free Bareiss elimination on rows scaled to
-integers.  Proper intersection has two routes: a separating functional,
-one integer dot product per vertex, then, only when that functional proves
-nothing, the exact LP, which pivots an integer tableau and finds the
-witness of an improper pair.  geometric_join only builds a join; joinable
-decides whether it is geometric.  Point-in-simplex and barycentric
-coordinates go through a BarycentricFrame, which factors a reference
-simplex once and solves each point against it once, by one integer
-mat-vec.  A join that joinable accepted is built from the pairs it tested,
-with no second independence test, and containment, coordinates and volume
-ratios read the frame's one solve.  verify_W_union builds each
-sphere join once, and its union of checked pieces tests no independence
-again.  The psi maps compute on integer numerators over one common
-denominator, and the map checks (verify_maps) compare those numerators by
-cross-multiplication over a grid generated in lowest terms.  Fractions are
-built only for answers: coordinates and volume ratios.  No floats.  The
-per-point and per-pair predicates run their loops over integer rows in
-builtins (sum over map(mul, ...), min, max, filter) and list comparisons,
-not in generator expressions.
+exactly: no floats, and Fractions only for answers.  The standard
+configuration lives on integer points, its unit vectors and block
+barycenters scaled by L = k + 1, which changes no incidence, containment or
+volume ratio.  Affine independence and determinants run fraction-free
+Bareiss elimination on integer rows.  Proper intersection is proved by a
+separating functional, one dot product per vertex, or else decided by the
+exact LP, which finds an improper pair's witness.  A BarycentricFrame
+factors a simplex once and solves each point once: containment,
+coordinates and volume ratios read that solve.
+
+geometric_join only builds.  Two facts decide every affine independence of
+Stone's W_sigma = Delta_sigma * S*_sigma = a_sigma * S_[m]: (i) the n block
+vertices are independent, decided when a StandardConfig is built, so a
+complex on block vertices alone is a set of faces of one simplex; (ii) each
+a_[m] | beta, beta a facet of S_[m], is independent, decided once per
+verify_W_union call.  A failed fact is an InvariantError: the configuration
+is the program's own.  Elsewhere only joinable and from_simplices, the
+checked constructor for points the program did not place, decide
+independence.  The psi maps and verify_maps compare integer numerators by
+cross-multiplication over a grid in lowest terms.  The per-point and
+per-pair loops run in builtins (sum over map(mul, ...), min, max, filter)
+and list comparisons, not in generator expressions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations, islice
 from math import gcd, lcm, prod
 from operator import mul
 
 from .chains import homology, simplicial_chain_complex
 from .complexes import SimplicialComplex
-from .exactlin import RationalLP, bareiss, lp_max
+from .exactlin import InvariantError, RationalLP, bareiss, lp_max
 from .report import Check, VerificationReport
 
 F = Fraction
@@ -225,8 +225,8 @@ class EmbeddedComplex:
 
     @classmethod
     def union(cls, parts):
-        """The union of complexes in one ambient space.  Their simplices passed
-        from_simplices, and so would every subset: only minimalizing is left."""
+        """The union of complexes in one ambient space.  Their simplices are
+        independent, and so is every subset: only minimalizing is left."""
         return cls(parts[0].ambient, _maximal(s for X in parts for s in X.maximal))
 
     def vertices(self):
@@ -252,8 +252,13 @@ def _maximal(simplices):
     return frozenset(maximal or [frozenset()])
 
 
+def _simplex(ambient, points):
+    """The complex of one simplex on points, built untested."""
+    return EmbeddedComplex(ambient, frozenset([frozenset(points)]))
+
+
 def empty_embedded(ambient):
-    return EmbeddedComplex.from_simplices(ambient, [frozenset()])
+    return _simplex(ambient, ())
 
 
 # ---------------------------------------------------------------------------
@@ -403,22 +408,10 @@ def joinable(X: EmbeddedComplex, Y: EmbeddedComplex):
 
 
 def geometric_join(X: EmbeddedComplex, Y: EmbeddedComplex):
-    """The complex of the joined simplices s | t, s in X and t in Y.
-
-    Only builds: whether the join is geometric (its carrier is all convex
-    combinations, and the joined simplices meet properly) is joinable's
-    decision, which the verifiers call where they need it.
-    """
-    return EmbeddedComplex.from_simplices(
-        X.ambient, [s | t for s in X.maximal for t in Y.maximal]
-    )
-
-
-def _tested_join(X, Y):
-    """geometric_join(X, Y) once joinable(X, Y) has accepted: joinable tested
-    each s | t, so only minimalizing is left, as in EmbeddedComplex.union."""
-    joined = (s | t for s in X.maximal for t in Y.maximal)
-    return EmbeddedComplex(X.ambient, _maximal(joined))
+    """The complex of the joined simplices s | t, s in X and t in Y,
+    minimalized.  Only builds, and tests nothing: joinable, or the
+    configuration's two facts, decide whether a join is geometric."""
+    return EmbeddedComplex(X.ambient, _maximal(s | t for s in X.maximal for t in Y.maximal))
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +429,9 @@ class StandardConfig:
     scaling keeps every independence, containment, proper intersection and
     volume ratio, and integer points hash and compare fast.  A block index
     outside [1, m] raises ValueError, so no complex has a missing block.
+
+    Construction decides fact (i), that the n block vertices are affinely
+    independent, or raises InvariantError.
     """
 
     m: int
@@ -444,6 +440,9 @@ class StandardConfig:
     def __post_init__(self):
         if self.m < 1 or self.k < 0:
             raise ValueError("need m >= 1 and k >= 0")
+        vertices = [p for i in range(1, self.m + 1) for p in self.block(i)]
+        if not affinely_independent(vertices):
+            raise InvariantError("the block vertices are affinely dependent")
 
     @property
     def n(self):
@@ -472,9 +471,8 @@ class StandardConfig:
     def sphere(self, i):
         """S_i = boundary of Delta_i: all proper faces (the empty space if k=0)."""
         pts = self.block(i)
-        return EmbeddedComplex.from_simplices(
-            self.n, [frozenset(c) for c in combinations(pts, len(pts) - 1)]
-        )
+        facets = frozenset(map(frozenset, combinations(pts, len(pts) - 1)))
+        return EmbeddedComplex(self.n, facets)
 
 
 def standard_config(m, k) -> StandardConfig:
@@ -483,31 +481,25 @@ def standard_config(m, k) -> StandardConfig:
 
 def _delta_sigma(config, sigma):
     """Delta_sigma: one simplex on the blocks of sigma, empty if sigma is."""
-    return EmbeddedComplex.from_simplices(
-        config.n, [frozenset(p for i in sigma for p in config.block(i))]
-    )
+    return _simplex(config.n, (p for i in sigma for p in config.block(i)))
 
 
 def _a_sigma(config, sigma):
-    """a_sigma: the simplex on the barycenters a_i, i in sigma, empty if sigma is."""
-    return EmbeddedComplex.from_simplices(
-        config.n, [frozenset(config.scaled_a(i) for i in sigma)]
-    )
+    """a_sigma: the simplex on the barycenters a_i, i in sigma, empty if sigma
+    is.  Built untested: each verifier decides it inside a larger set."""
+    return _simplex(config.n, map(config.scaled_a, sigma))
 
 
-def _sphere_joins(config):
-    """The seed of _sphere_join's dict: each block sphere under its index,
-    and the empty space under ()."""
-    joins = {(i,): config.sphere(i) for i in range(1, config.m + 1)}
-    joins[()] = empty_embedded(config.n)
-    return joins
-
-
-def _sphere_join(joins, key):
-    """The join of the block spheres i in key, an increasing tuple: the join
-    of its prefix with its last sphere, each built once and kept in joins."""
+def _sphere_join(config, joins, key):
+    """The join of the block spheres i in key, an increasing tuple (the empty
+    space for ()): its prefix's join with its last sphere.  Each join and
+    sphere is built once, when a key first needs it, and kept in joins."""
     if key not in joins:
-        joins[key] = geometric_join(_sphere_join(joins, key[:-1]), joins[key[-1:]])
+        if len(key) > 1:
+            joins[key] = geometric_join(_sphere_join(config, joins, key[:-1]),
+                                        _sphere_join(config, joins, key[-1:]))
+        else:
+            joins[key] = config.sphere(*key) if key else empty_embedded(config.n)
     return joins[key]
 
 
@@ -516,12 +508,7 @@ def realization_AK(config: StandardConfig, K):
     block barycenters (scaled by L, as every configuration complex is)."""
     if K.m != config.m:
         raise ValueError("K and configuration disagree on m")
-    sims = []
-    for sigma in K.faces():
-        pts = frozenset(config.scaled_a(i) for i in sigma)
-        if sigma and not affinely_independent(pts):
-            raise ValueError("barycenters unexpectedly dependent")
-        sims.append(pts)
+    sims = [frozenset(map(config.scaled_a, sigma)) for sigma in K.faces()]
     return EmbeddedComplex.from_simplices(config.n, sims)
 
 
@@ -544,11 +531,11 @@ def verify_gji(config: StandardConfig, sigma) -> VerificationReport:
         ok_all = True
         for x, y in combinations(members, 2):
             ok_all &= joinable(x, y)[0]
-        acc = members[0] if members else None
-        for member in members[1:]:
-            ok, _ = joinable(acc, member)
-            ok_all &= ok
-            acc = (_tested_join if ok else geometric_join)(acc, member)
+        # the pairs decided members[0] with members[1], so the fold starts
+        # from their join: each prefix of two or more with the next member
+        prefixes = accumulate(members[:-1], geometric_join)
+        for acc, member in islice(zip(prefixes, members[1:]), 1, None):
+            ok_all &= joinable(acc, member)[0]
         report.add(Check(f"collection {name} joinable", ok_all, "joinable",
                          "joinable" if ok_all else "not joinable", "gji"))
     return report
@@ -563,15 +550,16 @@ def verify_gjs(config: StandardConfig, sigma) -> VerificationReport:
         raise ValueError("sigma must be nonempty")
     report = VerificationReport(f"gjs m={config.m} k={config.k} sigma={sigma}")
     delta_sigma = _delta_sigma(config, sigma)
-    s_sigma = _sphere_join(_sphere_joins(config), tuple(sigma))
+    s_sigma = _sphere_join(config, {}, tuple(sigma))
     a_sigma = _a_sigma(config, sigma)
 
+    # S_sigma has a simplex t (at k = 0 the empty one): joinable decides a_sigma too
     ok, failures = joinable(a_sigma, s_sigma)
     report.add(Check("a_sigma joinable to S_sigma", ok, "joinable",
                      "joinable" if ok else "not joinable", "gjs"))
     # a_sigma is one simplex, so the pieces are exactly the join simplices
     # whose pairs joinable has just tested for proper intersection
-    pieces = list((_tested_join if ok else geometric_join)(a_sigma, s_sigma).maximal)
+    pieces = list(geometric_join(a_sigma, s_sigma).maximal)
     improper = sum(f["kind"] == "improper intersection" for f in failures)
 
     # Delta_sigma is one simplex, factored once; containment is decided once
@@ -606,12 +594,17 @@ def verify_W_union(config: StandardConfig, K) -> VerificationReport:
     full = tuple(range(1, config.m + 1))
     # each sphere join is built once per call: the S*_sigma share their
     # prefixes, and S*_empty is S_[m]
-    joins = _sphere_joins(config)
+    joins = {}
+    s_full = _sphere_join(config, joins, full)
+    # fact (ii): with fact (i), every side below and their union are independent
+    a_full = frozenset(map(config.scaled_a, full))
+    if not all(affinely_independent(a_full | beta) for beta in s_full.maximal):
+        raise InvariantError("a_[m] * S_[m] has affinely dependent simplex vertices")
     sides_b = []
     for sigma in K.faces():
-        s_star = _sphere_join(joins, tuple(j for j in full if j not in sigma))
+        s_star = _sphere_join(config, joins, tuple(j for j in full if j not in sigma))
         side_a = geometric_join(_delta_sigma(config, sigma), s_star)
-        side_b = geometric_join(_a_sigma(config, sigma), _sphere_join(joins, full))
+        side_b = geometric_join(_a_sigma(config, sigma), s_full)
         sides_b.append(side_b)
         ok = carrier_equal(side_a, side_b)
         report.add(Check(f"W_sigma two presentations agree, sigma={sorted(sigma)}",

@@ -17,7 +17,6 @@ from polysmash.geomjoin import (
     _a_sigma,
     _delta_sigma,
     _sphere_join,
-    _sphere_joins,
 )
 
 F = Fraction
@@ -54,10 +53,10 @@ def sigma_complexes(cfg, sigma):
     on the configuration's integer points."""
     sigma = sorted(set(sigma))
     comp = tuple(j for j in range(1, cfg.m + 1) if j not in sigma)
-    joins = _sphere_joins(cfg)
+    joins = {}
     return (
         _delta_sigma(cfg, sigma),
-        _sphere_join(joins, tuple(sigma)),
-        _sphere_join(joins, comp),
+        _sphere_join(cfg, joins, tuple(sigma)),
+        _sphere_join(cfg, joins, comp),
         _a_sigma(cfg, sigma),
     )

@@ -216,6 +216,19 @@ def test_verify_requires_input(capsys):
     capsys.readouterr()
 
 
+def test_verify_geometry_refuses_an_input(tmp_path, capsys):
+    # the geometry sweep reads no complex: a path, there or not, is refused
+    # rather than ignored
+    p = write(tmp_path, "a.txt", "1 2\n")
+    for path in (p, str(tmp_path / "missing.txt")):
+        for argv in (["verify", "geometry", path, "--m", "1", "--k", "0"],
+                     ["verify", "geometry", "--m", "1", "--k", "0", path]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert not captured.out
+            assert "verify main" in captured.err and "verify all" in captured.err
+
+
 @pytest.mark.parametrize("what, options", [
     ("main", ["--jmax", "2", "--json"]),
     ("all", ["--jmax", "1", "--m", "1", "--k", "0", "--grid", "1", "--json"]),

@@ -17,7 +17,7 @@ from polysmash import geomjoin
 from polysmash.chains import homology, simplicial_chain_complex
 from polysmash.cli import main
 from polysmash.complexes import empty_complex, from_facets, full_simplex, simplex_boundary
-from polysmash.exactlin import bareiss, lp_max, rank_rational
+from polysmash.exactlin import InvariantError, bareiss, lp_max, rank_rational
 from polysmash.geomjoin import (
     BarycentricFrame,
     EmbeddedComplex,
@@ -1170,6 +1170,93 @@ def test_dependent_W_side_raises_at_its_construction(monkeypatch):
     assert unions == []
 
 
+# -- the configuration's two independence facts ------------------------------------------
+
+
+class _RepeatedBlockVertex(StandardConfig):
+    """The last vertex of each block replaced by its first (a change only
+    at k >= 1)."""
+
+    def block(self, i):
+        pts = StandardConfig.block(self, i)
+        return pts[:-1] + pts[:1]
+
+
+def test_repeated_block_vertex_fails_fact_i():
+    # the block vertices are decided once, when the configuration is built;
+    # the verifiers test no simplex on block vertices alone after that
+    for m, k in [(1, 1), (2, 1), (3, 2)]:
+        with pytest.raises(InvariantError, match="affinely dependent"):
+            _RepeatedBlockVertex(m, k)
+    assert _RepeatedBlockVertex(2, 0).block(2) == standard_config(2, 0).block(2)
+
+
+@pytest.mark.parametrize("m, k", [(1, 0), (1, 2), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2)])
+def test_W_union_decides_fact_ii_once(m, k, monkeypatch):
+    # one independence test per facet of S_[m], (k + 1)^m, whatever K
+    cfg = standard_config(m, k)
+    corpus = [empty_complex(m), full_simplex(m - 1),
+              from_facets(m, [(i,) for i in range(1, m + 1)])]
+    if m >= 3:
+        corpus.append(simplex_boundary(m - 1))
+    tests = Counter()
+    monkeypatch.setattr(geomjoin, "affinely_independent",
+                        counted(tests, "tests", geomjoin.affinely_independent))
+    for K in corpus:
+        tests.clear()
+        assert verify_W_union(cfg, K).passed
+        assert tests["tests"] == (k + 1) ** m, K
+
+
+def test_gjs_reports_a_dependent_join_and_finishes():
+    # each a_sigma | t is dependent: joinable rejects the join, and the
+    # pieces are still built, with no independence test, and fail the tiling
+    cfg = _DependentBarycenters(2, 2)
+    for sigma in [(1,), (1, 2)]:
+        checks = [(c.name, c.passed) for c in verify_gjs(cfg, sigma).checks]
+        assert checks == [
+            ("a_sigma joinable to S_sigma", False),
+            ("join vertices inside Delta_sigma", False),
+            ("pieces intersect properly and stay inside", False),
+            ("volume identity (tiling of Delta_sigma)", False),
+        ], sigma
+
+
+def test_dependent_configuration_is_an_internal_error(monkeypatch, capsys):
+    # the sweep's configurations with k >= 1 take _DependentBarycenters's
+    # barycenters; at k = 2 fact (ii) fails, a fault of the program's own
+    # configuration, not of its input
+    scaled_a = StandardConfig.scaled_a
+    monkeypatch.setattr(StandardConfig, "scaled_a", lambda self, i: (
+        _DependentBarycenters.scaled_a(self, i) if self.k else scaled_a(self, i)))
+    assert main(["verify", "geometry", "--m", "2", "--k", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and "affinely dependent" in err
+
+
+def test_gji_decides_each_pair_once(monkeypatch):
+    # per collection: every pair, then each join of a prefix of two or more
+    # members with the next one; the first pair is not decided again
+    counts = Counter()
+    monkeypatch.setattr(geomjoin, "joinable", counted(counts, "joinable", joinable))
+    for m, calls in [(1, 0), (2, 1), (3, 4), (4, 8)]:
+        counts.clear()
+        assert verify_gji(standard_config(m, 1), range(1, m + 1)).passed
+        assert counts["joinable"] == 3 * calls, m
+
+
+def test_gjs_builds_only_the_spheres_of_sigma(monkeypatch):
+    built = []
+    sphere = StandardConfig.sphere
+    monkeypatch.setattr(StandardConfig, "sphere",
+                        lambda self, i: built.append(i) or sphere(self, i))
+    cfg = standard_config(3, 2)
+    for sigma in [(1,), (1, 3)]:
+        built.clear()
+        assert verify_gjs(cfg, sigma).passed
+        assert built == list(sigma)
+
+
 def counted(counts, name, fn):
     """fn, counting its calls under name."""
     def wrapper(*args):
@@ -1210,9 +1297,11 @@ def test_gji_and_gjs_build_accepted_joins_without_independence_tests(monkeypatch
 
 def test_geometry_sweep_work_counts_are_pinned(monkeypatch, capsys):
     # verify geometry --m 3 --k 2 decides each fact once, so a faster kernel
-    # cannot hide extra calls.  Before verify_gji and verify_gjs built
-    # accepted joins from joinable's pairs, affinely_independent ran 2,598
-    # times (2,434 now); the other counts are unchanged
+    # cannot hide extra calls.  affinely_independent ran 2,598 times when
+    # every join was tested, 2,434 when accepted joins were built from
+    # joinable's pairs, and 411 since the configuration's two facts decide
+    # its complexes; proper_intersection ran 2,574 times before verify_gji's
+    # fold stopped re-deciding its first pair (2,490 now)
     counts = Counter()
     targets = [
         (geomjoin, "affinely_independent"),
@@ -1223,4 +1312,4 @@ def test_geometry_sweep_work_counts_are_pinned(monkeypatch, capsys):
     for owner, name in targets:
         monkeypatch.setattr(owner, name, counted(counts, name, getattr(owner, name)))
     assert main(["verify", "geometry", "--m", "3", "--k", "2"]) == 0
-    assert [counts[name] for _, name in targets] == [2434, 3033, 2574, 0]
+    assert [counts[name] for _, name in targets] == [411, 3033, 2490, 0]
