@@ -141,7 +141,8 @@ class ChainComplex:
         return shifted
 
     def euler(self):
-        return sum((-1) ** n * self.rank(n) for n in self.degrees())
+        """sum_n (-1)^n rank C_n, an int in every degree, -1 included."""
+        return sum(-self.rank(n) if n % 2 else self.rank(n) for n in self.degrees())
 
 
 def _bad_column(n, i, v):

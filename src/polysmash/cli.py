@@ -4,6 +4,11 @@ verification batches, machine-readable reports.
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 bad input,
 3 internal error (a failed d o d = 0 check, divisibility chain of invariant
 factors, exact-LP status, exact division or standard-configuration fact).
+
+main() may be called any number of times in one process.  It builds its
+argument parser once, at its first call, and each call parses into a fresh
+namespace, so it prints and returns what it would in a fresh process, also
+after a call that exited through SystemExit.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from pathlib import Path
 
@@ -119,8 +125,13 @@ def complex_to_json(K: SimplicialComplex, rename=None):
 
 
 def parse_j(text, m):
+    """J from comma- or space-separated integers; an empty comma-separated
+    field is refused, not skipped."""
+    fields = text.split(",")
+    if any(not f.strip() for f in fields):
+        raise ParseError(f"bad J vector {text!r}: empty field")
     try:
-        J = tuple(int(x) for x in text.replace(",", " ").split())
+        J = tuple(int(x) for f in fields for x in f.split())
     except ValueError:
         raise ParseError(f"bad J vector {text!r}")
     if len(J) != m:
@@ -191,7 +202,7 @@ def cmd_double(args):
 
 def cmd_smash(args):
     K = load_complex(args.input)
-    J = parse_j(args.j, K.m) if args.j else (0,) * K.m
+    J = parse_j(args.j, K.m) if args.j is not None else (0,) * K.m
     if args.path == "direct":
         _, cc = direct_smash_model(K, J)
         H = homology(cc)
@@ -228,7 +239,7 @@ def _corpus(path):
 
 def _verify_main_batch(args, report):
     for name, K in _corpus(args.input):
-        if args.j:
+        if args.j is not None:
             js = [parse_j(args.j, K.m)]
         else:
             js = j_samples(K.m, args.jmax)
@@ -310,7 +321,15 @@ def cmd_gen(args):
     return 0
 
 
+@cache
 def build_parser():
+    """The argument parser, built at the first call and shared by every
+    later one.
+
+    set_defaults(fn=cmd_*) binds each command's handler when the parser is
+    built, so a cmd_* function replaced afterwards is not seen; the helpers
+    the handlers call, such as load_complex, are looked up at call time.
+    """
     ap = argparse.ArgumentParser(
         prog="polysmash",
         description="Exact homology models of polyhedral smash products of "

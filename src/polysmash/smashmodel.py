@@ -19,8 +19,9 @@ stated once, as a checked map:
   cardinality, with the simplicial boundary.  tests/cubical_reference.py
   builds the cubical complex and checks that identity.
 
-verify_main checks the orientation entry by entry and computes homology once
-per distinct complex, C(K) and the quotient over K(J).
+verify_main checks the orientation on the stored boundary columns of both
+complexes, column by column, and computes homology once per distinct
+complex, C(K) and the quotient over K(J).
 """
 
 from __future__ import annotations
@@ -107,20 +108,24 @@ def direct_smash_model(K: SimplicialComplex, J):
 
 
 def orientation_holds(orientation, cc: ChainComplex, CK: ChainComplex, shift, m) -> bool:
-    """Entry by entry: cc is CK = C(K) shifted up by shift, with boundary
-    S . d_K . S for S the diagonal orientation map; m is K.m, which decodes
-    CK's face masks."""
+    """cc is CK = C(K) shifted up by shift, with boundary S . d_K . S for S
+    the diagonal orientation map; m is K.m, which decodes CK's face masks.
+
+    After the bases, the stored columns are compared in place: each column
+    c of cc's d_n, read as {row: coeff}, must be {r: s(r) v s(c)} over the
+    (r, v) of CK's column c, and both must have columns in the same degrees.
+    """
     faces = {n + shift: [face_cell(face_of_mask(f, m)) for f in fs] for n, fs in CK.bases.items()}
     if cc.bases != faces:
         return False
-    for n, cols in cc.bases.items():
-        rows = cc.bases.get(n - 1, ())
-        conjugated = {
-            (r, c): orientation[rows[r]] * v * orientation[cols[c]]
-            for (r, c), v in CK.boundary(n - shift).entries.items()
-        }
-        if cc.boundary(n).entries != conjugated:
-            return False
+    if cc.columns.keys() != {n + shift for n in CK.columns}:
+        return False
+    sign = {n: [orientation[lab] for lab in labs] for n, labs in cc.bases.items()}
+    for n, cols in cc.columns.items():
+        rows = sign[n - 1]
+        for col, ref, s in zip(cols, CK.columns[n - shift], sign[n]):
+            if dict(col) != {r: rows[r] * v * s for r, v in ref}:
+                return False
     return True
 
 

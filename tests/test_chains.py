@@ -178,6 +178,16 @@ def test_shift():
     assert shifted.euler() == -cc.euler()
 
 
+def test_euler_is_an_int_in_negative_degrees(full_corpus):
+    # every augmented C(K) has degree -1, where (-1) ** -1 is the float -1.0
+    for name, K in dict(full_corpus, empty=empty_complex(3)).items():
+        cc = simplicial_chain_complex(K)
+        for s in range(-3, 4):
+            chi = cc.shift(s).euler()
+            assert type(chi) is int, (name, s, chi)
+            assert chi == (-1 if s % 2 else 1) * K.euler_reduced(), (name, s)
+
+
 def test_homology_table_str_and_euler():
     H = HomologyTable({1: HomologyGroup(2, (2, 4)), 3: HomologyGroup(1)})
     assert str(H) == "H~1 = Z + Z + Z/2 + Z/4; H~3 = Z"

@@ -1,7 +1,12 @@
 """CLI surface: file formats, exit codes, JSON determinism, internal errors."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 from hashlib import sha256
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +121,22 @@ def test_parse_j():
         parse_j("1,2", 3)
     with pytest.raises(ParseError):
         parse_j("1,-1,0", 3)
+
+
+@pytest.mark.parametrize("text", ["1,,0", ",1,0", "1,0,", ",1,0,", "1, ,0", ""])
+def test_parse_j_refuses_an_empty_field(text, tmp_path, capsys):
+    # the empty field used to be skipped, so "1,,0" ran J = (1, 0); an empty
+    # --j ran J = 0 in smash and the whole J sample in verify
+    with pytest.raises(ParseError, match="empty field"):
+        parse_j(text, 2)
+    p = write(tmp_path, "s0.txt", "m=2\n1\n2\n")
+    for argv in (["smash", p, "--j", text], ["double", p, "--j", text],
+                 ["verify", "main", p, "--j", text]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "empty field" in captured.err
+    for text in ("1,0", "1, 0", "1 0"):
+        assert parse_j(text, 2) == (1, 0)
 
 
 def test_complex_to_json_with_names():
@@ -429,3 +450,68 @@ def test_gen_deterministic(tmp_path, capsys):
     # the generated corpus must verify clean
     assert main(["verify", "main", str(out1), "--jmax", "1"]) == 0
     capsys.readouterr()
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch, capsys):
+    # at most one tree of 6 parsers per process, built at the first call
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    p = write(tmp_path, "s1.txt", "1 2\n1 3\n2 3\n")
+    per_call = []
+    for argv in (["homology", p], ["verify", "main", p, "--j", "1,0,0"],
+                 ["double", p, "--i", "1"]):
+        assert main(argv) == 0
+        per_call.append(len(built))
+    capsys.readouterr()
+    assert per_call[0] in (0, 6) and per_call[1:] == [per_call[0]] * 2, per_call
+
+
+def _normalized(out):
+    """stdout with a JSON report's wall_time removed."""
+    try:
+        data = json.loads(out)
+    except ValueError:
+        return out
+    data.pop("wall_time", None)
+    return data
+
+
+def test_main_in_one_process_matches_fresh_processes(tmp_path, capsys):
+    # every call of a sequence, also after one that exited through
+    # SystemExit, prints and returns what it would in a fresh process
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write(corpus, "s0.txt", "m=2\n1\n2\n")
+    write(corpus, "s1.txt", "1 2\n1 3\n2 3\n")
+    s0 = str(corpus / "s0.txt")
+    verify = ["verify", "main", str(corpus), "--jmax", "1", "--json"]
+    argvs = [
+        ["homology", s0],
+        verify,
+        ["verify", "main", "--jmax", "1", "--json", str(corpus)],
+        ["smash", s0, "--j", "1,,0"],
+        ["double", s0, "--i", "9"],
+        ["homology", s0, "--bogus"],
+        verify,
+    ]
+    in_process = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, _normalized(captured.out), captured.err))
+    assert [code for code, _, _ in in_process] == [0, 0, 0, 2, 2, 2, 0]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for argv, expected in zip(argvs, in_process):
+        proc = subprocess.run([sys.executable, "-m", "polysmash.cli", *argv],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert (proc.returncode, _normalized(proc.stdout), proc.stderr) == expected, argv

@@ -8,6 +8,8 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polysmash import smashmodel
 from polysmash.chains import (
@@ -28,9 +30,11 @@ from polysmash.smashmodel import (
 )
 
 import cubical_reference
+import orientation_reference
 from cubical_reference import quotient_outer_boundary
 from homology_reference import group
 from test_acceptance import j_vectors
+from test_chains import drawn_complexes, small_j
 
 
 def test_direct_model_cell_count(triangle_boundary):
@@ -149,6 +153,58 @@ def test_reoriented_cell_fails_the_orientation_check(
     # the failed check runs the model's own SNF, which still agrees
     assert "[PASS] s1.txt J=(1, 0, 0): direct vs reduction path" in out
     assert "3 passed, 1 failed" in out
+
+
+MUTATIONS = ["none", "reorient", "flip", "drop", "extra", "degree"]
+
+
+@st.composite
+def direct_models(draw):
+    """(mutation, orientation, cc, CK, shift, m): the direct model of a random
+    K with m <= 6 and sum(J) <= 3, either as built or with one fault in its
+    boundary columns, rebuilt unchecked."""
+    K = draw(drawn_complexes(max_m=6))
+    J = draw(small_j(K.m, total=3))
+    orientation, cc = direct_smash_model(K, J)
+    CK = simplicial_chain_complex(K)
+    mutation = draw(st.sampled_from(MUTATIONS))
+    if mutation != "none":
+        assume(cc.columns)  # K has a vertex: some boundary to break
+    columns = {n: [list(col) for col in cols] for n, cols in cc.columns.items()}
+    entries = [(n, c, k) for n, cols in columns.items()
+               for c, col in enumerate(cols) for k in range(len(col))]
+    if mutation == "reorient":
+        cell = draw(st.sampled_from(sorted(orientation)))
+        cc = reorient(cc, cell)
+    elif mutation in ("flip", "drop"):
+        n, c, k = draw(st.sampled_from(entries))
+        r, v = columns[n][c][k]
+        if mutation == "flip":
+            columns[n][c][k] = (r, -v)
+        else:
+            del columns[n][c][k]
+    elif mutation == "extra":
+        free = [(n, c, r) for n, cols in columns.items() for c, col in enumerate(cols)
+                for r in sorted(set(range(cc.rank(n - 1))) - {i for i, _ in col})]
+        assume(free)
+        n, c, r = draw(st.sampled_from(free))
+        columns[n][c].append((r, draw(st.sampled_from([1, -1]))))
+    elif mutation == "degree":
+        del columns[draw(st.sampled_from(sorted(columns)))]
+    if mutation not in ("none", "reorient"):
+        cc = ChainComplex(cc.bases, columns, check=False)
+    return mutation, orientation, cc, CK, sum(J) + 1, K.m
+
+
+@settings(max_examples=300, deadline=None)
+@given(direct_models())
+def test_orientation_check_matches_the_entry_dict_reference(case):
+    # the column check and the frozen SparseIntMatrix check decide alike;
+    # every mutated model is rejected, every model as built accepted
+    mutation, *args = case
+    held = orientation_holds(*args)
+    assert held == orientation_reference.orientation_holds(*args)
+    assert held == (mutation == "none")
 
 
 def test_quotient_is_shifted_simplicial_complex_of_kj(full_corpus):
