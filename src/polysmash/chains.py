@@ -293,14 +293,11 @@ def _delete_unit_pairs(C: ChainComplex):
     return alive, down
 
 
-def simplicial_chain_complex(K) -> ChainComplex:
-    """Augmented chain complex of a SimplicialComplex, its faces the
-    submasks of the facets, vertex v at bit K.m - v (see face_of_mask).
-
-    Descending mask order within a degree is the lexicographic order of
-    sorted vertex tuples.  The boundary drops a face's vertices in
-    increasing order, its bits from the highest down, with alternating signs.
-    """
+def face_levels(K):
+    """{n: the faces of K of cardinality n + 1 as vertex bitmasks, vertex v at
+    bit K.m - v, in descending order}: the submasks of the facets, the empty
+    face 0 in degree -1.  Descending mask order is the lexicographic order of
+    sorted vertex tuples."""
     faces = {0}
     for facet in K.facets:
         top = sum(1 << (K.m - v) for v in facet)
@@ -311,10 +308,17 @@ def simplicial_chain_complex(K) -> ChainComplex:
     levels = {}
     for f in faces:
         levels.setdefault(f.bit_count() - 1, []).append(f)
+    return {n: sorted(levels[n], reverse=True) for n in sorted(levels)}
+
+
+def simplicial_chain_complex(K) -> ChainComplex:
+    """Augmented chain complex of a SimplicialComplex on face_levels(K).  The
+    boundary drops a face's vertices in increasing order, its bits from the
+    highest down, with alternating signs."""
     bits = [1 << (K.m - v) for v in range(1, K.m + 1)]
     bases, columns = {}, {}
-    for n in sorted(levels):
-        bases[n] = level = sorted(levels[n], reverse=True)
+    for n, level in face_levels(K).items():
+        bases[n] = level
         if n < 0:
             continue
         below = {f: i for i, f in enumerate(bases[n - 1])}
@@ -327,8 +331,3 @@ def simplicial_chain_complex(K) -> ChainComplex:
                     sign = -sign
             cols.append(col)
     return ChainComplex(bases, columns)
-
-
-def face_of_mask(mask, m):
-    """The sorted vertex tuple of a face label of simplicial_chain_complex."""
-    return tuple(v for v in range(1, m + 1) if mask >> (m - v) & 1)

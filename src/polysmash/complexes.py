@@ -17,15 +17,19 @@ from itertools import combinations
 @dataclass(frozen=True)
 class SimplicialComplex:
     m: int
-    facets: frozenset  # of sorted vertex tuples; frozenset({()}) is K = {empty}
+    facets: frozenset  # of strictly increasing vertex tuples; frozenset({()}) is K = {empty}
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be positive")
+        if not self.facets:
+            raise ValueError("no facets: K = {empty} has the one facet ()")
         for f in self.facets:
             for v in f:
                 if not 1 <= v <= self.m:
                     raise ValueError(f"vertex {v} outside 1..{self.m}")
+            if f.__class__ is not tuple or list(f) != sorted(set(f)):
+                raise ValueError(f"facet {f!r} is not a strictly increasing vertex tuple")
 
     def faces(self):
         """All faces, ordered by cardinality and then lexicographically.

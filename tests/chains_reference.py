@@ -11,6 +11,12 @@ from polysmash.chains import ChainComplex
 from polysmash.exactlin import SparseIntMatrix
 
 
+def face_of_mask(mask, m):
+    """The sorted vertex tuple of a face mask of face_levels, vertex v at
+    bit m - v."""
+    return tuple(v for v in range(1, m + 1) if mask >> (m - v) & 1)
+
+
 def columns_of(M: SparseIntMatrix):
     """The columns of a matrix, [(row, coeff), ...] per column, in the
     order of its entries."""

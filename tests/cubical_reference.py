@@ -5,6 +5,9 @@ one.  Here that complex is built the long way, as the cellular chains of the
 polyhedral product inside [0,2]^m and its quotient by the outer boundary, so
 that the tests state the identity once.
 
+Both are built by assemble, a label-keyed builder that checks each boundary
+term's degree.
+
 A cube cell ("cube", sigma, twos) is a face sigma of K spanning [0,2] in its
 own coordinates, with the coordinates in twos pinned at 2 and every other one
 at 0.
@@ -12,8 +15,37 @@ at 0.
 
 from itertools import combinations
 
+from polysmash.chains import ChainComplex, MalformedComplexError
 from polysmash.complexes import SimplicialComplex
-from polysmash.smashmodel import _assemble
+
+
+def assemble(labels, boundary_fn):
+    """Unchecked ChainComplex from (label, degree) pairs and a boundary rule,
+    each basis sorted by label.  A boundary term in any degree other than
+    the one below raises MalformedComplexError."""
+    bases = {}
+    for lab, d in labels:
+        bases.setdefault(d, []).append(lab)
+    for d in bases:
+        bases[d].sort()
+    index = {lab: (d, i) for d, labs in bases.items() for i, lab in enumerate(labs)}
+    columns = {}
+    for d, labs in bases.items():
+        if (d - 1) not in bases:
+            continue
+        cols = columns[d] = []
+        for lab in labs:
+            col = []
+            for tgt, coeff in boundary_fn(lab).items():
+                td, ti = index[tgt]
+                if td != d - 1:
+                    raise MalformedComplexError(
+                        f"boundary of {lab!r} in degree {d} reaches {tgt!r} in degree {td}"
+                    )
+                if coeff:
+                    col.append((ti, coeff))
+            cols.append(col)
+    return ChainComplex(bases, columns, check=False)
 
 
 def cube_cell(sigma, twos=()):
@@ -55,7 +87,7 @@ def chain_complex(K: SimplicialComplex):
         _, sigma, twos = label
         return cube_boundary(sigma, twos) if sigma else {aug: 1}
 
-    cc = _assemble(list(cells(K)) + [(aug, -1)], boundary)
+    cc = assemble(list(cells(K)) + [(aug, -1)], boundary)
     cc.check_dd_zero()
     return cc
 
@@ -74,6 +106,6 @@ def quotient_outer_boundary(K: SimplicialComplex):
         terms = cube_boundary(label[1], ()).items()
         return {cell: -coeff for cell, coeff in terms if not cell[2]}
 
-    cc = _assemble([(cube_cell(sigma), len(sigma)) for sigma in K.faces()], boundary)
+    cc = assemble([(cube_cell(sigma), len(sigma)) for sigma in K.faces()], boundary)
     cc.check_dd_zero()
     return cc

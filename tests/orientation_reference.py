@@ -6,16 +6,13 @@ both boundaries as SparseIntMatrix entry dicts, degree by degree, and
 compares them whole.  The two must return the same boolean on every input.
 """
 
-from polysmash.chains import ChainComplex, face_of_mask
-from polysmash.smashmodel import face_cell
+from polysmash.chains import ChainComplex
 
 
-def orientation_holds(orientation, cc: ChainComplex, CK: ChainComplex, shift, m) -> bool:
+def orientation_holds(orientation, cc: ChainComplex, CK: ChainComplex, shift) -> bool:
     """Entry by entry: cc is CK = C(K) shifted up by shift, with boundary
-    S . d_K . S for S the diagonal orientation map; m is K.m, which decodes
-    CK's face masks."""
-    faces = {n + shift: [face_cell(face_of_mask(f, m)) for f in fs] for n, fs in CK.bases.items()}
-    if cc.bases != faces:
+    S . d_K . S for S the diagonal orientation map."""
+    if cc.bases != {n + shift: fs for n, fs in CK.bases.items()}:
         return False
     for n, cols in cc.bases.items():
         rows = cc.bases.get(n - 1, ())

@@ -28,6 +28,7 @@ from polysmash.smashmodel import (
     verify_main,
 )
 
+from chains_reference import face_of_mask
 from cubical_reference import quotient_outer_boundary
 from maps_views import (
     eval_psi,
@@ -132,7 +133,7 @@ def test_criterion_4_chain_level_identity(full_corpus):
             ok = False
             continue
         for d in direct_cc.bases:
-            da = [lab[1] for lab in direct_cc.bases[d]]
+            da = [face_of_mask(f, K.m) for f in direct_cc.bases[d]]
             db = [lab[1] for lab in quot_cc.bases[d]]
             if da != db:
                 ok = False

@@ -17,7 +17,6 @@ from polysmash.chains import (
     HomologyGroup,
     HomologyTable,
     MalformedComplexError,
-    face_of_mask,
     homology,
     simplicial_chain_complex,
 )
@@ -33,7 +32,7 @@ from polysmash.geomjoin import EmbeddedComplex
 from polysmash.smashmodel import direct_smash_model, reduction_path_model
 
 import chains_reference
-from chains_reference import chain_complex_of_faces
+from chains_reference import chain_complex_of_faces, face_of_mask
 from complexes_reference import f_vector
 from conftest import RP2_FACETS
 from homology_reference import euler, group, homology_full_snf

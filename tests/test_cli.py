@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from hashlib import sha256
 from pathlib import Path
 
@@ -289,23 +290,52 @@ def test_verify_json_deterministic(tmp_path, capsys):
     assert all(c["location"] for c in data["checks"])
 
 
+def one_sign_flipped(assemble):
+    """smashmodel._assemble with one wrong Leibniz sign on a complex on three
+    vertices: the face (2,) in the boundary of the edge (1, 2), vertex v at
+    bit 3 - v."""
+
+    def flipped(levels, parity, shift):
+        cc = assemble(levels, parity, shift)
+        n = shift + 1
+        c, r = cc.bases[n].index(0b110), cc.bases[n - 1].index(0b010)
+        cc.columns[n][c] = [(i, -v if i == r else v) for i, v in cc.columns[n][c]]
+        return cc
+
+    return flipped
+
+
 def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
     # one wrong Leibniz sign breaks d o d = 0: a program fault, not bad input
     p = write(tmp_path, "s1.txt", "1 2\n1 3\n2 3\n")
-    leibniz = smashmodel.direct_boundary
-
-    def one_sign_flipped(sigma, prefix):
-        out = leibniz(sigma, prefix)
-        if sigma == (1, 2):
-            out[("face", (2,))] *= -1
-        return out
-
-    monkeypatch.setattr(smashmodel, "direct_boundary", one_sign_flipped)
+    monkeypatch.setattr(smashmodel, "_assemble", one_sign_flipped(smashmodel._assemble))
     assert main(["verify", "main", p, "--j", "1,0,0"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error:") and "o d" in err
     assert main(["verify", "main", p, "--j", "1,0"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_internal_error_exits_3_under_optimize(tmp_path):
+    # d o d = 0 is checked by a raise, not an assert, so the wrong sign is
+    # still caught when python -O strips asserts
+    p = write(tmp_path, "s1.txt", "1 2\n1 3\n2 3\n")
+    tests = Path(__file__).resolve().parent
+    code = textwrap.dedent(
+        f"""
+        import sys
+        from polysmash import cli, smashmodel
+        from test_cli import one_sign_flipped
+
+        smashmodel._assemble = one_sign_flipped(smashmodel._assemble)
+        sys.exit(cli.main(["verify", "main", {p!r}, "--j", "1,0,0"]))
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("internal error:") and "o d" in proc.stderr
 
 
 def test_lp_status_failure_exits_3(monkeypatch, capsys):

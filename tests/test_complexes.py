@@ -1,5 +1,6 @@
 """Complex combinatorics: doubling fixtures, joins, suspensions, generators."""
 
+import re
 from itertools import combinations
 
 import pytest
@@ -47,6 +48,21 @@ def test_from_facets_minimalizes():
     assert K.facets == frozenset({(1, 2), (3,)})
     with pytest.raises(ValueError):
         from_facets(2, [(1, 3)])
+
+
+@pytest.mark.parametrize("m, facets, message, normalized", [
+    (3, {(2, 1), (3,)}, "facet (2, 1) is not a strictly increasing", {(1, 2), (3,)}),
+    (3, {(1, 1, 2)}, "facet (1, 1, 2) is not a strictly increasing", {(1, 2)}),
+    (3, {frozenset({1, 2})}, "is not a strictly increasing vertex tuple", {(1, 2)}),
+    (2, set(), "no facets", {()}),
+], ids=["unsorted", "repeated-vertex", "not-a-tuple", "no-facets"])
+def test_complex_refuses_facets_its_docstring_forbids(m, facets, message, normalized):
+    # unchecked, an unsorted facet gave a false direct-model FAIL, a repeated
+    # vertex a d o d failure (exit 3) and no facets two false FAILs;
+    # from_facets normalizes the same family into a legal complex
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SimplicialComplex(m, frozenset(facets))
+    assert from_facets(m, facets).facets == frozenset(normalized)
 
 
 def test_empty_complex():

@@ -1266,9 +1266,9 @@ def counted(counts, name, fn):
 
 
 def test_gji_and_gjs_build_accepted_joins_without_independence_tests(monkeypatch):
-    # once joinable accepts, the join is built from the simplices it tested:
-    # from a verifier's first joinable call on, every independence test is
-    # one of the disjoint pairs joinable tests
+    # geometric_join builds and tests nothing: from a verifier's first
+    # joinable call on, every independence test is one of the disjoint
+    # pairs joinable tests, and building the accepted joins adds none
     counts = Counter()
     joinable = geomjoin.joinable
     independent = geomjoin.affinely_independent

@@ -1,6 +1,7 @@
 """Smash-product cell models: cell counts, the orientation and quotient
 identities, both model paths."""
 
+import json
 import os
 import subprocess
 import sys
@@ -15,7 +16,6 @@ from polysmash import smashmodel
 from polysmash.chains import (
     ChainComplex,
     HomologyGroup,
-    face_of_mask,
     homology,
     simplicial_chain_complex,
 )
@@ -31,6 +31,7 @@ from polysmash.smashmodel import (
 
 import cubical_reference
 import orientation_reference
+from chains_reference import face_of_mask
 from cubical_reference import quotient_outer_boundary
 from homology_reference import group
 from test_acceptance import j_vectors
@@ -89,9 +90,9 @@ def test_quotient_matches_direct_at_j_zero(full_corpus):
         quot_cc = quotient_outer_boundary(K)
         assert sorted(direct_cc.bases) == sorted(quot_cc.bases), name
         for d in direct_cc.bases:
-            # bijection: face cell <-> all-zeros cube cell, same sorted order
+            # bijection: face mask <-> all-zeros cube cell, same sorted order
             assert len(direct_cc.bases[d]) == len(quot_cc.bases[d]), (name, d)
-            da = [lab[1] for lab in direct_cc.bases[d]]
+            da = [face_of_mask(f, K.m) for f in direct_cc.bases[d]]
             db = [lab[1] for lab in quot_cc.bases[d]]
             assert da == db, (name, d)
         for d in direct_cc.boundaries:
@@ -101,6 +102,31 @@ def test_quotient_matches_direct_at_j_zero(full_corpus):
             )
 
 
+def test_direct_boundary_is_the_graded_leibniz_rule(full_corpus):
+    # the cell of sigma is the product of e_k over k = 1..m: the top cell
+    # e^{j_k+1} for k in sigma, the middle cell e^{j_k} otherwise.  Dropping
+    # vertex i is d e_i = +e^{j_i} behind the factors k < i, with sign
+    # (-1)^(sum over k < i of dim e_k); decoded, every column is that rule
+    for name, K in full_corpus.items():
+        for J in j_vectors(K.m):
+            orientation, cc = direct_smash_model(K, J)
+            for n, cols in cc.columns.items():
+                rows = cc.bases[n - 1]
+                for f, col in zip(cc.bases[n], cols):
+                    sigma = face_of_mask(f, K.m)
+                    dims = [j + (k in sigma) for k, j in enumerate(J, start=1)]
+                    leibniz = {
+                        tuple(k for k in sigma if k != i): (-1) ** sum(dims[: i - 1])
+                        for i in sigma
+                    }
+                    assert {face_of_mask(rows[r], K.m): v for r, v in col} == leibniz, (
+                        name, J, sigma)
+            assert orientation == {
+                f: (-1) ** sum(sum(J[: i - 1]) for i in face_of_mask(f, K.m))
+                for fs in cc.bases.values() for f in fs
+            }, (name, J)
+
+
 def test_orientation_holds_on_corpus(full_corpus):
     # the Leibniz boundary is S . d_K . S entry by entry, for every J
     nontrivial = 0
@@ -108,7 +134,7 @@ def test_orientation_holds_on_corpus(full_corpus):
         CK = simplicial_chain_complex(K)
         for J in j_vectors(K.m):
             orientation, cc = direct_smash_model(K, J)
-            assert orientation_holds(orientation, cc, CK, sum(J) + 1, K.m), (name, J)
+            assert orientation_holds(orientation, cc, CK, sum(J) + 1), (name, J)
             nontrivial += any(s == -1 for s in orientation.values())
     assert nontrivial  # the check is not vacuous: some cells are reoriented
 
@@ -128,31 +154,43 @@ def reorient(cc, cell):
     return ChainComplex(cc.bases, columns, check=False)
 
 
+# the face (1,) of a complex on three vertices: vertex v is at bit m - v
+VERTEX_1 = 0b100
+
+
 def test_reoriented_cell_fails_the_orientation_check(
     triangle_boundary, tmp_path, monkeypatch, capsys
 ):
     J = (1, 0, 0)
     orientation, cc = direct_smash_model(triangle_boundary, J)
-    cc = reorient(cc, ("face", (1,)))
+    cc = reorient(cc, VERTEX_1)
     cc.check_dd_zero()  # still a chain complex, with the same homology
     CK = simplicial_chain_complex(triangle_boundary)
-    assert not orientation_holds(orientation, cc, CK, sum(J) + 1, triangle_boundary.m)
+    assert not orientation_holds(orientation, cc, CK, sum(J) + 1)
 
     model = smashmodel.direct_smash_model
 
     def reoriented(K, J):
         orientation, cc = model(K, J)
-        return orientation, reorient(cc, ("face", (1,)))
+        return orientation, reorient(cc, VERTEX_1)
 
     monkeypatch.setattr(smashmodel, "direct_smash_model", reoriented)
     p = tmp_path / "s1.txt"
     p.write_text("1 2\n1 3\n2 3\n")
     assert main(["verify", "main", str(p), "--j", "1,0,0"]) == 1
     out = capsys.readouterr().out
-    assert "[FAIL] s1.txt J=(1, 0, 0): direct vs suspension shift" in out
-    # the failed check runs the model's own SNF, which still agrees
+    # the failed check runs the model's own SNF, which still agrees; the
+    # report says that the orientation, not the homology, is what failed
+    assert ("[FAIL] s1.txt J=(1, 0, 0): direct vs suspension shift (expected H~3 = Z,"
+            " got H~3 = Z, but the orientation check failed)\n") in out
     assert "[PASS] s1.txt J=(1, 0, 0): direct vs reduction path" in out
     assert "3 passed, 1 failed" in out
+    assert main(["verify", "main", str(p), "--j", "1,0,0", "--json"]) == 1
+    direct = json.loads(capsys.readouterr().out)["checks"][0]
+    assert direct == {"name": "s1.txt J=(1, 0, 0): direct vs suspension shift",
+                      "status": "fail", "expected": "H~3 = Z",
+                      "actual": "H~3 = Z, but the orientation check failed",
+                      "location": "maingen"}
 
 
 MUTATIONS = ["none", "reorient", "flip", "drop", "extra", "degree"]
@@ -160,7 +198,7 @@ MUTATIONS = ["none", "reorient", "flip", "drop", "extra", "degree"]
 
 @st.composite
 def direct_models(draw):
-    """(mutation, orientation, cc, CK, shift, m): the direct model of a random
+    """(mutation, orientation, cc, CK, shift): the direct model of a random
     K with m <= 6 and sum(J) <= 3, either as built or with one fault in its
     boundary columns, rebuilt unchecked."""
     K = draw(drawn_complexes(max_m=6))
@@ -193,7 +231,7 @@ def direct_models(draw):
         del columns[draw(st.sampled_from(sorted(columns)))]
     if mutation not in ("none", "reorient"):
         cc = ChainComplex(cc.bases, columns, check=False)
-    return mutation, orientation, cc, CK, sum(J) + 1, K.m
+    return mutation, orientation, cc, CK, sum(J) + 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -312,15 +350,16 @@ def test_models_agree_on_random(random_corpus):
 
 def test_assemble_degree_check_survives_optimize():
     # the check must raise, not assert, so that it also runs under python -O
-    src = Path(__file__).resolve().parents[1] / "src"
+    tests = Path(__file__).resolve().parent
+    src = tests.parent / "src"
     code = textwrap.dedent(
         """
         from polysmash.chains import MalformedComplexError
-        from polysmash.smashmodel import _assemble
+        from cubical_reference import assemble
 
         labels = [("v", 0), ("e", 1), ("t", 2)]
         try:
-            _assemble(labels, lambda lab: {"v": 1} if lab == "t" else {})
+            assemble(labels, lambda lab: {"v": 1} if lab == "t" else {})
         except MalformedComplexError as e:
             print("raised:", e)
         """
@@ -330,7 +369,7 @@ def test_assemble_degree_check_survives_optimize():
         capture_output=True,
         text=True,
         timeout=60,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(tests)])},
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised:"), proc.stdout
