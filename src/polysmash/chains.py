@@ -6,12 +6,12 @@ homology, including the convention H~_{-1}(empty space) = Z.
 
 A ChainComplex stores each boundary d_n as its columns, a (row, coeff) list
 per n-cell, and their transpose as coface lists, the n-cells meeting each
-(n-1)-cell.  One walk per degree, in ascending degree, checks the columns,
-records the coface lists and, when checking d o d = 0, pushes each column
-of d_n through d_{n-1}; the reduction below reads columns and coface lists
-as they are, and SparseIntMatrix is built only for Smith normal form and
-boundary(n).  simplicial_chain_complex labels faces by vertex bitmasks, in
-lexicographic order.
+(n-1)-cell.  Every ChainComplex is checked when it is built, by one walk per
+degree that checks the columns, records the coface lists and pushes each
+column of d_n through d_{n-1} for d o d = 0.  The reduction below reads
+columns and coface lists as they are, and SparseIntMatrix is built only for
+Smith normal form and boundary(n).  simplicial_chain_complex labels faces
+by vertex bitmasks, in lexicographic order.
 
 homology() first deletes unit reduction pairs (Kaczynski-Mrozek-Slusarek
 1998; Mrozek-Batko 2009): cells a in C_{n-1} and b in C_n with
@@ -50,25 +50,14 @@ class ChainComplex:
     cofaces: {degree n: per cell of C_n, the cells of C_{n+1} whose boundary
     has a term on it, in increasing order}, the transpose of the columns.
 
-    The constructor walks the columns once per degree, in ascending degree.
-    The walk checks the column count and each column (rows inside C_{n-1},
-    none repeated, nonzero int coefficients) and appends the column to the
-    coface list of each of its rows.  With check=True the walk is
-    check_dd_zero(), which also pushes each column of d_n through d_{n-1}.
-
-    dd_checked records that d o d = 0 has been verified, by construction with
-    check=True or by a later check_dd_zero(); homology() checks only complexes
-    where it is still False.
+    The constructor runs check_dd_zero(): a malformed column or d o d != 0
+    raises MalformedComplexError, and no complex is built.
     """
 
-    def __init__(self, bases, columns, check=True):
+    def __init__(self, bases, columns):
         self.bases = {n: list(labels) for n, labels in bases.items() if labels}
         self.columns = columns
-        self.dd_checked = False
-        if check:
-            self.check_dd_zero()
-        else:
-            self._walk(push=False)
+        self.check_dd_zero()
 
     def degrees(self):
         return sorted(self.bases)
@@ -87,15 +76,11 @@ class ChainComplex:
         return {n: self.boundary(n) for n in self.columns}
 
     def check_dd_zero(self):
-        """d_{n-1} o d_n = 0, column by column: the walk of the constructor,
-        which also pushes each column of d_n through the columns of d_{n-1}
-        it meets; the sum must vanish."""
-        self._walk(push=True)
-        self.dd_checked = True
-
-    def _walk(self, push):
-        """One pass per degree, ascending; columns and cofaces are replaced
-        only once every degree has passed."""
+        """One walk per degree, ascending, checks the column count and each
+        column (rows inside C_{n-1}, none repeated, nonzero int coefficients),
+        appends it to the coface list of each of its rows and pushes it
+        through the columns of d_{n-1} it meets, where d o d = 0 needs the sum
+        to vanish.  Columns and cofaces are replaced once every degree passed."""
         columns = {}
         cofaces = {n: [[] for _ in labels] for n, labels in self.bases.items()}
         for n in sorted(self.columns):
@@ -105,11 +90,9 @@ class ChainComplex:
                     f"boundary in degree {n} has {len(cols)} columns for {self.rank(n)} cells"
                 )
             rows, up = self.rank(n - 1), cofaces.get(n - 1)
-            outer = columns.get(n - 1) if push else None
-            if outer is not None:
-                # d_{n-1} of the current column, by rows of C_{n-2}; it is
-                # zero again after every column that passes
-                image = [0] * self.rank(n - 2)
+            # d_{n-1} of the current column, by rows of C_{n-2}; it is zero
+            # again after every column that passes
+            outer, image = columns.get(n - 1) or [()] * rows, [0] * self.rank(n - 2)
             for c, col in enumerate(cols):
                 for i, v in col:
                     if (i.__class__ is not int or v.__class__ is not int
@@ -119,14 +102,12 @@ class ChainComplex:
                     if row_up and row_up[-1] == c:
                         raise _bad_column(n, i, v)
                     row_up.append(c)
-                    if outer is not None:
-                        for r, w in outer[i]:
-                            image[r] += v * w
-                if outer is not None:
-                    for i, _ in col:
-                        for r, _ in outer[i]:
-                            if image[r]:
-                                raise MalformedComplexError(f"d_{n - 1} o d_{n} != 0")
+                    for r, w in outer[i]:
+                        image[r] += v * w
+                for i, _ in col:
+                    for r, _ in outer[i]:
+                        if image[r]:
+                            raise MalformedComplexError(f"d_{n - 1} o d_{n} != 0")
             if rows and cols:
                 columns[n] = cols
         self.columns, self.cofaces = columns, cofaces
@@ -207,8 +188,6 @@ def homology(C: ChainComplex) -> HomologyTable:
     Smith normal form runs on the surviving rows and columns only, and the
     Betti numbers come from the surviving ranks.
     """
-    if not C.dd_checked:
-        C.check_dd_zero()
     alive, down = _delete_unit_pairs(C)
     survivors = {n: list(compress(range(C.rank(n)), alive[n])) for n in C.degrees()}
     rank, torsion = {}, {}

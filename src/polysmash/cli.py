@@ -276,11 +276,26 @@ def _check_at_least(*bounds):
             raise ParseError(f"{flag} must be >= {least}, got {value}")
 
 
+# per verify mode, the options only it reads, {name: (default, least value)};
+# verify all reads both sets
+VERIFY_OPTIONS = {
+    "main": {"j": (None, None), "jmax": (3, 0)},
+    "geometry": {"m": (2, 0), "k": (1, 0), "grid": (8, 1)},
+}
+
+
 def cmd_verify(args):
-    if args.what in ("main", "all"):
-        _check_at_least(("--jmax", args.jmax, 0))
-    if args.what in ("geometry", "all"):
-        _check_at_least(("--m", args.m, 0), ("--k", args.k, 0), ("--grid", args.grid, 1))
+    # an option of the mode not run is refused, not ignored
+    for mode, options in VERIFY_OPTIONS.items():
+        if args.what in (mode, "all"):
+            for name, (default, least) in options.items():
+                if getattr(args, name) is None:
+                    setattr(args, name, default)
+                if least is not None:
+                    _check_at_least((f"--{name}", getattr(args, name), least))
+        elif given := [f"--{name}" for name in options if getattr(args, name) is not None]:
+            raise ParseError(f"verify {args.what} does not read {', '.join(given)}; "
+                             f"verify {mode} and verify all do")
     report = VerificationReport(f"verify {args.what}")
     if args.what in ("main", "all"):
         _verify_main_batch(args, report)
@@ -361,11 +376,10 @@ def build_parser():
     p.add_argument("what", choices=["main", "geometry", "all"])
     p.add_argument("input", nargs="?", help="complex file or corpus dir (main, all)")
     p.add_argument("--j", help="verify a single dimension vector")
-    p.add_argument("--jmax", type=int, default=3)
-    p.add_argument("--m", type=int, default=2,
-                   help="geometry: max m (0: the map checks only)")
-    p.add_argument("--k", type=int, default=1, help="geometry: max k")
-    p.add_argument("--grid", type=int, default=8, help="geometry: grid denominator")
+    p.add_argument("--jmax", type=int)
+    p.add_argument("--m", type=int, help="geometry: max m (0: the map checks only)")
+    p.add_argument("--k", type=int, help="geometry: max k")
+    p.add_argument("--grid", type=int, help="geometry: grid denominator")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify)
 

@@ -26,6 +26,8 @@ class SimplicialComplex:
             raise ValueError("no facets: K = {empty} has the one facet ()")
         for f in self.facets:
             for v in f:
+                if v.__class__ is not int:  # bool is an int subclass: refuse it too
+                    raise ValueError(f"vertex {v!r} is not an int")
                 if not 1 <= v <= self.m:
                     raise ValueError(f"vertex {v} outside 1..{self.m}")
             if f.__class__ is not tuple or list(f) != sorted(set(f)):

@@ -42,11 +42,11 @@ from .report import Check, VerificationReport
 
 
 def _assemble(levels, parity, shift):
-    """The direct model, unchecked: each face mask of levels (face_levels(K))
-    in degree n + shift.  parity[i - 1] = j_1 + ... + j_{i-1} mod 2, and
-    dropping vertex i, at position pos of sigma, is d(top cell) = +(middle
-    cell) in factor i, behind slots of total dimension j_1 + ... + j_{i-1}
-    + pos: its sign is (-1)^(parity[i - 1] + pos).
+    """The direct model: each face mask of levels (face_levels(K)) in degree
+    n + shift.  parity[i - 1] = j_1 + ... + j_{i-1} mod 2, and dropping
+    vertex i, at position pos of sigma, is d(top cell) = +(middle cell) in
+    factor i, behind slots of total dimension j_1 + ... + j_{i-1} + pos: its
+    sign is (-1)^(parity[i - 1] + pos).
     """
     m = len(parity)
     bits = [(1 << (m - v), p) for v, p in enumerate(parity, start=1)]
@@ -64,7 +64,7 @@ def _assemble(levels, parity, shift):
                     col.append((below[f ^ bit], -1 if (p + pos) & 1 else 1))
                     pos += 1
             cols.append(col)
-    return ChainComplex(bases, columns, check=False)
+    return ChainComplex(bases, columns)
 
 
 def direct_smash_model(K: SimplicialComplex, J):
@@ -73,9 +73,8 @@ def direct_smash_model(K: SimplicialComplex, J):
     Returns (orientation, cc): cc is the reduced cellular chain complex with
     the Leibniz signs, on C(K)'s face masks shifted up by sum(J) + 1, and
     orientation is the diagonal map {mask: s(sigma)} that orientation_holds
-    checks against C(K).  cc is built unchecked: a passing orientation check
-    and d o d = 0 on C(K) imply d o d = 0 on cc, and homology(cc) checks it
-    when the orientation fails.
+    checks against C(K).  A sign that breaks d o d = 0 raises
+    MalformedComplexError when cc is built.
     """
     J = tuple(J)
     if len(J) != K.m:

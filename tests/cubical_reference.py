@@ -20,7 +20,7 @@ from polysmash.complexes import SimplicialComplex
 
 
 def assemble(labels, boundary_fn):
-    """Unchecked ChainComplex from (label, degree) pairs and a boundary rule,
+    """ChainComplex from (label, degree) pairs and a boundary rule,
     each basis sorted by label.  A boundary term in any degree other than
     the one below raises MalformedComplexError."""
     bases = {}
@@ -45,7 +45,7 @@ def assemble(labels, boundary_fn):
                 if coeff:
                     col.append((ti, coeff))
             cols.append(col)
-    return ChainComplex(bases, columns, check=False)
+    return ChainComplex(bases, columns)
 
 
 def cube_cell(sigma, twos=()):
@@ -87,9 +87,7 @@ def chain_complex(K: SimplicialComplex):
         _, sigma, twos = label
         return cube_boundary(sigma, twos) if sigma else {aug: 1}
 
-    cc = assemble(list(cells(K)) + [(aug, -1)], boundary)
-    cc.check_dd_zero()
-    return cc
+    return assemble(list(cells(K)) + [(aug, -1)], boundary)
 
 
 def quotient_outer_boundary(K: SimplicialComplex):
@@ -106,6 +104,4 @@ def quotient_outer_boundary(K: SimplicialComplex):
         terms = cube_boundary(label[1], ()).items()
         return {cell: -coeff for cell, coeff in terms if not cell[2]}
 
-    cc = assemble([(cube_cell(sigma), len(sigma)) for sigma in K.faces()], boundary)
-    cc.check_dd_zero()
-    return cc
+    return assemble([(cube_cell(sigma), len(sigma)) for sigma in K.faces()], boundary)

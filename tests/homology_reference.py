@@ -24,8 +24,6 @@ def euler(H: HomologyTable):
 
 def homology_full_snf(C: ChainComplex) -> HomologyTable:
     """Reduced homology of a chain complex, degree by degree."""
-    if not C.dd_checked:
-        C.check_dd_zero()
     snf = {n: smith_normal_form(C.boundary(n)) for n in C.degrees()}
     table = {}
     for n in C.degrees():

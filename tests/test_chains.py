@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from copy import copy
 from fractions import Fraction
 from pathlib import Path
 
@@ -109,32 +110,30 @@ def test_bad_column_is_rejected_at_construction(column):
     # (next to its twin or not), coefficients that are not ints, rows that
     # are not ints (True would be read as row 1)
     with pytest.raises(MalformedComplexError, match="boundary column in degree 1"):
-        ChainComplex({0: ["a", "b"], 1: ["e"]}, {1: [column]}, check=False)
+        ChainComplex({0: ["a", "b"], 1: ["e"]}, {1: [column]})
 
 
-def test_homology_checks_unchecked_complex():
+def test_dd_failure_is_refused_at_construction():
+    # no complex with d o d != 0 is ever built, so homology never meets one
     bases = {0: ["a"], 1: ["e"], 2: ["f"]}
     d = [[(0, 1)]]
-    cc = ChainComplex(bases, {1: d, 2: d}, check=False)
-    assert not cc.dd_checked
-    with pytest.raises(MalformedComplexError):
-        homology(cc)
-    with pytest.raises(MalformedComplexError):
-        homology(cc.shift(2))
+    with pytest.raises(MalformedComplexError, match=r"^d_1 o d_2 != 0$"):
+        ChainComplex(bases, {1: d, 2: d})
+    with pytest.raises(MalformedComplexError, match=r"^d_3 o d_4 != 0$"):
+        ChainComplex({n + 2: labels for n, labels in bases.items()}, {3: d, 4: d})
 
 
 def test_dd_check_survives_optimize():
-    # homology must raise, not assert, on a d o d-broken complex, so that the
-    # check also runs under python -O
+    # the constructor must raise, not assert, on a d o d-broken complex, so
+    # that the check also runs under python -O
     src = Path(__file__).resolve().parents[1] / "src"
     code = textwrap.dedent(
         """
-        from polysmash.chains import ChainComplex, MalformedComplexError, homology
+        from polysmash.chains import ChainComplex, MalformedComplexError
 
         d = [[(0, 1)]]
-        cc = ChainComplex({0: ["a"], 1: ["e"], 2: ["f"]}, {1: d, 2: d}, check=False)
         try:
-            homology(cc)
+            ChainComplex({0: ["a"], 1: ["e"], 2: ["f"]}, {1: d, 2: d})
         except MalformedComplexError as e:
             print("raised:", e)
         """
@@ -160,14 +159,17 @@ def test_checked_complex_is_not_checked_again(monkeypatch):
 
     monkeypatch.setattr(ChainComplex, "check_dd_zero", counting)
     cc = simplicial_chain_complex(simplex_boundary(3))
-    assert len(calls) == 1 and cc.dd_checked
+    assert calls == [cc]
+    columns, cofaces = cc.columns, cc.cofaces
     homology(cc)
     homology(cc.shift(3))
-    assert len(calls) == 1
-    unchecked = ChainComplex(cc.bases, cc.columns, check=False)
-    homology(unchecked)
-    homology(unchecked)
-    assert len(calls) == 2 and unchecked.dd_checked
+    assert calls == [cc]
+    # homology reads its argument and leaves it as it was
+    assert cc.columns is columns and cc.cofaces is cofaces
+    rebuilt = ChainComplex(cc.bases, cc.columns)
+    homology(rebuilt)
+    homology(rebuilt)
+    assert calls == [cc, rebuilt]
 
 
 def test_shift():
@@ -313,15 +315,16 @@ def test_dd_check_matches_dense_products(K, data):
             v = data.draw(st.integers(-2, 2))
         cols = columns[n] = list(columns[n])
         cols[j] = [(r, w) for r, w in cols[j] if r != i] + ([(i, v)] if v else [])
-    broken = ChainComplex(C.bases, columns, check=False)
+    # the reference reads the columns of a copy, which the constructor
+    # might refuse to build
+    broken = copy(C)
+    broken.columns = columns
     bad = dd_reference(broken)
     if bad is None:
-        broken.check_dd_zero()
-        assert broken.dd_checked
+        ChainComplex(C.bases, columns)
     else:
         with pytest.raises(MalformedComplexError, match=rf"^d_{bad} o d_{bad + 1} != 0$"):
-            broken.check_dd_zero()
-        assert not broken.dd_checked
+            ChainComplex(C.bases, columns)
 
 
 def test_reduction_leaves_little_for_snf(monkeypatch):
@@ -360,7 +363,7 @@ def cofaces_reference(C):
 @st.composite
 def walked_complexes(draw):
     """C(K), C(K(J)) shifted by one, a shifted C(K), or one of them rebuilt
-    with check=False."""
+    from its bases and columns."""
     K = draw(drawn_complexes(max_m=7))
     kind = draw(st.sampled_from(["K", "KJ", "shifted"]))
     if kind == "KJ":
@@ -370,7 +373,7 @@ def walked_complexes(draw):
         if kind == "shifted":
             C = C.shift(draw(st.integers(-3, 3)))
     if draw(st.booleans()):
-        C = ChainComplex(C.bases, C.columns, check=False)
+        C = ChainComplex(C.bases, C.columns)
     return C
 
 
@@ -472,10 +475,8 @@ def test_flipped_coefficient_fails_dd_check(K, data):
     columns = dict(C.columns)
     cols = columns[n] = list(columns[n])
     cols[j] = [(i, -v if p == k else v) for p, (i, v) in enumerate(cols[j])]
-    broken = ChainComplex(C.bases, columns, check=False)
     with pytest.raises(MalformedComplexError, match=rf"^d_{n - 1} o d_{n} != 0$"):
-        broken.check_dd_zero()
-    assert not broken.dd_checked
+        ChainComplex(C.bases, columns)
 
 
 @settings(max_examples=200, deadline=None)
@@ -495,4 +496,4 @@ def test_out_of_range_row_fails_construction(K, data):
     cols = columns[n] = list(columns[n])
     cols[j] = [(row if p == k else i, v) for p, (i, v) in enumerate(cols[j])]
     with pytest.raises(MalformedComplexError, match=f"row outside C_{n - 1}"):
-        ChainComplex(C.bases, columns, check=False)
+        ChainComplex(C.bases, columns)

@@ -20,7 +20,7 @@ from polysmash.cli import (
     parse_j,
 )
 from polysmash import exactlin, geomjoin, smashmodel
-from polysmash.chains import HomologyGroup
+from polysmash.chains import ChainComplex, HomologyGroup
 from polysmash.complexes import double, from_facets
 from polysmash.exactlin import InvariantError, LPResult, SmithForm
 
@@ -293,14 +293,17 @@ def test_verify_json_deterministic(tmp_path, capsys):
 def one_sign_flipped(assemble):
     """smashmodel._assemble with one wrong Leibniz sign on a complex on three
     vertices: the face (2,) in the boundary of the edge (1, 2), vertex v at
-    bit 3 - v."""
+    bit 3 - v.  The flipped columns go through the constructor, so the fault
+    is in place before the d o d check."""
 
     def flipped(levels, parity, shift):
         cc = assemble(levels, parity, shift)
         n = shift + 1
         c, r = cc.bases[n].index(0b110), cc.bases[n - 1].index(0b010)
-        cc.columns[n][c] = [(i, -v if i == r else v) for i, v in cc.columns[n][c]]
-        return cc
+        columns = dict(cc.columns)
+        cols = columns[n] = list(columns[n])
+        cols[c] = [(i, -v if i == r else v) for i, v in cols[c]]
+        return ChainComplex(cc.bases, columns)
 
     return flipped
 
@@ -314,6 +317,18 @@ def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
     assert err.startswith("internal error:") and "o d" in err
     assert main(["verify", "main", p, "--j", "1,0"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_smash_direct_internal_error_exits_3(tmp_path, monkeypatch, capsys):
+    # the same wrong sign on the smash command's direct path
+    p = write(tmp_path, "s1.txt", "1 2\n1 3\n2 3\n")
+    monkeypatch.setattr(smashmodel, "_assemble", one_sign_flipped(smashmodel._assemble))
+    assert main(["smash", p, "--j", "1,0,0", "--path", "direct"]) == 3
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("internal error:") and "o d" in captured.err
+    assert main(["smash", p, "--j", "1,0,0", "--path", "reduction"]) == 0
+    capsys.readouterr()
 
 
 def test_internal_error_exits_3_under_optimize(tmp_path):
@@ -414,6 +429,27 @@ def test_verify_rejects_negative_jmax(what, jmax, tmp_path, capsys):
     p = write(tmp_path, "s1.txt", "1 2\n1 3\n2 3\n")
     assert main(["verify", what, p, "--jmax", jmax]) == 2
     assert capsys.readouterr().err == f"error: --jmax must be >= 0, got {jmax}\n"
+
+
+@pytest.mark.parametrize("what, options, refused", [
+    ("main", ["--jmax", "1", "--grid", "0"], "--grid"),
+    ("main", ["--m", "1"], "--m"),
+    ("main", ["--j", "1,0,0", "--k", "0", "--grid", "2"], "--k, --grid"),
+    ("geometry", ["--m", "1", "--k", "0", "--jmax", "-3", "--j", "5"], "--j, --jmax"),
+    ("geometry", ["--m", "0", "--grid", "2", "--jmax", "3"], "--jmax"),
+], ids=["main-grid", "main-m", "main-k-grid", "geometry-j-jmax", "geometry-jmax"])
+def test_verify_refuses_the_options_of_the_other_mode(what, options, refused, tmp_path,
+                                                       capsys):
+    # each was ignored with exit 0, so a report looked as if it had run with
+    # the option; verify all reads both sets
+    p = write(tmp_path, "s1.txt", "1 2\n1 3\n2 3\n")
+    argv = ["verify", what, *([p] if what == "main" else []), *options]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    other = "geometry" if what == "main" else "main"
+    assert captured.err == (f"error: verify {what} does not read {refused}; "
+                            f"verify {other} and verify all do\n")
 
 
 @pytest.mark.parametrize(

@@ -65,6 +65,16 @@ def test_complex_refuses_facets_its_docstring_forbids(m, facets, message, normal
     assert from_facets(m, facets).facets == frozenset(normalized)
 
 
+@pytest.mark.parametrize("facet, vertex", [
+    ((1.5,), 1.5), ((1.0, 2), 1.0), ((True, 2), True), ((1, 2.0), 2.0),
+])
+def test_complex_refuses_a_vertex_that_is_not_an_int(facet, vertex):
+    # 1.5 and 1.0 were built and then raised TypeError from the mask shift in
+    # face_levels; True was built, passed verify_main and printed as {True,2}
+    with pytest.raises(ValueError, match=re.escape(f"vertex {vertex!r} is not an int")):
+        SimplicialComplex(2, frozenset({facet}))
+
+
 def test_empty_complex():
     E = empty_complex()
     assert E.facets == frozenset({()})

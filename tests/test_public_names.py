@@ -1,8 +1,10 @@
 """Names other code depends on, and the shape of the library's code.
 
 Every function the traced benchmark wraps (perfbench/spans.py) and every
-name in polysmash.__all__ must resolve, so that deleting one fails here and
-not only in the benchmark's own smoke run.  Two AST scans keep the library
+name in polysmash.__all__ must resolve, and each of the benchmark's counter
+hooks must read a real result of the function it wraps, so that deleting a
+name or reshaping a result fails here and not only in the benchmark's own
+smoke run.  Two AST scans keep the library
 lean and its checks live: every function and method is reached by library
 code or by the benchmark, so test-only code lives in tests/, and no assert
 statement stands in for an invariant check that python -O would remove.
@@ -12,10 +14,14 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import polysmash
+from polysmash import complexes, exactlin, geomjoin, smashmodel
+from polysmash.chains import ChainComplex, face_levels
+from polysmash.exactlin import RationalLP, SparseIntMatrix
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -44,6 +50,44 @@ def test_benchmark_span_targets_resolve():
     missing = [(owner, attr) for owner, attr, _, _ in targets
                if not callable(getattr(owner, attr, None))]
     assert not missing, missing
+
+
+def test_benchmark_counter_hooks_read_real_results():
+    # each counter hook runs on a real result of the function it wraps, so a
+    # change to that result's shape fails here and not only in the smoke run
+    spans = load_spans()
+    rec = spans.Recorder()
+
+    def traced(name, hook, fn, *args):
+        result, span = rec.span(name, fn, *args)
+        hook(rec, args, result, span)
+        return result
+
+    K = complexes.from_facets(3, [(1, 2), (1, 3), (2, 3)])
+    model = traced("smashmodel.assemble", spans._assemble_counts, smashmodel._assemble,
+                   face_levels(K), [0, 1, 1], 2)
+    assert isinstance(model, ChainComplex)
+    traced("complexes.double", spans._double_counts, complexes.double_iterated, K, (1, 0, 0))
+    traced("exactlin.snf", spans._snf_counts, exactlin.smith_normal_form,
+           SparseIntMatrix(2, 2, {(0, 0): 2, (1, 1): 30}))
+    # an LP with optimum 0 inside a proper-intersection span, and one with
+    # optimum 2 outside any span
+    rec.span("geomjoin.proper", traced, "exactlin.lp", spans._lp_counts, exactlin.lp_max,
+             RationalLP(objective=[-1], a_ub=[[1]], b_ub=[2]))
+    traced("exactlin.lp", spans._lp_counts, exactlin.lp_max,
+           RationalLP(objective=[1], a_ub=[[1]], b_ub=[2]))
+    vertices = ((0, 0), (1, 0), (0, 1))
+    traced("geomjoin.bary", spans._bary_counts, geomjoin.barycentric_coords, vertices,
+           (Fraction(1, 3), Fraction(1, 3)))
+    # the direct model on the triangle's boundary: 7 cells, 3 edges of two
+    # terms and 3 vertices of one; K(1, 0, 0) has 15 faces, the empty one too
+    assert dict(rec.counts) == {
+        "smashmodel.cells": 7, "smashmodel.nnz": 9, "complexes.kj_faces": 15,
+        "exactlin.snf_nnz_in": 2, "exactlin.snf_pivots": 2,
+        "exactlin.snf_nonunit_factors": 2, "exactlin.lp_zero": 1, "geomjoin.proper_lp": 1,
+    }
+    assert rec.max_digits == 2
+    assert rec.bary_refs == {frozenset(vertices)}
 
 
 def test_all_names_resolve():
