@@ -15,6 +15,7 @@ from .complexes import (
     SimplicialComplex,
     double,
     double_iterated,
+    doubled_face_count,
     empty_complex,
     from_facets,
     full_simplex,
@@ -70,6 +71,7 @@ __all__ = [
     "direct_smash_model",
     "double",
     "double_iterated",
+    "doubled_face_count",
     "empty_complex",
     "expected_homology",
     "from_facets",

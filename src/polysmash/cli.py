@@ -207,6 +207,7 @@ def cmd_smash(args):
         _, cc = direct_smash_model(K, J)
         H = homology(cc)
     else:
+        _check_kj_budget(K, J)
         H = homology(reduction_path_model(K, J))
     expected = expected_homology(K, J)
     if args.json:
@@ -238,16 +239,17 @@ def _corpus(path):
 
 
 def _verify_main_batch(args, report):
-    for name, K in _corpus(args.input):
-        if args.j is not None:
-            js = [parse_j(args.j, K.m)]
-        else:
-            js = j_samples(K.m, args.jmax)
-        for J in js:
-            sub = verify_main(K, J)
-            for c in sub.checks:
-                c.name = f"{name} J={J}: {c.name}"
-            report.extend(sub)
+    cases = [(name, K, J) for name, K in _corpus(args.input)
+             for J in ([parse_j(args.j, K.m)] if args.j is not None
+                       else j_samples(K.m, args.jmax))]
+    # every case is bounded before the first one is built
+    for _, K, J in cases:
+        _check_kj_budget(K, J)
+    for name, K, J in cases:
+        sub = verify_main(K, J)
+        for c in sub.checks:
+            c.name = f"{name} J={J}: {c.name}"
+        report.extend(sub)
 
 
 def _verify_geometry(args, report):
@@ -276,6 +278,22 @@ def _check_at_least(*bounds):
             raise ParseError(f"{flag} must be >= {least}, got {value}")
 
 
+# The reduction route holds about 1 KB per face of K(J): verify_main on the
+# projective plane at J = 2^6 builds 257,936 faces and peaks at 284 MB RSS,
+# 257 MB above the interpreter's 27 MB.  A million faces is then about 1 GB,
+# four times the largest case the repository runs.
+KJ_FACE_BUDGET = 1_000_000
+
+
+def _check_kj_budget(K, J):
+    """Refuse, as bad input, a J whose K(J) has more faces than the budget,
+    counted in closed form before anything is built."""
+    count = cxm.doubled_face_count(K, J)
+    if count > KJ_FACE_BUDGET:
+        raise ParseError(f"K(J) at J={J} has {count} faces, over the budget of "
+                         f"{KJ_FACE_BUDGET}; refused")
+
+
 # per verify mode, the options only it reads, {name: (default, least value)};
 # verify all reads both sets
 VERIFY_OPTIONS = {
@@ -285,6 +303,11 @@ VERIFY_OPTIONS = {
 
 
 def cmd_verify(args):
+    if args.what in ("main", "all") and not args.input:
+        raise ParseError("verify main requires a complex file or corpus directory")
+    if args.what == "geometry" and args.input:
+        raise ParseError("verify geometry runs a fixed sweep and reads no complex "
+                         "file; verify main or verify all checks one")
     # an option of the mode not run is refused, not ignored
     for mode, options in VERIFY_OPTIONS.items():
         if args.what in (mode, "all"):
@@ -404,14 +427,6 @@ def main(argv=None):
         args.input = extra.pop(0)
     if extra:
         ap.error(f"unrecognized arguments: {' '.join(extra)}")
-    if args.command == "verify" and args.what in ("main", "all") and not args.input:
-        print("verify main requires a complex file or corpus directory",
-              file=sys.stderr)
-        return 2
-    if args.command == "verify" and args.what == "geometry" and args.input:
-        print("verify geometry runs a fixed sweep and reads no complex file; "
-              "verify main or verify all checks one", file=sys.stderr)
-        return 2
     try:
         return args.fn(args)
     except (MalformedComplexError, InvariantError, RuntimeError) as e:

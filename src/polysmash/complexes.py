@@ -5,25 +5,28 @@ always a face, and K = {empty} is the legal empty complex.  Vertices that
 appear in no facet are allowed: m is always explicit.
 
 Includes the combinatorial operation used throughout: vertex doubling
-(replacing a vertex i by an edge {i_a, i_b}) and its iterated form.
+(replacing a vertex i by an edge {i_a, i_b}) and its iterated form K(J),
+built in closed form and tested equal to doubling one vertex at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
+from itertools import chain, combinations, product
+from math import prod
 
 
 @dataclass(frozen=True)
 class SimplicialComplex:
     m: int
-    facets: frozenset  # of strictly increasing vertex tuples; frozenset({()}) is K = {empty}
+    facets: frozenset  # maximal strictly increasing vertex tuples; frozenset({()}) is K = {empty}
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be positive")
         if not self.facets:
             raise ValueError("no facets: K = {empty} has the one facet ()")
+        sized = {}  # {facet size: {vertex bitmask: facet}}
         for f in self.facets:
             for v in f:
                 if v.__class__ is not int:  # bool is an int subclass: refuse it too
@@ -32,6 +35,12 @@ class SimplicialComplex:
                     raise ValueError(f"vertex {v} outside 1..{self.m}")
             if f.__class__ is not tuple or list(f) != sorted(set(f)):
                 raise ValueError(f"facet {f!r} is not a strictly increasing vertex tuple")
+            sized.setdefault(len(f), {})[sum(1 << v for v in f)] = f
+        for n, fs in sized.items():  # a facet can only lie in a larger one
+            larger = [b for k in sized if k > n for b in sized[k]]
+            for a, f in fs.items():
+                if any(a & b == a for b in larger):
+                    raise ValueError(f"facet {f!r} lies in a larger facet")
 
     def faces(self):
         """All faces, ordered by cardinality and then lexicographically.
@@ -59,12 +68,9 @@ def from_facets(m, facets) -> SimplicialComplex:
     gens = sorted({tuple(sorted(set(f))) for f in facets}, key=len, reverse=True)
     minimal = []
     for f in gens:
-        fs = set(f)
-        if not any(fs <= set(g) for g in minimal):
+        if not any(set(f) <= set(g) for g in minimal):
             minimal.append(f)
-    if not minimal:
-        minimal = [()]
-    return SimplicialComplex(m, frozenset(minimal))
+    return SimplicialComplex(m, frozenset(minimal or [()]))
 
 
 def empty_complex(m=1) -> SimplicialComplex:
@@ -84,73 +90,66 @@ def full_simplex(n) -> SimplicialComplex:
 
 @dataclass(frozen=True)
 class RenameMap:
-    """Vertex bookkeeping across doublings.
+    """Display names of K(J)'s labels: each doubling splits '<name>' into
+    '<name>a' (keeping the label) and '<name>b' (a fresh one)."""
 
-    names maps each current label to a display string: original vertices keep
-    their number, a doubled vertex i splits into copies named '<name>a'
-    (keeping label i) and '<name>b' (fresh label m+1).
-    """
-
-    names: dict = field(default_factory=dict)
-
-    @classmethod
-    def identity(cls, m):
-        return cls({i: str(i) for i in range(1, m + 1)})
-
-    def doubled(self, i, fresh):
-        names = dict(self.names)
-        base = names[i]
-        names[i] = base + "a"
-        names[fresh] = base + "b"
-        return RenameMap(names)
+    names: dict
 
     def name(self, label):
         return self.names[label]
 
 
 def double(K: SimplicialComplex, i: int):
-    """Replace vertex i by an edge {i_a, i_b}; realizes one suspension of |K|.
-
-    Faces of the result: for sigma in K with i in sigma, (sigma \\ i) u {i_a, i_b};
-    for sigma in K without i, sigma u {i_a} and sigma u {i_b}; and all subsets.
-    Labels: i_a keeps label i, i_b gets label m+1.
-
-    Built from the facets alone, as the simplicial wedge of K at i: sigma u
-    {i_b} for each facet sigma of K, and sigma u {i_a} when i is not in sigma.
-    No two of these are nested, so there is nothing to minimalize.
-    """
+    """double_iterated at J = e_i: vertex i becomes an edge {i_a, i_b}, one
+    suspension of |K|.  A face sigma with i gives (sigma \\ i) u {i_a, i_b},
+    one without i gives sigma u {i_a} and sigma u {i_b}, with their subsets.
+    i_a keeps label i and i_b is m + 1."""
     if not 1 <= i <= K.m:
         raise ValueError(f"vertex {i} outside 1..{K.m}")
-    ib = K.m + 1
-    facets = set()
-    for sigma in K.facets:
-        facets.add(sigma + (ib,))
-        if i not in sigma:
-            facets.add(tuple(sorted(sigma + (i,))))
-    rename = RenameMap.identity(K.m).doubled(i, ib)
-    return SimplicialComplex(ib, frozenset(facets)), rename
+    return double_iterated(K, tuple(int(v == i) for v in range(1, K.m + 1)))
 
 
-def double_iterated(K: SimplicialComplex, J):
-    """Apply double() sum(J) times.
-
-    Canonical order: repeatedly take the smallest original index with budget
-    left, decrement it, and double the lowest-labeled current copy of that
-    vertex (which is the original label itself, by the labeling convention).
-    """
+def validate_j(K: SimplicialComplex, J):
+    """Refuse a J that is not one entry >= 0 per vertex of K."""
     if len(J) != K.m:
         raise ValueError(f"J has length {len(J)}, expected {K.m}")
     if any(j < 0 for j in J):
         raise ValueError("J entries must be >= 0")
-    result = K
-    rename = RenameMap.identity(K.m)
-    budget = list(J)
-    while any(budget):
-        i = next(idx for idx, b in enumerate(budget, start=1) if b)
-        budget[i - 1] -= 1
-        result, _ = double(result, i)
-        rename = rename.doubled(i, result.m)
-    return result, rename
+
+
+def double_iterated(K: SimplicialComplex, J):
+    """K(J), vertex i doubled j_i times, in closed form: the simplicial wedge
+    of Bahri-Bendersky-Cohen-Gitler.  Block i is label i and its j_i fresh
+    labels, vertex 1's first from m + 1; each facet sigma of K gives the
+    facets with sigma's blocks whole and every other block less one label,
+    none nested.  Labels and names are those of doubling one vertex at a
+    time, the smallest with doublings left first, at label i."""
+    validate_j(K, J)
+    whole, less, names, fresh = [], [], {}, K.m
+    for i, j in enumerate(J, start=1):
+        block = (i, *range(fresh + 1, fresh + j + 1))
+        whole.append([block])
+        less.append([block[:t] + block[t + 1:] for t in range(j + 1)])
+        names[i] = f"{i}" + "a" * j
+        names.update((fresh + t, f"{i}" + "a" * (t - 1) + "b") for t in range(1, j + 1))
+        fresh += j
+    facets = []
+    for sigma in K.facets:
+        parts = [whole[i - 1] if i in sigma else less[i - 1] for i in range(1, K.m + 1)]
+        facets += (tuple(sorted(chain.from_iterable(p))) for p in product(*parts))
+    return SimplicialComplex(fresh, frozenset(facets)), RenameMap(names)
+
+
+def doubled_face_count(K: SimplicialComplex, J):
+    """|K(J)|, the empty face included, without building K(J): the blocks a
+    face holds whole form a face sigma of K, and every other block i gives
+    one of its 2^(j_i + 1) - 1 proper subsets."""
+    validate_j(K, J)
+    weight = [(2 << j) - 1 for j in J]
+    count = {(): prod(weight)}  # {sigma: faces whose whole blocks are sigma's}
+    for sigma in K.faces()[1:]:  # by cardinality, so sigma[1:] comes first
+        count[sigma] = count[sigma[1:]] // weight[sigma[0] - 1]
+    return sum(count.values())
 
 
 def random_complex(m, max_dim, density, seed) -> SimplicialComplex:

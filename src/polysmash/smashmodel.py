@@ -15,11 +15,14 @@ once, as a checked map:
   shifted up by sum(J) + 1: the suspension identity at chain level;
 
 * the reduction route: double vertices until every pair is (D^1, S^0).
-  The smash product over K(J) of (D^1, S^0) is the cube [0,2]^m with its
-  outer boundary collapsed, and the cellular chains of that quotient are
-  C(K(J)) shifted up by one: one cell per face of K(J), in the degree of its
-  cardinality, with the simplicial boundary.  tests/cubical_reference.py
-  builds the cubical complex and checks that identity.
+  K(J) is built in closed form, as a simplicial wedge that the tests check
+  equal to doubling one vertex at a time, and the CLI bounds its face count,
+  also in closed form, before it is built.  The smash product over K(J) of
+  (D^1, S^0) is the cube [0,2]^m with its outer boundary collapsed, and the
+  cellular chains of that quotient are C(K(J)) shifted up by one: one cell
+  per face of K(J), in the degree of its cardinality, with the simplicial
+  boundary.  tests/cubical_reference.py builds the cubical complex and
+  checks that identity.
 
 verify_main checks the orientation on the stored boundary columns of both
 complexes, column by column, and computes homology once per distinct
@@ -35,7 +38,7 @@ from .chains import (
     homology,
     simplicial_chain_complex,
 )
-from .complexes import SimplicialComplex, double_iterated
+from .complexes import SimplicialComplex, double_iterated, validate_j
 from .report import Check, VerificationReport
 
 # -- direct model ----------------------------------------------------------
@@ -77,10 +80,7 @@ def direct_smash_model(K: SimplicialComplex, J):
     MalformedComplexError when cc is built.
     """
     J = tuple(J)
-    if len(J) != K.m:
-        raise ValueError(f"J has length {len(J)}, expected {K.m}")
-    if any(j < 0 for j in J):
-        raise ValueError("J entries must be >= 0")
+    validate_j(K, J)
     parity = [sum(J[:i]) & 1 for i in range(K.m)]
     odd = sum(1 << (K.m - v) for v, p in enumerate(parity, start=1) if p)
     levels = face_levels(K)

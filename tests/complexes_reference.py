@@ -3,6 +3,8 @@
 The library needs vertex doubling and the face list; the tests also state
 facts about the combinatorial join, iterated suspension, face membership,
 dimension and face counts, so those live here as functions of a complex.
+So does iterated doubling one vertex at a time, the independent reference
+for the library's closed-form K(J).
 """
 
 from polysmash.complexes import SimplicialComplex, from_facets
@@ -44,3 +46,27 @@ def suspension(K: SimplicialComplex, t=1) -> SimplicialComplex:
     for _ in range(t):
         result = join_abstract(s0, result)
     return result
+
+
+def double_once(K: SimplicialComplex, i):
+    """One doubling by the facet rule of the simplicial wedge at i: sigma u
+    {m + 1} for each facet sigma, and sigma u {i} when i is not in sigma."""
+    ib = K.m + 1
+    facets = {sigma + (ib,) for sigma in K.facets}
+    facets |= {tuple(sorted(sigma + (i,))) for sigma in K.facets if i not in sigma}
+    return SimplicialComplex(ib, frozenset(facets))
+
+
+def double_iterated_loop(K: SimplicialComplex, J):
+    """(K(J), names) by sum(J) single doublings in canonical order: take the
+    smallest original vertex with doublings left and double its own label,
+    which splits its name '<name>' into '<name>a' (kept) and '<name>b' (the
+    fresh label m + 1)."""
+    names = {i: str(i) for i in range(1, K.m + 1)}
+    budget = list(J)
+    while any(budget):
+        i = next(idx for idx, b in enumerate(budget, start=1) if b)
+        budget[i - 1] -= 1
+        K = double_once(K, i)
+        names[i], names[K.m] = names[i] + "a", names[i] + "b"
+    return K, names

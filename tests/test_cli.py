@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from polysmash.cli import (
+    KJ_FACE_BUDGET,
     ParseError,
     complex_to_json,
     load_complex,
@@ -19,7 +20,7 @@ from polysmash.cli import (
     parse_complex_text,
     parse_j,
 )
-from polysmash import exactlin, geomjoin, smashmodel
+from polysmash import cli, exactlin, geomjoin, smashmodel
 from polysmash.chains import ChainComplex, HomologyGroup
 from polysmash.complexes import double, from_facets
 from polysmash.exactlin import InvariantError, LPResult, SmithForm
@@ -249,6 +250,46 @@ def test_verify_geometry_refuses_an_input(tmp_path, capsys):
             captured = capsys.readouterr()
             assert not captured.out
             assert "verify main" in captured.err and "verify all" in captured.err
+
+
+def test_verify_input_refusals_print_error(tmp_path, capsys):
+    # both refusals carry the error: prefix of every other exit 2
+    p = write(tmp_path, "a.txt", "1 2\n")
+    for argv in (["verify", "main"], ["verify", "all", "--json"],
+                 ["verify", "geometry", p]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("error: verify "), argv
+
+
+def test_model_over_the_face_budget_is_refused_before_any_build(tmp_path, monkeypatch,
+                                                                capsys):
+    # jmax 20 samples J = (20, 0, ..., 0): 44,040,182 faces of K(J), refused
+    # by their closed-form count before the first case builds any model
+    p = write(tmp_path, "rp2.txt", "\n".join(" ".join(map(str, f)) for f in RP2_FACETS))
+
+    def no_build(*args):
+        raise AssertionError("a model was built")
+
+    for name in ("double_iterated", "simplicial_chain_complex", "direct_smash_model"):
+        monkeypatch.setattr(smashmodel, name, no_build)
+    refusal = (f"error: K(J) at J=(20, 0, 0, 0, 0, 0) has 44040182 faces, "
+               f"over the budget of {KJ_FACE_BUDGET}; refused\n")
+    for argv in (["verify", "main", p, "--jmax", "20"],
+                 ["verify", "main", p, "--j", "20,0,0,0,0,0", "--json"],
+                 ["smash", p, "--j", "20,0,0,0,0,0", "--path", "reduction"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == refusal, argv
+
+
+def test_face_budget_admits_the_largest_case_the_repository_runs():
+    # the projective plane at J = 2^6: 257,936 faces, built in the scale runs
+    cli._check_kj_budget(from_facets(6, RP2_FACETS), (2,) * 6)
+    with pytest.raises(ParseError, match="over the budget"):
+        cli._check_kj_budget(from_facets(6, RP2_FACETS), (3,) * 6)
 
 
 @pytest.mark.parametrize("what, options", [

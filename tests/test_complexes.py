@@ -12,6 +12,7 @@ from polysmash.complexes import (
     SimplicialComplex,
     double,
     double_iterated,
+    doubled_face_count,
     empty_complex,
     from_facets,
     full_simplex,
@@ -19,7 +20,16 @@ from polysmash.complexes import (
     simplex_boundary,
 )
 
-from complexes_reference import dim, f_vector, is_face, join_abstract, suspension
+from complexes_reference import (
+    dim,
+    double_iterated_loop,
+    double_once,
+    f_vector,
+    is_face,
+    join_abstract,
+    suspension,
+)
+from conftest import RP2_FACETS
 from relabel_reference import facet_equal_upto_relabel
 
 
@@ -55,11 +65,15 @@ def test_from_facets_minimalizes():
     (3, {(1, 1, 2)}, "facet (1, 1, 2) is not a strictly increasing", {(1, 2)}),
     (3, {frozenset({1, 2})}, "is not a strictly increasing vertex tuple", {(1, 2)}),
     (2, set(), "no facets", {()}),
-], ids=["unsorted", "repeated-vertex", "not-a-tuple", "no-facets"])
+    (3, {(1, 2), (1,), (3,)}, "facet (1,) lies in a larger facet", {(1, 2), (3,)}),
+    (2, {(), (2,)}, "facet () lies in a larger facet", {(2,)}),
+], ids=["unsorted", "repeated-vertex", "not-a-tuple", "no-facets", "not-maximal",
+        "empty-under-a-vertex"])
 def test_complex_refuses_facets_its_docstring_forbids(m, facets, message, normalized):
     # unchecked, an unsorted facet gave a false direct-model FAIL, a repeated
-    # vertex a d o d failure (exit 3) and no facets two false FAILs;
-    # from_facets normalizes the same family into a legal complex
+    # vertex a d o d failure (exit 3), no facets two false FAILs, and a facet
+    # inside another was printed as a facet; from_facets normalizes the same
+    # family into a legal complex
     with pytest.raises(ValueError, match=re.escape(message)):
         SimplicialComplex(m, frozenset(facets))
     assert from_facets(m, facets).facets == frozenset(normalized)
@@ -199,6 +213,83 @@ def test_double_iterated_total_count():
     assert rename.name(3) == "3a"
     H = homology(simplicial_chain_complex(D))
     assert H == homology(simplicial_chain_complex(K)).shifted(3)
+
+
+def iterated_faces_bruteforce(K: SimplicialComplex, J):
+    """K(J) from double_faces_bruteforce, one vertex at a time in canonical
+    order, each face list minimalized into facets by from_facets."""
+    budget = list(J)
+    while any(budget):
+        i = next(idx for idx, b in enumerate(budget, start=1) if b)
+        budget[i - 1] -= 1
+        K = from_facets(K.m + 1, double_faces_bruteforce(K, i))
+    return K
+
+
+@st.composite
+def complexes_and_j(draw):
+    """A complex on at most four vertices and a J with entries <= 3, sum <= 5."""
+    K = draw(complexes(max_m=4))
+    J = draw(st.lists(st.integers(0, 3), min_size=K.m, max_size=K.m)
+             .filter(lambda J: sum(J) <= 5))
+    return K, tuple(J)
+
+
+@settings(max_examples=200, deadline=None)
+@given(complexes_and_j())
+@example((empty_complex(1), (3,)))
+@example((from_facets(3, [(1, 2), (3,)]), (2, 0, 3)))
+@example((from_facets(4, [(2, 3)]), (1, 2, 0, 2)))  # ghost vertices 1 and 4
+def test_closed_form_equals_doubling_one_vertex_at_a_time(case):
+    K, J = case
+    D, rename = double_iterated(K, J)
+    L, names = double_iterated_loop(K, J)
+    B = iterated_faces_bruteforce(K, J)
+    assert D.m == L.m == B.m == K.m + sum(J)
+    assert D.facets == L.facets == B.facets, (K, J)
+    assert rename.names == names, (K, J)
+    assert doubled_face_count(K, J) == len(D.faces()), (K, J)
+
+
+@settings(max_examples=100, deadline=None)
+@given(complexes(max_m=5))
+@example(empty_complex(1))
+def test_double_is_double_iterated_at_a_unit_vector(K):
+    for i in range(1, K.m + 1):
+        D, rename = double(K, i)
+        assert (D, rename) == double_iterated(K, tuple(int(v == i) for v in range(1, K.m + 1)))
+        assert D == double_once(K, i)
+        assert rename.names == {**{v: str(v) for v in range(1, K.m + 1)},
+                                i: f"{i}a", K.m + 1: f"{i}b"}
+
+
+def test_face_count_in_closed_form():
+    rp2 = from_facets(6, RP2_FACETS)
+    assert doubled_face_count(rp2, (1,) * 6) == len(double_iterated(rp2, (1,) * 6)[0].faces())
+    assert doubled_face_count(rp2, (1,) * 6) == 3672
+    assert doubled_face_count(rp2, (2,) * 6) == 257_936
+    assert doubled_face_count(rp2, (20, 0, 0, 0, 0, 0)) == 44_040_182
+    assert doubled_face_count(empty_complex(2), (0, 0)) == 1
+    for J in [(1,), (0, 0, 0, 0, 0, 0, 0)]:
+        with pytest.raises(ValueError, match="J has length"):
+            doubled_face_count(rp2, J)
+    with pytest.raises(ValueError, match="J entries must be >= 0"):
+        doubled_face_count(rp2, (1, 1, 1, 1, 1, -1))
+
+
+def test_double_iterated_builds_one_complex(monkeypatch):
+    # the closed form builds K(J) once, with no intermediate complexes
+    K = from_facets(4, [(1, 2, 3), (2, 4), (3, 4)])
+    built = []
+    post_init = SimplicialComplex.__post_init__
+
+    def counting(self):
+        built.append(self.m)
+        post_init(self)
+
+    monkeypatch.setattr(SimplicialComplex, "__post_init__", counting)
+    D, _ = double_iterated(K, (2, 0, 3, 1))
+    assert built == [D.m] == [10]
 
 
 def test_join_and_suspension():
