@@ -11,7 +11,6 @@ from .chains import (
     simplicial_chain_complex,
 )
 from .complexes import (
-    RenameMap,
     SimplicialComplex,
     double,
     double_iterated,
@@ -62,7 +61,6 @@ __all__ = [
     "LPResult",
     "MalformedComplexError",
     "RationalLP",
-    "RenameMap",
     "SimplicialComplex",
     "SmithForm",
     "SparseIntMatrix",

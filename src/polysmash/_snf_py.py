@@ -28,7 +28,7 @@ reordering one would not.
 """
 
 
-def snf_diagonal(entries, nrows, ncols):
+def snf_diagonal(entries):
     """Diagonalize an integer matrix by elementary row/column operations.
 
     Returns the list of nonzero diagonal values (absolute values, in pivot

@@ -10,8 +10,12 @@ per n-cell, and their transpose as coface lists, the n-cells meeting each
 degree that checks the columns, records the coface lists and pushes each
 column of d_n through d_{n-1} for d o d = 0.  The reduction below reads
 columns and coface lists as they are, and SparseIntMatrix is built only for
-Smith normal form and boundary(n).  simplicial_chain_complex labels faces
-by vertex bitmasks, in lexicographic order.
+Smith normal form and boundary(n).
+
+Every complex the library builds, C(K), the direct smash model and C(K(J)),
+comes from one assembler, _assemble(levels, parity, shift): the faces of a
+simplicial complex as vertex bitmasks in lexicographic order
+(face_levels), a sign per vertex and a degree shift.
 
 homology() first deletes unit reduction pairs (Kaczynski-Mrozek-Slusarek
 1998; Mrozek-Batko 2009): cells a in C_{n-1} and b in C_n with
@@ -30,7 +34,6 @@ boundary matrices of the cells that survive.
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import dataclass
 from itertools import compress
 
@@ -111,15 +114,6 @@ class ChainComplex:
             if rows and cols:
                 columns[n] = cols
         self.columns, self.cofaces = columns, cofaces
-
-    def shift(self, s):
-        """Move every degree n basis to degree n + s, sharing the columns
-        and the coface lists."""
-        shifted = copy(self)
-        shifted.bases = {n + s: labels for n, labels in self.bases.items()}
-        shifted.columns = {n + s: cols for n, cols in self.columns.items()}
-        shifted.cofaces = {n + s: lists for n, lists in self.cofaces.items()}
-        return shifted
 
     def euler(self):
         """sum_n (-1)^n rank C_n, an int in every degree, -1 included."""
@@ -290,23 +284,37 @@ def face_levels(K):
     return {n: sorted(levels[n], reverse=True) for n in sorted(levels)}
 
 
+def _assemble(levels, parity, shift):
+    """The chain complex on the face masks of levels (face_levels(K)), each
+    in degree n + shift: the one place the library builds a ChainComplex.
+    Dropping vertex i from a face, at position pos among its vertices in
+    increasing order, has the sign (-1)^(parity[i - 1] + pos): a running
+    sign, toggled at each vertex of the face, times vertex i's own.  Zero
+    parity is the simplicial boundary; the direct model takes
+    parity[i - 1] = j_1 + ... + j_{i-1} mod 2, the Leibniz sign of a top
+    cell's boundary in factor i behind slots of that total dimension.
+    """
+    m = len(parity)
+    bits = [(1 << (m - v), -1 if p & 1 else 1) for v, p in enumerate(parity, start=1)]
+    bases, columns = {}, {}
+    for n, level in levels.items():
+        bases[n + shift] = level
+        if n < 0:
+            continue
+        below = {f: i for i, f in enumerate(levels[n - 1])}
+        cols = columns[n + shift] = []
+        for f in level:
+            col, sign = [], 1
+            for bit, s in bits:
+                if f & bit:
+                    col.append((below[f ^ bit], sign * s))
+                    sign = -sign
+            cols.append(col)
+    return ChainComplex(bases, columns)
+
+
 def simplicial_chain_complex(K) -> ChainComplex:
     """Augmented chain complex of a SimplicialComplex on face_levels(K).  The
     boundary drops a face's vertices in increasing order, its bits from the
     highest down, with alternating signs."""
-    bits = [1 << (K.m - v) for v in range(1, K.m + 1)]
-    bases, columns = {}, {}
-    for n, level in face_levels(K).items():
-        bases[n] = level
-        if n < 0:
-            continue
-        below = {f: i for i, f in enumerate(bases[n - 1])}
-        cols = columns[n] = []
-        for f in level:
-            col, sign = [], 1
-            for bit in bits:
-                if f & bit:
-                    col.append((below[f ^ bit], sign))
-                    sign = -sign
-            cols.append(col)
-    return ChainComplex(bases, columns)
+    return _assemble(face_levels(K), [0] * K.m, 0)

@@ -88,17 +88,6 @@ def full_simplex(n) -> SimplicialComplex:
     return from_facets(n + 1, [range(1, n + 2)])
 
 
-@dataclass(frozen=True)
-class RenameMap:
-    """Display names of K(J)'s labels: each doubling splits '<name>' into
-    '<name>a' (keeping the label) and '<name>b' (a fresh one)."""
-
-    names: dict
-
-    def name(self, label):
-        return self.names[label]
-
-
 def double(K: SimplicialComplex, i: int):
     """double_iterated at J = e_i: vertex i becomes an edge {i_a, i_b}, one
     suspension of |K|.  A face sigma with i gives (sigma \\ i) u {i_a, i_b},
@@ -123,7 +112,10 @@ def double_iterated(K: SimplicialComplex, J):
     labels, vertex 1's first from m + 1; each facet sigma of K gives the
     facets with sigma's blocks whole and every other block less one label,
     none nested.  Labels and names are those of doubling one vertex at a
-    time, the smallest with doublings left first, at label i."""
+    time, the smallest with doublings left first, at label i.
+
+    Returns (K(J), {label: name}): each doubling splits '<name>' into
+    '<name>a' (keeping the label) and '<name>b' (a fresh one)."""
     validate_j(K, J)
     whole, less, names, fresh = [], [], {}, K.m
     for i, j in enumerate(J, start=1):
@@ -137,7 +129,7 @@ def double_iterated(K: SimplicialComplex, J):
     for sigma in K.facets:
         parts = [whole[i - 1] if i in sigma else less[i - 1] for i in range(1, K.m + 1)]
         facets += (tuple(sorted(chain.from_iterable(p))) for p in product(*parts))
-    return SimplicialComplex(fresh, frozenset(facets)), RenameMap(names)
+    return SimplicialComplex(fresh, frozenset(facets)), names
 
 
 def doubled_face_count(K: SimplicialComplex, J):
@@ -150,6 +142,17 @@ def doubled_face_count(K: SimplicialComplex, J):
     for sigma in K.faces()[1:]:  # by cardinality, so sigma[1:] comes first
         count[sigma] = count[sigma[1:]] // weight[sigma[0] - 1]
     return sum(count.values())
+
+
+def doubled_label_count(K: SimplicialComplex, J):
+    """The labels written out for K(J)'s facets, one per vertex of each
+    facet, without building K(J): each facet sigma of K gives
+    prod_{i not in sigma} (j_i + 1) facets of |sigma| + sum(J) labels."""
+    validate_j(K, J)
+    return sum(
+        (len(sigma) + sum(J)) * prod(j + 1 for i, j in enumerate(J, start=1) if i not in sigma)
+        for sigma in K.facets
+    )
 
 
 def random_complex(m, max_dim, density, seed) -> SimplicialComplex:

@@ -102,7 +102,7 @@ class SmithForm:
 
 def smith_normal_form(M: SparseIntMatrix) -> SmithForm:
     """Smith normal form via sparse elementary row/column elimination."""
-    diagonal = snf_diagonal(M.entries, M.rows, M.cols)
+    diagonal = snf_diagonal(M.entries)
     factors = _fix_divisibility(diagonal)
     return SmithForm(tuple(factors), len(factors))
 

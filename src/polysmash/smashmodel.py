@@ -8,7 +8,8 @@ once, as a checked map:
   sum(J) + |sigma| (the basepoint is dropped, so homology comes out reduced),
   built from the minimal cell structure on each pair (basepoint, a middle
   cell e^{j} for the sphere, a top cell e^{j+1} for the disk) with graded
-  Leibniz boundary signs.  Its basis is C(K)'s, shifted up by sum(J) + 1.
+  Leibniz boundary signs: _assemble at parity[i - 1] = j_1 + ... + j_{i-1}
+  mod 2.  Its basis is C(K)'s, shifted up by sum(J) + 1.
   The diagonal orientation
   s(sigma) = (-1)^(sum over i in sigma of j_1 + ... + j_{i-1}) conjugates its
   boundary to the simplicial one, d = S . d_K . S, so the model is C(K)
@@ -21,8 +22,13 @@ once, as a checked map:
   (D^1, S^0) is the cube [0,2]^m with its outer boundary collapsed, and the
   cellular chains of that quotient are C(K(J)) shifted up by one: one cell
   per face of K(J), in the degree of its cardinality, with the simplicial
-  boundary.  tests/cubical_reference.py builds the cubical complex and
-  checks that identity.
+  boundary: _assemble on face_levels(K(J)) at zero parity, shifted by one.
+  tests/cubical_reference.py builds the cubical complex and checks that
+  identity.
+
+All three complexes, C(K) included, come from one assembler,
+chains._assemble(levels, parity, shift), the one place the library builds
+a ChainComplex.
 
 verify_main checks the orientation on the stored boundary columns of both
 complexes, column by column, and computes homology once per distinct
@@ -34,6 +40,7 @@ from __future__ import annotations
 from .chains import (
     ChainComplex,
     HomologyTable,
+    _assemble,
     face_levels,
     homology,
     simplicial_chain_complex,
@@ -42,32 +49,6 @@ from .complexes import SimplicialComplex, double_iterated, validate_j
 from .report import Check, VerificationReport
 
 # -- direct model ----------------------------------------------------------
-
-
-def _assemble(levels, parity, shift):
-    """The direct model: each face mask of levels (face_levels(K)) in degree
-    n + shift.  parity[i - 1] = j_1 + ... + j_{i-1} mod 2, and dropping
-    vertex i, at position pos of sigma, is d(top cell) = +(middle cell) in
-    factor i, behind slots of total dimension j_1 + ... + j_{i-1} + pos: its
-    sign is (-1)^(parity[i - 1] + pos).
-    """
-    m = len(parity)
-    bits = [(1 << (m - v), p) for v, p in enumerate(parity, start=1)]
-    bases, columns = {}, {}
-    for n, level in levels.items():
-        bases[n + shift] = level
-        if n < 0:
-            continue
-        below = {f: i for i, f in enumerate(levels[n - 1])}
-        cols = columns[n + shift] = []
-        for f in level:
-            col, pos = [], 0
-            for bit, p in bits:
-                if f & bit:
-                    col.append((below[f ^ bit], -1 if (p + pos) & 1 else 1))
-                    pos += 1
-            cols.append(col)
-    return ChainComplex(bases, columns)
 
 
 def direct_smash_model(K: SimplicialComplex, J):
@@ -117,7 +98,8 @@ def orientation_holds(orientation, cc: ChainComplex, CK: ChainComplex, shift) ->
 def reduction_path_model(K: SimplicialComplex, J) -> ChainComplex:
     """The section-by-section route: double down to (D^1, S^0), then the
     chains of the smash product over K(J), C(K(J)) shifted up by one."""
-    return simplicial_chain_complex(double_iterated(K, J)[0]).shift(1)
+    KJ, _ = double_iterated(K, J)
+    return _assemble(face_levels(KJ), [0] * KJ.m, 1)
 
 
 def expected_homology(K: SimplicialComplex, J) -> HomologyTable:

@@ -18,6 +18,8 @@ from polysmash.chains import (
     HomologyGroup,
     HomologyTable,
     MalformedComplexError,
+    _assemble,
+    face_levels,
     homology,
     simplicial_chain_complex,
 )
@@ -162,7 +164,6 @@ def test_checked_complex_is_not_checked_again(monkeypatch):
     assert calls == [cc]
     columns, cofaces = cc.columns, cc.cofaces
     homology(cc)
-    homology(cc.shift(3))
     assert calls == [cc]
     # homology reads its argument and leaves it as it was
     assert cc.columns is columns and cc.cofaces is cofaces
@@ -172,9 +173,16 @@ def test_checked_complex_is_not_checked_again(monkeypatch):
     assert calls == [cc, rebuilt]
 
 
+def shifted_chain_complex(K, s):
+    """C(K) with every degree n basis in degree n + s, from the assembler."""
+    return _assemble(face_levels(K), [0] * K.m, s)
+
+
 def test_shift():
     cc = simplicial_chain_complex(simplex_boundary(2))
-    shifted = cc.shift(3)
+    shifted = shifted_chain_complex(simplex_boundary(2), 3)
+    assert shifted.bases == {n + 3: fs for n, fs in cc.bases.items()}
+    assert shifted.columns == {n + 3: cols for n, cols in cc.columns.items()}
     assert homology(shifted) == homology(cc).shifted(3)
     assert shifted.euler() == -cc.euler()
 
@@ -182,9 +190,8 @@ def test_shift():
 def test_euler_is_an_int_in_negative_degrees(full_corpus):
     # every augmented C(K) has degree -1, where (-1) ** -1 is the float -1.0
     for name, K in dict(full_corpus, empty=empty_complex(3)).items():
-        cc = simplicial_chain_complex(K)
         for s in range(-3, 4):
-            chi = cc.shift(s).euler()
+            chi = shifted_chain_complex(K, s).euler()
             assert type(chi) is int, (name, s, chi)
             assert chi == (-1 if s % 2 else 1) * K.euler_reduced(), (name, s)
 
@@ -369,9 +376,7 @@ def walked_complexes(draw):
     if kind == "KJ":
         C = reduction_path_model(K, draw(small_j(K.m, total=3)))
     else:
-        C = simplicial_chain_complex(K)
-        if kind == "shifted":
-            C = C.shift(draw(st.integers(-3, 3)))
+        C = shifted_chain_complex(K, draw(st.integers(-3, 3)) if kind == "shifted" else 0)
     if draw(st.booleans()):
         C = ChainComplex(C.bases, C.columns)
     return C
@@ -380,7 +385,7 @@ def walked_complexes(draw):
 @settings(max_examples=300, deadline=None)
 @given(walked_complexes())
 @example(reduction_path_model(RP2, (1, 1, 0, 0, 0, 0)))
-@example(simplicial_chain_complex(empty_complex(3)).shift(2))
+@example(shifted_chain_complex(empty_complex(3), 2))
 def test_cofaces_are_the_transpose_of_the_columns(C):
     # each (row, column) entry once, in increasing column order, in every
     # degree including those with no coface

@@ -13,6 +13,7 @@ import pytest
 
 from polysmash.cli import (
     KJ_FACE_BUDGET,
+    LABEL_BUDGET,
     ParseError,
     complex_to_json,
     load_complex,
@@ -292,6 +293,28 @@ def test_face_budget_admits_the_largest_case_the_repository_runs():
         cli._check_kj_budget(from_facets(6, RP2_FACETS), (3,) * 6)
 
 
+def test_double_over_the_label_budget_is_refused_before_any_build(tmp_path, monkeypatch,
+                                                                 capsys):
+    # the projective plane at J = 40^6 would print 167,478,030 labels,
+    # counted in closed form before K(J) is built; 16^6, the measured case,
+    # is admitted
+    p = write(tmp_path, "rp2.txt", "\n".join(" ".join(map(str, f)) for f in RP2_FACETS))
+
+    def no_build(*args):
+        raise AssertionError("K(J) was built")
+
+    monkeypatch.setattr(cli, "double_iterated", no_build)
+    refusal = (f"error: K(J) at J=(40, 40, 40, 40, 40, 40) has 167478030 labels in its "
+               f"facets, over the budget of {LABEL_BUDGET}; refused\n")
+    for argv in (["double", p, "--j", "40,40,40,40,40,40"],
+                 ["double", p, "--j", "40,40,40,40,40,40", "--json"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == refusal, argv
+    cli._check_label_budget(from_facets(6, RP2_FACETS), (16,) * 6)
+
+
 @pytest.mark.parametrize("what, options", [
     ("main", ["--jmax", "2", "--json"]),
     ("all", ["--jmax", "1", "--m", "1", "--k", "0", "--grid", "1", "--json"]),
@@ -335,10 +358,13 @@ def one_sign_flipped(assemble):
     """smashmodel._assemble with one wrong Leibniz sign on a complex on three
     vertices: the face (2,) in the boundary of the edge (1, 2), vertex v at
     bit 3 - v.  The flipped columns go through the constructor, so the fault
-    is in place before the d o d check."""
+    is in place before the d o d check.  Only the direct model's call, the
+    one with nonzero parity, is flipped; C(K(J)) is built as it was."""
 
     def flipped(levels, parity, shift):
         cc = assemble(levels, parity, shift)
+        if not any(parity):
+            return cc
         n = shift + 1
         c, r = cc.bases[n].index(0b110), cc.bases[n - 1].index(0b010)
         columns = dict(cc.columns)

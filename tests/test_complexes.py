@@ -13,6 +13,7 @@ from polysmash.complexes import (
     double,
     double_iterated,
     doubled_face_count,
+    doubled_label_count,
     empty_complex,
     from_facets,
     full_simplex,
@@ -101,9 +102,9 @@ def test_double_two_point_complex():
     K = from_facets(2, [(1,), (2,)])
     D, rename = double(K, 1)
     assert D.facets == frozenset({(1, 3), (1, 2), (2, 3)})
-    assert rename.name(1) == "1a"
-    assert rename.name(3) == "1b"
-    assert rename.name(2) == "2"
+    assert rename[1] == "1a"
+    assert rename[3] == "1b"
+    assert rename[2] == "2"
 
 
 def test_double_edge_plus_point_vertex_2():
@@ -111,7 +112,7 @@ def test_double_edge_plus_point_vertex_2():
     K = from_facets(3, [(1, 2), (3,)])
     D, rename = double(K, 2)
     assert D.facets == frozenset({(1, 2, 4), (2, 3), (3, 4)})
-    assert rename.name(2) == "2a" and rename.name(4) == "2b"
+    assert rename[2] == "2a" and rename[4] == "2b"
 
 
 def test_double_path_complex_vertex_2():
@@ -126,7 +127,7 @@ def test_double_triangle_boundary_vertex_1():
     D, rename = double(K, 1)
     expected = from_facets(4, [(1, 4, 2), (1, 4, 3), (1, 2, 3), (4, 2, 3)])
     assert D == expected
-    assert rename.name(1) == "1a" and rename.name(4) == "1b"
+    assert rename[1] == "1a" and rename[4] == "1b"
     bij = facet_equal_upto_relabel(D, simplex_boundary(3))
     assert bij is not None
 
@@ -209,8 +210,8 @@ def test_double_iterated_total_count():
     K = simplex_boundary(2)
     D, rename = double_iterated(K, (2, 0, 1))
     assert D.m == K.m + 3
-    assert rename.name(1) == "1aa"
-    assert rename.name(3) == "3a"
+    assert rename[1] == "1aa"
+    assert rename[3] == "3a"
     H = homology(simplicial_chain_complex(D))
     assert H == homology(simplicial_chain_complex(K)).shifted(3)
 
@@ -247,8 +248,9 @@ def test_closed_form_equals_doubling_one_vertex_at_a_time(case):
     B = iterated_faces_bruteforce(K, J)
     assert D.m == L.m == B.m == K.m + sum(J)
     assert D.facets == L.facets == B.facets, (K, J)
-    assert rename.names == names, (K, J)
+    assert rename == names, (K, J)
     assert doubled_face_count(K, J) == len(D.faces()), (K, J)
+    assert doubled_label_count(K, J) == sum(map(len, D.facets)), (K, J)
 
 
 @settings(max_examples=100, deadline=None)
@@ -259,8 +261,8 @@ def test_double_is_double_iterated_at_a_unit_vector(K):
         D, rename = double(K, i)
         assert (D, rename) == double_iterated(K, tuple(int(v == i) for v in range(1, K.m + 1)))
         assert D == double_once(K, i)
-        assert rename.names == {**{v: str(v) for v in range(1, K.m + 1)},
-                                i: f"{i}a", K.m + 1: f"{i}b"}
+        assert rename == {**{v: str(v) for v in range(1, K.m + 1)},
+                          i: f"{i}a", K.m + 1: f"{i}b"}
 
 
 def test_face_count_in_closed_form():

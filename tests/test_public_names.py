@@ -4,10 +4,11 @@ Every function the traced benchmark wraps (perfbench/spans.py) and every
 name in polysmash.__all__ must resolve, and each of the benchmark's counter
 hooks must read a real result of the function it wraps, so that deleting a
 name or reshaping a result fails here and not only in the benchmark's own
-smoke run.  Two AST scans keep the library
+smoke run.  Three AST scans keep the library
 lean and its checks live: every function and method is reached by library
-code or by the benchmark, so test-only code lives in tests/, and no assert
-statement stands in for an invariant check that python -O would remove.
+code or by the benchmark, so test-only code lives in tests/; no assert
+statement stands in for an invariant check that python -O would remove; and
+one function, the face-mask assembler, builds every ChainComplex.
 """
 
 import ast
@@ -19,7 +20,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import polysmash
-from polysmash import complexes, exactlin, geomjoin, smashmodel
+from polysmash import chains, complexes, exactlin, geomjoin, smashmodel
 from polysmash.chains import ChainComplex, face_levels
 from polysmash.exactlin import RationalLP, SparseIntMatrix
 
@@ -169,3 +170,18 @@ def test_library_has_no_assert_statements():
     found = [f"{path.name}:{node.lineno}" for path in LIBRARY
              for node in ast.walk(parse(path)) if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_one_library_function_builds_chain_complexes():
+    # C(K), the direct model and C(K(J)) come from one assembler, the one the
+    # benchmark traces as smashmodel._assemble
+    builders = [
+        f"{path.stem}.{fn.name}" for path in LIBRARY for fn in ast.walk(parse(path))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(node, ast.Call)
+                and "ChainComplex" in (getattr(node.func, "id", None),
+                                       getattr(node.func, "attr", None))
+                for node in ast.walk(fn))
+    ]
+    assert builders == ["chains._assemble"], builders
+    assert smashmodel._assemble is chains._assemble

@@ -316,8 +316,8 @@ def test_verify_main_small_cases(two_points, triangle_boundary):
 
 def test_verify_main_checks_dd_once_per_distinct_complex(named_corpus, monkeypatch):
     # each complex is checked once, when it is built: C(K), the direct model
-    # and C(K(J)); the quotient over K(J) is C(K(J)) shifted by one, which
-    # keeps its check, and homology checks nothing
+    # and the quotient over K(J), which is C(K(J)) built shifted by one; and
+    # homology checks nothing
     cases = [
         (K, J)
         for K in named_corpus.values()
@@ -326,7 +326,7 @@ def test_verify_main_checks_dd_once_per_distinct_complex(named_corpus, monkeypat
     expected = [
         [simplicial_chain_complex(K).bases,
          direct_smash_model(K, J)[1].bases,
-         simplicial_chain_complex(double_iterated(K, J)[0]).bases]
+         reduction_path_model(K, J).bases]
         for K, J in cases
     ]
     checked = []
