@@ -193,7 +193,10 @@ def cmd_double(args):
         _check_label_budget(K, J)
         D, rename = double_iterated(K, J)
     if args.json:
-        print(json.dumps(complex_to_json(D, rename), indent=2))
+        # streamed chunk by chunk: the encoded text is never held whole
+        chunks = json.JSONEncoder(indent=2).iterencode(complex_to_json(D, rename))
+        sys.stdout.writelines(chunks)
+        print()
     else:
         print(f"m={D.m}")
         for f in sorted(D.facets, key=lambda t: (len(t), t)):
@@ -295,10 +298,11 @@ def _check_kj_budget(K, J):
                          f"{KJ_FACE_BUDGET}; refused")
 
 
-# polysmash double holds K(J)'s facets and their printed text at once: the
-# projective plane at J = 16^6 writes 4,863,870 labels and peaks at 490 MB
-# RSS with --json, about 97 bytes a label above the interpreter's 17 MB, and
-# at 64 MB as text.  Ten million labels is then about 1 GB, as for the faces.
+# polysmash double holds K(J)'s facets and their names, and streams the
+# JSON: the projective plane at J = 16^6 writes 4,863,870 labels (49 MB of
+# JSON) and peaks at 100 MB RSS with --json, about 17 bytes a label above the
+# interpreter's 17 MB, and at 65 MB as text.  Ten million labels is then
+# about 190 MB held and 100 MB printed.
 LABEL_BUDGET = 10_000_000
 
 
@@ -309,6 +313,32 @@ def _check_label_budget(K, J):
     if count > LABEL_BUDGET:
         raise ParseError(f"K(J) at J={J} has {count} labels in its facets, over the "
                          f"budget of {LABEL_BUDGET}; refused")
+
+
+# verify geometry's largest W-union is A(K) * S_[m] at its last m and k, K
+# the full simplex: K's 2^m faces, the empty one included, times the
+# (2^(k+1) - 1)^m faces of the join of m boundaries of k-simplices, whose
+# chain complex the w2 check builds.  Its facets, m (k + 1)^m at most, do not
+# predict the cost: --m 2 --k 7 has 128 facets and 260,100 faces and took
+# 20.4 s with a peak of 279 MB RSS, --m 3 --k 4 375 facets and 238,328 faces,
+# 22.0 s and 253 MB, --m 2 --k 8 1,044,484 faces, 85 s and 1.15 GB.  That is
+# about 85 us and 1 KB a face, so 100,000 faces is about 9 s and 120 MB.
+GEOMETRY_FACE_BUDGET = 100_000
+
+
+def _check_geometry_budget(m, k):
+    """Refuse, as bad input, a verify geometry sweep whose largest W-union
+    has more faces than the budget, (2^(k+2) - 2)^m, counted in closed form
+    before anything is built.  The count is at least 2^m and 2^(k+1), so past
+    the budget's bit length in m or k + 1 it is over and is not formed."""
+    if not m:
+        return
+    bits = GEOMETRY_FACE_BUDGET.bit_length()
+    count = (2 ** (k + 2) - 2) ** m if max(m, k + 1) <= bits else None
+    if count is None or count > GEOMETRY_FACE_BUDGET:
+        shown = f"(2^{k + 2} - 2)^{m}" if count is None else count
+        raise ParseError(f"verify geometry at --m {m} --k {k} builds a W-union of {shown} "
+                         f"faces, over the budget of {GEOMETRY_FACE_BUDGET}; refused")
 
 
 # per verify mode, the options only it reads, {name: (default, least value)};
@@ -336,6 +366,8 @@ def cmd_verify(args):
         elif given := [f"--{name}" for name in options if getattr(args, name) is not None]:
             raise ParseError(f"verify {args.what} does not read {', '.join(given)}; "
                              f"verify {mode} and verify all do")
+    if args.what in ("geometry", "all"):
+        _check_geometry_budget(args.m, args.k)
     report = VerificationReport(f"verify {args.what}")
     if args.what in ("main", "all"):
         _verify_main_batch(args, report)

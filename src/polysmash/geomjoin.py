@@ -11,12 +11,14 @@ Bareiss elimination on integer rows.  Proper intersection is proved by a
 separating functional, one dot product per vertex, or else decided by the
 exact LP, which finds an improper pair's witness.  A BarycentricFrame
 factors a simplex once and solves each point once: containment,
-coordinates and volume ratios read that solve.
+coordinates and volume ratios read that solve, and a face of the simplex
+reads them on its own columns.
 
 geometric_join only builds.  Two facts decide every affine independence of
 Stone's W_sigma = Delta_sigma * S*_sigma = a_sigma * S_[m]: (i) the n block
 vertices are independent, decided when a StandardConfig is built, so a
-complex on block vertices alone is a set of faces of one simplex; (ii) each
+complex on block vertices alone is a set of faces of one simplex, and each
+verify_W_union call tiles every W_sigma against one frame of it; (ii) each
 a_[m] | beta, beta a facet of S_[m], is independent, decided once per
 verify_W_union call.  A failed fact is an InvariantError: the configuration
 is the program's own.  Elsewhere only joinable and from_simplices, the
@@ -112,10 +114,16 @@ class BarycentricFrame:
         self._solve = [(c, _nonzeros(A[i][nv:], sign)) for i, c in enumerate(pivots)]
         self._consistency = [_nonzeros(A[i][nv:], 1) for i in range(r, m)]
         self._solved = {}  # point -> _solve_point(point)
+        self._column = {v: 1 << c for c, v in enumerate(vertices)}
+
+    def face(self, vertices):
+        """The bitmask of the columns of some distinct frame vertices: their face."""
+        return sum(map(self._column.__getitem__, vertices))
 
     def _numerators(self, p):
-        """(q, t) with q (1, p) integer and the coordinates t / (d q), or
-        None off the affine hull.  Each point is solved once per frame."""
+        """(q, t, support): q (1, p) integer, the coordinates t / (d q) and
+        the bitmask of t's nonzeros, or None off the affine hull.  Each point
+        is solved once per frame."""
         if p not in self._solved:
             self._solved[p] = self._solve_point(p)
         return self._solved[p]
@@ -127,39 +135,44 @@ class BarycentricFrame:
             if sum(map(mul, values, map(get, indices))):
                 return None
         t = [0] * self.size
+        support = 0
         for c, (indices, values) in self._solve:
-            t[c] = sum(map(mul, values, map(get, indices)))
-        return q, t
+            t[c] = x = sum(map(mul, values, map(get, indices)))
+            support |= bool(x) << c
+        return q, t, support
 
     def coords(self, p):
         """t with sum(t) = 1 and sum t_i v_i = p, or None off the affine hull."""
         solved = self._numerators(p)
         if solved is None:
             return None
-        q, t = solved
+        q, t, _ = solved
         den = self._den * q
         return tuple(F(x, den) for x in t)
 
-    def contains(self, p):
-        """p lies in the closed simplex: in the hull, every coordinate >= 0.
+    def contains(self, p, face=-1):
+        """p lies in the closed simplex, or its face on the columns in the
+        bitmask face: in the hull, every coordinate >= 0 and 0 off the face.
         (Without vertices the hull is empty, so t is never empty here.)"""
         solved = self._numerators(p)
-        return solved is not None and min(solved[1]) >= 0
+        return solved is not None and min(solved[1]) >= 0 and not solved[2] & ~face
 
-    def volume_ratio(self, piece):
-        """vol(piece) / vol(frame simplex) for a piece with as many vertices,
-        lying in the frame's affine hull; None if it leaves the hull."""
+    def volume_ratio(self, piece, face=-1):
+        """vol(piece) / vol(face), by default the frame simplex, for a piece
+        with as many vertices lying in the face's affine hull, None if it
+        leaves it: |det| of the coordinates on the face's columns."""
         pc = sorted(piece)
-        if len(pc) != self.size:
+        cols = [c for c in range(self.size) if face >> c & 1]
+        if len(pc) != len(cols):
             return None
         rows = []
         scale = 1
         for p in pc:
             solved = self._numerators(p)
-            if solved is None:
+            if solved is None or solved[2] & ~face:
                 return None
-            q, t = solved
-            rows.append(t)
+            q, t, _ = solved
+            rows.append([t[c] for c in cols])
             scale *= self._den * q
         det = determinant(rows)
         return F(abs(det.numerator), det.denominator * scale)
@@ -600,13 +613,16 @@ def verify_W_union(config: StandardConfig, K) -> VerificationReport:
     a_full = frozenset(map(config.scaled_a, full))
     if not all(affinely_independent(a_full | beta) for beta in s_full.maximal):
         raise InvariantError("a_[m] * S_[m] has affinely dependent simplex vertices")
+    # by fact (i) every piece of each Delta_sigma * S*_sigma is a face of
+    # Delta_[m]: one frame per call solves each point once, for every sigma
+    delta = BarycentricFrame([p for i in full for p in config.block(i)])
     sides_b = []
     for sigma in K.faces():
         s_star = _sphere_join(config, joins, tuple(j for j in full if j not in sigma))
         side_a = geometric_join(_delta_sigma(config, sigma), s_star)
         side_b = geometric_join(_a_sigma(config, sigma), s_full)
         sides_b.append(side_b)
-        ok = carrier_equal(side_a, side_b)
+        ok = carrier_equal(side_a, side_b, delta)
         report.add(Check(f"W_sigma two presentations agree, sigma={sorted(sigma)}",
                          ok, "equal carriers", "equal" if ok else "different", "w1"))
 
@@ -619,21 +635,24 @@ def verify_W_union(config: StandardConfig, K) -> VerificationReport:
     return report
 
 
-def carrier_equal(A: EmbeddedComplex, B: EmbeddedComplex):
+def carrier_equal(A: EmbeddedComplex, B: EmbeddedComplex, frame=None):
     """Carrier equality of two unions of simplices.
 
     The certificate needs one side to refine the other, so both orientations
-    are tried.
+    are tried.  A is tiled against frame if given, affinely independent and
+    holding every vertex of A; the reverse, against each simplex of B.
     """
-    return _carrier_refined_by(A, B) or _carrier_refined_by(B, A)
+    return _carrier_refined_by(A, B, frame) or _carrier_refined_by(B, A)
 
 
-def _carrier_refined_by(A, B):
-    """Certify |A| = |B| by tiling each simplex of A with the simplices of B
-    contained in it: containment of the tiles (by vertices, hence by
+def _carrier_refined_by(A, B, frame=None):
+    """Certify |A| = |B| by tiling each simplex P of A with the simplices of
+    B contained in it: containment of the tiles (by vertices, hence by
     convexity), proper pairwise intersections, and exact volume-ratio sum 1.
     Every simplex of B must land inside some simplex of A, which gives the
-    reverse containment."""
+    reverse containment.  P is a face of frame, by default its own
+    BarycentricFrame: a point lies in P iff its coordinates are >= 0 and
+    vanish off P's columns, and a tile's volume ratio reads them there."""
     pieces_a = [s for s in A.maximal if s]
     pieces_b = [s for s in B.maximal if s]
     if not pieces_a or not pieces_b:
@@ -641,14 +660,15 @@ def _carrier_refined_by(A, B):
     verts_b = set().union(*pieces_b)
     assigned = set()
     for P in pieces_a:
-        frame = BarycentricFrame(sorted(P))
-        inside = set(filter(frame.contains, verts_b))
+        tiler = frame or BarycentricFrame(sorted(P))
+        face = tiler.face(P)
+        inside = {p for p in verts_b if tiler.contains(p, face)}
         tiles = list(filter(inside.issuperset, pieces_b))
         total = F(0)
         for Q in tiles:
             assigned.add(Q)
             if len(Q) == len(P):
-                r = frame.volume_ratio(Q)
+                r = tiler.volume_ratio(Q, face)
                 if r is None:
                     return False
                 total += r

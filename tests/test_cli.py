@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from polysmash.cli import (
+    GEOMETRY_FACE_BUDGET,
     KJ_FACE_BUDGET,
     LABEL_BUDGET,
     ParseError,
@@ -313,6 +314,67 @@ def test_double_over_the_label_budget_is_refused_before_any_build(tmp_path, monk
         assert not captured.out
         assert captured.err == refusal, argv
     cli._check_label_budget(from_facets(6, RP2_FACETS), (16,) * 6)
+
+
+def test_geometry_sweep_over_the_face_budget_is_refused_before_any_build(
+        tmp_path, monkeypatch, capsys):
+    # the largest W-union of --m 3 --k 4 has 238,328 faces, counted in closed
+    # form before any configuration is built; past the budget's bit length in
+    # m or k + 1 the count is named by its formula, not formed
+    p = write(tmp_path, "s1.txt", "1 2\n1 3\n2 3\n")
+
+    def no_build(*args):
+        raise AssertionError("the sweep was run")
+
+    monkeypatch.setattr(cli, "standard_config", no_build)
+    monkeypatch.setattr(cli, "verify_main", no_build)
+    for argv, shown in [
+        (["verify", "geometry", "--m", "3", "--k", "4"], "238328"),
+        (["verify", "geometry", "--m", "2", "--k", "8", "--json"], "1044484"),
+        (["verify", "all", p, "--m", "3", "--k", "4"], "238328"),
+        (["verify", "geometry", "--m", "100", "--k", "1"], "(2^3 - 2)^100"),
+        (["verify", "geometry", "--m", "2", "--k", "100"], "(2^102 - 2)^2"),
+    ]:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        m, k = argv[argv.index("--m") + 1], argv[argv.index("--k") + 1]
+        assert captured.err == (f"error: verify geometry at --m {m} --k {k} builds a "
+                                f"W-union of {shown} faces, over the budget of "
+                                f"{GEOMETRY_FACE_BUDGET}; refused\n"), argv
+
+
+def test_geometry_face_budget_admits_the_sweeps_the_repository_runs():
+    # the pinned and benchmarked sweeps, the ROADMAP's --m 4 --k 1, and the
+    # largest measured below the budget, --m 2 --k 6 (64,516 faces)
+    for m, k in [(0, 9), (2, 2), (3, 1), (3, 2), (4, 1), (2, 6)]:
+        cli._check_geometry_budget(m, k)
+    with pytest.raises(ParseError, match="over the budget"):
+        cli._check_geometry_budget(2, 7)
+
+
+@pytest.mark.parametrize("m, k", [(1, 0), (1, 2), (2, 1), (3, 1)])
+def test_geometry_face_count_is_the_largest_union_the_sweep_builds(m, k, monkeypatch,
+                                                                   capsys):
+    # with the budget one below the largest union's faces, empty face
+    # included, the sweep is refused and the message names that count
+    faces = []
+    union = geomjoin.EmbeddedComplex.union.__func__
+
+    def counted(cls, parts):
+        out = union(cls, parts)
+        faces.append(sum(map(len, out.chain_complex().bases.values())))
+        return out
+
+    monkeypatch.setattr(geomjoin.EmbeddedComplex, "union", classmethod(counted))
+    argv = ["verify", "geometry", "--m", str(m), "--k", str(k), "--grid", "1"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    largest = max(faces)
+    assert largest == (2 ** (k + 2) - 2) ** m
+    monkeypatch.setattr(cli, "GEOMETRY_FACE_BUDGET", largest - 1)
+    assert main(argv) == 2
+    assert f"a W-union of {largest} faces" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("what, options", [

@@ -409,6 +409,22 @@ def test_carrier_equal_positive_and_negative():
     assert not carrier_equal(shorter, seg)
 
 
+def test_tiling_a_face_of_a_shared_frame_needs_the_face_support():
+    # against the triangle's frame, the edge v1v2 is read on its own two
+    # columns: v3 lies in the triangle but not in the edge, so v2v3 is no
+    # tile of it, and the edge is not tiled by {v1v2, v2v3}
+    v1, v2, v3 = pt(0, 0), pt(1, 0), pt(0, 1)
+    triangle = BarycentricFrame([v1, v2, v3])
+    edge = EmbeddedComplex.from_simplices(2, [{v1, v2}])
+    two_edges = EmbeddedComplex.from_simplices(2, [{v1, v2}, {v2, v3}])
+    assert not geomjoin._carrier_refined_by(edge, two_edges, triangle)
+    assert not carrier_equal(edge, two_edges, triangle)
+    assert geomjoin._carrier_refined_by(edge, edge, triangle)
+    face = triangle.face([v1, v2])
+    assert not triangle.contains(v3, face) and triangle.contains(v3)
+    assert triangle.volume_ratio([v2, v3], face) is None
+
+
 def test_verify_gji_small():
     for m, k in [(1, 0), (2, 0), (2, 1), (3, 1)]:
         r = verify_gji(standard_config(m, k), range(1, m + 1))
@@ -756,6 +772,60 @@ def test_frame_matches_reference_on_rational_points(case):
         expected = barycentric_reference(verts, p)
         assert frame.coords(p) == expected
         assert frame.contains(p) == (expected is not None and all(x >= 0 for x in expected))
+
+
+@st.composite
+def faces_points_and_tiles(draw):
+    """(vertices, face, points, tiles) in Q^n, n <= 4: up to n + 1 affinely
+    independent rational vertices, the indices of a nonempty face of them,
+    points anywhere (off the hull unless the vertices span Q^n), in the
+    face's affine hull, in the face (some on its boundary, with a weight 0)
+    and in the simplex but outside the face, and tiles of as many points
+    as the face has vertices, drawn from those points and the face's own
+    vertices."""
+    dim = draw(st.integers(1, 4))
+    points = st.tuples(*[small_rationals] * dim)
+    verts = draw(st.lists(points, min_size=1, max_size=dim + 1, unique=True))
+    assume(affinely_independent(verts))
+    face = draw(st.lists(st.integers(0, len(verts) - 1), min_size=1, unique=True))
+    pts = draw(st.lists(points, max_size=2))
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["face", "boundary", "face hull", "simplex"]))
+        w = [draw(small_rationals if kind == "face hull" else rationals(0, 3))
+             if i in face or kind == "simplex" else 0 for i in range(len(verts))]
+        if kind == "boundary":
+            w[draw(st.sampled_from(face))] = 0
+        if sum(w):
+            pts.append(tuple(sum(wi * v[d] for wi, v in zip(w, verts)) / sum(w)
+                             for d in range(dim)))
+    pool = st.sampled_from(pts + [verts[i] for i in face])
+    tiles = draw(st.lists(st.lists(pool, min_size=len(face), max_size=len(face)),
+                          max_size=3))
+    return verts, face, pts, tiles
+
+
+@settings(max_examples=300, deadline=None)
+@given(faces_points_and_tiles())
+@example(([pt(0, 0), pt(1, 0), pt(0, 1)], [0, 1],
+          [pt(0, 1), pt(F(1, 2), 0), pt(2, 0), pt(1, 1)],
+          [[pt(1, 0), pt(0, 1)], [pt(0, 0), pt(F(1, 2), 0)], [pt(2, 0), pt(0, 0)]]))
+@example(([pt(0, 0, 0), pt(2, 0, 0), pt(0, 2, 0)], [2, 1],
+          [pt(0, 1, 1), pt(0, 1, 0), pt(1, 1, 0), pt(0, 3, -1)],
+          [[pt(0, 2, 0), pt(2, 0, 0)], [pt(1, 1, 0), pt(0, 2, 0)]]))
+def test_face_of_a_shared_frame_reads_as_its_own_frame(case):
+    # a point lies in the face iff its coordinates are >= 0 and vanish off
+    # the face's columns, and a tile's volume ratio reads the coordinates
+    # on those columns: both as against the face's own frame
+    verts, face, points, tiles = case
+    shared = BarycentricFrame(verts)
+    P = [verts[i] for i in face]
+    own = BarycentricFrame(sorted(P))
+    columns = shared.face(P)
+    assert columns == sum(1 << i for i in face)
+    for p in points:
+        assert shared.contains(p, columns) == own.contains(p), p
+    for Q in tiles:
+        assert shared.volume_ratio(Q, columns) == own.volume_ratio(Q), Q
 
 
 @settings(max_examples=300, deadline=None)
@@ -1117,7 +1187,8 @@ def test_W_union_frames_solve_each_point_once(monkeypatch):
     monkeypatch.setattr(BarycentricFrame, "_solve_point", counted)
     assert verify_W_union(standard_config(3, 1), simplex_boundary(2)).passed
     assert solves and max(solves.values()) == 1
-    assert len({frame for frame, _ in solves}) > 1
+    # every piece of the Delta_sigma * S*_sigma is a face of one frame
+    assert len({frame for frame, _ in solves}) == 1
 
 
 def test_W_union_is_built_without_independence_tests(monkeypatch):
@@ -1301,15 +1372,18 @@ def test_geometry_sweep_work_counts_are_pinned(monkeypatch, capsys):
     # every join was tested, 2,434 when accepted joins were built from
     # joinable's pairs, and 411 since the configuration's two facts decide
     # its complexes; proper_intersection ran 2,574 times before verify_gji's
-    # fold stopped re-deciding its first pair (2,490 now)
+    # fold stopped re-deciding its first pair (2,490 now).  A frame per piece
+    # of each Delta_sigma * S*_sigma made 402 frames and 3,033 solves; one
+    # frame of Delta_[m] per verify_W_union call makes 45 (18 in verify_gjs)
     counts = Counter()
     targets = [
         (geomjoin, "affinely_independent"),
         (BarycentricFrame, "_solve_point"),
         (geomjoin, "proper_intersection"),
         (geomjoin, "lp_max"),
+        (BarycentricFrame, "__init__"),
     ]
     for owner, name in targets:
         monkeypatch.setattr(owner, name, counted(counts, name, getattr(owner, name)))
     assert main(["verify", "geometry", "--m", "3", "--k", "2"]) == 0
-    assert [counts[name] for _, name in targets] == [411, 3033, 2490, 0]
+    assert [counts[name] for _, name in targets] == [411, 222, 2490, 0, 45]
