@@ -14,8 +14,8 @@ Smith normal form and boundary(n).
 
 Every complex the library builds, C(K), the direct smash model and C(K(J)),
 comes from one assembler, _assemble(levels, parity, shift): the faces of a
-simplicial complex as vertex bitmasks in lexicographic order
-(face_levels), a sign per vertex and a degree shift.
+simplicial complex as vertex bitmasks in lexicographic order (the one face
+enumeration, complexes.face_levels), a sign per vertex and a degree shift.
 
 homology() first deletes unit reduction pairs (Kaczynski-Mrozek-Slusarek
 1998; Mrozek-Batko 2009): cells a in C_{n-1} and b in C_n with
@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
+from .complexes import face_levels
 from .exactlin import InvariantError, SparseIntMatrix, smith_normal_form
 
 
@@ -264,24 +265,6 @@ def _delete_unit_pairs(C: ChainComplex):
                         if count[j] == 1:
                             stack.append((m + 1, j))
     return alive, down
-
-
-def face_levels(K):
-    """{n: the faces of K of cardinality n + 1 as vertex bitmasks, vertex v at
-    bit K.m - v, in descending order}: the submasks of the facets, the empty
-    face 0 in degree -1.  Descending mask order is the lexicographic order of
-    sorted vertex tuples."""
-    faces = {0}
-    for facet in K.facets:
-        top = sum(1 << (K.m - v) for v in facet)
-        s = top
-        while s:
-            faces.add(s)
-            s = (s - 1) & top
-    levels = {}
-    for f in faces:
-        levels.setdefault(f.bit_count() - 1, []).append(f)
-    return {n: sorted(levels[n], reverse=True) for n in sorted(levels)}
 
 
 def _assemble(levels, parity, shift):

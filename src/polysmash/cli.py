@@ -19,6 +19,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 from itertools import chain
+from math import comb
 from pathlib import Path
 
 from . import complexes as cxm
@@ -152,11 +153,7 @@ def j_samples(m, jmax):
         v = [0] * m
         v[0], v[1] = 2, 1
         out.append(tuple(v))
-    seen = []
-    for J in out:
-        if J not in seen:
-            seen.append(J)
-    return seen
+    return list(dict.fromkeys(out))
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +279,15 @@ def _check_at_least(*bounds):
             raise ParseError(f"{flag} must be >= {least}, got {value}")
 
 
+def _refuse_over(budget, count, formula, prefix, suffix):
+    """Refuse, as bad input, a closed-form count over its budget.  Past the
+    budget, or its bit length, in a parameter, a lower bound of the count is
+    over: the count is then not formed (None) and is named by formula."""
+    if count is None or count > budget:
+        shown = formula if count is None else count
+        raise ParseError(f"{prefix} {shown} {suffix}, over the budget of {budget}; refused")
+
+
 # The reduction route holds about 1 KB per face of K(J): verify_main on the
 # projective plane at J = 2^6 builds 257,936 faces and peaks at 284 MB RSS,
 # 257 MB above the interpreter's 27 MB.  A million faces is then about 1 GB,
@@ -290,12 +296,11 @@ KJ_FACE_BUDGET = 1_000_000
 
 
 def _check_kj_budget(K, J):
-    """Refuse, as bad input, a J whose K(J) has more faces than the budget,
-    counted in closed form before anything is built."""
-    count = cxm.doubled_face_count(K, J)
-    if count > KJ_FACE_BUDGET:
-        raise ParseError(f"K(J) at J={J} has {count} faces, over the budget of "
-                         f"{KJ_FACE_BUDGET}; refused")
+    """Refuse a J whose K(J) has more faces than the budget, before it is
+    built; the count is at least 2^(j_i + 1) - 1, block i's faces."""
+    j = max(J, default=0)
+    count = cxm.doubled_face_count(K, J) if j <= KJ_FACE_BUDGET.bit_length() else None
+    _refuse_over(KJ_FACE_BUDGET, count, f"at least 2^{j + 1} - 1", f"K(J) at J={J} has", "faces")
 
 
 # polysmash double holds K(J)'s facets and their names, and streams the
@@ -307,12 +312,12 @@ LABEL_BUDGET = 10_000_000
 
 
 def _check_label_budget(K, J):
-    """Refuse, as bad input, a J whose K(J) has more facet labels to print
-    than the budget, counted in closed form before anything is built."""
-    count = cxm.doubled_label_count(K, J)
-    if count > LABEL_BUDGET:
-        raise ParseError(f"K(J) at J={J} has {count} labels in its facets, over the "
-                         f"budget of {LABEL_BUDGET}; refused")
+    """Refuse a J whose K(J) has more facet labels to print than the budget;
+    the count is at least each j_i, as a facet has sum(J) labels or more."""
+    j = max(J, default=0)
+    count = cxm.doubled_label_count(K, J) if j <= LABEL_BUDGET else None
+    _refuse_over(LABEL_BUDGET, count, f"at least {j}", f"K(J) at J={J} has",
+                 "labels in its facets")
 
 
 # verify geometry's largest W-union is A(K) * S_[m] at its last m and k, K
@@ -327,18 +332,46 @@ GEOMETRY_FACE_BUDGET = 100_000
 
 
 def _check_geometry_budget(m, k):
-    """Refuse, as bad input, a verify geometry sweep whose largest W-union
-    has more faces than the budget, (2^(k+2) - 2)^m, counted in closed form
-    before anything is built.  The count is at least 2^m and 2^(k+1), so past
-    the budget's bit length in m or k + 1 it is over and is not formed."""
-    if not m:
-        return
-    bits = GEOMETRY_FACE_BUDGET.bit_length()
-    count = (2 ** (k + 2) - 2) ** m if max(m, k + 1) <= bits else None
-    if count is None or count > GEOMETRY_FACE_BUDGET:
-        shown = f"(2^{k + 2} - 2)^{m}" if count is None else count
-        raise ParseError(f"verify geometry at --m {m} --k {k} builds a W-union of {shown} "
-                         f"faces, over the budget of {GEOMETRY_FACE_BUDGET}; refused")
+    """Refuse a sweep whose largest W-union, (2^(k+2) - 2)^m faces, is over the
+    budget, before anything is built; the count is at least 2^m and 2^(k+1)."""
+    fits = max(m, k + 1) <= GEOMETRY_FACE_BUDGET.bit_length()
+    if m:
+        _refuse_over(GEOMETRY_FACE_BUDGET, (2 ** (k + 2) - 2) ** m if fits else None,
+                     f"(2^{k + 2} - 2)^{m}",
+                     f"verify geometry at --m {m} --k {k} builds a W-union of", "faces")
+
+
+# verify_maps runs, for n = 1..4, a round trip per lam > 0 of the grid on each
+# of the C(grid + n, n) - 1 compositions of a d <= grid into n parts.  So
+# counted, a check took about 5 us: 0.51 s at --grid 16 (95,680), 3.3 s at 24,
+# 10.5 s at 32 and 30.7 s at 40 (5,959,600); two million is about 10 s.
+MAP_CHECK_BUDGET = 2_000_000
+
+
+def _check_grid_budget(grid):
+    """Refuse a --grid with more map checks than the budget, before any runs;
+    the count is at least grid^2."""
+    fits = grid <= MAP_CHECK_BUDGET
+    count = grid * sum(comb(grid + n, n) - 1 for n in range(1, 5)) if fits else None
+    _refuse_over(MAP_CHECK_BUDGET, count, f"{grid} * sum_(n=1..4) (C({grid} + n, n) - 1)",
+                 f"verify geometry --grid {grid} runs", "map checks")
+
+
+# gen draws sum_{t <= max_dim + 1} C(m, t) candidate faces per complex, and
+# minimalizing them costs the square of the facets kept, at density 1 all of
+# the top size: --m 300 --max-dim 1 (45,150) took 38 s, 19 ns per candidate
+# squared, --m 20 --max-dim 4 (21,699) 7.7 s.  25,000 is about 12 s at worst.
+CANDIDATE_BUDGET = 25_000
+
+
+def _check_candidate_budget(m, max_dim):
+    """Refuse a gen draw of more candidates than the budget, before any; the
+    count is at least m and 2^s - 1."""
+    s = min(max_dim + 1, m)
+    fits = m <= CANDIDATE_BUDGET and s <= CANDIDATE_BUDGET.bit_length()
+    count = sum(comb(m, t) for t in range(1, s + 1)) if fits else None
+    _refuse_over(CANDIDATE_BUDGET, count, f"sum_(t=1..{s}) C({m}, t)",
+                 f"gen --m {m} --max-dim {max_dim} draws", "candidate faces per complex")
 
 
 # per verify mode, the options only it reads, {name: (default, least value)};
@@ -368,6 +401,7 @@ def cmd_verify(args):
                              f"verify {mode} and verify all do")
     if args.what in ("geometry", "all"):
         _check_geometry_budget(args.m, args.k)
+        _check_grid_budget(args.grid)
     report = VerificationReport(f"verify {args.what}")
     if args.what in ("main", "all"):
         _verify_main_batch(args, report)
@@ -384,6 +418,7 @@ def cmd_verify(args):
 def cmd_gen(args):
     _check_at_least(("--m", args.m, 1), ("--max-dim", args.max_dim, 0),
                     ("--count", args.count, 0))
+    _check_candidate_budget(args.m, args.max_dim)
     try:
         density = Fraction(args.density)
     except ZeroDivisionError:

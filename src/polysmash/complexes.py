@@ -1,8 +1,9 @@
 """Abstract simplicial complexes over labeled vertices 1..m.
 
-Complexes are stored by their facets (maximal faces); the empty face is
-always a face, and K = {empty} is the legal empty complex.  Vertices that
-appear in no facet are allowed: m is always explicit.
+Complexes are stored by their facets (maximal faces, found by _maximal, as
+geomjoin's simplices are); the empty face is always a face, and K = {empty}
+is the legal empty complex.  Vertices in no facet are allowed: m is explicit.
+face_levels enumerates the faces, as bitmasks, for faces(), euler_reduced and chains.
 
 Includes the combinatorial operation used throughout: vertex doubling
 (replacing a vertex i by an edge {i_a, i_b}) and its iterated form K(J),
@@ -43,19 +44,16 @@ class SimplicialComplex:
                     raise ValueError(f"facet {f!r} lies in a larger facet")
 
     def faces(self):
-        """All faces, ordered by cardinality and then lexicographically.
-
-        The empty face has cardinality 0 and is listed first.
-        """
-        seen = set()
-        for f in self.facets:
-            for r in range(len(f) + 1):
-                seen.update(combinations(f, r))
-        return sorted(seen, key=lambda t: (len(t), t))
+        """All faces as vertex tuples, decoded from face_levels(self) in its
+        order: by cardinality, then lexicographically, the empty face first."""
+        bits = [(1 << (self.m - v), v) for v in range(1, self.m + 1)]
+        return [tuple(v for bit, v in bits if f & bit)
+                for level in face_levels(self).values() for f in level]
 
     def euler_reduced(self):
-        """chi~ = sum_{n >= -1} (-1)^n f_n with f_{-1} = 1 for the empty face."""
-        return sum((-1) ** (len(f) + 1) for f in self.faces())
+        """chi~ = sum_{n >= -1} (-1)^n f_n, f_n the size of face_levels' level n."""
+        return sum(-len(level) if n % 2 else len(level)
+                   for n, level in face_levels(self).items())
 
     def __str__(self):
         facets = sorted(self.facets, key=lambda t: (len(t), t))
@@ -65,12 +63,34 @@ class SimplicialComplex:
 
 def from_facets(m, facets) -> SimplicialComplex:
     """Build a complex from any generating family of faces (minimalized)."""
-    gens = sorted({tuple(sorted(set(f))) for f in facets}, key=len, reverse=True)
-    minimal = []
-    for f in gens:
-        if not any(set(f) <= set(g) for g in minimal):
-            minimal.append(f)
-    return SimplicialComplex(m, frozenset(minimal or [()]))
+    maximal = _maximal(map(frozenset, facets))
+    return SimplicialComplex(m, frozenset(tuple(sorted(f)) for f in maximal))
+
+
+def _maximal(sets):
+    """The sets (of vertices, or of points) in no other, {empty set} if none."""
+    maximal = []
+    for s in sorted(sets, key=len, reverse=True):
+        if not any(map(s.issubset, maximal)):
+            maximal.append(s)
+    return frozenset(maximal or [frozenset()])
+
+
+def face_levels(K):
+    """{n: the faces of K of cardinality n + 1 as vertex bitmasks, vertex v at
+    bit K.m - v, in descending order}: the submasks of the facets, the empty
+    face 0 in degree -1.  Descending mask order is the lexicographic order of
+    sorted vertex tuples."""
+    faces = {0}
+    for facet in K.facets:
+        top = s = sum(1 << (K.m - v) for v in facet)
+        while s:
+            faces.add(s)
+            s = (s - 1) & top
+    levels = {}
+    for f in faces:
+        levels.setdefault(f.bit_count() - 1, []).append(f)
+    return {n: sorted(levels[n], reverse=True) for n in sorted(levels)}
 
 
 def empty_complex(m=1) -> SimplicialComplex:
@@ -79,8 +99,6 @@ def empty_complex(m=1) -> SimplicialComplex:
 
 def simplex_boundary(n) -> SimplicialComplex:
     """The boundary of the n-simplex on n+1 vertices (a model of S^{n-1})."""
-    if n == 0:
-        return empty_complex(1)
     return from_facets(n + 1, combinations(range(1, n + 2), n))
 
 
@@ -172,4 +190,4 @@ def random_complex(m, max_dim, density, seed) -> SimplicialComplex:
         for cand in combinations(range(1, m + 1), size):
             if rng.randrange(p.denominator) < p.numerator:
                 gens.append(cand)
-    return from_facets(m, gens) if gens else empty_complex(m)
+    return from_facets(m, gens)

@@ -17,8 +17,9 @@ reads them on its own columns.
 geometric_join only builds.  Two facts decide every affine independence of
 Stone's W_sigma = Delta_sigma * S*_sigma = a_sigma * S_[m]: (i) the n block
 vertices are independent, decided when a StandardConfig is built, so a
-complex on block vertices alone is a set of faces of one simplex, and each
-verify_W_union call tiles every W_sigma against one frame of it; (ii) each
+complex on block vertices alone is a set of faces of one simplex, and
+carrier_equal tiles each piece of every Delta_sigma * S*_sigma by a_sigma *
+S_[m], one way, against one frame of it per verify_W_union call; (ii) each
 a_[m] | beta, beta a facet of S_[m], is independent, decided once per
 verify_W_union call.  A failed fact is an InvariantError: the configuration
 is the program's own.  Elsewhere only joinable and from_simplices, the
@@ -38,7 +39,7 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from .chains import homology, simplicial_chain_complex
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _maximal
 from .exactlin import InvariantError, RationalLP, bareiss, lp_max
 from .report import Check, VerificationReport
 
@@ -254,15 +255,6 @@ class EmbeddedComplex:
 
     def homology(self):
         return homology(self.chain_complex())
-
-
-def _maximal(simplices):
-    """The simplices contained in no other, {empty simplex} if none."""
-    maximal = []
-    for s in sorted(simplices, key=len, reverse=True):
-        if not any(map(s.issubset, maximal)):
-            maximal.append(s)
-    return frozenset(maximal or [frozenset()])
 
 
 def _simplex(ambient, points):
@@ -635,23 +627,13 @@ def verify_W_union(config: StandardConfig, K) -> VerificationReport:
     return report
 
 
-def carrier_equal(A: EmbeddedComplex, B: EmbeddedComplex, frame=None):
-    """Carrier equality of two unions of simplices.
-
-    The certificate needs one side to refine the other, so both orientations
-    are tried.  A is tiled against frame if given, affinely independent and
-    holding every vertex of A; the reverse, against each simplex of B.
-    """
-    return _carrier_refined_by(A, B, frame) or _carrier_refined_by(B, A)
-
-
-def _carrier_refined_by(A, B, frame=None):
+def carrier_equal(A: EmbeddedComplex, B: EmbeddedComplex, frame):
     """Certify |A| = |B| by tiling each simplex P of A with the simplices of
     B contained in it: containment of the tiles (by vertices, hence by
     convexity), proper pairwise intersections, and exact volume-ratio sum 1.
-    Every simplex of B must land inside some simplex of A, which gives the
-    reverse containment.  P is a face of frame, by default its own
-    BarycentricFrame: a point lies in P iff its coordinates are >= 0 and
+    Every simplex of B must land inside some P, which gives the reverse
+    containment.  Each P is a face of frame, an independent BarycentricFrame
+    on A's vertices: a point lies in P iff its coordinates are >= 0 and
     vanish off P's columns, and a tile's volume ratio reads them there."""
     pieces_a = [s for s in A.maximal if s]
     pieces_b = [s for s in B.maximal if s]
@@ -660,15 +642,14 @@ def _carrier_refined_by(A, B, frame=None):
     verts_b = set().union(*pieces_b)
     assigned = set()
     for P in pieces_a:
-        tiler = frame or BarycentricFrame(sorted(P))
-        face = tiler.face(P)
-        inside = {p for p in verts_b if tiler.contains(p, face)}
+        face = frame.face(P)
+        inside = {p for p in verts_b if frame.contains(p, face)}
         tiles = list(filter(inside.issuperset, pieces_b))
         total = F(0)
         for Q in tiles:
             assigned.add(Q)
             if len(Q) == len(P):
-                r = tiler.volume_ratio(Q, face)
+                r = frame.volume_ratio(Q, face)
                 if r is None:
                     return False
                 total += r

@@ -41,11 +41,10 @@ from .chains import (
     ChainComplex,
     HomologyTable,
     _assemble,
-    face_levels,
     homology,
     simplicial_chain_complex,
 )
-from .complexes import SimplicialComplex, double_iterated, validate_j
+from .complexes import SimplicialComplex, double_iterated, face_levels, validate_j
 from .report import Check, VerificationReport
 
 # -- direct model ----------------------------------------------------------

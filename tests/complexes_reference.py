@@ -4,10 +4,36 @@ The library needs vertex doubling and the face list; the tests also state
 facts about the combinatorial join, iterated suspension, face membership,
 dimension and face counts, so those live here as functions of a complex.
 So does iterated doubling one vertex at a time, the independent reference
-for the library's closed-form K(J).
+for the library's closed-form K(J), and the library's own minimalization
+and face enumeration from before both moved onto complexes._maximal and
+face_levels: a loop of set comparisons, and every subset of every facet,
+sorted.
 """
 
+from itertools import combinations
+
 from polysmash.complexes import SimplicialComplex, from_facets
+
+
+def from_facets_loop(m, facets) -> SimplicialComplex:
+    """from_facets by its earlier quadratic loop: each generator, largest
+    first, is kept unless a kept one contains it."""
+    gens = sorted({tuple(sorted(set(f))) for f in facets}, key=len, reverse=True)
+    minimal = []
+    for f in gens:
+        if not any(set(f) <= set(g) for g in minimal):
+            minimal.append(f)
+    return SimplicialComplex(m, frozenset(minimal or [()]))
+
+
+def faces_by_combinations(K: SimplicialComplex):
+    """K.faces() by its earlier enumeration: every subset of every facet,
+    ordered by cardinality and then lexicographically."""
+    seen = set()
+    for f in K.facets:
+        for r in range(len(f) + 1):
+            seen.update(combinations(f, r))
+    return sorted(seen, key=lambda t: (len(t), t))
 
 
 def is_face(K: SimplicialComplex, sigma):

@@ -9,13 +9,19 @@ message on the same bad input.  rank (Gaussian elimination over Fraction)
 and scaled (a row times the lcm of its denominators) state what bareiss's
 rank and the library's _scaled compute.  proper_intersection is the
 LP-only decision from before the separating functional: the library must
-give the same answer and the same witness.
+give the same answer and the same witness.  carrier_equal is the library's
+from before it tiled against one frame of Delta_[m]: both orientations,
+each piece against its own BarycentricFrame; the one-way, shared-frame
+version must reach the same verdict.
 """
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 from polysmash.exactlin import RationalLP, lp_max, rank_rational
+from polysmash.geomjoin import BarycentricFrame
+from polysmash.geomjoin import proper_intersection as library_proper_intersection
 
 F = Fraction
 
@@ -136,3 +142,38 @@ def eval_psi_inverse(n, y):
         # total = (2 - 2 lam) + (2 lam - 1) * 2 / tbar, solved for lam
         lam = (total - 2 + 2 / tbar) / (4 / tbar - 2)
     return x, lam
+
+
+def carrier_equal(A, B):
+    """|A| = |B| if either side's pieces tile each piece of the other."""
+    return _carrier_refined_by(A, B) or _carrier_refined_by(B, A)
+
+
+def _carrier_refined_by(A, B):
+    """Each simplex P of A is tiled by the simplices of B inside it, P
+    factored as its own frame: containment, proper pairwise intersections
+    and volume ratios summing to 1; every simplex of B lands in some P."""
+    pieces_a = [s for s in A.maximal if s]
+    pieces_b = [s for s in B.maximal if s]
+    if not pieces_a or not pieces_b:
+        return A.maximal == B.maximal
+    verts_b = set().union(*pieces_b)
+    assigned = set()
+    for P in pieces_a:
+        frame = BarycentricFrame(sorted(P))
+        inside = {p for p in verts_b if frame.contains(p)}
+        tiles = [Q for Q in pieces_b if Q <= inside]
+        total = F(0)
+        for Q in tiles:
+            assigned.add(Q)
+            if len(Q) == len(P):
+                r = frame.volume_ratio(Q)
+                if r is None:
+                    return False
+                total += r
+        if total != 1:
+            return False
+        if not all(library_proper_intersection(qa, qb)[0]
+                   for qa, qb in combinations(tiles, 2)):
+            return False
+    return assigned == set(pieces_b)

@@ -6,7 +6,7 @@ must pick the same pivots, so its raw diagonal must equal this one value
 for value.  fix_divisibility_reference runs the pairwise gcd loop over every
 diagonal entry, units included.
 
-The reference is frozen: it imports nothing from polysmash._snf_py.  Its
+The reference is frozen: it imports nothing from polysmash.  Its
 elimination primitives _row_axpy, _col_axpy and _drop_entry are the
 library's own from before the pivot row was cleared by scalar remainders,
 so a fault in the library's primitives cannot also sit in the reference.

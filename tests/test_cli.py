@@ -12,9 +12,11 @@ from pathlib import Path
 import pytest
 
 from polysmash.cli import (
+    CANDIDATE_BUDGET,
     GEOMETRY_FACE_BUDGET,
     KJ_FACE_BUDGET,
     LABEL_BUDGET,
+    MAP_CHECK_BUDGET,
     ParseError,
     complex_to_json,
     load_complex,
@@ -23,6 +25,7 @@ from polysmash.cli import (
     parse_j,
 )
 from polysmash import cli, exactlin, geomjoin, smashmodel
+from polysmash import complexes as cxm
 from polysmash.chains import ChainComplex, HomologyGroup
 from polysmash.complexes import double, from_facets
 from polysmash.exactlin import InvariantError, LPResult, SmithForm
@@ -294,6 +297,43 @@ def test_face_budget_admits_the_largest_case_the_repository_runs():
         cli._check_kj_budget(from_facets(6, RP2_FACETS), (3,) * 6)
 
 
+def test_a_huge_j_is_refused_by_formula_without_forming_its_count(tmp_path, monkeypatch,
+                                                                  capsys):
+    # past the budget's bit length in a j_i, 2^(j_i + 1) - 1 faces of block
+    # i alone are over; the count itself, 6,000 digits at j = 20,000, is not
+    # formed, and printed it would fail Python's integer string conversion
+    p = write(tmp_path, "s1.txt", "1 2\n1 3\n2 3\n")
+    j = "7" * 3000
+    cases = [
+        (["verify", "main", p, "--j", "20000,0,0"], "20000", "at least 2^20001 - 1 faces",
+         KJ_FACE_BUDGET),
+        (["verify", "main", p, "--jmax", "20000"], "20000", "at least 2^20001 - 1 faces",
+         KJ_FACE_BUDGET),
+        (["smash", p, "--path", "reduction", "--j", "20000,0,0"], "20000",
+         "at least 2^20001 - 1 faces", KJ_FACE_BUDGET),
+        (["double", p, "--j", f"{j},0,0"], j, f"at least {j} labels in its facets",
+         LABEL_BUDGET),
+    ]
+    for argv, j1, shown, budget in cases:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == (f"error: K(J) at J=({j1}, 0, 0) has {shown}, over the "
+                                f"budget of {budget}; refused\n"), argv
+
+    def no_count(*args):
+        raise AssertionError("the count was formed")
+
+    monkeypatch.setattr(cxm, "doubled_face_count", no_count)
+    monkeypatch.setattr(cxm, "doubled_label_count", no_count)
+    j = 10 ** 9
+    for argv, shown in [(["verify", "main", p, "--j", f"{j},0,0"], f"2^{j + 1} - 1 faces"),
+                        (["double", p, "--j", f"{j},0,0"], f"{j} labels in its facets")]:
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: K(J) at J=({j}, 0, 0) has "
+                                                  f"at least {shown}, over the budget"), argv
+
+
 def test_double_over_the_label_budget_is_refused_before_any_build(tmp_path, monkeypatch,
                                                                  capsys):
     # the projective plane at J = 40^6 would print 167,478,030 labels,
@@ -351,6 +391,38 @@ def test_geometry_face_budget_admits_the_sweeps_the_repository_runs():
         cli._check_geometry_budget(m, k)
     with pytest.raises(ParseError, match="over the budget"):
         cli._check_geometry_budget(2, 7)
+
+
+def test_grid_over_the_map_check_budget_is_refused_before_any_check(tmp_path, monkeypatch,
+                                                                    capsys):
+    # the map checks grow as grid^5: --grid 32 counts 2,113,280 of them, about
+    # 10.5 s; past the budget in grid the count is named by its formula
+
+    def no_maps(*args):
+        raise AssertionError("the map checks ran")
+
+    monkeypatch.setattr(cli, "verify_maps", no_maps)
+    p = write(tmp_path, "s1.txt", "1 2\n1 3\n2 3\n")
+    big = 10 ** 900
+    for grid, shown in [(32, "2113280"), (100, "478022500"),
+                        (big, f"{big} * sum_(n=1..4) (C({big} + n, n) - 1)")]:
+        for what in ("geometry", "all"):
+            argv = ["verify", what, "--m", "0", "--grid", str(grid)]
+            if what == "all":
+                argv += [p, "--jmax", "0"]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert not captured.out
+            assert captured.err == (f"error: verify geometry --grid {grid} runs {shown} map "
+                                    f"checks, over the budget of {MAP_CHECK_BUDGET}; "
+                                    f"refused\n"), argv
+
+
+def test_map_check_budget_admits_the_grids_the_repository_runs():
+    for grid in (1, 2, 4, 8, 16, 31):
+        cli._check_grid_budget(grid)
+    with pytest.raises(ParseError, match="over the budget"):
+        cli._check_grid_budget(32)
 
 
 @pytest.mark.parametrize("m, k", [(1, 0), (1, 2), (2, 1), (3, 1)])
@@ -628,6 +700,37 @@ def test_gen_rejects_density_outside_unit_interval(density, count, tmp_path, cap
     assert captured.err == f"error: --density must be in [0, 1], got {density}\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_gen_over_the_candidate_budget_is_refused_before_any_draw(tmp_path, monkeypatch,
+                                                                  capsys):
+    # --m 200 --max-dim 5 would draw 85,010,294,790 candidates per complex;
+    # past the budget in m, or its bit length in min(max_dim + 1, m), the
+    # count is named by its formula
+
+    def no_draw(*args):
+        raise AssertionError("a complex was drawn")
+
+    monkeypatch.setattr(cli, "random_complex", no_draw)
+    out = tmp_path / "c"
+    for m, max_dim, shown in [(200, 5, "85010294790"), (20, 5, "60459"),
+                              (10 ** 6, 0, "sum_(t=1..1) C(1000000, t)"),
+                              (100, 10 ** 9, "sum_(t=1..100) C(100, t)")]:
+        argv = ["gen", "--m", str(m), "--max-dim", str(max_dim), "--density", "1/2",
+                "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == (f"error: gen --m {m} --max-dim {max_dim} draws {shown} "
+                                f"candidate faces per complex, over the budget of "
+                                f"{CANDIDATE_BUDGET}; refused\n"), argv
+        assert not out.exists()
+
+
+def test_candidate_budget_admits_the_draws_the_repository_runs():
+    # the README's and the benchmark's corpus, and the largest timed one
+    for m, max_dim in [(3, 1), (4, 3), (5, 3), (6, 3), (20, 4)]:
+        cli._check_candidate_budget(m, max_dim)
 
 
 def test_gen_deterministic(tmp_path, capsys):

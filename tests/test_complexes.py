@@ -26,6 +26,8 @@ from complexes_reference import (
     double_iterated_loop,
     double_once,
     f_vector,
+    faces_by_combinations,
+    from_facets_loop,
     is_face,
     join_abstract,
     suspension,
@@ -59,6 +61,35 @@ def test_from_facets_minimalizes():
     assert K.facets == frozenset({(1, 2), (3,)})
     with pytest.raises(ValueError):
         from_facets(2, [(1, 3)])
+
+
+@st.composite
+def generator_families(draw):
+    """(m, generators): up to eight faces as vertex lists on 1..m, with
+    repeated vertices, any order, repeated and nested faces and the empty
+    face drawn freely; vertices in no generator are ghosts."""
+    m = draw(st.integers(1, 7))
+    faces = st.lists(st.integers(1, m), max_size=5)
+    gens = draw(st.lists(st.one_of(faces, st.builds(sorted, faces)), max_size=8))
+    return m, gens
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_families())
+@example((4, [[2, 1], [1, 2], [1], [], [2, 2, 1]]))  # ghost vertices 3 and 4
+@example((3, []))
+@example((3, [[]]))
+@example((5, [[3, 1], [1, 3, 5], [5], [2, 4], [4, 2, 4]]))
+def test_minimalization_and_faces_match_the_earlier_loops(family):
+    # from_facets minimalizes through _maximal, and faces() decodes
+    # face_levels: both must give what the set loop and the sorted
+    # combinations did
+    m, gens = family
+    K = from_facets(m, gens)
+    assert K == from_facets_loop(m, gens), family
+    faces = faces_by_combinations(K)
+    assert K.faces() == faces, family
+    assert K.euler_reduced() == sum((-1) ** (len(f) + 1) for f in faces)
 
 
 @pytest.mark.parametrize("m, facets, message, normalized", [

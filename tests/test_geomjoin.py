@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 from polysmash import geomjoin
 from polysmash.chains import homology, simplicial_chain_complex
 from polysmash.cli import main
-from polysmash.complexes import empty_complex, from_facets, full_simplex, simplex_boundary
+from polysmash.complexes import (
+    empty_complex,
+    from_facets,
+    full_simplex,
+    random_complex,
+    simplex_boundary,
+)
 from polysmash.exactlin import InvariantError, bareiss, lp_max, rank_rational
 from polysmash.geomjoin import (
     BarycentricFrame,
@@ -397,16 +403,16 @@ def test_volume_ratio():
 
 
 def test_carrier_equal_positive_and_negative():
-    # a segment split at the midpoint equals the whole segment
-    seg = EmbeddedComplex.from_simplices(1, [frozenset({pt(0), pt(2)})])
-    split = EmbeddedComplex.from_simplices(
-        1, [frozenset({pt(0), pt(1)}), frozenset({pt(1), pt(2)})]
-    )
-    assert carrier_equal(seg, split)
-    assert carrier_equal(split, seg)
-    shorter = EmbeddedComplex.from_simplices(1, [frozenset({pt(0), pt(1)})])
-    assert not carrier_equal(seg, shorter)
-    assert not carrier_equal(shorter, seg)
+    # against the segment's own frame, the segment split at its midpoint has
+    # its carrier; a half, a longer segment or an overlapping cover has not
+    a, b = pt(0), pt(2)
+    frame = BarycentricFrame([a, b])
+    seg = EmbeddedComplex.from_simplices(1, [{a, b}])
+    split = EmbeddedComplex.from_simplices(1, [{a, pt(1)}, {pt(1), b}])
+    assert carrier_equal(seg, split, frame)
+    assert carrier_equal(seg, seg, frame)
+    for other in ([{a, pt(1)}], [{a, pt(3)}], [{a, pt(1)}, {pt(1), b}, {pt(F(1, 2)), b}]):
+        assert not carrier_equal(seg, EmbeddedComplex.from_simplices(1, other), frame), other
 
 
 def test_tiling_a_face_of_a_shared_frame_needs_the_face_support():
@@ -417,12 +423,52 @@ def test_tiling_a_face_of_a_shared_frame_needs_the_face_support():
     triangle = BarycentricFrame([v1, v2, v3])
     edge = EmbeddedComplex.from_simplices(2, [{v1, v2}])
     two_edges = EmbeddedComplex.from_simplices(2, [{v1, v2}, {v2, v3}])
-    assert not geomjoin._carrier_refined_by(edge, two_edges, triangle)
     assert not carrier_equal(edge, two_edges, triangle)
-    assert geomjoin._carrier_refined_by(edge, edge, triangle)
+    assert carrier_equal(edge, edge, triangle)
     face = triangle.face([v1, v2])
     assert not triangle.contains(v3, face) and triangle.contains(v3)
     assert triangle.volume_ratio([v2, v3], face) is None
+
+
+class _OffBlockBarycenter(StandardConfig):
+    """a_1 moved off its block: an extra 1 on the next block's first
+    coordinate, block 1's own at m = 1."""
+
+    def scaled_a(self, i):
+        a = list(StandardConfig.scaled_a(self, i))
+        if i == 1:
+            a[(self.k + 1) % self.n] += 1
+        return tuple(a)
+
+
+def W_sides(cfg, sigma):
+    """(Delta_sigma * S*_sigma, a_sigma * S_[m]), as verify_W_union builds them."""
+    delta_sigma, _, s_star, a_sigma = sigma_complexes(cfg, sigma)
+    s_full = sigma_complexes(cfg, range(1, cfg.m + 1))[1]
+    return geometric_join(delta_sigma, s_star), geometric_join(a_sigma, s_full)
+
+
+@pytest.mark.parametrize("m, k", [(m, k) for m in (1, 2, 3) for k in (0, 1, 2)])
+def test_one_way_tiling_agrees_with_the_two_way_per_piece_reference(m, k):
+    # every W_sigma of the sweep's four families and of a random K, and two
+    # mutations of its a_sigma * S_[m]: a_1 moved off its block, one piece
+    # dropped.  The library tiles one way against Delta_[m]'s frame; the
+    # reference tries both ways, each piece its own frame
+    cfg, moved = standard_config(m, k), _OffBlockBarycenter(m, k)
+    full = tuple(range(1, m + 1))
+    delta = BarycentricFrame([p for i in full for p in cfg.block(i)])
+    families = [empty_complex(m), full_simplex(m - 1), from_facets(m, [(i,) for i in full]),
+                random_complex(m, m - 1, "1/2", seed=7 + m)]
+    if m >= 3:
+        families.append(simplex_boundary(m - 1))
+    for sigma in sorted({sigma for K in families for sigma in K.faces()}):
+        side_a, side_b = W_sides(cfg, sigma)
+        piece = min(side_b.maximal, key=sorted)
+        dropped = EmbeddedComplex(side_b.ambient, side_b.maximal - {piece})
+        cases = [(side_b, True), (W_sides(moved, sigma)[1], 1 not in sigma), (dropped, False)]
+        for B, expected in cases:
+            assert carrier_equal(side_a, B, delta) == expected, (sigma, B)
+            assert ref.carrier_equal(side_a, B) == expected, (sigma, B)
 
 
 def test_verify_gji_small():
