@@ -29,7 +29,8 @@ reduction replaces dc by dc - (<dc, a> / <db, a>) db for every other n-cell
 c; here that correction is zero, because db has no term besides a, or
 <dc, a> = 0 for every c other than b.  So no remaining matrix entry changes:
 rows and columns are only dropped, and Smith normal form runs on the
-boundary matrices of the cells that survive.
+boundary matrices of the cells that survive, in the degrees where any
+entry does.
 """
 
 from __future__ import annotations
@@ -180,8 +181,9 @@ def homology(C: ChainComplex) -> HomologyTable:
     Unit reduction pairs, coreductions and free faces, are deleted first
     (see the module docstring).  The surviving cells span a chain complex
     homotopy equivalent to C whose boundary entries are those of C, so
-    Smith normal form runs on the surviving rows and columns only, and the
-    Betti numbers come from the surviving ranks.
+    Smith normal form runs on the surviving rows and columns only, in the
+    degrees where they meet in an entry, and the Betti numbers come from the
+    surviving ranks.
     """
     alive, down = _delete_unit_pairs(C)
     survivors = {n: list(compress(range(C.rank(n)), alive[n])) for n in C.degrees()}
@@ -191,10 +193,12 @@ def homology(C: ChainComplex) -> HomologyTable:
         entries = {
             (rows[i], c): v for c, k in enumerate(cols) for i, v in down[n][k] if i in rows
         }
-        snf = smith_normal_form(SparseIntMatrix(len(rows), len(cols), entries))
-        rank[n], torsion[n] = snf.rank, snf.torsion
+        if entries:  # no entries: rank 0 and no torsion, without SNF
+            snf = smith_normal_form(SparseIntMatrix(len(rows), len(cols), entries))
+            rank[n], torsion[n] = snf.rank, snf.torsion
     return HomologyTable({
-        n: HomologyGroup(len(cols) - rank[n] - rank.get(n + 1, 0), torsion.get(n + 1, ()))
+        n: HomologyGroup(len(cols) - rank.get(n, 0) - rank.get(n + 1, 0),
+                         torsion.get(n + 1, ()))
         for n, cols in survivors.items()
     })
 

@@ -115,14 +115,21 @@ def load_complex(path) -> SimplicialComplex:
     return parse_complex_text(text, source=str(path))
 
 
-def complex_to_json(K: SimplicialComplex, rename=None):
-    data = {
-        "m": K.m,
-        "facets": [list(f) for f in sorted(K.facets, key=lambda t: (len(t), t))],
-    }
-    if rename is not None:
-        data["names"] = {str(v): rename[v] for v in sorted(rename)}
-    return data
+def write_complex_json(K: SimplicialComplex, rename, out):
+    """Write {"m", "facets", "names"} for K and its {label: name} rename as
+    json.dump(..., indent=2) would, facets sorted by size then lexically:
+    one facet and one name at a time, so neither list is held whole."""
+    out.write(f'{{\n  "m": {K.m},\n  "facets": [')
+    sep = "\n    "
+    for f in sorted(K.facets, key=lambda t: (len(t), t)):
+        out.write(sep + ("[\n      " + ",\n      ".join(map(str, f)) + "\n    ]" if f else "[]"))
+        sep = ",\n    "
+    out.write('\n  ],\n  "names": {')
+    sep = "\n    "
+    for v in sorted(rename):
+        out.write(f"{sep}{json.dumps(str(v))}: {json.dumps(rename[v])}")
+        sep = ",\n    "
+    out.write("\n  }\n}")
 
 
 def parse_j(text, m):
@@ -190,9 +197,7 @@ def cmd_double(args):
         _check_label_budget(K, J)
         D, rename = double_iterated(K, J)
     if args.json:
-        # streamed chunk by chunk: the encoded text is never held whole
-        chunks = json.JSONEncoder(indent=2).iterencode(complex_to_json(D, rename))
-        sys.stdout.writelines(chunks)
+        write_complex_json(D, rename, sys.stdout)
         print()
     else:
         print(f"m={D.m}")
@@ -297,17 +302,21 @@ KJ_FACE_BUDGET = 1_000_000
 
 def _check_kj_budget(K, J):
     """Refuse a J whose K(J) has more faces than the budget, before it is
-    built; the count is at least 2^(j_i + 1) - 1, block i's faces."""
+    built or K's faces are walked; the count is at least 2^(j_i + 1) - 1,
+    block i's faces, and at least 2^|sigma|, the faces of K's facet sigma."""
     j = max(J, default=0)
-    count = cxm.doubled_face_count(K, J) if j <= KJ_FACE_BUDGET.bit_length() else None
-    _refuse_over(KJ_FACE_BUDGET, count, f"at least 2^{j + 1} - 1", f"K(J) at J={J} has", "faces")
+    d = max(map(len, K.facets))
+    bits = KJ_FACE_BUDGET.bit_length()
+    count = cxm.doubled_face_count(K, J) if j <= bits and d < bits else None
+    formula = f"at least 2^{j + 1} - 1" if j > bits else f"at least 2^{d}"
+    _refuse_over(KJ_FACE_BUDGET, count, formula, f"K(J) at J={J} has", "faces")
 
 
-# polysmash double holds K(J)'s facets and their names, and streams the
-# JSON: the projective plane at J = 16^6 writes 4,863,870 labels (49 MB of
-# JSON) and peaks at 100 MB RSS with --json, about 17 bytes a label above the
-# interpreter's 17 MB, and at 65 MB as text.  Ten million labels is then
-# about 190 MB held and 100 MB printed.
+# polysmash double holds K(J)'s facets and their names, and writes them a
+# facet at a time: the projective plane at J = 16^6 writes 4,863,870 labels
+# (49 MB of JSON) and peaks at 65 MB RSS, as text or with --json, about
+# 10 bytes a label above the interpreter's 17 MB.  Ten million labels is
+# then about 100 MB held and 100 MB printed.
 LABEL_BUDGET = 10_000_000
 
 

@@ -3,16 +3,20 @@
 Complexes are stored by their facets (maximal faces, found by _maximal, as
 geomjoin's simplices are); the empty face is always a face, and K = {empty}
 is the legal empty complex.  Vertices in no facet are allowed: m is explicit.
-face_levels enumerates the faces, as bitmasks, for faces(), euler_reduced and chains.
+face_levels gives the faces as bitmasks, walked once per complex and kept on
+it, for faces(), euler_reduced, chains, smashmodel and the K(J) counts.
 
 Includes the combinatorial operation used throughout: vertex doubling
 (replacing a vertex i by an edge {i_a, i_b}) and its iterated form K(J),
-built in closed form and tested equal to doubling one vertex at a time.
+the simplicial wedge.  double_iterated builds K(J) as a complex, tested
+equal to doubling one vertex at a time; doubled_face_levels writes its face
+masks straight from K's, each once, and doubled_face_count counts them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations, product
 from math import prod
 
@@ -42,6 +46,12 @@ class SimplicialComplex:
             for a, f in fs.items():
                 if any(a & b == a for b in larger):
                     raise ValueError(f"facet {f!r} lies in a larger facet")
+
+    @cached_property
+    def _levels(self):
+        """face_levels(self), walked at the first call and kept on this
+        complex, which is immutable: each complex is walked once."""
+        return _walk_levels(self)
 
     def faces(self):
         """All faces as vertex tuples, decoded from face_levels(self) in its
@@ -78,15 +88,25 @@ def _maximal(sets):
 
 def face_levels(K):
     """{n: the faces of K of cardinality n + 1 as vertex bitmasks, vertex v at
-    bit K.m - v, in descending order}: the submasks of the facets, the empty
-    face 0 in degree -1.  Descending mask order is the lexicographic order of
-    sorted vertex tuples."""
+    bit K.m - v, in descending order}, the empty face 0 in degree -1.
+    Descending mask order is the lexicographic order of sorted vertex tuples.
+    Walked once per complex and shared by every caller: do not mutate it."""
+    return K._levels
+
+
+def _walk_levels(K):
+    """face_levels(K) by its one walk: the submasks of the facets."""
     faces = {0}
     for facet in K.facets:
         top = s = sum(1 << (K.m - v) for v in facet)
         while s:
             faces.add(s)
             s = (s - 1) & top
+    return _by_level(faces)
+
+
+def _by_level(faces):
+    """Distinct face masks grouped by cardinality, as face_levels orders them."""
     levels = {}
     for f in faces:
         levels.setdefault(f.bit_count() - 1, []).append(f)
@@ -150,15 +170,49 @@ def double_iterated(K: SimplicialComplex, J):
     return SimplicialComplex(fresh, frozenset(facets)), names
 
 
+def doubled_face_levels(K: SimplicialComplex, J):
+    """(face_levels(K(J)), K(J).m) for K(J) = double_iterated(K, J)[0],
+    without building K(J): by the simplicial-wedge rule, each face sigma of
+    K gives, each once, the faces made of sigma's blocks whole and a proper
+    subset, the empty one included, of every other block."""
+    validate_j(K, J)
+    m = K.m + sum(J)
+    whole, proper, fresh = [], [], K.m  # per vertex i of K: (i's bit in K, ...)
+    for i, j in enumerate(J, start=1):
+        bit = 1 << (K.m - i)
+        block = top = sum(1 << (m - v) for v in (i, *range(fresh + 1, fresh + j + 1)))
+        whole.append((bit, block))
+        if j:  # a lone vertex's one proper subset is the empty one
+            subsets = []  # block's proper submasks, descending to 0
+            while block:
+                block = (block - 1) & top
+                subsets.append(block)
+            proper.append((bit, subsets))
+        fresh += j
+    faces = []
+    for level in face_levels(K).values():
+        for sigma in level:
+            part = [sum(block for bit, block in whole if sigma & bit)]
+            for bit, subsets in proper:
+                if not sigma & bit:
+                    part = [f | s for f in part for s in subsets]
+            faces += part
+    return _by_level(faces), m
+
+
 def doubled_face_count(K: SimplicialComplex, J):
     """|K(J)|, the empty face included, without building K(J): the blocks a
     face holds whole form a face sigma of K, and every other block i gives
     one of its 2^(j_i + 1) - 1 proper subsets."""
     validate_j(K, J)
     weight = [(2 << j) - 1 for j in J]
-    count = {(): prod(weight)}  # {sigma: faces whose whole blocks are sigma's}
-    for sigma in K.faces()[1:]:  # by cardinality, so sigma[1:] comes first
-        count[sigma] = count[sigma[1:]] // weight[sigma[0] - 1]
+    count = {0: prod(weight)}  # {sigma: faces whose whole blocks are sigma's}
+    levels = iter(face_levels(K).values())
+    next(levels)  # the empty face
+    for level in levels:  # by cardinality, so sigma less its lowest vertex comes first
+        for sigma in level:
+            low = sigma.bit_length() - 1  # sigma's lowest vertex, K.m - low
+            count[sigma] = count[sigma ^ (1 << low)] // weight[K.m - low - 1]
     return sum(count.values())
 
 

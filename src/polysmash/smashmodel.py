@@ -16,13 +16,16 @@ once, as a checked map:
   shifted up by sum(J) + 1: the suspension identity at chain level;
 
 * the reduction route: double vertices until every pair is (D^1, S^0).
-  K(J) is built in closed form, as a simplicial wedge that the tests check
-  equal to doubling one vertex at a time, and the CLI bounds its face count,
-  also in closed form, before it is built.  The smash product over K(J) of
-  (D^1, S^0) is the cube [0,2]^m with its outer boundary collapsed, and the
-  cellular chains of that quotient are C(K(J)) shifted up by one: one cell
-  per face of K(J), in the degree of its cardinality, with the simplicial
-  boundary: _assemble on face_levels(K(J)) at zero parity, shifted by one.
+  K(J) is the simplicial wedge, and the route never builds it as a complex:
+  complexes.doubled_face_levels writes each face mask of K(J) once from K's
+  faces and the block sizes, the levels face_levels would give for
+  double_iterated(K, J), which the tests check equal to doubling one vertex
+  at a time.  The CLI bounds the face count, in closed form, before any of
+  this runs.  The smash product over K(J) of (D^1, S^0) is the cube
+  [0,2]^m with its outer boundary collapsed, and the cellular chains of
+  that quotient are C(K(J)) shifted up by one: one cell per face of K(J),
+  in the degree of its cardinality, with the simplicial boundary: _assemble
+  on K(J)'s levels at zero parity, shifted by one.
   tests/cubical_reference.py builds the cubical complex and checks that
   identity.
 
@@ -32,7 +35,8 @@ a ChainComplex.
 
 verify_main checks the orientation on the stored boundary columns of both
 complexes, column by column, and computes homology once per distinct
-complex, C(K) and the quotient over K(J).
+complex, C(K) and the quotient over K(J).  K's faces are walked once per
+complex (face_levels keeps them on K), so one case walks them once.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .chains import (
     homology,
     simplicial_chain_complex,
 )
-from .complexes import SimplicialComplex, double_iterated, face_levels, validate_j
+from .complexes import SimplicialComplex, doubled_face_levels, face_levels, validate_j
 from .report import Check, VerificationReport
 
 # -- direct model ----------------------------------------------------------
@@ -97,8 +101,8 @@ def orientation_holds(orientation, cc: ChainComplex, CK: ChainComplex, shift) ->
 def reduction_path_model(K: SimplicialComplex, J) -> ChainComplex:
     """The section-by-section route: double down to (D^1, S^0), then the
     chains of the smash product over K(J), C(K(J)) shifted up by one."""
-    KJ, _ = double_iterated(K, J)
-    return _assemble(face_levels(KJ), [0] * KJ.m, 1)
+    levels, m = doubled_face_levels(K, J)
+    return _assemble(levels, [0] * m, 1)
 
 
 def expected_homology(K: SimplicialComplex, J) -> HomologyTable:

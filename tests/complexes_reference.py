@@ -7,7 +7,8 @@ So does iterated doubling one vertex at a time, the independent reference
 for the library's closed-form K(J), and the library's own minimalization
 and face enumeration from before both moved onto complexes._maximal and
 face_levels: a loop of set comparisons, and every subset of every facet,
-sorted.
+sorted.  complex_to_json is the dict that `polysmash double --json` encoded
+before it wrote its facets one at a time.
 """
 
 from itertools import combinations
@@ -96,3 +97,15 @@ def double_iterated_loop(K: SimplicialComplex, J):
         K = double_once(K, i)
         names[i], names[K.m] = names[i] + "a", names[i] + "b"
     return K, names
+
+
+def complex_to_json(K: SimplicialComplex, rename=None):
+    """The dict polysmash double --json encoded whole before it wrote a
+    facet at a time: the reference for the streamed text."""
+    data = {
+        "m": K.m,
+        "facets": [list(f) for f in sorted(K.facets, key=lambda t: (len(t), t))],
+    }
+    if rename is not None:
+        data["names"] = {str(v): rename[v] for v in sorted(rename)}
+    return data

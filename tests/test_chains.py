@@ -343,15 +343,15 @@ def test_reduction_leaves_little_for_snf(monkeypatch):
         return snf(M)
 
     monkeypatch.setattr(chains, "smith_normal_form", recording)
-    # the boundary of a simplex reduces to its top-degree generator
+    # the boundary of a simplex reduces to its top-degree generator, and a
+    # degree with no surviving entry has rank 0 and no torsion without SNF
     assert homology(simplicial_chain_complex(simplex_boundary(4))) == {3: HomologyGroup(1)}
-    assert sum(seen) == 0
+    assert seen == []
     # 3,672 cells and 20,952 boundary entries over K(J) for RP^2, J = 1^6
-    seen.clear()
     C = reduction_path_model(RP2, (1,) * 6)
     assert sum(len(M.entries) for M in C.boundaries.values()) == 20952
     assert homology(C) == {8: HomologyGroup(0, (2,))}
-    assert sum(seen) < 100
+    assert seen and all(seen) and sum(seen) < 100
 
 
 # -- the coface lists ----------------------------------------------------------

@@ -1,6 +1,7 @@
 """CLI surface: file formats, exit codes, JSON determinism, internal errors."""
 
 import argparse
+import io
 import json
 import os
 import subprocess
@@ -18,11 +19,11 @@ from polysmash.cli import (
     LABEL_BUDGET,
     MAP_CHECK_BUDGET,
     ParseError,
-    complex_to_json,
     load_complex,
     main,
     parse_complex_text,
     parse_j,
+    write_complex_json,
 )
 from polysmash import cli, exactlin, geomjoin, smashmodel
 from polysmash import complexes as cxm
@@ -30,6 +31,7 @@ from polysmash.chains import ChainComplex, HomologyGroup
 from polysmash.complexes import double, from_facets
 from polysmash.exactlin import InvariantError, LPResult, SmithForm
 
+from complexes_reference import complex_to_json
 from conftest import RP2_FACETS
 
 # sha256 of `verify main --json --jmax 3` on the corpus of `gen --m 4
@@ -151,6 +153,16 @@ def test_complex_to_json_with_names():
     D, rename = double(K, 1)
     data = complex_to_json(D, rename)
     assert data["names"] == {"1": "1a", "2": "2", "3": "1b"}
+    # double --json writes a facet at a time the text the encoder gives for
+    # the whole dict, also for the empty facet and labels past 9
+    cases = [(K, (1, 0)), (from_facets(1, [()]), (0,)),
+             (from_facets(3, [(1, 2), (3,)]), (2, 0, 3)),
+             (from_facets(6, RP2_FACETS), (2, 0, 1, 0, 3, 1))]
+    for K, J in cases:
+        D, rename = cxm.double_iterated(K, J)
+        out = io.StringIO()
+        write_complex_json(D, rename, out)
+        assert out.getvalue() == json.dumps(complex_to_json(D, rename), indent=2), (K, J)
 
 
 def test_homology_command(tmp_path, capsys):
@@ -277,8 +289,9 @@ def test_model_over_the_face_budget_is_refused_before_any_build(tmp_path, monkey
     def no_build(*args):
         raise AssertionError("a model was built")
 
-    for name in ("double_iterated", "simplicial_chain_complex", "direct_smash_model"):
+    for name in ("doubled_face_levels", "simplicial_chain_complex", "direct_smash_model"):
         monkeypatch.setattr(smashmodel, name, no_build)
+    monkeypatch.setattr(cxm, "double_iterated", no_build)
     refusal = (f"error: K(J) at J=(20, 0, 0, 0, 0, 0) has 44040182 faces, "
                f"over the budget of {KJ_FACE_BUDGET}; refused\n")
     for argv in (["verify", "main", p, "--jmax", "20"],
@@ -288,6 +301,53 @@ def test_model_over_the_face_budget_is_refused_before_any_build(tmp_path, monkey
         captured = capsys.readouterr()
         assert not captured.out
         assert captured.err == refusal, argv
+
+
+def test_a_facet_over_the_face_budget_is_refused_before_k_is_walked(tmp_path, monkeypatch,
+                                                                    capsys):
+    # K(J) has at least the 2^30 faces of K's facet, so neither K nor K(J) is
+    # walked: the check compares the facet with the budget's bit length
+    p = write(tmp_path, "simplex.txt", " ".join(map(str, range(1, 31))) + "\n")
+
+    def no_walk(*args):
+        raise AssertionError("K's faces were walked")
+
+    monkeypatch.setattr(cxm, "_walk_levels", no_walk)
+    J = ", ".join(["0"] * 30)
+    refusal = (f"error: K(J) at J=({J}) has at least 2^30 faces, "
+               f"over the budget of {KJ_FACE_BUDGET}; refused\n")
+    for argv in (["verify", "main", p, "--j", ",".join(["0"] * 30)],
+                 ["verify", "main", p, "--jmax", "3", "--json"],
+                 ["smash", p, "--path", "reduction"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == refusal, argv
+
+
+def test_a_verify_main_case_walks_k_once_and_never_k_of_j(tmp_path, monkeypatch, capsys):
+    # the budget's count, C(K), the direct model, K(J)'s levels by the wedge
+    # rule and the Euler identity all read K's one walk; K(J) is neither
+    # built nor walked, and the next call loads and walks a fresh K
+    p = write(tmp_path, "rp2.txt", "\n".join(" ".join(map(str, f)) for f in RP2_FACETS))
+    walked = []
+    walk = cxm._walk_levels
+
+    def counting(K):
+        walked.append(K.m)
+        return walk(K)
+
+    def no_build(*args):
+        raise AssertionError("K(J) was built")
+
+    monkeypatch.setattr(cxm, "_walk_levels", counting)
+    monkeypatch.setattr(cxm, "double_iterated", no_build)
+    assert main(["verify", "main", p, "--j", "1,0,2,0,0,1"]) == 0
+    assert "4 passed, 0 failed" in capsys.readouterr().out
+    assert walked == [6]
+    assert main(["smash", p, "--path", "reduction", "--j", "1,1,1,1,1,1"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "model (reduction):  H~8 = Z/2"
+    assert walked == [6, 6]
 
 
 def test_face_budget_admits_the_largest_case_the_repository_runs():

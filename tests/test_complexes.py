@@ -7,12 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polysmash import complexes as cxm
 from polysmash.chains import homology, simplicial_chain_complex
 from polysmash.complexes import (
     SimplicialComplex,
     double,
     double_iterated,
     doubled_face_count,
+    doubled_face_levels,
     doubled_label_count,
     empty_complex,
     from_facets,
@@ -282,6 +284,38 @@ def test_closed_form_equals_doubling_one_vertex_at_a_time(case):
     assert rename == names, (K, J)
     assert doubled_face_count(K, J) == len(D.faces()), (K, J)
     assert doubled_label_count(K, J) == sum(map(len, D.facets)), (K, J)
+
+
+@settings(max_examples=200, deadline=None)
+@given(complexes_and_j())
+@example((empty_complex(1), (0,)))  # K = {empty} at J = 0
+@example((empty_complex(3), (2, 0, 1)))  # every vertex a ghost
+@example((from_facets(4, [(2, 3)]), (1, 2, 0, 2)))  # ghost vertices 1 and 4
+@example((from_facets(3, [(1, 2), (3,)]), (0, 0, 0)))
+@example((from_facets(4, [(1, 2, 3), (2, 4)]), (3, 0, 2, 0)))
+def test_wedge_rule_levels_equal_the_walk_of_the_built_complex(case):
+    # each face of K(J) written once by the wedge rule, against the submask
+    # walk of double_iterated's K(J): same masks, levels and order
+    K, J = case
+    KJ, _ = double_iterated(K, J)
+    assert doubled_face_levels(K, J) == (cxm._walk_levels(KJ), KJ.m), (K, J)
+
+
+def test_face_levels_are_walked_once_per_complex(monkeypatch):
+    # kept on the instance, not in a module cache: an equal complex built
+    # again is walked again, and K(J)'s levels read K's without a walk
+    walked = []
+    walk = cxm._walk_levels
+    monkeypatch.setattr(cxm, "_walk_levels", lambda K: walked.append(K.m) or walk(K))
+    K = from_facets(4, [(1, 2, 3), (2, 4)])
+    levels = cxm.face_levels(K)
+    assert K.faces()[0] == () and K.euler_reduced() == 0
+    assert doubled_face_count(K, (1, 0, 2, 0)) == len(double_iterated(K, (1, 0, 2, 0))[0].faces())
+    assert cxm.face_levels(K) is levels and walked == [4, 7]
+    doubled_face_levels(K, (1, 0, 2, 0))
+    assert walked == [4, 7]
+    cxm.face_levels(from_facets(4, [(1, 2, 3), (2, 4)]))
+    assert walked == [4, 7, 4]
 
 
 @settings(max_examples=100, deadline=None)
