@@ -17,20 +17,22 @@ comes from one assembler, _assemble(levels, parity, shift): the faces of a
 simplicial complex as vertex bitmasks in lexicographic order (the one face
 enumeration, complexes.face_levels), a sign per vertex and a degree shift.
 
-homology() first deletes unit reduction pairs (Kaczynski-Mrozek-Slusarek
+homology() first deletes coreduction pairs (Kaczynski-Mrozek-Slusarek
 1998; Mrozek-Batko 2009): cells a in C_{n-1} and b in C_n with
-<db, a> = +-1, where either
-
-* a is the only remaining boundary cell of b (a coreduction), or
-* b is the only remaining coface of a (a free face).
-
+<db, a> = +-1, where a is the only remaining boundary cell of b.
 Deleting such a pair is a chain homotopy equivalence over Z.  The general
 reduction replaces dc by dc - (<dc, a> / <db, a>) db for every other n-cell
-c; here that correction is zero, because db has no term besides a, or
-<dc, a> = 0 for every c other than b.  So no remaining matrix entry changes:
-rows and columns are only dropped, and Smith normal form runs on the
-boundary matrices of the cells that survive, in the degrees where any
-entry does.
+c; here that correction is zero, because db has no remaining term besides
+a.  So no remaining matrix entry changes: rows and columns are only
+dropped, and Smith normal form runs on the boundary matrices of the cells
+that survive, in the degrees where any entry does.
+
+Coreductions start at the bottom: in an augmented complex a vertex pairs
+with the empty face, and each deletion can leave a cell above it with one
+remaining boundary cell, so the deletions sweep upwards.  A complex with no
+degree -1 cell, such as C(K) with the empty face dropped, starts with no
+coreduction, so all of its cells reach Smith normal form: the answer is
+the same, only slower.  The library builds no such complex.
 """
 
 from __future__ import annotations
@@ -178,12 +180,11 @@ class HomologyTable(dict):
 def homology(C: ChainComplex) -> HomologyTable:
     """Reduced homology of a chain complex, degree by degree.
 
-    Unit reduction pairs, coreductions and free faces, are deleted first
-    (see the module docstring).  The surviving cells span a chain complex
-    homotopy equivalent to C whose boundary entries are those of C, so
-    Smith normal form runs on the surviving rows and columns only, in the
-    degrees where they meet in an entry, and the Betti numbers come from the
-    surviving ranks.
+    Coreduction pairs are deleted first (see the module docstring).  The
+    surviving cells span a chain complex homotopy equivalent to C whose
+    boundary entries are those of C, so Smith normal form runs on the
+    surviving rows and columns only, in the degrees where they meet in an
+    entry, and the Betti numbers come from the surviving ranks.
     """
     alive, down = _delete_unit_pairs(C)
     survivors = {n: list(compress(range(C.rank(n)), alive[n])) for n in C.degrees()}
@@ -204,70 +205,42 @@ def homology(C: ChainComplex) -> HomologyTable:
 
 
 def _delete_unit_pairs(C: ChainComplex):
-    """Delete unit reduction pairs until none is left.
+    """Delete coreduction pairs until none is left: b in C_n pairs with a
+    when a is b's only live boundary cell and <db, a> = +-1.
 
     Returns ({n: bytearray alive flag per cell of C_n}, {n: the columns of
     d_n, one (row, coeff) list per cell of C_n}).  The columns and coface
     lists are C's own, read as each cell's boundary cells with their
-    coefficients and its cofaces; only the remaining counts and the flags
-    are built here.
+    coefficients and its cofaces; only the live boundary counts and the
+    flags are built here.
     """
     size = {n: C.rank(n) for n in C.degrees()}
     down = {n: C.columns.get(n) or [()] * s for n, s in size.items()}
     up = C.cofaces
-    # remaining boundary cells and cofaces of each cell
-    ndown = {n: list(map(len, lists)) for n, lists in down.items()}
-    nup = {n: list(map(len, lists)) for n, lists in up.items()}
+    ndown = {n: list(map(len, lists)) for n, lists in down.items()}  # live boundary cells
     alive = {n: bytearray([1]) * s for n, s in size.items()}
 
-    stack = []
-    for n, s in size.items():
-        faces, cofaces = ndown[n], nup[n]
-        stack += [(n, k) for k in range(s) if faces[k] == 1 or cofaces[k] == 1]
+    stack = [(n, b) for n, counts in ndown.items() for b, c in enumerate(counts) if c == 1]
     while stack:
-        n, k = stack.pop()
-        if not alive[n][k]:
+        n, b = stack.pop()
+        if not alive[n][b] or ndown[n][b] != 1:
             continue
-        # pair (d, a, b): a in C_{d-1}, b in C_d
-        pair = None
-        # the count says exactly one boundary cell or coface is still alive
-        if ndown[n][k] == 1:
-            live = alive[n - 1]
-            for a, v in down[n][k]:
-                if live[a]:
-                    break
-            if v == 1 or v == -1:
-                pair = (n, a, k)
-        if pair is None and nup[n][k] == 1:
-            live = alive[n + 1]
-            for b in up[n][k]:
-                if live[b]:
-                    break
-            for i, v in down[n + 1][b]:
-                if i == k:
-                    break
-            if v == 1 or v == -1:
-                pair = (n + 1, k, b)
-        if pair is None:
+        live = alive[n - 1]
+        for a, v in down[n][b]:
+            if live[a]:
+                break
+        if v != 1 and v != -1:
             continue
-        d, a, b = pair
-        alive[d - 1][a] = alive[d][b] = 0
-        for m, cell in ((d - 1, a), (d, b)):
-            faces, cofaces = down[m][cell], up[m][cell]
-            if faces:
-                live, count = alive[m - 1], nup[m - 1]
-                for i, _ in faces:
-                    if live[i]:
-                        count[i] -= 1
-                        if count[i] == 1:
-                            stack.append((m - 1, i))
+        live[a] = alive[n][b] = 0
+        for m, cell in ((n - 1, a), (n, b)):
+            cofaces = up[m][cell]
             if cofaces:
                 live, count = alive[m + 1], ndown[m + 1]
-                for j in cofaces:
-                    if live[j]:
-                        count[j] -= 1
-                        if count[j] == 1:
-                            stack.append((m + 1, j))
+                for c in cofaces:
+                    if live[c]:
+                        count[c] -= 1
+                        if count[c] == 1:
+                            stack.append((m + 1, c))
     return alive, down
 
 

@@ -170,6 +170,7 @@ def j_samples(m, jmax):
 
 def cmd_homology(args):
     K = load_complex(args.input)
+    _check_kj_budget(K, (0,) * K.m)  # K(0) is K
     H = homology(simplicial_chain_complex(K))
     if args.json:
         payload = {
@@ -210,6 +211,7 @@ def cmd_smash(args):
     K = load_complex(args.input)
     J = parse_j(args.j, K.m) if args.j is not None else (0,) * K.m
     if args.path == "direct":
+        _check_kj_budget(K, (0,) * K.m)  # the model has K's faces, K(0)'s
         _, cc = direct_smash_model(K, J)
         H = homology(cc)
     else:
@@ -366,10 +368,10 @@ def _check_grid_budget(grid):
                  f"verify geometry --grid {grid} runs", "map checks")
 
 
-# gen draws sum_{t <= max_dim + 1} C(m, t) candidate faces per complex, and
-# minimalizing them costs the square of the facets kept, at density 1 all of
-# the top size: --m 300 --max-dim 1 (45,150) took 38 s, 19 ns per candidate
-# squared, --m 20 --max-dim 4 (21,699) 7.7 s.  25,000 is about 12 s at worst.
+# gen draws sum_{t <= max_dim + 1} C(m, t) candidate faces per complex and
+# minimalizes them through complexes._maximal, a few int ANDs per candidate:
+# at density 1, --m 223 --max-dim 1 (24,976 candidates) and --m 20
+# --max-dim 4 (21,699) each take 0.5 s as a process, so 25,000 is about 1 s.
 CANDIDATE_BUDGET = 25_000
 
 

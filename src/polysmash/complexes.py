@@ -1,8 +1,9 @@
 """Abstract simplicial complexes over labeled vertices 1..m.
 
-Complexes are stored by their facets (maximal faces, found by _maximal, as
-geomjoin's simplices are); the empty face is always a face, and K = {empty}
-is the legal empty complex.  Vertices in no facet are allowed: m is explicit.
+Complexes are stored by their facets (maximal faces, found and checked by
+_maximal, as geomjoin's simplices are found); the empty face is always a
+face, and K = {empty} is the legal empty complex.  Vertices in no facet are
+allowed: m is explicit.
 face_levels gives the faces as bitmasks, walked once per complex and kept on
 it, for faces(), euler_reduced, chains, smashmodel and the K(J) counts.
 
@@ -16,9 +17,10 @@ masks straight from K's, each once, and doubled_face_count counts them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, combinations, product
 from math import prod
+from operator import and_
 
 
 @dataclass(frozen=True)
@@ -31,7 +33,6 @@ class SimplicialComplex:
             raise ValueError("m must be positive")
         if not self.facets:
             raise ValueError("no facets: K = {empty} has the one facet ()")
-        sized = {}  # {facet size: {vertex bitmask: facet}}
         for f in self.facets:
             for v in f:
                 if v.__class__ is not int:  # bool is an int subclass: refuse it too
@@ -40,12 +41,11 @@ class SimplicialComplex:
                     raise ValueError(f"vertex {v} outside 1..{self.m}")
             if f.__class__ is not tuple or list(f) != sorted(set(f)):
                 raise ValueError(f"facet {f!r} is not a strictly increasing vertex tuple")
-            sized.setdefault(len(f), {})[sum(1 << v for v in f)] = f
-        for n, fs in sized.items():  # a facet can only lie in a larger one
-            larger = [b for k in sized if k > n for b in sized[k]]
-            for a, f in fs.items():
-                if any(a & b == a for b in larger):
-                    raise ValueError(f"facet {f!r} lies in a larger facet")
+        maximal = _maximal(self.facets)  # the tuples are sets: no vertex repeats
+        if len(maximal) < len(self.facets):
+            inner = (f for f in self.facets if f not in maximal)
+            f = min(inner, key=lambda t: (len(t), t))
+            raise ValueError(f"facet {f!r} lies in a larger facet")
 
     @cached_property
     def _levels(self):
@@ -78,11 +78,29 @@ def from_facets(m, facets) -> SimplicialComplex:
 
 
 def _maximal(sets):
-    """The sets (of vertices, or of points) in no other, {empty set} if none."""
-    maximal = []
-    for s in sorted(sets, key=len, reverse=True):
-        if not any(map(s.issubset, maximal)):
-            maximal.append(s)
+    """The sets (of vertices, or of points) in no other, {empty set} if none.
+    A set can only lie in a larger one, so the sets are taken a size at a
+    time, largest first, and each is tested against the larger ones kept:
+    per element, an int bitset of the kept sets that hold it, so a set lies
+    in a kept one iff the AND of its elements' bitsets is nonzero.  Ints are
+    immutable, so the bitsets grow a size at a time, not a set at a time."""
+    by_size = {}
+    for s in sets:
+        by_size.setdefault(len(s), set()).add(s)
+    maximal, holders, held = [], {}, 0  # {element: bitset over maximal[:held]}
+    for size in sorted(by_size, reverse=True):
+        bits = {}  # {element: bytes of its bitset over the sets kept at the last size}
+        for i in range(held, len(maximal)):
+            for x in maximal[i]:
+                if x not in bits:
+                    bits[x] = bytearray(len(maximal) // 8 + 1)
+                bits[x][i >> 3] |= 1 << (i & 7)
+        for x, b in bits.items():
+            holders[x] = holders.get(x, 0) | int.from_bytes(b, "little")
+        held = len(maximal)
+        everything = (1 << held) - 1
+        maximal += [s for s in by_size[size] if not (
+            everything and reduce(and_, (holders.get(x, 0) for x in s), everything))]
     return frozenset(maximal or [frozenset()])
 
 

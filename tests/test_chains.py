@@ -367,14 +367,23 @@ def cofaces_reference(C):
     return up
 
 
+def unaugmented(C):
+    """C with its degree -1 cell and the columns of d_0 dropped."""
+    return ChainComplex({n: b for n, b in C.bases.items() if n >= 0},
+                        {n: cols for n, cols in C.columns.items() if n >= 1})
+
+
 @st.composite
 def walked_complexes(draw):
-    """C(K), C(K(J)) shifted by one, a shifted C(K), or one of them rebuilt
-    from its bases and columns."""
+    """C(K), C(K(J)) shifted by one, a shifted C(K), C(K) with degree -1
+    dropped, or one of them rebuilt from its bases and columns.  With no
+    degree -1 cell no coreduction starts, so all of C reaches SNF."""
     K = draw(drawn_complexes(max_m=7))
-    kind = draw(st.sampled_from(["K", "KJ", "shifted"]))
+    kind = draw(st.sampled_from(["K", "KJ", "shifted", "unaugmented"]))
     if kind == "KJ":
         C = reduction_path_model(K, draw(small_j(K.m, total=3)))
+    elif kind == "unaugmented":
+        C = unaugmented(simplicial_chain_complex(K))
     else:
         C = shifted_chain_complex(K, draw(st.integers(-3, 3)) if kind == "shifted" else 0)
     if draw(st.booleans()):
@@ -386,6 +395,7 @@ def walked_complexes(draw):
 @given(walked_complexes())
 @example(reduction_path_model(RP2, (1, 1, 0, 0, 0, 0)))
 @example(shifted_chain_complex(empty_complex(3), 2))
+@example(unaugmented(simplicial_chain_complex(RP2)))
 def test_cofaces_are_the_transpose_of_the_columns(C):
     # each (row, column) entry once, in increasing column order, in every
     # degree including those with no coface

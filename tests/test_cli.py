@@ -306,7 +306,8 @@ def test_model_over_the_face_budget_is_refused_before_any_build(tmp_path, monkey
 def test_a_facet_over_the_face_budget_is_refused_before_k_is_walked(tmp_path, monkeypatch,
                                                                     capsys):
     # K(J) has at least the 2^30 faces of K's facet, so neither K nor K(J) is
-    # walked: the check compares the facet with the budget's bit length
+    # walked: the check compares the facet with the budget's bit length.
+    # homology and the direct model are bounded as K(0), which is K
     p = write(tmp_path, "simplex.txt", " ".join(map(str, range(1, 31))) + "\n")
 
     def no_walk(*args):
@@ -318,7 +319,11 @@ def test_a_facet_over_the_face_budget_is_refused_before_k_is_walked(tmp_path, mo
                f"over the budget of {KJ_FACE_BUDGET}; refused\n")
     for argv in (["verify", "main", p, "--j", ",".join(["0"] * 30)],
                  ["verify", "main", p, "--jmax", "3", "--json"],
-                 ["smash", p, "--path", "reduction"]):
+                 ["smash", p, "--path", "reduction"],
+                 ["smash", p],
+                 ["smash", p, "--path", "direct", "--json"],
+                 ["homology", p],
+                 ["homology", p, "--json"]):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert not captured.out

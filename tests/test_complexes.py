@@ -85,10 +85,19 @@ def generator_families(draw):
 def test_minimalization_and_faces_match_the_earlier_loops(family):
     # from_facets minimalizes through _maximal, and faces() decodes
     # face_levels: both must give what the set loop and the sorted
-    # combinations did
+    # combinations did.  The constructor's maximality check, also through
+    # _maximal, refuses the family's faces iff the loop drops one of them,
+    # and names the least of those
     m, gens = family
     K = from_facets(m, gens)
     assert K == from_facets_loop(m, gens), family
+    facets = frozenset(tuple(sorted(set(f))) for f in gens) or K.facets
+    if facets - K.facets:
+        least = min(facets - K.facets, key=lambda t: (len(t), t))
+        with pytest.raises(ValueError, match=re.escape(f"facet {least!r} lies in a larger")):
+            SimplicialComplex(m, facets)
+    else:
+        assert SimplicialComplex(m, facets) == K
     faces = faces_by_combinations(K)
     assert K.faces() == faces, family
     assert K.euler_reduced() == sum((-1) ** (len(f) + 1) for f in faces)
@@ -101,8 +110,9 @@ def test_minimalization_and_faces_match_the_earlier_loops(family):
     (2, set(), "no facets", {()}),
     (3, {(1, 2), (1,), (3,)}, "facet (1,) lies in a larger facet", {(1, 2), (3,)}),
     (2, {(), (2,)}, "facet () lies in a larger facet", {(2,)}),
+    (3, {(1, 2, 3), (2, 3), (1,)}, "facet (1,) lies in a larger facet", {(1, 2, 3)}),
 ], ids=["unsorted", "repeated-vertex", "not-a-tuple", "no-facets", "not-maximal",
-        "empty-under-a-vertex"])
+        "empty-under-a-vertex", "least-not-maximal-named"])
 def test_complex_refuses_facets_its_docstring_forbids(m, facets, message, normalized):
     # unchecked, an unsorted facet gave a false direct-model FAIL, a repeated
     # vertex a d o d failure (exit 3), no facets two false FAILs, and a facet
