@@ -170,7 +170,7 @@ def j_samples(m, jmax):
 
 def cmd_homology(args):
     K = load_complex(args.input)
-    _check_kj_budget(K, (0,) * K.m)  # K(0) is K
+    _check_k_budget(K)
     H = homology(simplicial_chain_complex(K))
     if args.json:
         payload = {
@@ -211,7 +211,7 @@ def cmd_smash(args):
     K = load_complex(args.input)
     J = parse_j(args.j, K.m) if args.j is not None else (0,) * K.m
     if args.path == "direct":
-        _check_kj_budget(K, (0,) * K.m)  # the model has K's faces, K(0)'s
+        _check_k_budget(K)  # the model has K's faces
         _, cc = direct_smash_model(K, J)
         H = homology(cc)
     else:
@@ -296,22 +296,35 @@ def _refuse_over(budget, count, formula, prefix, suffix):
 
 
 # The reduction route holds about 1 KB per face of K(J): verify_main on the
-# projective plane at J = 2^6 builds 257,936 faces and peaks at 284 MB RSS,
-# 257 MB above the interpreter's 27 MB.  A million faces is then about 1 GB,
-# four times the largest case the repository runs.
+# projective plane at J = 2^6 builds 257,936 faces in 5.2-6.9 s and peaks at
+# 271 MB RSS, 254 MB above the 17 MB of the interpreter with the library
+# loaded (three runs, Python 3.11, 2 vCPUs).  A million faces is then about
+# 1 GB and 20-27 s, four times the largest case the repository runs.
 KJ_FACE_BUDGET = 1_000_000
 
 
-def _check_kj_budget(K, J):
-    """Refuse a J whose K(J) has more faces than the budget, before it is
-    built or K's faces are walked; the count is at least 2^(j_i + 1) - 1,
-    block i's faces, and at least 2^|sigma|, the faces of K's facet sigma."""
+def _kj_face_count(K, J):
+    """(count, formula): K(J)'s faces, or None when J or a facet of K passes
+    the budget's bit length, and then formula names a lower bound that is
+    over: 2^(j_i + 1) - 1, block i's faces, or 2^|sigma|, the faces of K's
+    facet sigma."""
     j = max(J, default=0)
     d = max(map(len, K.facets))
     bits = KJ_FACE_BUDGET.bit_length()
     count = cxm.doubled_face_count(K, J) if j <= bits and d < bits else None
-    formula = f"at least 2^{j + 1} - 1" if j > bits else f"at least 2^{d}"
-    _refuse_over(KJ_FACE_BUDGET, count, formula, f"K(J) at J={J} has", "faces")
+    return count, f"at least 2^{j + 1} - 1" if j > bits else f"at least 2^{d}"
+
+
+def _check_kj_budget(K, J):
+    """Refuse a J whose K(J) has more faces than the budget, before it is
+    built or K's faces are walked."""
+    _refuse_over(KJ_FACE_BUDGET, *_kj_face_count(K, J), f"K(J) at J={J} has", "faces")
+
+
+def _check_k_budget(K):
+    """Refuse a K with more faces than the budget, before they are walked:
+    K(0) is K, so K is counted as K(0) and named as K."""
+    _refuse_over(KJ_FACE_BUDGET, *_kj_face_count(K, (0,) * K.m), "K has", "faces")
 
 
 # polysmash double holds K(J)'s facets and their names, and writes them a

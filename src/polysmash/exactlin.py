@@ -37,21 +37,22 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+from numbers import Rational
 
 
 def _integral(key, value):
-    """value as an int; ValueError unless it is integral."""
-    n = int(value)
-    if n != value:
+    """value as an int; ValueError unless it is an integral rational."""
+    if not (isinstance(value, Rational) and value.denominator == 1):
         raise ValueError(f"entry {key} = {value!r} is not an integer")
-    return n
+    return int(value)
 
 
 class SparseIntMatrix:
     """Sparse matrix over Z, stored as {(row, col): nonzero int}.
 
-    An integral value of another type, such as Fraction(3), is stored as
-    its int; a non-integral value raises ValueError.
+    An integral rational of another type, such as Fraction(3) or True, is
+    stored as its int; any other value, the float 3.0 included, raises
+    ValueError.
     """
 
     def __init__(self, rows, cols, entries=None):
@@ -65,9 +66,11 @@ class SparseIntMatrix:
                 i, j = key
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise IndexError(f"entry {key} outside {rows}x{cols} matrix")
+            # a zero of another type is checked before it is dropped
             self.entries = {
                 key: v if v.__class__ is int else _integral(key, v)
-                for key, v in entries.items() if v
+                for key, v in entries.items()
+                if v or v.__class__ is not int and _integral(key, v)
             }
 
     def __getitem__(self, key):
@@ -363,7 +366,8 @@ def bareiss(rows):
 class RationalLP:
     """max objective . x  subject to  a_eq x = b_eq, a_ub x <= b_ub, x >= 0.
 
-    All data rational; upper bounds on variables go in as a_ub rows.
+    All data rational (lp_max refuses a float); upper bounds on variables go
+    in as a_ub rows.
     """
 
     objective: list
@@ -459,8 +463,13 @@ def lp_max(P: RationalLP) -> LPResult:
 
 
 def _rational(x):
-    # Fraction(x) for data that is not already an int or a Fraction
-    return x if type(x) in (int, Fraction) else Fraction(x)
+    """x as an int or a Fraction; any value that is not rational, a float
+    included, raises ValueError."""
+    if type(x) in (int, Fraction):
+        return x
+    if isinstance(x, Rational):
+        return Fraction(x)
+    raise ValueError(f"LP data {x!r} is not rational")
 
 
 def _simplex(tableau, basis, d, cost, ncols):

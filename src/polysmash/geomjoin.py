@@ -7,12 +7,13 @@ exactly: no floats, and Fractions only for answers.  The standard
 configuration lives on integer points, its unit vectors and block
 barycenters scaled by L = k + 1, which changes no incidence, containment or
 volume ratio.  Affine independence and determinants run fraction-free
-Bareiss elimination on integer rows.  Proper intersection is proved by a
-separating functional, one dot product per vertex, or else decided by the
-exact LP, which finds an improper pair's witness.  A BarycentricFrame
-factors a simplex once and solves each point once: containment,
-coordinates and volume ratios read that solve, and a face of the simplex
-reads them on its own columns.
+Bareiss elimination on integer rows, and a coordinate that is not rational,
+a float included, raises ValueError.  Proper intersection has one proof, a
+separating functional in closed form, one dot product per vertex, and one
+decider, the exact LP, which runs when the functional declines and finds an
+improper pair's witness.  A BarycentricFrame factors a simplex once and
+solves each point once: containment, coordinates and volume ratios read
+that solve, and a face of the simplex reads them on its own columns.
 
 geometric_join only builds.  Two facts decide every affine independence of
 Stone's W_sigma = Delta_sigma * S*_sigma = a_sigma * S_[m]: (i) the n block
@@ -22,12 +23,11 @@ carrier_equal tiles each piece of every Delta_sigma * S*_sigma by a_sigma *
 S_[m], one way, against one frame of it per verify_W_union call; (ii) each
 a_[m] | beta, beta a facet of S_[m], is independent, decided once per
 verify_W_union call.  A failed fact is an InvariantError: the configuration
-is the program's own.  Elsewhere only joinable and from_simplices, the
-checked constructor for points the program did not place, decide
-independence.  The psi maps and verify_maps compare integer numerators by
-cross-multiplication over a grid in lowest terms.  The per-point and
-per-pair loops run in builtins (sum over map(mul, ...), min, max, filter)
-and list comparisons, not in generator expressions.
+is the program's own.  Elsewhere only joinable decides independence.  The
+psi maps and verify_maps compare integer numerators by cross-multiplication
+over a grid in lowest terms.  The per-point and per-pair loops run in
+builtins (sum over map(mul, ...), min, max, filter) and list comparisons,
+not in generator expressions.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, islice
 from math import gcd, lcm, prod
+from numbers import Rational
 from operator import mul
 
 from .chains import homology, simplicial_chain_complex
@@ -189,7 +190,7 @@ def _scaled(row):
     """(q, b) with b the integer row q * row, q > 0 the least such."""
     if _INT.issuperset(map(type, row)):
         return 1, list(row)
-    q = lcm(*(x.denominator for x in row))
+    q = lcm(*map(_denominator, row))
     return q, [x.numerator * (q // x.denominator) for x in row]
 
 
@@ -225,17 +226,6 @@ class EmbeddedComplex:
 
     ambient: int
     maximal: frozenset  # of frozensets of points
-
-    @classmethod
-    def from_simplices(cls, ambient, simplices):
-        maximal = _maximal(frozenset(s) for s in simplices)
-        for s in maximal:
-            for p in s:
-                if len(p) != ambient:
-                    raise ValueError("point dimension != ambient dimension")
-            if not affinely_independent(s):
-                raise ValueError("simplex vertices are affinely dependent")
-        return cls(ambient, maximal)
 
     @classmethod
     def union(cls, parts):
@@ -275,16 +265,15 @@ def proper_intersection(simplex_a, simplex_b):
     """conv(A) n conv(B) == conv(A n B), decided exactly.
 
     A separating functional is tried first (see _separated); it proves
-    properness with one dot product per vertex.  When it declines, an exact
-    LP maximizes the total barycentric mass on non-shared vertices over all
+    properness with one dot product per vertex, and at once when one simplex
+    is empty or a face of the other.  When it declines, an exact LP
+    maximizes the total barycentric mass on non-shared vertices over all
     pairs of representations of a common point: proper iff the maximum is 0
     (or the intersection is empty), and an optimal point gives the witness.
     Returns (bool, witness point or None).
     """
     A = sorted(simplex_a)
     B = sorted(simplex_b)
-    if not A or not B:
-        return True, None
     shared = set(A) & set(B)
     if _separated(A, B, shared):
         return True, None
@@ -311,11 +300,10 @@ def _separated(A, B, shared):
     """A linear functional h certifies conv(A) n conv(B) = conv(S), S = shared.
 
     With A' = A - S and B' = B - S, h is |A'| sum(B') - |B'| sum(A'), the
-    difference of the two centroids scaled to integers, made orthogonal to
-    every s - s_0 (s in S) by fraction-free Gram-Schmidt unless it already
-    is, as on every pair of the standard configuration.  The points are
-    scaled by one common positive integer first, which keeps properness.
-    If A' or B' is empty, one simplex is a face of the other.
+    difference of the two centroids scaled to integers: a closed form of
+    (A, B), so a checker can recompute it.  The points are scaled by one
+    common positive integer first, which keeps properness.  If A' or B' is
+    empty, one simplex is a face of the other.
 
     Why an accepted h is a proof (_separates checks its hypotheses): let
     x = sum lambda_p p = sum mu_q q be a common point (convex combinations
@@ -323,36 +311,18 @@ def _separated(A, B, shared):
     B', we get h.x <= c, with equality only if lambda lives on S, and
     h.x >= c, with equality only if mu lives on S.  So h.x = c and
     x in conv(S).  With S empty, max over A' < min over B' leaves no common
-    point.  False means only that this h proves nothing.
+    point.  False means only that this h proves nothing, and the exact LP
+    decides the pair.
     """
     a1 = [p for p in A if p not in shared]
     b1 = [q for q in B if q not in shared]
+    pts = _integer_points(a1 + b1 + sorted(shared))
     if not a1 or not b1:
         return True
-    pts = _integer_points(a1 + b1 + sorted(shared))
     na, nb = len(a1), len(b1)
     a1, b1, s = pts[:na], pts[na : na + nb], pts[na + nb :]
     h = [na * sum(qs) - nb * sum(ps) for ps, qs in zip(zip(*a1), zip(*b1))]
-    if len({_vdot(h, p) for p in s}) > 1:
-        basis = []  # pairs (o, o.o), pairwise orthogonal, spanning the s - s_0
-        for p in s[1:]:
-            o = _orthogonal([x - y for x, y in zip(p, s[0])], basis)
-            if any(o):
-                basis.append((o, _vdot(o, o)))
-        h = _orthogonal(h, basis)
     return _separates(h, a1, b1, s)
-
-
-def _orthogonal(w, basis):
-    """A positive multiple of w minus its projection on the span of an
-    orthogonal basis: w <- (o.o) w - (w.o) o for each o, then divided by
-    the gcd of its entries."""
-    for o, oo in basis:
-        wo = _vdot(w, o)
-        if wo:
-            w = [oo * x - wo * y for x, y in zip(w, o)]
-    g = gcd(*w)
-    return [x // g for x in w] if g > 1 else w
 
 
 def _separates(h, a1, b1, s):
@@ -369,9 +339,17 @@ def _separates(h, a1, b1, s):
 def _integer_points(points):
     """The points scaled by one common q > 0 to integers; all-int points as they are."""
     if not _INT.issuperset(map(type, chain.from_iterable(points))):
-        q = lcm(*[x.denominator for p in points for x in p])
+        q = lcm(*[_denominator(x) for p in points for x in p])
         points = [[x.numerator * (q // x.denominator) for x in p] for p in points]
     return points
+
+
+def _denominator(x):
+    """The denominator of a rational x; any other value, a float included,
+    raises ValueError."""
+    if isinstance(x, Rational):
+        return x.denominator
+    raise ValueError(f"coordinate {x!r} is not rational")
 
 
 def _vdot(u, v):
@@ -506,15 +484,6 @@ def _sphere_join(config, joins, key):
         else:
             joins[key] = config.sphere(*key) if key else empty_embedded(config.n)
     return joins[key]
-
-
-def realization_AK(config: StandardConfig, K):
-    """A(K): the simplices a_sigma, sigma in K -- a realization of K on the
-    block barycenters (scaled by L, as every configuration complex is)."""
-    if K.m != config.m:
-        raise ValueError("K and configuration disagree on m")
-    sims = [frozenset(map(config.scaled_a, sigma)) for sigma in K.faces()]
-    return EmbeddedComplex.from_simplices(config.n, sims)
 
 
 # ---------------------------------------------------------------------------

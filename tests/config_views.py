@@ -1,5 +1,5 @@
-"""Rational points and per-block views of the standard configuration, kept
-to test it.
+"""Rational points and per-block views of the standard configuration, and
+embedded complexes on points the library did not place, kept to test it.
 
 The library builds every configuration complex on the integer points
 StandardConfig.block(i) and scaled_a(i), through _delta_sigma, _a_sigma and
@@ -7,16 +7,19 @@ _sphere_join.  These views state the paper's rational points v_i^l and a_i
 from their definitions, so that the tests can compare the integer points
 with them, and rebuild the per-block complexes and the
 (Delta_sigma, S_sigma, S*_sigma, a_sigma) tuple from the library's own
-constructors.
+constructors.  from_simplices is the checked constructor for any other
+points, and realization_AK builds A(K) on the block barycenters.
 """
 
 from fractions import Fraction
 
+from polysmash.complexes import _maximal
 from polysmash.geomjoin import (
     EmbeddedComplex,
     _a_sigma,
     _delta_sigma,
     _sphere_join,
+    affinely_independent,
 )
 
 F = Fraction
@@ -39,8 +42,30 @@ def a(cfg, i):
     return tuple(sum(cs) / L for cs in zip(*block))
 
 
+def from_simplices(ambient, simplices):
+    """The embedded complex of simplices, minimalized; ValueError unless each
+    point has ambient coordinates and each simplex independent vertices."""
+    maximal = _maximal(frozenset(s) for s in simplices)
+    for s in maximal:
+        for p in s:
+            if len(p) != ambient:
+                raise ValueError("point dimension != ambient dimension")
+        if not affinely_independent(s):
+            raise ValueError("simplex vertices are affinely dependent")
+    return EmbeddedComplex(ambient, maximal)
+
+
+def realization_AK(cfg, K):
+    """A(K): the simplices a_sigma, sigma in K -- a realization of K on the
+    block barycenters (scaled by L, as every configuration complex is)."""
+    if K.m != cfg.m:
+        raise ValueError("K and configuration disagree on m")
+    sims = [frozenset(map(cfg.scaled_a, sigma)) for sigma in K.faces()]
+    return from_simplices(cfg.n, sims)
+
+
 def embedded_point(p):
-    return EmbeddedComplex.from_simplices(len(p), [frozenset({p})])
+    return from_simplices(len(p), [frozenset({p})])
 
 
 def is_empty(X):

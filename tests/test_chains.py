@@ -31,12 +31,12 @@ from polysmash.complexes import (
     simplex_boundary,
 )
 from polysmash.exactlin import SparseIntMatrix, rank_rational, smith_normal_form
-from polysmash.geomjoin import EmbeddedComplex
 from polysmash.smashmodel import direct_smash_model, reduction_path_model
 
 import chains_reference
 from chains_reference import chain_complex_of_faces, face_of_mask
 from complexes_reference import f_vector
+from config_views import from_simplices
 from conftest import RP2_FACETS
 from homology_reference import euler, group, homology_full_snf
 
@@ -456,9 +456,7 @@ def embedded_complexes(draw):
         v: tuple(offset[c] + (scale[v - 1] if axis[v - 1] == c else 0) for c in range(m))
         for v in range(1, m + 1)
     }
-    return EmbeddedComplex.from_simplices(
-        m, [frozenset(point[v] for v in f) for f in K.facets]
-    )
+    return from_simplices(m, [frozenset(point[v] for v in f) for f in K.facets])
 
 
 @settings(max_examples=200, deadline=None)

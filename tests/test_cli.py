@@ -307,7 +307,8 @@ def test_a_facet_over_the_face_budget_is_refused_before_k_is_walked(tmp_path, mo
                                                                     capsys):
     # K(J) has at least the 2^30 faces of K's facet, so neither K nor K(J) is
     # walked: the check compares the facet with the budget's bit length.
-    # homology and the direct model are bounded as K(0), which is K
+    # homology and the direct model are bounded as K(0), which is K, and
+    # their refusal names K, not a J the user may not have given
     p = write(tmp_path, "simplex.txt", " ".join(map(str, range(1, 31))) + "\n")
 
     def no_walk(*args):
@@ -315,19 +316,19 @@ def test_a_facet_over_the_face_budget_is_refused_before_k_is_walked(tmp_path, mo
 
     monkeypatch.setattr(cxm, "_walk_levels", no_walk)
     J = ", ".join(["0"] * 30)
-    refusal = (f"error: K(J) at J=({J}) has at least 2^30 faces, "
-               f"over the budget of {KJ_FACE_BUDGET}; refused\n")
-    for argv in (["verify", "main", p, "--j", ",".join(["0"] * 30)],
-                 ["verify", "main", p, "--jmax", "3", "--json"],
-                 ["smash", p, "--path", "reduction"],
-                 ["smash", p],
-                 ["smash", p, "--path", "direct", "--json"],
-                 ["homology", p],
-                 ["homology", p, "--json"]):
+    over = f"has at least 2^30 faces, over the budget of {KJ_FACE_BUDGET}; refused\n"
+    for argv, name in ((["verify", "main", p, "--j", ",".join(["0"] * 30)], f"K(J) at J=({J})"),
+                       (["verify", "main", p, "--jmax", "3", "--json"], f"K(J) at J=({J})"),
+                       (["smash", p, "--path", "reduction"], f"K(J) at J=({J})"),
+                       (["smash", p], "K"),
+                       (["smash", p, "--path", "direct", "--json"], "K"),
+                       (["smash", p, "--path", "direct", "--j", "1" + ",0" * 29], "K"),
+                       (["homology", p], "K"),
+                       (["homology", p, "--json"], "K")):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert not captured.out
-        assert captured.err == refusal, argv
+        assert captured.err == f"error: {name} {over}", argv
 
 
 def test_a_verify_main_case_walks_k_once_and_never_k_of_j(tmp_path, monkeypatch, capsys):

@@ -277,6 +277,16 @@ def test_sparse_matrix_rejects_non_integral_values():
             SparseIntMatrix(2, 2, {(0, 0): 1, (1, 1): value})
 
 
+def test_sparse_matrix_refuses_floats():
+    # int() stored 3.0 as 3; a float zero is refused before it is dropped,
+    # while bools and integral Fractions are stored as ints
+    for value in [3.0, -1.0, 0.0]:
+        with pytest.raises(ValueError, match=r"^entry \(0, 0\) = .* is not an integer$"):
+            SparseIntMatrix(1, 1, {(0, 0): value})
+    M = SparseIntMatrix(1, 3, {(0, 0): True, (0, 1): False, (0, 2): Fraction(-4, 2)})
+    assert M.entries == {(0, 0): 1, (0, 2): -2}
+
+
 def test_rank_rational_fraction_rows():
     rows = [
         [Fraction(1, 2), Fraction(1, 3)],
@@ -312,6 +322,17 @@ def test_lp_infeasible_and_unbounded():
     assert lp_max(P).status == "infeasible"
     P = RationalLP(objective=[1])
     assert lp_max(P).status == "unbounded"
+
+
+def test_lp_refuses_float_data():
+    # Fraction(0.1) made the optimum 3602879701896397/36028797018963968, the
+    # binary float's value; a float anywhere in the data is refused
+    for P in (RationalLP([0.1], a_ub=[[1]], b_ub=[1]),
+              RationalLP([1], a_ub=[[1]], b_ub=[1.0]),
+              RationalLP([1], a_eq=[[2.0]], b_eq=[1])):
+        with pytest.raises(ValueError, match=r"^LP data .* is not rational$"):
+            lp_max(P)
+    assert lp_max(RationalLP([True], a_ub=[[1]], b_ub=[Fraction(1, 2)])).value == Fraction(1, 2)
 
 
 def test_lp_redundant_constraints():

@@ -36,7 +36,6 @@ from polysmash.geomjoin import (
     geometric_join,
     joinable,
     proper_intersection,
-    realization_AK,
     standard_config,
     verify_gji,
     verify_gjs,
@@ -46,7 +45,16 @@ from polysmash.geomjoin import (
 
 import geom_reference as ref
 from bary_reference import barycentric_reference
-from config_views import a, embedded_point, is_empty, sigma_complexes, unit, v
+from config_views import (
+    a,
+    embedded_point,
+    from_simplices,
+    is_empty,
+    realization_AK,
+    sigma_complexes,
+    unit,
+    v,
+)
 from homology_reference import group
 from lp_reference import lp_max as reference_lp_max
 from maps_views import (
@@ -216,14 +224,31 @@ def test_t_touch_is_improper():
     assert proper_intersection(b, a) == (False, pt(1, 0))
 
 
-def test_functional_is_made_orthogonal_to_the_shared_face():
+def test_functional_is_made_orthogonal_to_the_shared_face(monkeypatch):
     # triangles on opposite sides of their common edge, skewed: the centroid
-    # difference (3, -2) is not constant on the edge, its part orthogonal to
-    # the edge is, and it separates the two apexes
+    # difference (3, -2) is not constant on the edge, so the functional
+    # declines and the exact LP decides the pair
     a = [pt(0, 0), pt(2, 0), pt(0, 1)]
     b = [pt(0, 0), pt(2, 0), pt(3, -1)]
-    assert geomjoin._separated(sorted(a), sorted(b), set(a) & set(b))
+    assert not geomjoin._separated(sorted(a), sorted(b), set(a) & set(b))
+    lps = []
+    monkeypatch.setattr(geomjoin, "lp_max", lambda P: lps.append(P) or lp_max(P))
     assert proper_intersection(a, b) == (True, None)
+    assert len(lps) == 1
+
+
+def test_float_coordinates_are_refused():
+    # a float is no point of Q^n: these raised AttributeError, and a pair
+    # whose one simplex is empty or a face of the other passed unread
+    for points in ([(0.5, 0)], [pt(0, 0), (1, 0.0)]):
+        with pytest.raises(ValueError, match=r"^coordinate .* is not rational$"):
+            affinely_independent(points)
+    for A, B in (([pt(0, 0), (1.0, 0)], [pt(0, 1)]),
+                 ([(0.5, 0)], [(0.5, 0), pt(1, 1)]),
+                 ([], [(0.5, 0)])):
+        with pytest.raises(ValueError, match=r"^coordinate .* is not rational$"):
+            proper_intersection(A, B)
+    assert affinely_independent([(True, 0), pt(F(1, 2), 1)])
 
 
 def test_determinant():
@@ -258,20 +283,14 @@ def test_proper_intersection_cases():
 
 def test_joinable_positive_and_negative():
     X = embedded_point(pt(0, 0, 1))
-    Y = EmbeddedComplex.from_simplices(
-        3, [frozenset({pt(1, 0, 0), pt(0, 1, 0)})]
-    )
+    Y = from_simplices(3, [frozenset({pt(1, 0, 0), pt(0, 1, 0)})])
     ok, _ = joinable(X, Y)
     assert ok
     J = geometric_join(X, Y)
     assert len(J.maximal) == 1
     # join segments crossing at the square center: improper intersection
-    A = EmbeddedComplex.from_simplices(
-        2, [frozenset({pt(0, 0)}), frozenset({pt(0, 1)})]
-    )
-    B = EmbeddedComplex.from_simplices(
-        2, [frozenset({pt(1, 1)}), frozenset({pt(1, 0)})]
-    )
+    A = from_simplices(2, [frozenset({pt(0, 0)}), frozenset({pt(0, 1)})])
+    B = from_simplices(2, [frozenset({pt(1, 1)}), frozenset({pt(1, 0)})])
     ok, failures = joinable(A, B)
     assert not ok
     assert any(f["kind"] == "improper intersection" for f in failures)
@@ -279,7 +298,7 @@ def test_joinable_positive_and_negative():
     assert len(geometric_join(A, B).maximal) == 4
     # collinear combination: affine dependence failure
     P = embedded_point(pt(0, 0))
-    Q = EmbeddedComplex.from_simplices(2, [frozenset({pt(1, 1), pt(2, 2)})])
+    Q = from_simplices(2, [frozenset({pt(1, 1), pt(2, 2)})])
     ok, failures = joinable(P, Q)
     assert not ok
     assert any(f["kind"] == "affine dependence" for f in failures)
@@ -407,12 +426,12 @@ def test_carrier_equal_positive_and_negative():
     # its carrier; a half, a longer segment or an overlapping cover has not
     a, b = pt(0), pt(2)
     frame = BarycentricFrame([a, b])
-    seg = EmbeddedComplex.from_simplices(1, [{a, b}])
-    split = EmbeddedComplex.from_simplices(1, [{a, pt(1)}, {pt(1), b}])
+    seg = from_simplices(1, [{a, b}])
+    split = from_simplices(1, [{a, pt(1)}, {pt(1), b}])
     assert carrier_equal(seg, split, frame)
     assert carrier_equal(seg, seg, frame)
     for other in ([{a, pt(1)}], [{a, pt(3)}], [{a, pt(1)}, {pt(1), b}, {pt(F(1, 2)), b}]):
-        assert not carrier_equal(seg, EmbeddedComplex.from_simplices(1, other), frame), other
+        assert not carrier_equal(seg, from_simplices(1, other), frame), other
 
 
 def test_tiling_a_face_of_a_shared_frame_needs_the_face_support():
@@ -421,8 +440,8 @@ def test_tiling_a_face_of_a_shared_frame_needs_the_face_support():
     # tile of it, and the edge is not tiled by {v1v2, v2v3}
     v1, v2, v3 = pt(0, 0), pt(1, 0), pt(0, 1)
     triangle = BarycentricFrame([v1, v2, v3])
-    edge = EmbeddedComplex.from_simplices(2, [{v1, v2}])
-    two_edges = EmbeddedComplex.from_simplices(2, [{v1, v2}, {v2, v3}])
+    edge = from_simplices(2, [{v1, v2}])
+    two_edges = from_simplices(2, [{v1, v2}, {v2, v3}])
     assert not carrier_equal(edge, two_edges, triangle)
     assert carrier_equal(edge, edge, triangle)
     face = triangle.face([v1, v2])
@@ -1264,7 +1283,7 @@ def test_W_union_is_built_without_independence_tests(monkeypatch):
     ((parts, out),) = unions
     monkeypatch.setattr(geomjoin, "affinely_independent", independent)
     simplices = [s for X in parts for s in X.maximal]
-    assert out == EmbeddedComplex.from_simplices(out.ambient, simplices)
+    assert out == from_simplices(out.ambient, simplices)
 
 
 class _DependentBarycenters(StandardConfig):
@@ -1431,5 +1450,21 @@ def test_geometry_sweep_work_counts_are_pinned(monkeypatch, capsys):
     ]
     for owner, name in targets:
         monkeypatch.setattr(owner, name, counted(counts, name, getattr(owner, name)))
+    declined = []
+    separated = geomjoin._separated
+
+    def recorded(A, B, shared):
+        ok = separated(A, B, shared)
+        if not ok:
+            declined.append((A, B))
+        return ok
+
+    monkeypatch.setattr(geomjoin, "_separated", recorded)
     assert main(["verify", "geometry", "--m", "3", "--k", "2"]) == 0
     assert [counts[name] for _, name in targets] == [411, 222, 2490, 0, 45]
+    # the functional proves every pair of both sweeps, so neither runs an
+    # LP: a configuration that needs one names itself here
+    counts.clear()
+    assert main(["verify", "geometry", "--m", "4", "--k", "1"]) == 0
+    assert counts["lp_max"] == 0 and counts["proper_intersection"] > 0
+    assert declined == []

@@ -6,9 +6,11 @@ hooks must read a real result of the function it wraps, so that deleting a
 name or reshaping a result fails here and not only in the benchmark's own
 smoke run.  Three AST scans keep the library
 lean and its checks live: every function and method is reached by library
-code or by the benchmark, so test-only code lives in tests/; no assert
-statement stands in for an invariant check that python -O would remove; and
-one function, the face-mask assembler, builds every ChainComplex.
+code or by the benchmark, with no exception, so test-only code lives in
+tests/; no assert statement stands in for an invariant check that python -O
+would remove; and one function, the face-mask assembler, builds every
+ChainComplex.  The scan matches names; tests/traffic_trace.py runs the
+commands and lists the library lines none of them executes.
 """
 
 import ast
@@ -28,10 +30,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
 LIBRARY = sorted((ROOT / "src" / "polysmash").glob("*.py"))
 
-# Kept without a caller, and so are the functions it calls: the realization
-# of A(K) in the standard configuration is what certifying the W-union as an
-# embedded complex (ROADMAP item 3) will check.
-UNREACHED_ALLOWED = {"realization_AK"}
+# Functions kept without a caller: none.  Test-only code lives in tests/
+# (A(K)'s realization and the checked from_simplices in config_views.py).
+UNREACHED_ALLOWED = frozenset()
 
 
 def load_spans():
