@@ -22,6 +22,8 @@ from itertools import chain, combinations, product
 from math import prod
 from operator import and_
 
+from .exactlin import _rational
+
 
 @dataclass(frozen=True)
 class SimplicialComplex:
@@ -64,11 +66,6 @@ class SimplicialComplex:
         """chi~ = sum_{n >= -1} (-1)^n f_n, f_n the size of face_levels' level n."""
         return sum(-len(level) if n % 2 else len(level)
                    for n, level in face_levels(self).items())
-
-    def __str__(self):
-        facets = sorted(self.facets, key=lambda t: (len(t), t))
-        inner = ", ".join("{" + ",".join(map(str, f)) + "}" for f in facets)
-        return f"SimplicialComplex(m={self.m}, facets=[{inner}])"
 
 
 def from_facets(m, facets) -> SimplicialComplex:
@@ -248,12 +245,13 @@ def doubled_label_count(K: SimplicialComplex, J):
 def random_complex(m, max_dim, density, seed) -> SimplicialComplex:
     """Seeded random complex: each candidate facet of cardinality <= max_dim+1
     is kept independently with the given rational probability, then the family
-    is minimalized.  Exact arithmetic: no floats touch the draw.
+    is minimalized.  Exact arithmetic: no floats touch the draw.  density
+    is a rational or a string such as "1/2"; a float raises ValueError.
     """
     import random
     from fractions import Fraction
 
-    p = Fraction(density)
+    p = Fraction(density if isinstance(density, str) else _rational(density, "density"))
     if not 0 <= p <= 1:
         raise ValueError("density must be in [0, 1]")
     rng = random.Random(seed)

@@ -3,10 +3,18 @@ rational rank, fraction-free integer rank and determinant, and a small
 exact-rational simplex solver.
 
 Everything here is exact: integers are Python's arbitrary-precision ints and
-rationals are fractions.Fraction.  No floating point.  The simplex solver
-takes rational data but pivots fraction-free: an integer tableau over one
+rationals are fractions.Fraction.  No floating point: _rational is the one
+rationality test, and a float raises ValueError.  Each job has one
+implementation here, which geomjoin imports: _scaled scales a row, and
+_integer_points a list of points, to integers by the least positive q;
+bareiss is the one elimination for rank and determinant, so rank_rational
+is bareiss's rank of its rows scaled to integers; and _pivot is the one
+fraction-free Gauss-Jordan pivot, which checks that each division is exact
+and turns a negative pivot positive.  The simplex solver takes rational
+data but pivots fraction-free through _pivot: an integer tableau over one
 common denominator, with exact divisions, and the same Bland pivots the
-rational tableau would take.
+rational tableau would take.  geomjoin's BarycentricFrame factors its
+vertex matrix through _pivot too, its pivot columns as the basis.
 
 Smith normal form is one kernel, snf_diagonal, sparse elimination reading
 the entries dict {(row, col): value} uncopied; its raw diagonal is tested
@@ -39,6 +47,8 @@ from itertools import chain
 from math import gcd, lcm
 from numbers import Rational
 
+_INT = frozenset([int])
+
 
 def _integral(key, value):
     """value as an int; ValueError unless it is an integral rational."""
@@ -47,12 +57,42 @@ def _integral(key, value):
     return int(value)
 
 
+def _rational(x, what="coordinate"):
+    """x as an int or a Fraction; any value that is not rational, a float
+    included, raises ValueError naming it as what."""
+    if type(x) in (int, Fraction):
+        return x
+    if isinstance(x, Rational):
+        return Fraction(x)
+    raise ValueError(f"{what} {x!r} is not rational")
+
+
+def _scaled(row, what="coordinate"):
+    """(q, b) with b the integer row q * row, q > 0 the least such; an
+    all-int row is copied as it is, with q = 1."""
+    if _INT.issuperset(map(type, row)):
+        return 1, list(row)
+    row = [_rational(x, what) for x in row]
+    q = lcm(*[x.denominator for x in row])
+    return q, [x.numerator * (q // x.denominator) for x in row]
+
+
+def _integer_points(points, what="coordinate"):
+    """(q, points scaled by q), q > 0 the least common scale making every
+    coordinate an integer; all-int points are returned as they are, q = 1."""
+    if _INT.issuperset(map(type, chain.from_iterable(points))):
+        return 1, points
+    points = [[_rational(x, what) for x in p] for p in points]
+    q = lcm(*[x.denominator for p in points for x in p])
+    return q, [[x.numerator * (q // x.denominator) for x in p] for p in points]
+
+
 class SparseIntMatrix:
     """Sparse matrix over Z, stored as {(row, col): nonzero int}.
 
     An integral rational of another type, such as Fraction(3) or True, is
     stored as its int; any other value, the float 3.0 included, raises
-    ValueError.
+    ValueError, as does an index that is not an int (a float or a bool).
     """
 
     def __init__(self, rows, cols, entries=None):
@@ -64,6 +104,8 @@ class SparseIntMatrix:
         if entries:
             for key in entries:
                 i, j = key
+                if i.__class__ is not int or j.__class__ is not int:
+                    raise ValueError(f"entry {key} has an index that is not an int")
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise IndexError(f"entry {key} outside {rows}x{cols} matrix")
             # a zero of another type is checked before it is dropped
@@ -288,34 +330,14 @@ def _fix_divisibility(diagonal):
 
 
 def rank_rational(M) -> int:
-    """Rank over Q, by exact Gaussian elimination on Fraction rows.
+    """Rank over Q: the Bareiss rank of the rows, each scaled to integers.
 
-    Accepts a SparseIntMatrix or a dense list of rows of ints/Fractions.
+    Accepts a SparseIntMatrix or a dense list of rows of rationals; an entry
+    that is not rational, a float included, raises ValueError.
     """
     if isinstance(M, SparseIntMatrix):
-        dense = M.to_dense()
-    else:
-        dense = [list(row) for row in M]
-    rows = [[Fraction(x) for x in row] for row in dense if any(row)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while col < ncols and rank < len(rows):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        p = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col]:
-                c = rows[r][col] / p
-                rows[r] = [a - c * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+        return bareiss(M.to_dense())[0]
+    return bareiss([_scaled(row, "entry")[1] for row in M])[0]
 
 
 def bareiss(rows):
@@ -396,36 +418,24 @@ def lp_max(P: RationalLP) -> LPResult:
     """Exact two-phase simplex.  Bland's rule, so termination is guaranteed.
 
     The tableau is fraction-free (Edmonds 1967, Bareiss 1968): integer
-    entries over one positive common denominator d.  The data rows are
-    scaled by L, the lcm of every denominator in the data, and the
-    artificial identity is left unscaled.  That rescales columns (and the
-    artificial variables) by positive constants only, so every reduced-cost
-    sign and every ratio comparison, hence every Bland choice, is the one
-    the rational tableau makes, and the result is the same status, value
-    and point.
+    entries over one positive common denominator d, pivoted by _pivot.
+    _integer_points scales the data by L, the lcm of every denominator in
+    it, and the artificial identity is left unscaled.  That rescales
+    columns (and the artificial variables) by positive constants only, so
+    every reduced-cost sign and every ratio comparison, hence every Bland
+    choice, is the one the rational tableau makes, and the result is the
+    same status, value and point.
     """
     n = len(P.objective)
     nslack = len(P.a_ub)
-    L = lcm(*(
-        _rational(x).denominator
-        for x in chain(P.objective, P.b_eq, P.b_ub, *P.a_eq, *P.a_ub)
-    ))
-
-    def scaled(x):
-        x = _rational(x)
-        return x.numerator * (L // x.denominator)
-
+    L, (cost, b_eq, b_ub, *data) = _integer_points(
+        [P.objective, P.b_eq, P.b_ub, *P.a_eq, *P.a_ub], "LP data"
+    )
     # standard form: [x, slacks] >= 0, equality rows only
-    rows = []
-    rhs = []
-    for row, b in zip(P.a_eq, P.b_eq):
-        rows.append([scaled(x) for x in row] + [0] * nslack)
-        rhs.append(scaled(b))
-    for k, (row, b) in enumerate(zip(P.a_ub, P.b_ub)):
-        r = [scaled(x) for x in row] + [0] * nslack
-        r[n + k] = L
-        rows.append(r)
-        rhs.append(scaled(b))
+    rows = [list(row) + [0] * nslack for row in data]
+    for k in range(nslack):
+        rows[len(b_eq) + k][n + k] = L
+    rhs = list(b_eq) + list(b_ub)
     m = len(rows)
     total = n + nslack
     for i in range(m):
@@ -451,25 +461,15 @@ def lp_max(P: RationalLP) -> LPResult:
     basis = [basis[i] for i in keep]
 
     # phase 2
-    cost2 = [Fraction(P.objective[j]) if j < n else Fraction(0) for j in range(total)]
-    status, d = _simplex(tableau, basis, d, [scaled(c) for c in cost2], total)
+    cost2 = list(cost) + [0] * nslack
+    status, d = _simplex(tableau, basis, d, cost2, total)
     if status == "unbounded":
         return LPResult("unbounded")
     x = [Fraction(0)] * total
     for i, b in enumerate(basis):
         x[b] = Fraction(tableau[i][-1], d)
-    value = sum(c * v for c, v in zip(cost2, x))
+    value = Fraction(sum(c * v for c, v in zip(cost2, x)), L)
     return LPResult("optimal", value, tuple(x[:n]))
-
-
-def _rational(x):
-    """x as an int or a Fraction; any value that is not rational, a float
-    included, raises ValueError."""
-    if type(x) in (int, Fraction):
-        return x
-    if isinstance(x, Rational):
-        return Fraction(x)
-    raise ValueError(f"LP data {x!r} is not rational")
 
 
 def _simplex(tableau, basis, d, cost, ncols):
@@ -510,35 +510,39 @@ def _simplex(tableau, basis, d, cost, ncols):
 
 
 def _pivot(tableau, basis, d, r, c):
-    """Pivot the tableau tableau / d on entry (r, c); returns the new
-    denominator |tableau[r][c]|.
+    """Pivot the tableau tableau / d on entry (r, c), set basis[r] = c and
+    return the new denominator |tableau[r][c]|.
 
-    A negative pivot negates the tableau first (only driving out artificials
-    meets one), so the denominator stays positive.  Every other row becomes
-    (p row - row[c] pivot_row) / d, an exact division by Sylvester's
-    identity; a remainder means a broken tableau and raises RuntimeError.
+    A negative pivot negates its row first (in the LP only driving out
+    artificials meets one; in a BarycentricFrame any vertex order can), so
+    the denominator stays positive.  Every other row becomes
+    (p row - row[c] pivot_row) // d, an exact division by Sylvester's
+    identity.  Floor remainders by d > 0 lie in [0, d), so the divisions of
+    a row are all exact iff d times the sum of its quotients is the sum of
+    its dividends, p sum(row) - row[c] sum(pivot_row); a remainder means a
+    broken tableau and raises RuntimeError.
     """
     p = tableau[r][c]
     if p < 0:
         p = -p
         tableau[r] = [-x for x in tableau[r]]
     prow = tableau[r]
+    psum = sum(prow)
     for i, row in enumerate(tableau):
         if i == r:
             continue
         f = row[c]
         if f:
-            row = [p * x - f * y for x, y in zip(row, prow)]
+            new = [(p * x - f * y) // d for x, y in zip(row, prow)]
+            total = p * sum(row) - f * psum
         elif p != d:
-            row = [p * x for x in row]
+            new = [p * x // d for x in row]
+            total = p * sum(row)
         else:
             continue
-        if d != 1:
-            quot = [x // d for x in row]
-            if any(q * d != x for q, x in zip(quot, row)):
-                raise RuntimeError(f"fraction-free pivot: row {i} not divisible by {d}")
-            row = quot
-        tableau[i] = row
+        if d * sum(new) != total:
+            raise RuntimeError(f"fraction-free pivot: row {i} not divisible by {d}")
+        tableau[i] = new
     basis[r] = c
     return p
 

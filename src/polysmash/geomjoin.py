@@ -6,14 +6,16 @@ Points are tuples of ints or Fractions, and every predicate is decided
 exactly: no floats, and Fractions only for answers.  The standard
 configuration lives on integer points, its unit vectors and block
 barycenters scaled by L = k + 1, which changes no incidence, containment or
-volume ratio.  Affine independence and determinants run fraction-free
-Bareiss elimination on integer rows, and a coordinate that is not rational,
-a float included, raises ValueError.  Proper intersection has one proof, a
-separating functional in closed form, one dot product per vertex, and one
-decider, the exact LP, which runs when the functional declines and finds an
-improper pair's witness.  A BarycentricFrame factors a simplex once and
-solves each point once: containment, coordinates and volume ratios read
-that solve, and a face of the simplex reads them on its own columns.
+volume ratio.  Every elimination and scaling is exactlin's, one of each:
+affine independence and determinants run bareiss on rows scaled by
+_scaled, and a coordinate that is not rational, a float included, raises
+ValueError through exactlin's _rational.  Proper intersection has one
+proof, a separating functional in closed form, one dot product per vertex,
+and one decider, the exact LP, which runs when the functional declines and
+finds an improper pair's witness.  A BarycentricFrame factors a simplex
+once, through the LP's fraction-free _pivot, and solves each point once:
+containment, coordinates and volume ratios read that solve, and a face of
+the simplex reads them on its own columns.
 
 geometric_join only builds.  Two facts decide every affine independence of
 Stone's W_sigma = Delta_sigma * S*_sigma = a_sigma * S_[m]: (i) the n block
@@ -34,18 +36,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, combinations, islice
-from math import gcd, lcm, prod
-from numbers import Rational
+from itertools import accumulate, combinations, islice
+from math import gcd, prod
 from operator import mul
 
 from .chains import homology, simplicial_chain_complex
 from .complexes import SimplicialComplex, _maximal
-from .exactlin import InvariantError, RationalLP, bareiss, lp_max
+from .exactlin import (
+    InvariantError,
+    RationalLP,
+    _integer_points,
+    _pivot,
+    _scaled,
+    bareiss,
+    lp_max,
+)
 from .report import Check, VerificationReport
 
 F = Fraction
-_INT = frozenset([int])
 
 
 # ---------------------------------------------------------------------------
@@ -62,10 +70,12 @@ def affinely_independent(points):
 class BarycentricFrame:
     """Barycentric coordinates against one vertex list, factored once.
 
-    Fraction-free Gauss-Jordan (Bareiss's update, applied above the pivot
-    too) runs once on [Q M | Q], where M holds the homogeneous vertex
-    columns (1, v) and the diagonal Q scales each row of M to integers.  It
-    ends with every pivot equal to one integer d, and its right half is the
+    Fraction-free Gauss-Jordan runs once on [Q M | Q], where M holds the
+    homogeneous vertex columns (1, v) and the diagonal Q scales each row of
+    M to integers: one exactlin._pivot per pivot column, the LP's pivot,
+    with the pivot columns as its basis.  _pivot checks that each division
+    is exact and turns a negative pivot positive, so the elimination ends
+    with every pivot equal to one integer d > 0, and its right half is the
     integer matrix E with E M reduced.  Each point p then costs one sparse
     integer mat-vec E b, b = q (1, p): the solve rows give the coordinates
     times d q at the pivot columns (free coordinates are 0), and the
@@ -88,8 +98,8 @@ class BarycentricFrame:
             row += [0] * m
             row[nv + i] = q
             A.append(row)
-        pivots = []
-        r, prev = 0, 1
+        pivots = [None] * m  # the basis: pivots[r] is row r's pivot column
+        r, d = 0, 1
         for c in range(nv):
             for pr in range(r, m):
                 if A[pr][c]:
@@ -97,24 +107,14 @@ class BarycentricFrame:
             else:
                 continue
             A[r], A[pr] = A[pr], A[r]
-            prow = A[r]
-            p = prow[c]
-            for i in chain(range(r), range(r + 1, m)):
-                f = A[i][c]
-                if f:
-                    A[i] = [(p * x - f * y) // prev for x, y in zip(A[i], prow)]
-                elif p != prev:
-                    A[i] = [p * x // prev for x in A[i]]
-            prev = p
-            pivots.append(c)
+            d = _pivot(A, pivots, d, r, c)
             r += 1
             if r == m:
                 break
-        sign = 1 if prev > 0 else -1
         self.size = nv
-        self._den = abs(prev)
-        self._solve = [(c, _nonzeros(A[i][nv:], sign)) for i, c in enumerate(pivots)]
-        self._consistency = [_nonzeros(A[i][nv:], 1) for i in range(r, m)]
+        self._den = d
+        self._solve = [(c, _nonzeros(A[i][nv:])) for i, c in enumerate(pivots[:r])]
+        self._consistency = [_nonzeros(A[i][nv:]) for i in range(r, m)]
         self._solved = {}  # point -> _solve_point(point)
         self._column = {v: 1 << c for c, v in enumerate(vertices)}
 
@@ -180,18 +180,10 @@ class BarycentricFrame:
         return F(abs(det.numerator), det.denominator * scale)
 
 
-def _nonzeros(row, sign):
-    """The nonzero entries of sign * row as (indices, values)."""
+def _nonzeros(row):
+    """The nonzero entries of row as (indices, values)."""
     indices = [j for j, x in enumerate(row) if x]
-    return indices, [sign * row[j] for j in indices]
-
-
-def _scaled(row):
-    """(q, b) with b the integer row q * row, q > 0 the least such."""
-    if _INT.issuperset(map(type, row)):
-        return 1, list(row)
-    q = lcm(*map(_denominator, row))
-    return q, [x.numerator * (q // x.denominator) for x in row]
+    return indices, [row[j] for j in indices]
 
 
 def barycentric_coords(vertices, p):
@@ -316,7 +308,7 @@ def _separated(A, B, shared):
     """
     a1 = [p for p in A if p not in shared]
     b1 = [q for q in B if q not in shared]
-    pts = _integer_points(a1 + b1 + sorted(shared))
+    _, pts = _integer_points(a1 + b1 + sorted(shared))
     if not a1 or not b1:
         return True
     na, nb = len(a1), len(b1)
@@ -334,22 +326,6 @@ def _separates(h, a1, b1, s):
         return top < bottom
     c = _vdot(h, s[0])
     return top < c < bottom and all(_vdot(h, p) == c for p in s[1:])
-
-
-def _integer_points(points):
-    """The points scaled by one common q > 0 to integers; all-int points as they are."""
-    if not _INT.issuperset(map(type, chain.from_iterable(points))):
-        q = lcm(*[_denominator(x) for p in points for x in p])
-        points = [[x.numerator * (q // x.denominator) for x in p] for p in points]
-    return points
-
-
-def _denominator(x):
-    """The denominator of a rational x; any other value, a float included,
-    raises ValueError."""
-    if isinstance(x, Rational):
-        return x.denominator
-    raise ValueError(f"coordinate {x!r} is not rational")
 
 
 def _vdot(u, v):

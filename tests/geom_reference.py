@@ -1,8 +1,9 @@
 """Reference geometry kernels, kept to test the library against.
 
 These are the library's Fraction versions from before the geometry layer
-moved to integer points: affine independence by rank_rational on Fraction
-rows, the determinant by Gaussian elimination over Fraction, and the cube
+moved to integer points: affine independence by Gaussian elimination on
+Fraction rows (rank below; the library's rank_rational is Bareiss now), the
+determinant by Gaussian elimination over Fraction, and the cube
 reparametrization psi and its inverse on Fraction coordinates.  The integer
 versions must give the same answers, and raise ValueError with the same
 message on the same bad input.  rank (Gaussian elimination over Fraction)
@@ -19,7 +20,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from polysmash.exactlin import RationalLP, lp_max, rank_rational
+from polysmash.exactlin import RationalLP, lp_max
 from polysmash.geomjoin import BarycentricFrame
 from polysmash.geomjoin import proper_intersection as library_proper_intersection
 
@@ -31,7 +32,7 @@ def affinely_independent(points):
     if not pts:
         return True
     homog = [list(p) + [F(1)] for p in pts]
-    return rank_rational(homog) == len(pts)
+    return rank(homog) == len(pts)
 
 
 def proper_intersection(simplex_a, simplex_b):

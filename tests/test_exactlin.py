@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polysmash import exactlin
-from polysmash.complexes import from_facets
+from polysmash.complexes import from_facets, random_complex
 from polysmash.exactlin import (
     RationalLP,
     SmithForm,
@@ -20,6 +20,7 @@ from polysmash.exactlin import (
     rank_rational,
     smith_normal_form,
 )
+from polysmash.geomjoin import BarycentricFrame, affinely_independent, proper_intersection
 from polysmash.smashmodel import reduction_path_model
 
 import lp_reference
@@ -333,6 +334,47 @@ def test_lp_refuses_float_data():
         with pytest.raises(ValueError, match=r"^LP data .* is not rational$"):
             lp_max(P)
     assert lp_max(RationalLP([True], a_ub=[[1]], b_ub=[Fraction(1, 2)])).value == Fraction(1, 2)
+
+
+FLOAT_CASES = [
+    ("SparseIntMatrix value", lambda: SparseIntMatrix(1, 1, {(0, 0): 0.5}),
+     r"entry \(0, 0\) = 0\.5 is not an integer"),
+    # was stored, and smith_normal_form read factors (1, 2) from it
+    ("SparseIntMatrix index", lambda: SparseIntMatrix(2, 2, {(0.5, 0): 1, (1, 1): 2}),
+     r"entry \(0\.5, 0\) has an index that is not an int"),
+    ("lp_max", lambda: lp_max(RationalLP([0.1], a_ub=[[1]], b_ub=[1])),
+     r"LP data 0\.1 is not rational"),
+    # the rows are proportional over Q, but 0.1 * 3 != 0.3 in binary: rank 2
+    ("rank_rational", lambda: rank_rational([[0.1, 0.3], [1, 3]]),
+     r"entry 0\.1 is not rational"),
+    ("affinely_independent", lambda: affinely_independent([(0, 0), (0.5, 0)]),
+     r"coordinate 0\.5 is not rational"),
+    ("BarycentricFrame", lambda: BarycentricFrame([(0, 0), (1.0, 0)]),
+     r"coordinate 1\.0 is not rational"),
+    ("proper_intersection", lambda: proper_intersection([(0.5, 0)], [(1, 1)]),
+     r"coordinate 0\.5 is not rational"),
+    # a float density drew with its binary value: Fraction(0.1) is
+    # 3602879701896397/36028797018963968
+    ("random_complex", lambda: random_complex(4, 2, 0.5, 7),
+     r"density 0\.5 is not rational"),
+]
+
+
+@pytest.mark.parametrize("call, message", [c[1:] for c in FLOAT_CASES],
+                         ids=[c[0] for c in FLOAT_CASES])
+def test_no_float_reaches_an_exact_kernel(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_sparse_matrix_refuses_non_int_indices():
+    # bools are refused as indices, as SimplicialComplex refuses bool
+    # vertices; the range check keeps its wording
+    for key in [(True, 0), (0, False), (0, Fraction(1))]:
+        with pytest.raises(ValueError, match="has an index that is not an int"):
+            SparseIntMatrix(2, 2, {key: 1})
+    with pytest.raises(IndexError, match=r"^entry \(2, 0\) outside 2x2 matrix$"):
+        SparseIntMatrix(2, 2, {(2, 0): 1})
 
 
 def test_lp_redundant_constraints():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from polysmash import geomjoin
+from polysmash import exactlin, geomjoin
 from polysmash.chains import homology, simplicial_chain_complex
 from polysmash.cli import main
 from polysmash.complexes import (
@@ -23,7 +23,7 @@ from polysmash.complexes import (
     random_complex,
     simplex_boundary,
 )
-from polysmash.exactlin import InvariantError, bareiss, lp_max, rank_rational
+from polysmash.exactlin import InvariantError, bareiss, lp_max
 from polysmash.geomjoin import (
     BarycentricFrame,
     EmbeddedComplex,
@@ -775,7 +775,7 @@ def test_determinant_matches_reference(rows):
                        min_size=r, max_size=r))))
 def test_bareiss_rank_and_determinant(rows):
     rank, det = bareiss(rows)
-    assert rank == rank_rational(rows)
+    assert rank == ref.rank(rows)
     square = len(rows) == (len(rows[0]) if rows else 0)
     assert det == (ref.determinant(rows) if square else 0)
 
@@ -837,6 +837,59 @@ def test_frame_matches_reference_on_rational_points(case):
         expected = barycentric_reference(verts, p)
         assert frame.coords(p) == expected
         assert frame.contains(p) == (expected is not None and all(x >= 0 for x in expected))
+
+
+@st.composite
+def frames_with_a_negative_pivot(draw):
+    """(vertices, points, pieces) in Q^n, n <= 3.  The first two vertices
+    first differ in a coordinate where the second is smaller, so the
+    frame's second pivot is negative; sometimes the last vertex is an
+    affine combination of the first two, so the vertices are dependent.
+    Points lie anywhere and at affine and convex combinations of the
+    vertices; each piece is as many points as there are vertices, drawn from
+    the points and the vertices."""
+    dim = draw(st.integers(1, 3))
+    points = st.tuples(*[small_rationals] * dim)
+    v0 = draw(points)
+    i = draw(st.integers(0, dim - 1))
+    tail = draw(st.tuples(*[small_rationals] * (dim - i - 1)))
+    v1 = v0[:i] + (v0[i] - draw(rationals(0, 6).filter(bool)),) + tail
+    verts = [v0, v1] + draw(st.lists(points, max_size=dim - 1))
+    if draw(st.booleans()):
+        t = draw(small_rationals)
+        verts.append(tuple(a + t * (b - a) for a, b in zip(v0, v1)))
+    pts = draw(st.lists(points, max_size=2))
+    for _ in range(draw(st.integers(1, 3))):
+        weights = draw(st.sampled_from([small_rationals, rationals(0, 6)]))
+        w = draw(st.lists(weights, min_size=len(verts), max_size=len(verts)))
+        if sum(w):
+            pts.append(tuple(sum(wi * v[d] for wi, v in zip(w, verts)) / sum(w)
+                             for d in range(dim)))
+    pool = st.sampled_from(pts + verts)
+    pieces = draw(st.lists(st.lists(pool, min_size=len(verts), max_size=len(verts)),
+                           max_size=3))
+    return verts, pts, pieces
+
+
+@settings(max_examples=200, deadline=None)
+@given(frames_with_a_negative_pivot())
+@example(([pt(1, 0), pt(0, 0), pt(0, 1)], [pt(F(1, 3), F(1, 3)), pt(2, -1)],
+          [[pt(1, 0), pt(0, 0), pt(F(1, 3), F(1, 3))]]))
+@example(([pt(1, 0), pt(0, 0), pt(-1, 0)], [pt(F(1, 2), 0), pt(0, 1)],
+          [[pt(1, 0), pt(0, 0), pt(F(1, 2), 0)]]))
+def test_frame_with_a_negative_pivot_matches_reference(case):
+    # the shared pivot turns a negative pivot positive: coordinates,
+    # containment and volume ratios are the per-point reference solve's
+    verts, points, pieces = case
+    frame = BarycentricFrame(verts)
+    for p in points:
+        expected = barycentric_reference(verts, p)
+        assert frame.coords(p) == expected
+        assert frame.contains(p) == (expected is not None and min(expected) >= 0)
+    for piece in pieces:
+        coords = [barycentric_reference(verts, p) for p in piece]
+        expected = None if None in coords else abs(ref.determinant(coords))
+        assert frame.volume_ratio(piece) == expected
 
 
 @st.composite
@@ -905,8 +958,10 @@ def test_scaling_to_integers_matches_reference(row):
     # _integer_points scales points, here pairs, by one common q as well
     pairs = [tuple(row[i:i + 2]) for i in range(0, len(row) - 1, 2)]
     if pairs:
-        flat = ref.scaled([x for p in pairs for x in p])[1]
-        scaled = [list(p) for p in geomjoin._integer_points(pairs)]
+        q, flat = ref.scaled([x for p in pairs for x in p])
+        common, points = geomjoin._integer_points(pairs)
+        assert common == q
+        scaled = [list(p) for p in points]
         assert scaled == [flat[i:i + 2] for i in range(0, len(flat), 2)]
         assert all(type(x) is int for p in scaled for x in p)
 
@@ -967,7 +1022,7 @@ def test_any_accepted_functional_proves_properness(pair, h):
     shared = set(A) & set(B)
     a1 = [p for p in A if p not in shared]
     b1 = [q for q in B if q not in shared]
-    pts = geomjoin._integer_points(a1 + b1 + sorted(shared))
+    _, pts = geomjoin._integer_points(a1 + b1 + sorted(shared))
     na, nb = len(a1), len(b1)
     h = h[: len(A[0])]
     if geomjoin._separates(h, pts[:na], pts[na:na + nb], pts[na + nb:]):
@@ -1460,8 +1515,14 @@ def test_geometry_sweep_work_counts_are_pinned(monkeypatch, capsys):
         return ok
 
     monkeypatch.setattr(geomjoin, "_separated", recorded)
+    # frames pivot through the LP's fraction-free _pivot, once per vertex of
+    # their independent vertex lists (180 over the 45 frames), so a frame
+    # with an elimination of its own reads 0 here
+    monkeypatch.setattr(geomjoin, "_pivot", counted(counts, "frame pivots",
+                                                     exactlin._pivot), raising=False)
     assert main(["verify", "geometry", "--m", "3", "--k", "2"]) == 0
     assert [counts[name] for _, name in targets] == [411, 222, 2490, 0, 45]
+    assert counts["frame pivots"] == 180
     # the functional proves every pair of both sweeps, so neither runs an
     # LP: a configuration that needs one names itself here
     counts.clear()
