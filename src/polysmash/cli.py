@@ -99,7 +99,7 @@ def parse_complex_json(text, source="<input>") -> SimplicialComplex:
         for x in (m, *chain.from_iterable(facets)):
             if type(x) is not int:  # bool is an int subclass: refuse it too
                 raise ValueError(f"{x!r} is not an integer")
-        return from_facets(m, facets or [()])
+        return from_facets(m, facets)
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"{source}: bad JSON complex: {e}")
 

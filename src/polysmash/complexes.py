@@ -1,9 +1,9 @@
 """Abstract simplicial complexes over labeled vertices 1..m.
 
-Complexes are stored by their facets (maximal faces, found and checked by
-_maximal, as geomjoin's simplices are found); the empty face is always a
-face, and K = {empty} is the legal empty complex.  Vertices in no facet are
-allowed: m is explicit.
+Complexes are stored by their facets, the maximal members of the family
+given, which the constructor keeps by one _maximal call, as geomjoin's
+simplices are kept; the empty face is always a face, K = {empty} is the
+legal empty complex, and vertices in no facet are allowed: m is explicit.
 face_levels gives the faces as bitmasks, walked once per complex and kept on
 it, for faces(), euler_reduced, chains, smashmodel and the K(J) counts.
 
@@ -28,7 +28,7 @@ from .exactlin import _rational
 @dataclass(frozen=True)
 class SimplicialComplex:
     m: int
-    facets: frozenset  # maximal strictly increasing vertex tuples; frozenset({()}) is K = {empty}
+    facets: frozenset  # increasing vertex tuples, made maximal; frozenset({()}) is K = {empty}
 
     def __post_init__(self):
         if self.m < 1:
@@ -43,11 +43,7 @@ class SimplicialComplex:
                     raise ValueError(f"vertex {v} outside 1..{self.m}")
             if f.__class__ is not tuple or list(f) != sorted(set(f)):
                 raise ValueError(f"facet {f!r} is not a strictly increasing vertex tuple")
-        maximal = _maximal(self.facets)  # the tuples are sets: no vertex repeats
-        if len(maximal) < len(self.facets):
-            inner = (f for f in self.facets if f not in maximal)
-            f = min(inner, key=lambda t: (len(t), t))
-            raise ValueError(f"facet {f!r} lies in a larger facet")
+        object.__setattr__(self, "facets", _maximal(self.facets))  # tuples are sets here
 
     @cached_property
     def _levels(self):
@@ -69,9 +65,9 @@ class SimplicialComplex:
 
 
 def from_facets(m, facets) -> SimplicialComplex:
-    """Build a complex from any generating family of faces (minimalized)."""
-    maximal = _maximal(map(frozenset, facets))
-    return SimplicialComplex(m, frozenset(tuple(sorted(f)) for f in maximal))
+    """Build a complex from any generating family of faces, each sorted and
+    de-duplicated, {()} if there are none; the constructor minimalizes."""
+    return SimplicialComplex(m, frozenset(tuple(sorted(set(f))) for f in facets) or {()})
 
 
 def _maximal(sets):

@@ -92,10 +92,12 @@ class SparseIntMatrix:
 
     An integral rational of another type, such as Fraction(3) or True, is
     stored as its int; any other value, the float 3.0 included, raises
-    ValueError, as does an index that is not an int (a float or a bool).
+    ValueError, as does a dimension or an index that is not an int (bools too).
     """
 
     def __init__(self, rows, cols, entries=None):
+        if rows.__class__ is not int or cols.__class__ is not int:
+            raise ValueError(f"matrix dimensions {rows!r}x{cols!r} are not both ints")
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
         self.rows = rows

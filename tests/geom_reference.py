@@ -13,16 +13,20 @@ LP-only decision from before the separating functional: the library must
 give the same answer and the same witness.  carrier_equal is the library's
 from before it tiled against one frame of Delta_[m]: both orientations,
 each piece against its own BarycentricFrame; the one-way, shared-frame
-version must reach the same verdict.
+version must reach the same verdict.  verify_gji is the library's from
+before it decided each family by its fold alone: every pair of members,
+then the fold from the join of the first pair on; the fold alone must give
+the same checks.
 """
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations, islice
 
 from polysmash.exactlin import RationalLP, lp_max
-from polysmash.geomjoin import BarycentricFrame
+from polysmash.geomjoin import BarycentricFrame, _a_sigma, _delta_sigma, geometric_join, joinable
 from polysmash.geomjoin import proper_intersection as library_proper_intersection
+from polysmash.report import Check, VerificationReport
 
 F = Fraction
 
@@ -178,3 +182,26 @@ def _carrier_refined_by(A, B):
                    for qa, qb in combinations(tiles, 2)):
             return False
     return assigned == set(pieces_b)
+
+
+def verify_gji(config, sigma):
+    """Each collection {Delta_i}, {S_i}, {a_i} over sigma: every pair of
+    members joinable, and each prefix join of two or more members joinable
+    with the next one."""
+    sigma = sorted(set(sigma))
+    report = VerificationReport(f"gji m={config.m} k={config.k} sigma={sigma}")
+    collections = {
+        "Delta_i": [_delta_sigma(config, (i,)) for i in sigma],
+        "S_i": [config.sphere(i) for i in sigma],
+        "a_i": [_a_sigma(config, (i,)) for i in sigma],
+    }
+    for name, members in collections.items():
+        ok_all = True
+        for x, y in combinations(members, 2):
+            ok_all &= joinable(x, y)[0]
+        prefixes = accumulate(members[:-1], geometric_join)
+        for acc, member in islice(zip(prefixes, members[1:]), 1, None):
+            ok_all &= joinable(acc, member)[0]
+        report.add(Check(f"collection {name} joinable", ok_all, "joinable",
+                         "joinable" if ok_all else "not joinable", "gji"))
+    return report

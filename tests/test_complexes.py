@@ -83,21 +83,16 @@ def generator_families(draw):
 @example((3, [[]]))
 @example((5, [[3, 1], [1, 3, 5], [5], [2, 4], [4, 2, 4]]))
 def test_minimalization_and_faces_match_the_earlier_loops(family):
-    # from_facets minimalizes through _maximal, and faces() decodes
+    # the constructor minimalizes through _maximal, and faces() decodes
     # face_levels: both must give what the set loop and the sorted
-    # combinations did.  The constructor's maximality check, also through
-    # _maximal, refuses the family's faces iff the loop drops one of them,
-    # and names the least of those
+    # combinations did.  Given the family's sorted faces, the constructor
+    # keeps exactly the facets the loop keeps, as from_facets does
     m, gens = family
     K = from_facets(m, gens)
-    assert K == from_facets_loop(m, gens), family
-    facets = frozenset(tuple(sorted(set(f))) for f in gens) or K.facets
-    if facets - K.facets:
-        least = min(facets - K.facets, key=lambda t: (len(t), t))
-        with pytest.raises(ValueError, match=re.escape(f"facet {least!r} lies in a larger")):
-            SimplicialComplex(m, facets)
-    else:
-        assert SimplicialComplex(m, facets) == K
+    loop = from_facets_loop(m, gens)
+    assert K == loop, family
+    facets = frozenset(tuple(sorted(set(f))) for f in gens) or {()}
+    assert SimplicialComplex(m, facets).facets == loop.facets, family
     faces = faces_by_combinations(K)
     assert K.faces() == faces, family
     assert K.euler_reduced() == sum((-1) ** (len(f) + 1) for f in faces)
@@ -108,19 +103,36 @@ def test_minimalization_and_faces_match_the_earlier_loops(family):
     (3, {(1, 1, 2)}, "facet (1, 1, 2) is not a strictly increasing", {(1, 2)}),
     (3, {frozenset({1, 2})}, "is not a strictly increasing vertex tuple", {(1, 2)}),
     (2, set(), "no facets", {()}),
-    (3, {(1, 2), (1,), (3,)}, "facet (1,) lies in a larger facet", {(1, 2), (3,)}),
-    (2, {(), (2,)}, "facet () lies in a larger facet", {(2,)}),
-    (3, {(1, 2, 3), (2, 3), (1,)}, "facet (1,) lies in a larger facet", {(1, 2, 3)}),
-], ids=["unsorted", "repeated-vertex", "not-a-tuple", "no-facets", "not-maximal",
-        "empty-under-a-vertex", "least-not-maximal-named"])
+], ids=["unsorted", "repeated-vertex", "not-a-tuple", "no-facets"])
 def test_complex_refuses_facets_its_docstring_forbids(m, facets, message, normalized):
     # unchecked, an unsorted facet gave a false direct-model FAIL, a repeated
-    # vertex a d o d failure (exit 3), no facets two false FAILs, and a facet
-    # inside another was printed as a facet; from_facets normalizes the same
-    # family into a legal complex
+    # vertex a d o d failure (exit 3) and no facets two false FAILs;
+    # from_facets normalizes the same family into a legal complex
     with pytest.raises(ValueError, match=re.escape(message)):
         SimplicialComplex(m, frozenset(facets))
     assert from_facets(m, facets).facets == frozenset(normalized)
+
+
+@pytest.mark.parametrize("m, family, normalized", [
+    (3, {(1, 2), (1,), (3,)}, {(1, 2), (3,)}),
+    (2, {(), (2,)}, {(2,)}),
+    (3, {(1, 2, 3), (2, 3), (1,)}, {(1, 2, 3)}),
+], ids=["not-maximal", "empty-under-a-vertex", "nested-twice"])
+def test_complex_keeps_the_maximal_members_of_its_family(m, family, normalized):
+    # a face inside another is no facet: the constructor drops it, as
+    # from_facets does (it was refused, and from_facets minimalized first)
+    assert (SimplicialComplex(m, frozenset(family)).facets
+            == from_facets(m, family).facets == frozenset(normalized))
+
+
+def test_from_facets_minimalizes_once(monkeypatch):
+    # from_facets only sorts, and the constructor runs the one _maximal
+    calls = []
+    maximal = cxm._maximal
+    monkeypatch.setattr(cxm, "_maximal", lambda sets: calls.append(1) or maximal(sets))
+    K = from_facets(4, [(2, 1), (1,), (3, 4, 3), ()])
+    assert K.facets == frozenset({(1, 2), (3, 4)})
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("facet, vertex", [

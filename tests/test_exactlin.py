@@ -369,10 +369,16 @@ def test_no_float_reaches_an_exact_kernel(call, message):
 
 def test_sparse_matrix_refuses_non_int_indices():
     # bools are refused as indices, as SimplicialComplex refuses bool
-    # vertices; the range check keeps its wording
+    # vertices; the range check keeps its wording.  A dimension is refused
+    # the same way, before the negativity check: a 2.5x2 matrix was built,
+    # and its SNF read factors (1,)
     for key in [(True, 0), (0, False), (0, Fraction(1))]:
         with pytest.raises(ValueError, match="has an index that is not an int"):
             SparseIntMatrix(2, 2, {key: 1})
+    for rows, cols in [(2.5, 2), (2, 2.5), (True, 1), (1, False), (Fraction(2), 2),
+                       (2, Fraction(-1)), (-1.0, 2)]:
+        with pytest.raises(ValueError, match=r"^matrix dimensions .* are not both ints$"):
+            SparseIntMatrix(rows, cols, {(0, 0): 1})
     with pytest.raises(IndexError, match=r"^entry \(2, 0\) outside 2x2 matrix$"):
         SparseIntMatrix(2, 2, {(2, 0): 1})
 

@@ -496,6 +496,56 @@ def test_verify_gji_small():
         assert r.passed, (m, k, str(r))
 
 
+class _BarycenterOnTheFirst(StandardConfig):
+    """a_2 moved onto a_1: the first pair of a_i meets."""
+
+    def scaled_a(self, i):
+        return StandardConfig.scaled_a(self, 1 if i == 2 else i)
+
+
+class _CollinearBarycenters(StandardConfig):
+    """a_3 = 2 a_2 - a_1: every pair of a_i is independent, the three are not."""
+
+    def scaled_a(self, i):
+        if i != 3:
+            return StandardConfig.scaled_a(self, i)
+        a1, a2 = StandardConfig.scaled_a(self, 1), StandardConfig.scaled_a(self, 2)
+        return tuple(2 * y - x for x, y in zip(a1, a2))
+
+
+class _RepeatedSphere(StandardConfig):
+    """sphere(3) is sphere(2): S_2 and S_3 share their faces."""
+
+    def sphere(self, i):
+        return StandardConfig.sphere(self, 2 if i == 3 else i)
+
+
+@pytest.mark.parametrize("config", [StandardConfig, _BarycenterOnTheFirst,
+                                    _CollinearBarycenters, _RepeatedSphere,
+                                    _OffBlockBarycenter])
+def test_gji_fold_matches_every_pair_and_the_fold(config):
+    # every (m, k) of verify geometry --m 3 --k 2 and --m 4 --k 1, on the
+    # standard configuration and on geometric mutants, each needing m >= 2
+    # (the first two) or m >= 3 (the next two); the predicates are the
+    # library's, unpatched, since the fold implies each pair only through
+    # faces of its join simplices
+    least = {_BarycenterOnTheFirst: 2, _CollinearBarycenters: 3, _RepeatedSphere: 3}
+    verdicts = set()
+    for m, k in sorted({(m, k) for m in (1, 2, 3) for k in (0, 1, 2)} | {(4, 0), (4, 1)}):
+        if m < least.get(config, 1):
+            continue
+        cfg = config(m, k)
+        checks = [(c.name, c.passed, c.actual) for c in verify_gji(cfg, range(1, m + 1)).checks]
+        expected = ref.verify_gji(cfg, range(1, m + 1)).checks
+        assert checks == [(c.name, c.passed, c.actual) for c in expected], (m, k)
+        verdicts.update((name, passed) for name, passed, _ in checks)
+    # each mutant fails the collection it moves, at some (m, k)
+    failing = {_BarycenterOnTheFirst: "a_i", _CollinearBarycenters: "a_i",
+               _RepeatedSphere: "S_i"}
+    if config in failing:
+        assert (f"collection {failing[config]} joinable", False) in verdicts
+
+
 def test_verify_gjs_small():
     for m, k in [(1, 1), (2, 1), (2, 2)]:
         cfg = standard_config(m, k)
@@ -1426,11 +1476,11 @@ def test_dependent_configuration_is_an_internal_error(monkeypatch, capsys):
 
 
 def test_gji_decides_each_pair_once(monkeypatch):
-    # per collection: every pair, then each join of a prefix of two or more
-    # members with the next one; the first pair is not decided again
+    # per collection: each prefix join with the next member, m - 1 calls,
+    # which imply every pair
     counts = Counter()
     monkeypatch.setattr(geomjoin, "joinable", counted(counts, "joinable", joinable))
-    for m, calls in [(1, 0), (2, 1), (3, 4), (4, 8)]:
+    for m, calls in [(1, 0), (2, 1), (3, 2), (4, 3)]:
         counts.clear()
         assert verify_gji(standard_config(m, 1), range(1, m + 1)).passed
         assert counts["joinable"] == 3 * calls, m
@@ -1491,10 +1541,12 @@ def test_geometry_sweep_work_counts_are_pinned(monkeypatch, capsys):
     # cannot hide extra calls.  affinely_independent ran 2,598 times when
     # every join was tested, 2,434 when accepted joins were built from
     # joinable's pairs, and 411 since the configuration's two facts decide
-    # its complexes; proper_intersection ran 2,574 times before verify_gji's
-    # fold stopped re-deciding its first pair (2,490 now).  A frame per piece
-    # of each Delta_sigma * S*_sigma made 402 frames and 3,033 solves; one
-    # frame of Delta_[m] per verify_W_union call makes 45 (18 in verify_gjs)
+    # its complexes, 371 since verify_gji decides each family by its fold
+    # alone; proper_intersection ran 2,574 times when verify_gji decided every
+    # pair and its whole fold, 2,490 when the fold skipped its first pair,
+    # and 2,406 by the fold alone.  A frame per piece of each Delta_sigma *
+    # S*_sigma made 402 frames and 3,033 solves; one frame of Delta_[m] per
+    # verify_W_union call makes 45 (18 in verify_gjs)
     counts = Counter()
     targets = [
         (geomjoin, "affinely_independent"),
@@ -1521,7 +1573,7 @@ def test_geometry_sweep_work_counts_are_pinned(monkeypatch, capsys):
     monkeypatch.setattr(geomjoin, "_pivot", counted(counts, "frame pivots",
                                                      exactlin._pivot), raising=False)
     assert main(["verify", "geometry", "--m", "3", "--k", "2"]) == 0
-    assert [counts[name] for _, name in targets] == [411, 222, 2490, 0, 45]
+    assert [counts[name] for _, name in targets] == [371, 222, 2406, 0, 45]
     assert counts["frame pivots"] == 180
     # the functional proves every pair of both sweeps, so neither runs an
     # LP: a configuration that needs one names itself here
