@@ -252,10 +252,11 @@ def _assemble(levels, parity, shift):
     sign, toggled at each vertex of the face, times vertex i's own.  Zero
     parity is the simplicial boundary; the direct model takes
     parity[i - 1] = j_1 + ... + j_{i-1} mod 2, the Leibniz sign of a top
-    cell's boundary in factor i behind slots of that total dimension.
+    cell's boundary in factor i behind slots of that total dimension.  Only
+    the vertices of level 0, those in a face, get a bit, in increasing order.
     """
     m = len(parity)
-    bits = [(1 << (m - v), -1 if p & 1 else 1) for v, p in enumerate(parity, start=1)]
+    bits = [(bit, -1 if parity[m - bit.bit_length()] & 1 else 1) for bit in levels.get(0, ())]
     bases, columns = {}, {}
     for n, level in levels.items():
         bases[n + shift] = level

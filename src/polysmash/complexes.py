@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain, combinations, product
+from itertools import accumulate, chain, combinations, product
 from math import prod
 from operator import and_
 
@@ -53,10 +53,12 @@ class SimplicialComplex:
 
     def faces(self):
         """All faces as vertex tuples, decoded from face_levels(self) in its
-        order: by cardinality, then lexicographically, the empty face first."""
-        bits = [(1 << (self.m - v), v) for v in range(1, self.m + 1)]
+        order: by cardinality, then lexicographically, the empty face first.
+        Only the vertices in a facet, level 0 in increasing order, are read."""
+        levels = face_levels(self)
+        bits = [(bit, self.m + 1 - bit.bit_length()) for bit in levels.get(0, ())]
         return [tuple(v for bit, v in bits if f & bit)
-                for level in face_levels(self).values() for f in level]
+                for level in levels.values() for f in level]
 
     def euler_reduced(self):
         """chi~ = sum_{n >= -1} (-1)^n f_n, f_n the size of face_levels' level n."""
@@ -185,23 +187,29 @@ def doubled_face_levels(K: SimplicialComplex, J):
     """(face_levels(K(J)), K(J).m) for K(J) = double_iterated(K, J)[0],
     without building K(J): by the simplicial-wedge rule, each face sigma of
     K gives, each once, the faces made of sigma's blocks whole and a proper
-    subset, the empty one included, of every other block."""
+    subset, the empty one included, of every other block.  Only the blocks
+    of vertices in a facet of K, or doubled, get masks."""
     validate_j(K, J)
     m = K.m + sum(J)
-    whole, proper, fresh = [], [], K.m  # per vertex i of K: (i's bit in K, ...)
+    last = list(accumulate(J, initial=K.m))  # block i's fresh labels end at last[i]
+
+    def block_mask(i):
+        return sum(1 << (m - v) for v in (i, *range(last[i - 1] + 1, last[i] + 1)))
+
+    levels = face_levels(K)
+    # per vertex i of K in a facet, level 0 in increasing order: (i's bit in K, its block)
+    whole = [(bit, block_mask(K.m + 1 - bit.bit_length())) for bit in levels.get(0, ())]
+    proper = []  # per doubled vertex i: (i's bit in K, its block's proper submasks)
     for i, j in enumerate(J, start=1):
-        bit = 1 << (K.m - i)
-        block = top = sum(1 << (m - v) for v in (i, *range(fresh + 1, fresh + j + 1)))
-        whole.append((bit, block))
         if j:  # a lone vertex's one proper subset is the empty one
-            subsets = []  # block's proper submasks, descending to 0
-            while block:
-                block = (block - 1) & top
-                subsets.append(block)
-            proper.append((bit, subsets))
-        fresh += j
+            top = s = block_mask(i)
+            subsets = []  # descending to 0
+            while s:
+                s = (s - 1) & top
+                subsets.append(s)
+            proper.append((1 << (K.m - i), subsets))
     faces = []
-    for level in face_levels(K).values():
+    for level in levels.values():
         for sigma in level:
             part = [sum(block for bit, block in whole if sigma & bit)]
             for bit, subsets in proper:

@@ -13,30 +13,27 @@ ValueError through exactlin's _rational.  Proper intersection has one
 proof, a separating functional in closed form, one dot product per vertex,
 and one decider, the exact LP, which runs when the functional declines and
 finds an improper pair's witness.  A BarycentricFrame factors a simplex
-once, through the LP's fraction-free _pivot, and solves each point once:
-containment, coordinates and volume ratios read that solve, and a face of
-the simplex reads them on its own columns.
+once and solves each point once, and a face of it reads that solve.
 
-geometric_join only builds.  Two facts decide every affine independence of
-Stone's W_sigma = Delta_sigma * S*_sigma = a_sigma * S_[m]: (i) the n block
-vertices are independent, decided when a StandardConfig is built, so a
-complex on block vertices alone is a set of faces of one simplex, and
-carrier_equal tiles each piece of every Delta_sigma * S*_sigma by a_sigma *
-S_[m], one way, against one frame of it per verify_W_union call; (ii) each
-a_[m] | beta, beta a facet of S_[m], is independent, decided once per
-verify_W_union call.  A failed fact is an InvariantError: the configuration
-is the program's own.  Elsewhere only joinable decides independence;
-verify_gji calls it once per step of each family's fold, which implies
-every pair.  The psi maps and verify_maps compare integer numerators by
-cross-multiplication over a grid in lowest terms.  The per-point and
-per-pair loops run in builtins (sum over map(mul, ...), min, max, filter)
-and list comparisons, not in generator expressions.
+geometric_join only builds.  Two facts of (m, k) alone decide every affine
+independence of Stone's W_sigma = Delta_sigma * S*_sigma = a_sigma * S_[m],
+once per StandardConfig: (i) the n block vertices are independent, read from
+the rank of its frame of Delta_[m], whose faces are each Delta_sigma and each
+piece of a Delta_sigma * S*_sigma; (ii) a_[m] misses S_[m], and a_[m] + beta
+is independent for each facet beta of S_[m].  A failed fact is an
+InvariantError: the configuration is the program's own.  Elsewhere only
+joinable decides independence, once per step of each of verify_gji's folds,
+which implies every pair.  The psi maps and verify_maps compare integer
+numerators by cross-multiplication over a grid in lowest terms.  The
+per-point and per-pair loops run in builtins (sum over map(mul, ...), min,
+max, filter) and list comparisons, not in generator expressions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, combinations
 from math import gcd, prod
 from operator import mul
@@ -86,7 +83,7 @@ class BarycentricFrame:
     map(mul, values, map(b.__getitem__, indices)).  Each row stays a nonzero
     multiple of the row plain Gauss-Jordan on [M | I] holds, so the pivot
     columns and coordinates are those plain elimination on M t = (1, p)
-    finds, for affinely dependent vertices too.
+    finds, for affinely dependent vertices too, and rank counts the pivots.
     """
 
     def __init__(self, vertices):
@@ -112,7 +109,7 @@ class BarycentricFrame:
             r += 1
             if r == m:
                 break
-        self.size = nv
+        self.size, self.rank = nv, r
         self._den = d
         self._solve = [(c, _nonzeros(A[i][nv:])) for i, c in enumerate(pivots[:r])]
         self._consistency = [_nonzeros(A[i][nv:]) for i in range(r, m)]
@@ -389,9 +386,8 @@ class StandardConfig:
     scaling keeps every independence, containment, proper intersection and
     volume ratio, and integer points hash and compare fast.  A block index
     outside [1, m] raises ValueError, so no complex has a missing block.
-
-    Construction decides fact (i), that the n block vertices are affinely
-    independent, or raises InvariantError.
+    (m, k) alone decides the frame of Delta_[m], facts (i) and (ii) and the
+    sphere joins: each is built or decided once per configuration, and kept.
     """
 
     m: int
@@ -400,9 +396,26 @@ class StandardConfig:
     def __post_init__(self):
         if self.m < 1 or self.k < 0:
             raise ValueError("need m >= 1 and k >= 0")
-        vertices = [p for i in range(1, self.m + 1) for p in self.block(i)]
-        if not affinely_independent(vertices):
+        object.__setattr__(self, "_joins", {})  # key -> sphere_join(key)
+        if self.frame.rank < self.n:
             raise InvariantError("the block vertices are affinely dependent")
+
+    @cached_property
+    def frame(self):
+        """Delta_[m]'s BarycentricFrame: it solves each point once."""
+        return BarycentricFrame([p for i in range(1, self.m + 1) for p in self.block(i)])
+
+    @cached_property
+    def fact_ii(self):
+        """Fact (ii): a_[m] misses S_[m], and its m points with those of any
+        facet of S_[m] are independent: (k + 1)^m tests, at the first call."""
+        a_full = [self.scaled_a(i) for i in range(1, self.m + 1)]
+        s_full = self.sphere_join(tuple(range(1, self.m + 1))).maximal
+        if shared := set(a_full).intersection(set().union(*s_full)):
+            raise InvariantError(f"a_[m] and S_[m] share the vertex {min(shared)}")
+        if not all(affinely_independent([*a_full, *beta]) for beta in s_full):
+            raise InvariantError("a_[m] * S_[m] has affinely dependent simplex vertices")
+        return True
 
     @property
     def n(self):
@@ -434,6 +447,17 @@ class StandardConfig:
         facets = frozenset(map(frozenset, combinations(pts, len(pts) - 1)))
         return EmbeddedComplex(self.n, facets)
 
+    def sphere_join(self, key):
+        """The join of the block spheres i in key, an increasing tuple, () the
+        empty space: its prefix's join with its last sphere, built once."""
+        if key not in self._joins:
+            if len(key) > 1:
+                self._joins[key] = geometric_join(self.sphere_join(key[:-1]),
+                                                  self.sphere_join(key[-1:]))
+            else:
+                self._joins[key] = self.sphere(*key) if key else empty_embedded(self.n)
+        return self._joins[key]
+
 
 def standard_config(m, k) -> StandardConfig:
     return StandardConfig(m, k)
@@ -448,19 +472,6 @@ def _a_sigma(config, sigma):
     """a_sigma: the simplex on the barycenters a_i, i in sigma, empty if sigma
     is.  Built untested: each verifier decides it inside a larger set."""
     return _simplex(config.n, map(config.scaled_a, sigma))
-
-
-def _sphere_join(config, joins, key):
-    """The join of the block spheres i in key, an increasing tuple (the empty
-    space for ()): its prefix's join with its last sphere.  Each join and
-    sphere is built once, when a key first needs it, and kept in joins."""
-    if key not in joins:
-        if len(key) > 1:
-            joins[key] = geometric_join(_sphere_join(config, joins, key[:-1]),
-                                        _sphere_join(config, joins, key[-1:]))
-        else:
-            joins[key] = config.sphere(*key) if key else empty_embedded(config.n)
-    return joins[key]
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +491,7 @@ def verify_gji(config: StandardConfig, sigma) -> VerificationReport:
     report = VerificationReport(f"gji m={config.m} k={config.k} sigma={sigma}")
     collections = {
         "Delta_i": [_delta_sigma(config, (i,)) for i in sigma],
-        "S_i": [config.sphere(i) for i in sigma],
+        "S_i": [config.sphere_join((i,)) for i in sigma],
         "a_i": [_a_sigma(config, (i,)) for i in sigma],
     }
     for name, members in collections.items():
@@ -499,8 +510,9 @@ def verify_gjs(config: StandardConfig, sigma) -> VerificationReport:
     if not sigma:
         raise ValueError("sigma must be nonempty")
     report = VerificationReport(f"gjs m={config.m} k={config.k} sigma={sigma}")
-    delta_sigma = _delta_sigma(config, sigma)
-    s_sigma = _sphere_join(config, {}, tuple(sigma))
+    frame = config.frame  # Delta_sigma is its face on sigma's blocks
+    face = frame.face(p for i in sigma for p in config.block(i))
+    s_sigma = config.sphere_join(tuple(sigma))
     a_sigma = _a_sigma(config, sigma)
 
     # S_sigma has a simplex t (at k = 0 the empty one): joinable decides a_sigma too
@@ -512,18 +524,16 @@ def verify_gjs(config: StandardConfig, sigma) -> VerificationReport:
     pieces = list(geometric_join(a_sigma, s_sigma).maximal)
     improper = sum(f["kind"] == "improper intersection" for f in failures)
 
-    # Delta_sigma is one simplex, factored once; containment is decided once
-    # per join vertex, and a piece lies inside iff its vertices do
-    frame = BarycentricFrame(sorted(next(iter(delta_sigma.maximal))))
+    # containment is decided once per join vertex; a piece lies inside iff its vertices do
     verts = set().union(*pieces)
-    inside = set(filter(frame.contains, verts))
+    inside = {p for p in verts if frame.contains(p, face)}
     verts_ok = inside == verts
     report.add(Check("join vertices inside Delta_sigma", verts_ok, "contained",
                      "contained" if verts_ok else "outside", "gjs"))
 
     # at k = 0, S_sigma is the empty space and the join is a_sigma itself;
     # either way the pieces tile Delta_sigma, of normalized volume 1
-    ratios = [frame.volume_ratio(s) for s in pieces]
+    ratios = [frame.volume_ratio(s, face) for s in pieces]
     total = sum(r for r in ratios if r is not None)
     violations = (
         ratios.count(None) + improper + sum(p not in inside for s in pieces for p in s)
@@ -542,24 +552,14 @@ def verify_W_union(config: StandardConfig, K) -> VerificationReport:
         raise ValueError("K and configuration disagree on m")
     report = VerificationReport(f"W m={config.m} k={config.k}")
     full = tuple(range(1, config.m + 1))
-    # each sphere join is built once per call: the S*_sigma share their
-    # prefixes, and S*_empty is S_[m]
-    joins = {}
-    s_full = _sphere_join(config, joins, full)
-    # fact (ii): with fact (i), every side below and their union are independent
-    a_full = frozenset(map(config.scaled_a, full))
-    if not all(affinely_independent(a_full | beta) for beta in s_full.maximal):
-        raise InvariantError("a_[m] * S_[m] has affinely dependent simplex vertices")
-    # by fact (i) every piece of each Delta_sigma * S*_sigma is a face of
-    # Delta_[m]: one frame per call solves each point once, for every sigma
-    delta = BarycentricFrame([p for i in full for p in config.block(i)])
+    config.fact_ii  # with fact (i): every side below and their union are independent
     sides_b = []
     for sigma in K.faces():
-        s_star = _sphere_join(config, joins, tuple(j for j in full if j not in sigma))
+        s_star = config.sphere_join(tuple(j for j in full if j not in sigma))
         side_a = geometric_join(_delta_sigma(config, sigma), s_star)
-        side_b = geometric_join(_a_sigma(config, sigma), s_full)
+        side_b = geometric_join(_a_sigma(config, sigma), config.sphere_join(full))
         sides_b.append(side_b)
-        ok = carrier_equal(side_a, side_b, delta)
+        ok = carrier_equal(side_a, side_b, config.frame)
         report.add(Check(f"W_sigma two presentations agree, sigma={sorted(sigma)}",
                          ok, "equal carriers", "equal" if ok else "different", "w1"))
 

@@ -41,6 +41,8 @@ complex (face_levels keeps them on K), so one case walks them once.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .chains import (
     ChainComplex,
     HomologyTable,
@@ -65,9 +67,9 @@ def direct_smash_model(K: SimplicialComplex, J):
     """
     J = tuple(J)
     validate_j(K, J)
-    parity = [sum(J[:i]) & 1 for i in range(K.m)]
-    odd = sum(1 << (K.m - v) for v, p in enumerate(parity, start=1) if p)
+    parity = [s & 1 for s in accumulate(J[:-1], initial=0)]
     levels = face_levels(K)
+    odd = sum(bit for bit in levels.get(0, ()) if parity[K.m - bit.bit_length()])
     orientation = {
         f: -1 if (f & odd).bit_count() & 1 else 1 for fs in levels.values() for f in fs
     }

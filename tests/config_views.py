@@ -3,12 +3,14 @@ embedded complexes on points the library did not place, kept to test it.
 
 The library builds every configuration complex on the integer points
 StandardConfig.block(i) and scaled_a(i), through _delta_sigma, _a_sigma and
-_sphere_join.  These views state the paper's rational points v_i^l and a_i
+the configuration's sphere_join, which builds each sphere join once per
+configuration.  These views state the paper's rational points v_i^l and a_i
 from their definitions, so that the tests can compare the integer points
 with them, and rebuild the per-block complexes and the
 (Delta_sigma, S_sigma, S*_sigma, a_sigma) tuple from the library's own
-constructors.  from_simplices is the checked constructor for any other
-points, and realization_AK builds A(K) on the block barycenters.
+constructors, the sphere joins read from the configuration's memo.
+from_simplices is the checked constructor for any other points, and
+realization_AK builds A(K) on the block barycenters.
 """
 
 from fractions import Fraction
@@ -18,7 +20,6 @@ from polysmash.geomjoin import (
     EmbeddedComplex,
     _a_sigma,
     _delta_sigma,
-    _sphere_join,
     affinely_independent,
 )
 
@@ -78,10 +79,9 @@ def sigma_complexes(cfg, sigma):
     on the configuration's integer points."""
     sigma = sorted(set(sigma))
     comp = tuple(j for j in range(1, cfg.m + 1) if j not in sigma)
-    joins = {}
     return (
         _delta_sigma(cfg, sigma),
-        _sphere_join(cfg, joins, tuple(sigma)),
-        _sphere_join(cfg, joins, comp),
+        cfg.sphere_join(tuple(sigma)),
+        cfg.sphere_join(comp),
         _a_sigma(cfg, sigma),
     )

@@ -50,6 +50,11 @@ GEOMETRY_M2_K2_DIGEST = "d8c2cdb6e471e6c860925975ccc9882dfb40f1e2ec8551a005cf4c3
 # still lived on Fraction points
 GEOMETRY_M3_K1_DIGEST = "cb607edc477105cf3838f4021dd6f74b54216c384c3a5763cd1457794e12aa05"
 
+# sha256 of `verify geometry --m 3 --k 2 --json` without wall_time, as
+# json.dumps(report, indent=2): the end-to-end geometry sweep, recorded
+# while each verifier still decided the configuration's facts per call
+GEOMETRY_M3_K2_DIGEST = "f9aae37234ef7c685791e9d29e2a1ec6747871a96e8a3e88b1cc0fdac983f57d"
+
 
 def write(tmp_path, name, text):
     p = tmp_path / name
@@ -655,6 +660,14 @@ def test_geometry_m3_k1_report_is_pinned(capsys):
     data.pop("wall_time")
     digest = sha256(json.dumps(data, indent=2).encode()).hexdigest()
     assert digest == GEOMETRY_M3_K1_DIGEST
+
+
+def test_geometry_m3_k2_report_is_pinned(capsys):
+    assert main(["verify", "geometry", "--m", "3", "--k", "2", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    data.pop("wall_time")
+    digest = sha256(json.dumps(data, indent=2).encode()).hexdigest()
+    assert digest == GEOMETRY_M3_K2_DIGEST
 
 
 def test_verify_main_report_is_pinned(tmp_path, capsys):

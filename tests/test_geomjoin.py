@@ -575,6 +575,38 @@ def test_verify_gjs_failure_counts_are_pinned(monkeypatch):
         ], sigma
 
 
+class _BarycenterAcrossBlocks(StandardConfig):
+    """a_1 moved to the midpoint of L v_1^1 and L v_2^1, inside Delta_[m] and
+    outside Delta_1 (an integer point at k = 1)."""
+
+    def scaled_a(self, i):
+        if i != 1:
+            return StandardConfig.scaled_a(self, i)
+        return tuple((x + y) // 2 for x, y in zip(self.block(1)[0], self.block(2)[0]))
+
+
+def test_gjs_reads_delta_sigma_on_its_own_columns_of_the_shared_frame():
+    # Delta_sigma is a face of the configuration's frame of Delta_[m]: a_1
+    # lies in Delta_[2] but not in Delta_1, so at sigma = (1,) it is outside
+    # and its pieces have no volume ratio on block 1's columns.  The checks
+    # are those a frame of Delta_sigma's own gives
+    cfg = _BarycenterAcrossBlocks(2, 1)
+    expected = {
+        (1,): [
+            ("a_sigma joinable to S_sigma", True, "joinable"),
+            ("join vertices inside Delta_sigma", False, "outside"),
+            ("pieces intersect properly and stay inside", False, "4 violations"),
+            ("volume identity (tiling of Delta_sigma)", False, "0")],
+        (1, 2): [
+            ("a_sigma joinable to S_sigma", False, "not joinable"),
+            ("join vertices inside Delta_sigma", True, "contained"),
+            ("pieces intersect properly and stay inside", True, "0 violations"),
+            ("volume identity (tiling of Delta_sigma)", False, "1/2")],
+    }
+    for sigma, checks in expected.items():
+        assert [(c.name, c.passed, c.actual) for c in verify_gjs(cfg, sigma).checks] == checks
+
+
 def test_verify_gjs_reads_improper_pairs_from_joinable(monkeypatch):
     # every join pair called improper: joinability fails, and each improper
     # pair is one violation of the tiling, counted once
@@ -1434,7 +1466,8 @@ def test_repeated_block_vertex_fails_fact_i():
 
 @pytest.mark.parametrize("m, k", [(1, 0), (1, 2), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2)])
 def test_W_union_decides_fact_ii_once(m, k, monkeypatch):
-    # one independence test per facet of S_[m], (k + 1)^m, whatever K
+    # fact (ii) depends on (m, k) alone: one independence test per facet of
+    # S_[m], (k + 1)^m, at the configuration's first W-union, and none after
     cfg = standard_config(m, k)
     corpus = [empty_complex(m), full_simplex(m - 1),
               from_facets(m, [(i,) for i in range(1, m + 1)])]
@@ -1446,7 +1479,29 @@ def test_W_union_decides_fact_ii_once(m, k, monkeypatch):
     for K in corpus:
         tests.clear()
         assert verify_W_union(cfg, K).passed
-        assert tests["tests"] == (k + 1) ** m, K
+        assert tests["tests"] == ((k + 1) ** m if K is corpus[0] else 0), K
+
+
+class _BarycenterOnABlockVertex(StandardConfig):
+    """a_1 moved onto L v_1^1, a vertex of S_1 at k >= 1."""
+
+    def scaled_a(self, i):
+        return self.block(1)[0] if i == 1 else StandardConfig.scaled_a(self, i)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_W_union_refuses_a_barycenter_on_a_sphere_vertex(m):
+    # a_[m] and a facet of S_[m] share L v_1^1.  Tested as one set, their
+    # union merged the shared point and stayed independent, so every W-union
+    # check passed; fact (ii) requires a_[m] and S_[m] disjoint and names
+    # the shared vertex.  verify_gjs rejects the same configuration
+    cfg = _BarycenterOnABlockVertex(m, 1)
+    shared = cfg.block(1)[0]
+    for K in [empty_complex(m), full_simplex(m - 1), from_facets(m, [(1,)])]:
+        with pytest.raises(InvariantError) as failed:
+            verify_W_union(cfg, K)
+        assert str(failed.value) == f"a_[m] and S_[m] share the vertex {shared}"
+    assert not verify_gjs(cfg, (1,)).passed
 
 
 def test_gjs_reports_a_dependent_join_and_finishes():
@@ -1487,15 +1542,17 @@ def test_gji_decides_each_pair_once(monkeypatch):
 
 
 def test_gjs_builds_only_the_spheres_of_sigma(monkeypatch):
+    # each sphere is built once per configuration, when a sigma first needs
+    # it, and none outside sigma
     built = []
     sphere = StandardConfig.sphere
     monkeypatch.setattr(StandardConfig, "sphere",
                         lambda self, i: built.append(i) or sphere(self, i))
     cfg = standard_config(3, 2)
-    for sigma in [(1,), (1, 3)]:
+    for sigma, new in [((1,), [1]), ((1, 3), [3]), ((1, 3), [])]:
         built.clear()
         assert verify_gjs(cfg, sigma).passed
-        assert built == list(sigma)
+        assert built == new, sigma
 
 
 def counted(counts, name, fn):
@@ -1542,11 +1599,16 @@ def test_geometry_sweep_work_counts_are_pinned(monkeypatch, capsys):
     # every join was tested, 2,434 when accepted joins were built from
     # joinable's pairs, and 411 since the configuration's two facts decide
     # its complexes, 371 since verify_gji decides each family by its fold
-    # alone; proper_intersection ran 2,574 times when verify_gji decided every
-    # pair and its whole fold, 2,490 when the fold skipped its first pair,
-    # and 2,406 by the fold alone.  A frame per piece of each Delta_sigma *
+    # alone, and 220 since the configuration decides both facts once: fact
+    # (ii) takes sum (k + 1)^m = 56 tests over the sweep's 9 configurations,
+    # not 198 per K, and fact (i) reads its frame's rank, not 9 tests;
+    # proper_intersection ran 2,574 times when verify_gji decided every pair
+    # and its whole fold, 2,490 when the fold skipped its first pair, and
+    # 2,406 by the fold alone.  A frame per piece of each Delta_sigma *
     # S*_sigma made 402 frames and 3,033 solves; one frame of Delta_[m] per
-    # verify_W_union call makes 45 (18 in verify_gjs)
+    # verify_W_union and verify_gjs call made 45 frames and 222 solves; one
+    # per configuration makes 9, and solves each of its n block vertices and
+    # m barycenters (the block vertices at k = 0) once: 48
     counts = Counter()
     targets = [
         (geomjoin, "affinely_independent"),
@@ -1568,13 +1630,13 @@ def test_geometry_sweep_work_counts_are_pinned(monkeypatch, capsys):
 
     monkeypatch.setattr(geomjoin, "_separated", recorded)
     # frames pivot through the LP's fraction-free _pivot, once per vertex of
-    # their independent vertex lists (180 over the 45 frames), so a frame
-    # with an elimination of its own reads 0 here
+    # their independent vertex lists (sum n = 36 over the 9 frames), so a
+    # frame with an elimination of its own reads 0 here
     monkeypatch.setattr(geomjoin, "_pivot", counted(counts, "frame pivots",
                                                      exactlin._pivot), raising=False)
     assert main(["verify", "geometry", "--m", "3", "--k", "2"]) == 0
-    assert [counts[name] for _, name in targets] == [371, 222, 2406, 0, 45]
-    assert counts["frame pivots"] == 180
+    assert [counts[name] for _, name in targets] == [220, 48, 2406, 0, 9]
+    assert counts["frame pivots"] == 36
     # the functional proves every pair of both sweeps, so neither runs an
     # LP: a configuration that needs one names itself here
     counts.clear()

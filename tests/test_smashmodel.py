@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from copy import copy
 from pathlib import Path
 
@@ -21,7 +22,13 @@ from polysmash.chains import (
     simplicial_chain_complex,
 )
 from polysmash.cli import main
-from polysmash.complexes import double_iterated, empty_complex
+from polysmash.complexes import (
+    double_iterated,
+    doubled_face_count,
+    doubled_face_levels,
+    empty_complex,
+    from_facets,
+)
 from polysmash.smashmodel import (
     direct_smash_model,
     expected_homology,
@@ -386,3 +393,29 @@ def test_assemble_degree_check_survives_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised:"), proc.stdout
+
+
+def test_vertices_in_no_facet_cost_no_masks():
+    # an m header far above K's vertices: one mask of up to m bits for each
+    # vertex 1..m made the peak grow as m^2, 27 MB for C(K) and 56 MB for
+    # K(J)'s levels at this m.  Masks are built only for the vertices in a
+    # facet, so what is left grows linearly: J, the parity list and the
+    # ends of K(J)'s blocks, under a megabyte here
+    m = 20_000
+    K = from_facets(m, [(1, 2)])
+    J = (1,) + (0,) * (m - 1)
+    tracemalloc.start()
+    try:
+        assert K.faces() == [(), (1,), (2,), (1, 2)]
+        CK = simplicial_chain_complex(K)
+        assert not homology(CK)
+        orientation, cc = direct_smash_model(K, J)
+        assert orientation_holds(orientation, cc, CK, 2)
+        levels, total = doubled_face_levels(K, J)
+        assert total == m + 1
+        assert sum(map(len, levels.values())) == doubled_face_count(K, J)
+        assert not homology(reduction_path_model(K, J))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, peak
