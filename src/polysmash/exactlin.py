@@ -312,22 +312,20 @@ def _row_axpy(target, source, colrows, i, c):
 def _fix_divisibility(diagonal):
     """Turn a diagonal of an equivalent diagonal matrix into invariant factors.
 
-    Units divide everything, so only the entries above 1 go through the
-    pairwise gcd loop; the units lead the sorted result.
+    Units divide everything, so only the entries above 1 go through one
+    sweep of the pairs i < j, in order, each replaced by (gcd, lcm).  After
+    row i, d_i divides every later entry, and replacing two multiples of d_i
+    by their gcd and lcm keeps both multiples of d_i: the sweep ends in a
+    divisibility chain, increasing, after the units.
     """
     d = [abs(x) for x in diagonal if x]
     units = d.count(1)
     d = [x for x in d if x != 1]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(d)):
-            for j in range(i + 1, len(d)):
-                if d[j] % d[i]:
-                    g = gcd(d[i], d[j])
-                    d[i], d[j] = g, d[i] * d[j] // g
-                    changed = True
-    d.sort()
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            if d[j] % d[i]:
+                g = gcd(d[i], d[j])
+                d[i], d[j] = g, d[i] * d[j] // g
     return [1] * units + d
 
 

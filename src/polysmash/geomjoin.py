@@ -15,18 +15,18 @@ and one decider, the exact LP, which runs when the functional declines and
 finds an improper pair's witness.  A BarycentricFrame factors a simplex
 once and solves each point once, and a face of it reads that solve.
 
-geometric_join only builds.  Two facts of (m, k) alone decide every affine
-independence of Stone's W_sigma = Delta_sigma * S*_sigma = a_sigma * S_[m],
-once per StandardConfig: (i) the n block vertices are independent, read from
-the rank of its frame of Delta_[m], whose faces are each Delta_sigma and each
-piece of a Delta_sigma * S*_sigma; (ii) a_[m] misses S_[m], and a_[m] + beta
-is independent for each facet beta of S_[m].  A failed fact is an
-InvariantError: the configuration is the program's own.  Elsewhere only
-joinable decides independence, once per step of each of verify_gji's folds,
-which implies every pair.  The psi maps and verify_maps compare integer
-numerators by cross-multiplication over a grid in lowest terms.  The
-per-point and per-pair loops run in builtins (sum over map(mul, ...), min,
-max, filter) and list comparisons, not in generator expressions.
+geometric_join only builds.  Two facts of (m, k) alone decide Stone's
+W_sigma = Delta_sigma * S*_sigma = a_sigma * S_[m], once per StandardConfig:
+(i) the n block vertices are independent, read from the rank of its frame of
+Delta_[m], whose faces are each Delta_sigma and each piece of a Delta_sigma *
+S*_sigma; (ii) a_[m] misses S_[m], and a_[m] * S_[m], which holds every
+W_sigma and their union over K, is a geometric join.  A failed fact is an
+InvariantError: the configuration is the program's own.  joinable decides
+(ii) and each step of verify_gji's folds, which implies every pair.  The psi
+maps and verify_maps compare integer numerators by cross-multiplication over
+a grid in lowest terms.  The per-point and per-pair loops run in builtins
+(sum over map(mul, ...), min, max, filter) and list comparisons, not in
+generator expressions.
 """
 
 from __future__ import annotations
@@ -407,14 +407,19 @@ class StandardConfig:
 
     @cached_property
     def fact_ii(self):
-        """Fact (ii): a_[m] misses S_[m], and its m points with those of any
-        facet of S_[m] are independent: (k + 1)^m tests, at the first call."""
+        """Fact (ii): a_[m] misses S_[m], and a_[m] * S_[m] is a geometric
+        join, by joinable at the first call; coincident a_i are dependent."""
         a_full = [self.scaled_a(i) for i in range(1, self.m + 1)]
-        s_full = self.sphere_join(tuple(range(1, self.m + 1))).maximal
-        if shared := set(a_full).intersection(set().union(*s_full)):
+        s_full = self.sphere_join(tuple(range(1, self.m + 1)))
+        if shared := set(a_full).intersection(s_full.vertices()):
             raise InvariantError(f"a_[m] and S_[m] share the vertex {min(shared)}")
-        if not all(affinely_independent([*a_full, *beta]) for beta in s_full):
+        # joinable lists dependent pairs first; only an improper pair has a witness
+        failures = joinable(_simplex(self.n, a_full), s_full)[1]
+        if len(set(a_full)) < self.m or failures and "witness" not in failures[0]:
             raise InvariantError("a_[m] * S_[m] has affinely dependent simplex vertices")
+        if failures:
+            witness = ", ".join(map(str, failures[0]["witness"]))
+            raise InvariantError(f"a_[m] * S_[m] has an improper intersection at ({witness})")
         return True
 
     @property
@@ -552,7 +557,7 @@ def verify_W_union(config: StandardConfig, K) -> VerificationReport:
         raise ValueError("K and configuration disagree on m")
     report = VerificationReport(f"W m={config.m} k={config.k}")
     full = tuple(range(1, config.m + 1))
-    config.fact_ii  # with fact (i): every side below and their union are independent
+    config.fact_ii  # with fact (i): every side below and their union are geometric
     sides_b = []
     for sigma in K.faces():
         s_star = config.sphere_join(tuple(j for j in full if j not in sigma))
@@ -573,13 +578,12 @@ def verify_W_union(config: StandardConfig, K) -> VerificationReport:
 
 
 def carrier_equal(A: EmbeddedComplex, B: EmbeddedComplex, frame):
-    """Certify |A| = |B| by tiling each simplex P of A with the simplices of
-    B contained in it: containment of the tiles (by vertices, hence by
-    convexity), proper pairwise intersections, and exact volume-ratio sum 1.
-    Every simplex of B must land inside some P, which gives the reverse
-    containment.  Each P is a face of frame, an independent BarycentricFrame
-    on A's vertices: a point lies in P iff its coordinates are >= 0 and
-    vanish off P's columns, and a tile's volume ratio reads them there."""
+    """Certify |A| = |B|: each simplex P of A is tiled by the simplices of B
+    inside it (by vertices, hence by convexity), of volume ratios summing to
+    1, and each simplex of B lies in some P.  B's simplices must meet
+    properly, as faces of a_[m] * S_[m] do by fact (ii): then the tiles have
+    disjoint interiors and cover P.  Each P is a face of frame, an
+    independent BarycentricFrame on A's vertices, which reads P's columns."""
     pieces_a = [s for s in A.maximal if s]
     pieces_b = [s for s in B.maximal if s]
     if not pieces_a or not pieces_b:
@@ -600,10 +604,6 @@ def carrier_equal(A: EmbeddedComplex, B: EmbeddedComplex, frame):
                 total += r
         if total != 1:
             return False
-        for qa, qb in combinations(tiles, 2):
-            ok, _ = proper_intersection(qa, qb)
-            if not ok:
-                return False
     return assigned == set(pieces_b)
 
 

@@ -197,7 +197,7 @@ def test_geometry_sweep_never_reaches_the_lp(monkeypatch):
     accepted, lps = count_functional_and_lps(monkeypatch)
     assert main(["verify", "geometry", "--m", "3", "--k", "2", "--grid", "1"]) == 0
     assert lps == []
-    assert len(accepted) >= 2000 and all(accepted)
+    assert len(accepted) == 1363 and all(accepted)
 
 
 def test_independent_pair_the_functional_declines_goes_to_the_lp(monkeypatch):
@@ -1504,6 +1504,44 @@ def test_W_union_refuses_a_barycenter_on_a_sphere_vertex(m):
     assert not verify_gjs(cfg, (1,)).passed
 
 
+def test_fact_ii_refuses_an_improper_join_of_independent_simplices():
+    # at k = 1 each a_i lies on the line of S_i's two points, beyond the
+    # first: every a_[m] | beta is independent, but the join's simplices
+    # overlap.  Only the per-tile pairs of the w1 tiling caught this, for
+    # each K but {empty}; fact (ii) decides the whole join a_[m] * S_[m], so
+    # every W-union on the configuration raises and names the pair's witness
+    cfg = _DependentBarycenters(2, 1)
+    a_full = [cfg.scaled_a(i) for i in (1, 2)]
+    s_full = cfg.sphere_join((1, 2)).maximal
+    assert all(affinely_independent([*a_full, *beta]) for beta in s_full)
+    for K in [empty_complex(2), full_simplex(1), from_facets(2, [(1,), (2,)])]:
+        with pytest.raises(InvariantError) as failed:
+            verify_W_union(cfg, K)
+        assert str(failed.value) == ("a_[m] * S_[m] has an improper intersection"
+                                     " at (0, 0, 2, 0)")
+    # at k = 2 the join's simplices are dependent, which fact (ii) says first
+    with pytest.raises(InvariantError, match="affinely dependent"):
+        verify_W_union(_DependentBarycenters(2, 2), empty_complex(2))
+
+
+@pytest.mark.parametrize("m, k, K", [(3, 1, simplex_boundary(2)), (3, 2, full_simplex(2))])
+def test_W_union_decides_pairs_only_in_fact_ii(m, k, K, monkeypatch):
+    # the first W-union on a configuration decides fact (ii), one proper
+    # intersection per pair of the (k + 1)^m simplices of a_[m] * S_[m], and
+    # carrier_equal tests no pair of tiles, so every later call makes none
+    # (48 per call at (3, 1) and 756 at (3, 2) when each tiling tested its pairs)
+    counts = Counter()
+    monkeypatch.setattr(geomjoin, "proper_intersection",
+                        counted(counts, "pairs", geomjoin.proper_intersection))
+    cfg = standard_config(m, k)
+    pairs = []
+    for L in [K, K, empty_complex(m)]:
+        counts.clear()
+        assert verify_W_union(cfg, L).passed
+        pairs.append(counts["pairs"])
+    assert pairs == [math.comb((k + 1) ** m, 2), 0, 0]  # 28 at (3, 1), 351 at (3, 2)
+
+
 def test_gjs_reports_a_dependent_join_and_finishes():
     # each a_sigma | t is dependent: joinable rejects the join, and the
     # pieces are still built, with no independence test, and fail the tiling
@@ -1520,14 +1558,16 @@ def test_gjs_reports_a_dependent_join_and_finishes():
 
 def test_dependent_configuration_is_an_internal_error(monkeypatch, capsys):
     # the sweep's configurations with k >= 1 take _DependentBarycenters's
-    # barycenters; at k = 2 fact (ii) fails, a fault of the program's own
-    # configuration, not of its input
+    # barycenters; fact (ii) fails at the first of them, (m, k) = (1, 1),
+    # where a_1 lies on the line of S_1's two points, so the segments of
+    # a_1 * S_1 overlap: a fault of the program's own configuration, not of
+    # its input
     scaled_a = StandardConfig.scaled_a
     monkeypatch.setattr(StandardConfig, "scaled_a", lambda self, i: (
         _DependentBarycenters.scaled_a(self, i) if self.k else scaled_a(self, i)))
     assert main(["verify", "geometry", "--m", "2", "--k", "2"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("internal error:") and "affinely dependent" in err
+    assert err.startswith("internal error:") and "improper intersection" in err
 
 
 def test_gji_decides_each_pair_once(monkeypatch):
@@ -1603,12 +1643,15 @@ def test_geometry_sweep_work_counts_are_pinned(monkeypatch, capsys):
     # (ii) takes sum (k + 1)^m = 56 tests over the sweep's 9 configurations,
     # not 198 per K, and fact (i) reads its frame's rank, not 9 tests;
     # proper_intersection ran 2,574 times when verify_gji decided every pair
-    # and its whole fold, 2,490 when the fold skipped its first pair, and
-    # 2,406 by the fold alone.  A frame per piece of each Delta_sigma *
-    # S*_sigma made 402 frames and 3,033 solves; one frame of Delta_[m] per
-    # verify_W_union and verify_gjs call made 45 frames and 222 solves; one
-    # per configuration makes 9, and solves each of its n block vertices and
-    # m barycenters (the block vertices at k = 0) once: 48
+    # and its whole fold, 2,490 when the fold skipped its first pair, 2,406
+    # by the fold alone, and 1,363 since fact (ii) decides a_[m] * S_[m] a
+    # geometric join, C((k + 1)^m, 2) pairs per configuration, 425 over the
+    # sweep, and carrier_equal tests no pair of its tiles.  A frame per piece
+    # of each Delta_sigma * S*_sigma made 402 frames and 3,033 solves; one
+    # frame of Delta_[m] per verify_W_union and verify_gjs call made 45
+    # frames and 222 solves; one per configuration makes 9, and solves each
+    # of its n block vertices and m barycenters (the block vertices at k = 0)
+    # once: 48
     counts = Counter()
     targets = [
         (geomjoin, "affinely_independent"),
@@ -1635,7 +1678,7 @@ def test_geometry_sweep_work_counts_are_pinned(monkeypatch, capsys):
     monkeypatch.setattr(geomjoin, "_pivot", counted(counts, "frame pivots",
                                                      exactlin._pivot), raising=False)
     assert main(["verify", "geometry", "--m", "3", "--k", "2"]) == 0
-    assert [counts[name] for _, name in targets] == [220, 48, 2406, 0, 9]
+    assert [counts[name] for _, name in targets] == [220, 48, 1363, 0, 9]
     assert counts["frame pivots"] == 36
     # the functional proves every pair of both sweeps, so neither runs an
     # LP: a configuration that needs one names itself here
