@@ -8,14 +8,19 @@ A ChainComplex stores each boundary d_n as its columns, a (row, coeff) list
 per n-cell, and their transpose as coface lists, the n-cells meeting each
 (n-1)-cell.  Every ChainComplex is checked when it is built, by one walk per
 degree that checks the columns, records the coface lists and pushes each
-column of d_n through d_{n-1} for d o d = 0.  The reduction below reads
+column of d_n through d_{n-1} for d o d = 0.  A column whose coefficients
+are all +-1, on rows whose own columns are too, is pushed through as two
+lists, the rows of C_{n-2} hit with +1 and those hit with -1; every term is
++-1, so the sum vanishes exactly when the two lists, sorted, are equal.
+Any other column is summed in exact integers.  The reduction below reads
 columns and coface lists as they are, and SparseIntMatrix is built only for
 Smith normal form and boundary(n).
 
 Every complex the library builds, C(K), the direct smash model and C(K(J)),
-comes from one assembler, _assemble(levels, parity, shift): the faces of a
+comes from one assembler, _assemble(levels, odd, shift): the faces of a
 simplicial complex as vertex bitmasks in lexicographic order (the one face
-enumeration, complexes.face_levels), a sign per vertex and a degree shift.
+enumeration, complexes.face_levels), the mask of the vertices whose sign is
+negated and a degree shift.
 
 homology() first deletes coreduction pairs (Kaczynski-Mrozek-Slusarek
 1998; Mrozek-Batko 2009): cells a in C_{n-1} and b in C_n with
@@ -87,9 +92,21 @@ class ChainComplex:
         column (rows inside C_{n-1}, none repeated, nonzero int coefficients),
         appends it to the coface list of each of its rows and pushes it
         through the columns of d_{n-1} it meets, where d o d = 0 needs the sum
-        to vanish.  Columns and cofaces are replaced once every degree passed."""
+        to vanish.  Columns and cofaces are replaced once every degree passed.
+
+        A column whose coefficients are all +-1, on rows whose own columns
+        are too, is pushed through without arithmetic.  For each row i, the
+        rows of C_{n-2} that d_{n-1} i hits with +1 go to one list and those
+        it hits with -1 to the other, the two swapped when i's coefficient is
+        -1.  Every term of the sum is then +1 or -1, one list entry each, so
+        the sum at a row of C_{n-2} is its count in the first list less its
+        count in the second: the sum vanishes exactly when the two lists,
+        sorted, are equal.  Any other column is summed term by term in exact
+        integers.  Each cell's +1 and -1 rows are kept one degree, for the
+        walk of the degree above."""
         columns = {}
         cofaces = {n: [[] for _ in labels] for n, labels in self.bases.items()}
+        walked = None  # (n, plus, minus, other) of the last degree n walked
         for n in sorted(self.columns):
             cols = self.columns[n]
             if len(cols) != self.rank(n):
@@ -97,10 +114,20 @@ class ChainComplex:
                     f"boundary in degree {n} has {len(cols)} columns for {self.rank(n)} cells"
                 )
             rows, up = self.rank(n - 1), cofaces.get(n - 1)
-            # d_{n-1} of the current column, by rows of C_{n-2}; it is zero
-            # again after every column that passes
+            # per cell of C_{n-1}: the rows of C_{n-2} its column hits with +1
+            # and with -1, both () for a cell in other, whose column has
+            # another coefficient, and for every cell when d_{n-1} is zero
+            if walked and walked[0] == n - 1:
+                _, plus, minus, other = walked
+            else:
+                plus = minus = [()] * rows
+                other = set()
+            plus_up, minus_up, other_up = [], [], set()  # per cell of C_n
+            # d_{n-1} of a column summed exactly, by rows of C_{n-2}; it is
+            # zero again after every column that passes
             outer, image = columns.get(n - 1) or [()] * rows, [0] * self.rank(n - 2)
             for c, col in enumerate(cols):
+                hit, missed, p, q = [], [], [], []
                 for i, v in col:
                     if (i.__class__ is not int or v.__class__ is not int
                             or not 0 <= i < rows or not v):
@@ -109,6 +136,28 @@ class ChainComplex:
                     if row_up and row_up[-1] == c:
                         raise _bad_column(n, i, v)
                     row_up.append(c)
+                    if v == 1:
+                        p.append(i)
+                        hit += plus[i]
+                        missed += minus[i]
+                    elif v == -1:
+                        q.append(i)
+                        hit += minus[i]
+                        missed += plus[i]
+                if len(p) + len(q) == len(col):
+                    plus_up.append(tuple(p))
+                    minus_up.append(tuple(q))
+                    if not other or other.isdisjoint(p + q):
+                        hit.sort()
+                        missed.sort()
+                        if hit != missed:
+                            raise MalformedComplexError(f"d_{n - 1} o d_{n} != 0")
+                        continue
+                else:
+                    plus_up.append(())
+                    minus_up.append(())
+                    other_up.add(c)
+                for i, v in col:
                     for r, w in outer[i]:
                         image[r] += v * w
                 for i, _ in col:
@@ -117,6 +166,7 @@ class ChainComplex:
                             raise MalformedComplexError(f"d_{n - 1} o d_{n} != 0")
             if rows and cols:
                 columns[n] = cols
+            walked = n, plus_up, minus_up, other_up
         self.columns, self.cofaces = columns, cofaces
 
     def euler(self):
@@ -244,19 +294,19 @@ def _delete_unit_pairs(C: ChainComplex):
     return alive, down
 
 
-def _assemble(levels, parity, shift):
+def _assemble(levels, odd, shift):
     """The chain complex on the face masks of levels (face_levels(K)), each
     in degree n + shift: the one place the library builds a ChainComplex.
     Dropping vertex i from a face, at position pos among its vertices in
-    increasing order, has the sign (-1)^(parity[i - 1] + pos): a running
-    sign, toggled at each vertex of the face, times vertex i's own.  Zero
-    parity is the simplicial boundary; the direct model takes
-    parity[i - 1] = j_1 + ... + j_{i-1} mod 2, the Leibniz sign of a top
+    increasing order, has the sign (-1)^pos, negated when i's bit is in the
+    mask odd: a running sign, toggled at each vertex of the face, times
+    vertex i's own.  odd = 0 is the simplicial boundary; the direct model
+    puts i in odd when j_1 + ... + j_{i-1} is odd, the Leibniz sign of a top
     cell's boundary in factor i behind slots of that total dimension.  Only
-    the vertices of level 0, those in a face, get a bit, in increasing order.
+    the vertices of level 0, those in a face, get a bit, in increasing order,
+    so nothing here grows with the m of the masks.
     """
-    m = len(parity)
-    bits = [(bit, -1 if parity[m - bit.bit_length()] & 1 else 1) for bit in levels.get(0, ())]
+    bits = [(bit, -1 if odd & bit else 1) for bit in levels.get(0, ())]
     bases, columns = {}, {}
     for n, level in levels.items():
         bases[n + shift] = level
@@ -278,4 +328,4 @@ def simplicial_chain_complex(K) -> ChainComplex:
     """Augmented chain complex of a SimplicialComplex on face_levels(K).  The
     boundary drops a face's vertices in increasing order, its bits from the
     highest down, with alternating signs."""
-    return _assemble(face_levels(K), [0] * K.m, 0)
+    return _assemble(face_levels(K), 0, 0)

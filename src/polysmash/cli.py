@@ -303,15 +303,20 @@ def _refuse_over(budget, count, formula, prefix, suffix):
 KJ_FACE_BUDGET = 1_000_000
 
 
-def _kj_face_count(K, J):
-    """(count, formula): K(J)'s faces, or None when J or a facet of K passes
-    the budget's bit length, and then formula names a lower bound that is
-    over: 2^(j_i + 1) - 1, block i's faces, or 2^|sigma|, the faces of K's
-    facet sigma."""
+def _kj_face_count(K, J=()):
+    """(count, formula): K(J)'s faces, K's own for J = (), or None when J or
+    a facet of K passes the budget's bit length, and then formula names a
+    lower bound that is over: 2^(j_i + 1) - 1, block i's faces, or
+    2^|sigma|, the faces of K's facet sigma."""
     j = max(J, default=0)
     d = max(map(len, K.facets))
     bits = KJ_FACE_BUDGET.bit_length()
-    count = cxm.doubled_face_count(K, J) if j <= bits and d < bits else None
+    if j > bits or d >= bits:
+        count = None
+    elif J:
+        count = cxm.doubled_face_count(K, J)
+    else:  # K's face levels, which C(K) is built on, with no length-m J
+        count = sum(map(len, cxm.face_levels(K).values()))
     return count, f"at least 2^{j + 1} - 1" if j > bits else f"at least 2^{d}"
 
 
@@ -322,9 +327,10 @@ def _check_kj_budget(K, J):
 
 
 def _check_k_budget(K):
-    """Refuse a K with more faces than the budget, before they are walked:
-    K(0) is K, so K is counted as K(0) and named as K."""
-    _refuse_over(KJ_FACE_BUDGET, *_kj_face_count(K, (0,) * K.m), "K has", "faces")
+    """Refuse a K with more faces than the budget, counted on K's face
+    levels, and a facet past the budget's bit length before they are
+    walked: K(0) is K, so K is refused as K(0) would be and named as K."""
+    _refuse_over(KJ_FACE_BUDGET, *_kj_face_count(K), "K has", "faces")
 
 
 # polysmash double holds K(J)'s facets and their names, and writes them a

@@ -8,8 +8,8 @@ once, as a checked map:
   sum(J) + |sigma| (the basepoint is dropped, so homology comes out reduced),
   built from the minimal cell structure on each pair (basepoint, a middle
   cell e^{j} for the sphere, a top cell e^{j+1} for the disk) with graded
-  Leibniz boundary signs: _assemble at parity[i - 1] = j_1 + ... + j_{i-1}
-  mod 2.  Its basis is C(K)'s, shifted up by sum(J) + 1.
+  Leibniz boundary signs: _assemble with vertex i in its odd mask when
+  j_1 + ... + j_{i-1} is odd.  Its basis is C(K)'s, shifted up by sum(J) + 1.
   The diagonal orientation
   s(sigma) = (-1)^(sum over i in sigma of j_1 + ... + j_{i-1}) conjugates its
   boundary to the simplicial one, d = S . d_K . S, so the model is C(K)
@@ -25,12 +25,12 @@ once, as a checked map:
   [0,2]^m with its outer boundary collapsed, and the cellular chains of
   that quotient are C(K(J)) shifted up by one: one cell per face of K(J),
   in the degree of its cardinality, with the simplicial boundary: _assemble
-  on K(J)'s levels at zero parity, shifted by one.
+  on K(J)'s levels with no odd vertex, shifted by one.
   tests/cubical_reference.py builds the cubical complex and checks that
   identity.
 
 All three complexes, C(K) included, come from one assembler,
-chains._assemble(levels, parity, shift), the one place the library builds
+chains._assemble(levels, odd, shift), the one place the library builds
 a ChainComplex.
 
 verify_main checks the orientation on the stored boundary columns of both
@@ -73,7 +73,7 @@ def direct_smash_model(K: SimplicialComplex, J):
     orientation = {
         f: -1 if (f & odd).bit_count() & 1 else 1 for fs in levels.values() for f in fs
     }
-    return orientation, _assemble(levels, parity, sum(J) + 1)
+    return orientation, _assemble(levels, odd, sum(J) + 1)
 
 
 def orientation_holds(orientation, cc: ChainComplex, CK: ChainComplex, shift) -> bool:
@@ -103,8 +103,8 @@ def orientation_holds(orientation, cc: ChainComplex, CK: ChainComplex, shift) ->
 def reduction_path_model(K: SimplicialComplex, J) -> ChainComplex:
     """The section-by-section route: double down to (D^1, S^0), then the
     chains of the smash product over K(J), C(K(J)) shifted up by one."""
-    levels, m = doubled_face_levels(K, J)
-    return _assemble(levels, [0] * m, 1)
+    levels, _ = doubled_face_levels(K, J)
+    return _assemble(levels, 0, 1)
 
 
 def expected_homology(K: SimplicialComplex, J) -> HomologyTable:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from hashlib import sha256
 from pathlib import Path
 
@@ -336,6 +337,21 @@ def test_a_facet_over_the_face_budget_is_refused_before_k_is_walked(tmp_path, mo
         assert captured.err == f"error: {name} {over}", argv
 
 
+def test_a_huge_m_header_costs_homology_nothing_of_length_m(tmp_path, capsys):
+    # a header m far above K's vertices: the face budget counts K on its
+    # face levels and C(K) is assembled with no per-vertex sign, so nothing
+    # of length m is formed; a tuple or list of m ints alone is 8 MB here
+    p = write(tmp_path, "wide.txt", "m=1000000\n1 2\n")
+    tracemalloc.start()
+    try:
+        assert main(["homology", p]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == "all reduced homology zero\n"
+    assert peak < 4_000_000, peak
+
+
 def test_a_verify_main_case_walks_k_once_and_never_k_of_j(tmp_path, monkeypatch, capsys):
     # the budget's count, C(K), the direct model, K(J)'s levels by the wedge
     # rule and the Euler identity all read K's one walk; K(J) is neither
@@ -564,11 +580,11 @@ def one_sign_flipped(assemble):
     vertices: the face (2,) in the boundary of the edge (1, 2), vertex v at
     bit 3 - v.  The flipped columns go through the constructor, so the fault
     is in place before the d o d check.  Only the direct model's call, the
-    one with nonzero parity, is flipped; C(K(J)) is built as it was."""
+    one with an odd vertex, is flipped; C(K(J)) is built as it was."""
 
-    def flipped(levels, parity, shift):
-        cc = assemble(levels, parity, shift)
-        if not any(parity):
+    def flipped(levels, odd, shift):
+        cc = assemble(levels, odd, shift)
+        if not odd:
             return cc
         n = shift + 1
         c, r = cc.bases[n].index(0b110), cc.bases[n - 1].index(0b010)

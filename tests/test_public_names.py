@@ -67,7 +67,7 @@ def test_benchmark_counter_hooks_read_real_results():
 
     K = complexes.from_facets(3, [(1, 2), (1, 3), (2, 3)])
     model = traced("smashmodel.assemble", spans._assemble_counts, smashmodel._assemble,
-                   face_levels(K), [0, 1, 1], 2)
+                   face_levels(K), 0b011, 2)
     assert isinstance(model, ChainComplex)
     traced("complexes.double", spans._double_counts, complexes.double_iterated, K, (1, 0, 0))
     traced("exactlin.snf", spans._snf_counts, exactlin.smith_normal_form,
