@@ -304,20 +304,20 @@ KJ_FACE_BUDGET = 1_000_000
 
 
 def _kj_face_count(K, J=()):
-    """(count, formula): K(J)'s faces, K's own for J = (), or None when J or
-    a facet of K passes the budget's bit length, and then formula names a
-    lower bound that is over: 2^(j_i + 1) - 1, block i's faces, or
-    2^|sigma|, the faces of K's facet sigma."""
-    j = max(J, default=0)
-    d = max(map(len, K.facets))
+    """(count, formula): K(J)'s faces, K's own for J = (), or None when a j_i,
+    sum(J) or a facet of K passes the budget's bit length, and then formula
+    names a lower bound that is over: 2^(j_i + 1) - 1, block i's faces, or
+    2^max(|sigma|, sum(J)), as K's facet sigma has 2^|sigma| faces and at
+    least 2^sum(J) faces of K(J) hold no block whole."""
+    j, s, d = max(J, default=0), sum(J), max(map(len, K.facets))
     bits = KJ_FACE_BUDGET.bit_length()
-    if j > bits or d >= bits:
+    if j > bits or d >= bits or s > bits:
         count = None
     elif J:
         count = cxm.doubled_face_count(K, J)
     else:  # K's face levels, which C(K) is built on, with no length-m J
         count = sum(map(len, cxm.face_levels(K).values()))
-    return count, f"at least 2^{j + 1} - 1" if j > bits else f"at least 2^{d}"
+    return count, f"at least 2^{j + 1} - 1" if j > bits else f"at least 2^{max(d, s)}"
 
 
 def _check_kj_budget(K, J):
@@ -343,11 +343,13 @@ LABEL_BUDGET = 10_000_000
 
 def _check_label_budget(K, J):
     """Refuse a J whose K(J) has more facet labels to print than the budget;
-    the count is at least each j_i, as a facet has sum(J) labels or more."""
+    the count is at least each j_i and 2^(number of nonzero j_i off any facet)."""
     j = max(J, default=0)
-    count = cxm.doubled_label_count(K, J) if j <= LABEL_BUDGET else None
-    _refuse_over(LABEL_BUDGET, count, f"at least {j}", f"K(J) at J={J} has",
-                 "labels in its facets")
+    e = sum(map(bool, J)) - min(sum(J[v - 1] > 0 for v in f) for f in K.facets)
+    over = j > LABEL_BUDGET or e > LABEL_BUDGET.bit_length()
+    count = None if over else cxm.doubled_label_count(K, J)
+    _refuse_over(LABEL_BUDGET, count, f"at least {j if j > LABEL_BUDGET else f'2^{e}'}",
+                 f"K(J) at J={J} has", "labels in its facets")
 
 
 # verify geometry's largest W-union is A(K) * S_[m] at its last m and k, K

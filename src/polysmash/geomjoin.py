@@ -18,13 +18,13 @@ once and solves each point once, and a face of it reads that solve.
 geometric_join only builds.  Two facts of (m, k) alone decide Stone's
 W_sigma = Delta_sigma * S*_sigma = a_sigma * S_[m], once per StandardConfig:
 (i) the n block vertices are independent, read from the rank of its frame of
-Delta_[m], whose faces are each Delta_sigma and each piece of a Delta_sigma *
-S*_sigma; (ii) a_[m] misses S_[m], and a_[m] * S_[m], which holds every
-W_sigma and their union over K, is a geometric join.  A failed fact is an
-InvariantError: the configuration is the program's own.  joinable decides
-(ii) and each step of verify_gji's folds, which implies every pair.  The psi
-maps and verify_maps compare integer numerators by cross-multiplication over
-a grid in lowest terms.  The per-point and per-pair loops run in builtins
+Delta_[m], whose faces are each Delta_sigma, each piece of a Delta_sigma *
+S*_sigma and each member of verify_gji's Delta_i and S_i; (ii), decided by
+joinable, a_[m] misses S_[m] and a_[m] * S_[m], which holds every W_sigma
+and their union over K, is a geometric join.  A failed fact is an
+InvariantError: the configuration is the program's own.  The psi maps and
+verify_maps compare integer numerators by cross-multiplication over a grid
+in lowest terms.  The per-point and per-pair loops run in builtins
 (sum over map(mul, ...), min, max, filter) and list comparisons, not in
 generator expressions.
 """
@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import gcd, prod
 from operator import mul
 
@@ -486,24 +486,22 @@ def _a_sigma(config, sigma):
 
 def verify_gji(config: StandardConfig, sigma) -> VerificationReport:
     """The collections {Delta_i}, {S_i}, {a_i} over sigma are each families of
-    geometrically joinable spaces, by the fold alone: each prefix join with
-    the next member.  It implies every pair: a member's simplex lies in one
-    of every later prefix join, so a pair's join simplices are faces of its
-    fold step's, and faces of disjoint, independent, properly intersecting
-    simplices are so too.  Every check, failing ones included, is as if the
-    pairs were decided as well."""
+    geometrically joinable spaces: by fact (i) Delta_i and S_i are faces of
+    Delta_[m], joinable iff pairwise disjoint, and a vertex off the block
+    vertices raises InvariantError; the a_i, points, iff affinely independent."""
     sigma = sorted(set(sigma))
     report = VerificationReport(f"gji m={config.m} k={config.k} sigma={sigma}")
-    collections = {
-        "Delta_i": [_delta_sigma(config, (i,)) for i in sigma],
-        "S_i": [config.sphere_join((i,)) for i in sigma],
-        "a_i": [_a_sigma(config, (i,)) for i in sigma],
-    }
-    for name, members in collections.items():
-        prefixes = accumulate(members[:-1], geometric_join)
-        ok_all = all(joinable(acc, member)[0] for acc, member in zip(prefixes, members[1:]))
-        report.add(Check(f"collection {name} joinable", ok_all, "joinable",
-                         "joinable" if ok_all else "not joinable", "gji"))
+    verdicts = {}
+    for name, members in [("Delta_i", [config.block(i) for i in sigma]),
+                          ("S_i", [config.sphere_join((i,)).vertices() for i in sigma])]:
+        vertices = set().union(*members)
+        if off := vertices - config.frame._column.keys():
+            raise InvariantError(f"{name} has the point {min(off)} off the block vertices")
+        verdicts[name] = len(vertices) == sum(map(len, members))
+    verdicts["a_i"] = affinely_independent(map(config.scaled_a, sigma))
+    for name, ok in verdicts.items():
+        report.add(Check(f"collection {name} joinable", ok, "joinable",
+                         "joinable" if ok else "not joinable", "gji"))
     return report
 
 

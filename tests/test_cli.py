@@ -421,6 +421,39 @@ def test_a_huge_j_is_refused_by_formula_without_forming_its_count(tmp_path, monk
                                                   f"at least {shown}, over the budget"), argv
 
 
+def test_a_long_j_is_refused_by_its_bound_without_forming_its_count(tmp_path, monkeypatch,
+                                                                   capsys):
+    # at m = 30,000 with the facet {1, 2}, the all-ones J gives K(J) at least
+    # 2^sum(J) faces, as each block outside a face's whole blocks takes one of
+    # 3 >= 2 proper subsets, and at least 2^29,998 labels, as the facet gives
+    # 2 facets per block outside it.  Neither count is formed: each has over
+    # 4,300 digits, which Python's integer string conversion refuses to print
+    m = 30000
+    p = write(tmp_path, "wide.txt", f"m={m}\n1 2\n")
+    J = (1,) * m
+    over = "over the budget of {}; refused\n"
+    faces = f"error: K(J) at J={J} has at least 2^{m} faces, " + over.format(KJ_FACE_BUDGET)
+    labels = (f"error: K(J) at J={J} has at least 2^{m - 2} labels in its facets, "
+              + over.format(LABEL_BUDGET))
+    # the all-zero sample, K's 4 faces, is counted and admitted first
+    assert main(["verify", "main", p, "--jmax", "1"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and captured.err == faces
+
+    def no_count(*args):
+        raise AssertionError("the count was formed")
+
+    monkeypatch.setattr(cxm, "doubled_face_count", no_count)
+    monkeypatch.setattr(cxm, "doubled_label_count", no_count)
+    ones = ",".join(["1"] * m)
+    for argv, refusal in [(["verify", "main", p, "--j", ones], faces),
+                          (["smash", p, "--path", "reduction", "--j", ones], faces),
+                          (["double", p, "--j", ones], labels)]:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert not captured.out and captured.err == refusal, argv[:2]
+
+
 def test_double_over_the_label_budget_is_refused_before_any_build(tmp_path, monkeypatch,
                                                                  capsys):
     # the projective plane at J = 40^6 would print 167,478,030 labels,

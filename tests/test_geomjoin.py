@@ -193,11 +193,12 @@ def test_geometry_sweep_never_reaches_the_lp(monkeypatch):
     # the CLI's sweep at m <= 3, k <= 2, W on the boundary of the 2-simplex
     # included (the grid only sizes the map checks): no benchmark workload
     # reaches the LP, so this count is what shows the standard configuration
-    # falling back to it
+    # falling back to it.  1,363 pairs while verify_gji folded joinable over
+    # each family; fact (i) decides those families with no pair
     accepted, lps = count_functional_and_lps(monkeypatch)
     assert main(["verify", "geometry", "--m", "3", "--k", "2", "--grid", "1"]) == 0
     assert lps == []
-    assert len(accepted) == 1363 and all(accepted)
+    assert len(accepted) == 900 and all(accepted)
 
 
 def test_independent_pair_the_functional_declines_goes_to_the_lp(monkeypatch):
@@ -518,6 +519,30 @@ class _RepeatedSphere(StandardConfig):
 
     def sphere(self, i):
         return StandardConfig.sphere(self, 2 if i == 3 else i)
+
+
+class _SphereVertexOffBlock(StandardConfig):
+    """S_1's first vertex moved off block 1: +1 on block 2's first coordinate."""
+
+    def moved(self):
+        return tuple(x + (j == self.k + 1) for j, x in enumerate(self.block(1)[0]))
+
+    def sphere(self, i):
+        first = self.block(1)[0]
+        return EmbeddedComplex(self.n, frozenset(
+            frozenset(self.moved() if p == first else p for p in s)
+            for s in StandardConfig.sphere(self, i).maximal))
+
+
+@pytest.mark.parametrize("m, k", [(2, 1), (2, 2), (3, 2)])
+def test_gji_refuses_a_sphere_vertex_off_the_block_vertices(m, k):
+    # fact (i) decides S_i only as faces of Delta_[m]: a point off the block
+    # vertices is the program's own configuration gone wrong, and is named
+    # with its collection, not given a verdict
+    cfg = _SphereVertexOffBlock(m, k)
+    with pytest.raises(InvariantError) as failed:
+        verify_gji(cfg, range(1, m + 1))
+    assert str(failed.value) == f"S_i has the point {cfg.moved()} off the block vertices"
 
 
 @pytest.mark.parametrize("config", [StandardConfig, _BarycenterOnTheFirst,
@@ -1570,15 +1595,18 @@ def test_dependent_configuration_is_an_internal_error(monkeypatch, capsys):
     assert err.startswith("internal error:") and "improper intersection" in err
 
 
-def test_gji_decides_each_pair_once(monkeypatch):
-    # per collection: each prefix join with the next member, m - 1 calls,
-    # which imply every pair
+def test_gji_reads_fact_i_and_tests_the_a_i_once(monkeypatch):
+    # Delta_i and S_i are read from fact (i) as faces of Delta_[m], and the
+    # a_i take one independence test: no joinable call, where the fold made
+    # m - 1 per collection
     counts = Counter()
     monkeypatch.setattr(geomjoin, "joinable", counted(counts, "joinable", joinable))
-    for m, calls in [(1, 0), (2, 1), (3, 2), (4, 3)]:
+    monkeypatch.setattr(geomjoin, "affinely_independent",
+                        counted(counts, "tests", affinely_independent))
+    for m in (1, 2, 3, 4):
         counts.clear()
         assert verify_gji(standard_config(m, 1), range(1, m + 1)).passed
-        assert counts["joinable"] == 3 * calls, m
+        assert counts == {"tests": 1}, m
 
 
 def test_gjs_builds_only_the_spheres_of_sigma(monkeypatch):
@@ -1651,7 +1679,10 @@ def test_geometry_sweep_work_counts_are_pinned(monkeypatch, capsys):
     # frame of Delta_[m] per verify_W_union and verify_gjs call made 45
     # frames and 222 solves; one per configuration makes 9, and solves each
     # of its n block vertices and m barycenters (the block vertices at k = 0)
-    # once: 48
+    # once: 48.  verify_gji's folds made 82 of the 220 independence tests and
+    # 463 of the 1,363 proper intersections; it now reads Delta_i and S_i
+    # from fact (i) and tests the a_i once per configuration, 9 tests and no
+    # pair: 147 and 900
     counts = Counter()
     targets = [
         (geomjoin, "affinely_independent"),
@@ -1678,7 +1709,7 @@ def test_geometry_sweep_work_counts_are_pinned(monkeypatch, capsys):
     monkeypatch.setattr(geomjoin, "_pivot", counted(counts, "frame pivots",
                                                      exactlin._pivot), raising=False)
     assert main(["verify", "geometry", "--m", "3", "--k", "2"]) == 0
-    assert [counts[name] for _, name in targets] == [220, 48, 1363, 0, 9]
+    assert [counts[name] for _, name in targets] == [147, 48, 900, 0, 9]
     assert counts["frame pivots"] == 36
     # the functional proves every pair of both sweeps, so neither runs an
     # LP: a configuration that needs one names itself here
