@@ -35,7 +35,6 @@ from .geomjoin import (
     EmbeddedComplex,
     StandardConfig,
     geometric_join,
-    joinable,
     standard_config,
     verify_W_union,
     verify_gji,
@@ -76,7 +75,6 @@ __all__ = [
     "full_simplex",
     "geometric_join",
     "homology",
-    "joinable",
     "lp_max",
     "random_complex",
     "rank_rational",

@@ -1,6 +1,6 @@
-"""Exact geometry: embedded complexes in Q^n, geometric joins,
-general-position (joinability) predicates, and the cube reparametrization
-psi with its inverse and its naturality, checked on rational grids.
+"""Exact geometry: embedded complexes in Q^n, geometric joins, the
+standard configuration's block facts, and the cube reparametrization psi
+with its inverse and its naturality, checked on rational grids.
 
 Points are tuples of ints or Fractions, and every predicate is decided
 exactly: no floats, and Fractions only for answers.  The standard
@@ -9,20 +9,36 @@ barycenters scaled by L = k + 1, which changes no incidence, containment or
 volume ratio.  Every elimination and scaling is exactlin's, one of each:
 affine independence and determinants run bareiss on rows scaled by
 _scaled, and a coordinate that is not rational, a float included, raises
-ValueError through exactlin's _rational.  Proper intersection has one
-proof, a separating functional in closed form, one dot product per vertex,
-and one decider, the exact LP, which runs when the functional declines and
-finds an improper pair's witness.  A BarycentricFrame factors a simplex
-once and solves each point once, and a face of it reads that solve.
+ValueError through exactlin's _rational.  A BarycentricFrame factors a
+simplex once and solves each point once, and a face of it reads that solve.
 
-geometric_join only builds.  Two facts of (m, k) alone decide Stone's
-W_sigma = Delta_sigma * S*_sigma = a_sigma * S_[m], once per StandardConfig:
-(i) the n block vertices are independent, read from the rank of its frame of
-Delta_[m], whose faces are each Delta_sigma, each piece of a Delta_sigma *
-S*_sigma and each member of verify_gji's Delta_i and S_i; (ii), decided by
-joinable, a_[m] misses S_[m] and a_[m] * S_[m], which holds every W_sigma
-and their union over K, is a geometric join.  A failed fact is an
-InvariantError: the configuration is the program's own.  The psi maps and
+Join lemma.  Let Delta_1, ..., Delta_m be faces of one simplex on disjoint
+vertex sets, and L_i a geometric complex in Delta_i.  Then L_1 * ... * L_m
+is a geometric complex, and its carrier is the join of the carriers:
+(1) a point of Delta_[m] has unique barycentric coordinates, which grouped
+by block give its unique form sum t_i p_i with p_i in Delta_i; (2) so two
+join simplices meet in the join of their blockwise intersections, each a
+common face; (3) an affine dependence among their vertices sums to 0 on
+each block, so it lies in a simplex of one L_i.
+
+Stone's W_sigma = Delta_sigma * S*_sigma = a_sigma * S_[m] is such a join,
+Delta_i = a_i * S_i on the blocks of sigma and S_j off them, and two facts
+decide its geometry: (i) the n block vertices are independent, read from
+the rank of the configuration's frame of Delta_[m], whose faces are each
+Delta_sigma, each Delta_i and S_i, and each piece of a W_sigma; (ii) each
+a_i lies in the relative interior of Delta_i, its frame coordinates
+positive on block i's columns and 0 off them, which by the lemma holds iff
+a_[m] * S_[m], holding every W_sigma and their union over K, is a
+geometric join.  verify_gjs reads the same per-block test and w1 tiles
+each Delta_i by a_i * S_i, so no command tests a pair of simplices.  A failed fact, or an a_i
+off its block's affine hull, where the lemma says nothing, is an
+InvariantError: the configuration is the program's own.
+
+geometric_join only builds.  Proper intersection keeps one proof, a
+separating functional in closed form, one dot product per vertex, and one
+decider, the exact LP, which runs when the functional declines and finds
+an improper pair's witness; the benchmark's spans trace both, and the
+tests' pairwise joinability oracle calls them.  The psi maps and
 verify_maps compare integer numerators by cross-multiplication over a grid
 in lowest terms.  The per-point and per-pair loops run in builtins
 (sum over map(mul, ...), min, max, filter) and list comparisons, not in
@@ -247,7 +263,7 @@ def empty_embedded(ambient):
 
 
 # ---------------------------------------------------------------------------
-# joinability and geometric joins
+# proper intersection and geometric joins
 # ---------------------------------------------------------------------------
 
 
@@ -330,44 +346,10 @@ def _vdot(u, v):
     return sum(map(mul, u, v))
 
 
-def joinable(X: EmbeddedComplex, Y: EmbeddedComplex):
-    """Decide geometric joinability of two embedded complexes.
-
-    (a) every pair of simplices (one from each side) is disjoint with an
-    affinely independent combined vertex set, and (b) every two of the
-    resulting join simplices intersect properly.  Returns (ok, failures),
-    failures a list of dicts with kind, simplices and, for an improper
-    intersection, its witness.
-    """
-    if X.ambient != Y.ambient:
-        raise ValueError("ambient dimension mismatch")
-    failures = []
-    join_simplices = []
-    for s in X.maximal:
-        for t in Y.maximal:
-            if s & t or not affinely_independent(s | t):
-                failures.append(
-                    {"kind": "affine dependence", "simplices": (sorted(s), sorted(t))}
-                )
-            else:
-                join_simplices.append(s | t)
-    for sa, sb in combinations(join_simplices, 2):
-        ok, witness = proper_intersection(sa, sb)
-        if not ok:
-            failures.append(
-                {
-                    "kind": "improper intersection",
-                    "simplices": (sorted(sa), sorted(sb)),
-                    "witness": witness,
-                }
-            )
-    return not failures, failures
-
-
 def geometric_join(X: EmbeddedComplex, Y: EmbeddedComplex):
     """The complex of the joined simplices s | t, s in X and t in Y,
-    minimalized.  Only builds, and tests nothing: joinable, or the
-    configuration's two facts, decide whether a join is geometric."""
+    minimalized.  Only builds, and tests nothing: the configuration's two
+    facts decide whether its joins are geometric."""
     return EmbeddedComplex(X.ambient, _maximal(s | t for s in X.maximal for t in Y.maximal))
 
 
@@ -386,8 +368,10 @@ class StandardConfig:
     scaling keeps every independence, containment, proper intersection and
     volume ratio, and integer points hash and compare fast.  A block index
     outside [1, m] raises ValueError, so no complex has a missing block.
-    (m, k) alone decides the frame of Delta_[m], facts (i) and (ii) and the
-    sphere joins: each is built or decided once per configuration, and kept.
+    (m, k) alone decides the frame of Delta_[m], fact (i) and the sphere
+    joins: each is built or decided once per configuration, and kept.
+    Fact (ii) and each block's tiling read that frame again on each call,
+    one solve per point, kept by the frame.
     """
 
     m: int
@@ -405,22 +389,31 @@ class StandardConfig:
         """Delta_[m]'s BarycentricFrame: it solves each point once."""
         return BarycentricFrame([p for i in range(1, self.m + 1) for p in self.block(i)])
 
-    @cached_property
+    def interior(self, i):
+        """a_i lies in the relative interior of Delta_i: its coordinates in
+        the frame of Delta_[m] are positive on block i's columns (the frame
+        lists the blocks in order) and 0 on every other.  An a_i off block
+        i's affine hull raises InvariantError: the join lemma needs a_i in
+        Delta_i's hull to decide anything."""
+        a = self.scaled_a(i)
+        cols = self._coordinates(i)
+        solved = self.frame._numerators(a)
+        if solved is None or solved[2] & ~sum(1 << c for c in cols):
+            raise InvariantError(f"a_{i} = {a} is off the affine hull of Delta_{i}")
+        return min(solved[1][c] for c in cols) > 0
+
     def fact_ii(self):
-        """Fact (ii): a_[m] misses S_[m], and a_[m] * S_[m] is a geometric
-        join, by joinable at the first call; coincident a_i are dependent."""
-        a_full = [self.scaled_a(i) for i in range(1, self.m + 1)]
-        s_full = self.sphere_join(tuple(range(1, self.m + 1)))
-        if shared := set(a_full).intersection(s_full.vertices()):
-            raise InvariantError(f"a_[m] and S_[m] share the vertex {min(shared)}")
-        # joinable lists dependent pairs first; only an improper pair has a witness
-        failures = joinable(_simplex(self.n, a_full), s_full)[1]
-        if len(set(a_full)) < self.m or failures and "witness" not in failures[0]:
-            raise InvariantError("a_[m] * S_[m] has affinely dependent simplex vertices")
-        if failures:
-            witness = ", ".join(map(str, failures[0]["witness"]))
-            raise InvariantError(f"a_[m] * S_[m] has an improper intersection at ({witness})")
-        return True
+        """Fact (ii): a_[m] * S_[m] is a geometric join.  By the join lemma
+        it is one iff each a_i * S_i is one in Delta_i, and a point of a
+        simplex's hull cones its boundary into a geometric complex iff it
+        lies in the simplex's relative interior: on its boundary it is
+        dependent with a facet, and outside it two cones overlap.  So fact
+        (ii) holds iff interior(i) holds for every block, and InvariantError
+        names the first a_i that fails."""
+        for i in range(1, self.m + 1):
+            if not self.interior(i):
+                raise InvariantError(f"a_{i} = {self.scaled_a(i)} is not in the"
+                                     f" relative interior of Delta_{i}")
 
     @property
     def n(self):
@@ -508,24 +501,25 @@ def verify_gji(config: StandardConfig, sigma) -> VerificationReport:
 def verify_gjs(config: StandardConfig, sigma) -> VerificationReport:
     """Delta_sigma = a_sigma *~ S_sigma: joinability, containment, proper
     intersections, and the exact volume identity (the join tiles the block
-    simplex)."""
+    simplex).  By the join lemma a_sigma * S_sigma is a geometric join iff
+    each a_i * S_i, i in sigma, is, iff each a_i lies in the relative
+    interior of Delta_i: config.interior decides the joinability line, and
+    an a_i off its block's affine hull raises InvariantError."""
     sigma = sorted(set(sigma))
     if not sigma:
         raise ValueError("sigma must be nonempty")
     report = VerificationReport(f"gjs m={config.m} k={config.k} sigma={sigma}")
     frame = config.frame  # Delta_sigma is its face on sigma's blocks
     face = frame.face(p for i in sigma for p in config.block(i))
-    s_sigma = config.sphere_join(tuple(sigma))
-    a_sigma = _a_sigma(config, sigma)
-
-    # S_sigma has a simplex t (at k = 0 the empty one): joinable decides a_sigma too
-    ok, failures = joinable(a_sigma, s_sigma)
+    interior = [config.interior(i) for i in sigma]
+    ok = all(interior)
     report.add(Check("a_sigma joinable to S_sigma", ok, "joinable",
                      "joinable" if ok else "not joinable", "gjs"))
-    # a_sigma is one simplex, so the pieces are exactly the join simplices
-    # whose pairs joinable has just tested for proper intersection
-    pieces = list(geometric_join(a_sigma, s_sigma).maximal)
-    improper = sum(f["kind"] == "improper intersection" for f in failures)
+    # the pieces are the join simplices a_sigma | t, t in S_sigma (at k = 0
+    # the empty one), built untested; they meet properly iff each block of
+    # sigma has its a_i interior, so each block that has not is a violation
+    pieces = list(geometric_join(_a_sigma(config, sigma),
+                                 config.sphere_join(tuple(sigma))).maximal)
 
     # containment is decided once per join vertex; a piece lies inside iff its vertices do
     verts = set().union(*pieces)
@@ -538,9 +532,8 @@ def verify_gjs(config: StandardConfig, sigma) -> VerificationReport:
     # either way the pieces tile Delta_sigma, of normalized volume 1
     ratios = [frame.volume_ratio(s, face) for s in pieces]
     total = sum(r for r in ratios if r is not None)
-    violations = (
-        ratios.count(None) + improper + sum(p not in inside for s in pieces for p in s)
-    )
+    violations = (ratios.count(None) + interior.count(False)
+                  + sum(p not in inside for s in pieces for p in s))
     report.add(Check("pieces intersect properly and stay inside", not violations,
                      "no violations", f"{violations} violations", "gjs"))
     report.add(Check("volume identity (tiling of Delta_sigma)", total == 1, "1",
@@ -549,24 +542,30 @@ def verify_gjs(config: StandardConfig, sigma) -> VerificationReport:
 
 
 def verify_W_union(config: StandardConfig, K) -> VerificationReport:
-    """Per sigma in K: Delta_sigma *~ S*_sigma and a_sigma *~ S_[m] have equal
-    carriers; the union over K has the homology of the km-fold suspension."""
+    """Per sigma in K (w1): Delta_sigma *~ S*_sigma and a_sigma *~ S_[m] have
+    equal carriers; the union of the a_sigma * S_[m] over K (w2) has the
+    homology of the km-fold suspension.  By the join lemma both
+    presentations are joins over the blocks, S_j on each block j off sigma,
+    so their carriers agree iff Delta_i and a_i * S_i do on each block i of
+    sigma: one carrier_equal per block and call, and w1 at sigma is the
+    conjunction over sigma's blocks."""
     if K.m != config.m:
         raise ValueError("K and configuration disagree on m")
     report = VerificationReport(f"W m={config.m} k={config.k}")
     full = tuple(range(1, config.m + 1))
-    config.fact_ii  # with fact (i): every side below and their union are geometric
-    sides_b = []
+    config.fact_ii()  # with fact (i): every a_sigma * S_[m] and their union are geometric
+    tiled = {i: carrier_equal(_delta_sigma(config, (i,)),
+                              geometric_join(_a_sigma(config, (i,)), config.sphere_join((i,))),
+                              config.frame) for i in full}
+    s_full = config.sphere_join(full)
+    sides = []
     for sigma in K.faces():
-        s_star = config.sphere_join(tuple(j for j in full if j not in sigma))
-        side_a = geometric_join(_delta_sigma(config, sigma), s_star)
-        side_b = geometric_join(_a_sigma(config, sigma), config.sphere_join(full))
-        sides_b.append(side_b)
-        ok = carrier_equal(side_a, side_b, config.frame)
+        sides.append(geometric_join(_a_sigma(config, sigma), s_full))
+        ok = all(map(tiled.__getitem__, sigma))
         report.add(Check(f"W_sigma two presentations agree, sigma={sorted(sigma)}",
                          ok, "equal carriers", "equal" if ok else "different", "w1"))
 
-    union = EmbeddedComplex.union(sides_b)
+    union = EmbeddedComplex.union(sides)
     H_union = union.homology()
     H_expected = homology(simplicial_chain_complex(K)).shifted(config.k * config.m)
     report.add(Check("union W_sigma homology = km-shifted homology of K",
@@ -579,9 +578,10 @@ def carrier_equal(A: EmbeddedComplex, B: EmbeddedComplex, frame):
     """Certify |A| = |B|: each simplex P of A is tiled by the simplices of B
     inside it (by vertices, hence by convexity), of volume ratios summing to
     1, and each simplex of B lies in some P.  B's simplices must meet
-    properly, as faces of a_[m] * S_[m] do by fact (ii): then the tiles have
+    properly, as those of a_i * S_i do by fact (ii): then the tiles have
     disjoint interiors and cover P.  Each P is a face of frame, an
-    independent BarycentricFrame on A's vertices, which reads P's columns."""
+    independent BarycentricFrame on A's vertices, which reads P's columns;
+    verify_W_union tiles each Delta_i by a_i * S_i against Delta_[m]'s."""
     pieces_a = [s for s in A.maximal if s]
     pieces_b = [s for s in B.maximal if s]
     if not pieces_a or not pieces_b:

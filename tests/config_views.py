@@ -10,14 +10,23 @@ with them, and rebuild the per-block complexes and the
 (Delta_sigma, S_sigma, S*_sigma, a_sigma) tuple from the library's own
 constructors, the sphere joins read from the configuration's memo.
 from_simplices is the checked constructor for any other points, and
-realization_AK builds A(K) on the block barycenters.
+realization_AK builds A(K) on the block barycenters.  MovedBarycenter is
+the perturbed family: a_1 placed by weights on block 1's vertices, and
+pushed off the block by a vector, so that the blockwise verdicts can be
+compared with the pairwise oracle where the join lemma applies, and shown
+to refuse the rest; in_block_hull says where that is from the point's
+coordinates alone.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
+from operator import mul
 
 from polysmash.complexes import _maximal
 from polysmash.geomjoin import (
     EmbeddedComplex,
+    StandardConfig,
     _a_sigma,
     _delta_sigma,
     affinely_independent,
@@ -85,3 +94,30 @@ def sigma_complexes(cfg, sigma):
         cfg.sphere_join(comp),
         _a_sigma(cfg, sigma),
     )
+
+
+@dataclass(frozen=True)
+class MovedBarycenter(StandardConfig):
+    """The standard configuration with L a_1 = sum_l w_l L v_1^l + push:
+    rational weights w, one per vertex of block 1, and a rational vector
+    push, () for none.  With weights summing to 1 and no push, a_1 lies in
+    block 1's affine hull; in its relative interior iff every weight is
+    positive."""
+
+    weights: tuple
+    push: tuple = ()
+
+    def scaled_a(self, i):
+        if i != 1:
+            return StandardConfig.scaled_a(self, i)
+        point = [sum(map(mul, self.weights, col)) for col in zip(*self.block(1))]
+        return tuple(x + y for x, y in zip_longest(point, self.push, fillvalue=0))
+
+
+def in_block_hull(cfg, i):
+    """L a_i lies in the affine hull of block i's vertices L e_c: 0 off the
+    block's coordinates, and L in all, read from the point alone."""
+    L = cfg.k + 1
+    point = cfg.scaled_a(i)
+    off = point[: L * (i - 1)] + point[L * i :]
+    return not any(off) and sum(point) == L

@@ -16,7 +16,13 @@ each piece against its own BarycentricFrame; the one-way, shared-frame
 version must reach the same verdict.  verify_gji is the library's from
 before it decided each family by its fold alone: every pair of members,
 then the fold from the join of the first pair on; the fold alone must give
-the same checks.
+the same checks.  joinable is the library's pairwise decision from before
+the configuration's facts became per-block reads of its frame: every pair
+of join simplices through the library's proper_intersection (its
+separating functional, then its exact LP), each vertex set independent by
+the Fraction elimination above.  It is the oracle for the blockwise
+verdicts, and the one caller that still drives the library's LP from a
+configuration.
 """
 
 import math
@@ -24,8 +30,8 @@ from fractions import Fraction
 from itertools import accumulate, combinations, islice
 
 from polysmash.exactlin import RationalLP, lp_max
-from polysmash.geomjoin import BarycentricFrame, _a_sigma, _delta_sigma, geometric_join, joinable
-from polysmash.geomjoin import proper_intersection as library_proper_intersection
+from polysmash import geomjoin
+from polysmash.geomjoin import BarycentricFrame, _a_sigma, _delta_sigma, geometric_join
 from polysmash.report import Check, VerificationReport
 
 F = Fraction
@@ -67,6 +73,41 @@ def proper_intersection(simplex_a, simplex_b):
     u = res.point[: len(A)]
     witness = tuple(sum(ui * p[d] for ui, p in zip(u, A)) for d in range(n))
     return False, witness
+
+
+def joinable(X, Y):
+    """Decide geometric joinability of two embedded complexes, pair by pair.
+
+    (a) every pair of simplices (one from each side) is disjoint with an
+    affinely independent combined vertex set, and (b) every two of the
+    resulting join simplices intersect properly.  Returns (ok, failures),
+    failures a list of dicts with kind, simplices and, for an improper
+    intersection, its witness.  proper_intersection is looked up on the
+    library module at each call, so a test may wrap it or its LP.
+    """
+    if X.ambient != Y.ambient:
+        raise ValueError("ambient dimension mismatch")
+    failures = []
+    join_simplices = []
+    for s in X.maximal:
+        for t in Y.maximal:
+            if s & t or not affinely_independent(s | t):
+                failures.append(
+                    {"kind": "affine dependence", "simplices": (sorted(s), sorted(t))}
+                )
+            else:
+                join_simplices.append(s | t)
+    for sa, sb in combinations(join_simplices, 2):
+        ok, witness = geomjoin.proper_intersection(sa, sb)
+        if not ok:
+            failures.append(
+                {
+                    "kind": "improper intersection",
+                    "simplices": (sorted(sa), sorted(sb)),
+                    "witness": witness,
+                }
+            )
+    return not failures, failures
 
 
 def determinant(rows):
@@ -178,7 +219,7 @@ def _carrier_refined_by(A, B):
                 total += r
         if total != 1:
             return False
-        if not all(library_proper_intersection(qa, qb)[0]
+        if not all(geomjoin.proper_intersection(qa, qb)[0]
                    for qa, qb in combinations(tiles, 2)):
             return False
     return assigned == set(pieces_b)

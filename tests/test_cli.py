@@ -30,7 +30,7 @@ from polysmash import cli, exactlin, geomjoin, smashmodel
 from polysmash import complexes as cxm
 from polysmash.chains import ChainComplex, HomologyGroup
 from polysmash.complexes import double, from_facets
-from polysmash.exactlin import InvariantError, LPResult, SmithForm
+from polysmash.exactlin import InvariantError, SmithForm
 
 from complexes_reference import complex_to_json
 from conftest import RP2_FACETS
@@ -672,14 +672,6 @@ def test_internal_error_exits_3_under_optimize(tmp_path):
                           capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("internal error:") and "o d" in proc.stderr
-
-
-def test_lp_status_failure_exits_3(monkeypatch, capsys):
-    # the separating functional declines, so the LP runs on every pair
-    monkeypatch.setattr(geomjoin, "_separated", lambda A, B, shared: False)
-    monkeypatch.setattr(geomjoin, "lp_max", lambda P: LPResult("unbounded"))
-    assert main(["verify", "geometry", "--m", "2", "--k", "1", "--grid", "2"]) == 3
-    assert "proper-intersection LP ended 'unbounded'" in capsys.readouterr().err
 
 
 def test_invariant_failure_exits_3(tmp_path, monkeypatch, capsys):

@@ -23,7 +23,7 @@ from polysmash.complexes import (
     random_complex,
     simplex_boundary,
 )
-from polysmash.exactlin import InvariantError, bareiss, lp_max
+from polysmash.exactlin import InvariantError, LPResult, bareiss, lp_max
 from polysmash.geomjoin import (
     BarycentricFrame,
     EmbeddedComplex,
@@ -34,7 +34,6 @@ from polysmash.geomjoin import (
     determinant,
     empty_embedded,
     geometric_join,
-    joinable,
     proper_intersection,
     standard_config,
     verify_gji,
@@ -46,9 +45,11 @@ from polysmash.geomjoin import (
 import geom_reference as ref
 from bary_reference import barycentric_reference
 from config_views import (
+    MovedBarycenter,
     a,
     embedded_point,
     from_simplices,
+    in_block_hull,
     is_empty,
     realization_AK,
     sigma_complexes,
@@ -132,23 +133,23 @@ def test_frame_matches_reference_solve():
     assert min(seen.values()) >= 100, seen
 
 
-def verify_small_configs():
-    """verify_gjs and verify_W_union at m <= 2, k <= 2, each must pass."""
+def join_small_configs():
+    """The oracle's joinable(a_sigma, S_sigma) at m <= 2, k <= 2, on every
+    nonempty sigma, a_[m] * S_[m] among them; each join must be geometric.
+    No verifier decides a pair any more, so this is what drives the
+    library's proper_intersection, and its LP, on the configuration."""
     for m in (1, 2):
         for k in (0, 1, 2):
             cfg = standard_config(m, k)
             for size in range(1, m + 1):
-                assert verify_gjs(cfg, tuple(range(1, size + 1))).passed
-            corpus = [empty_complex(m), full_simplex(m - 1)]
-            if m >= 2:
-                corpus.append(from_facets(m, [(i,) for i in range(1, m + 1)]))
-            for K in corpus:
-                assert verify_W_union(cfg, K).passed
+                for sigma in itertools.combinations(range(1, m + 1), size):
+                    assert oracle(cfg, sigma), (m, k, sigma)
 
 
 def test_proper_intersection_lps_match_reference(monkeypatch):
-    # every LP that verify_gjs and verify_W_union raise at m <= 2, k <= 2
-    # once the separating functional declines every pair
+    # every LP the oracle's joinable raises at m <= 2, k <= 2 once the
+    # separating functional declines every pair: 54, one per pair of join
+    # simplices
     seen = []
 
     def recording(P):
@@ -158,7 +159,7 @@ def test_proper_intersection_lps_match_reference(monkeypatch):
 
     monkeypatch.setattr(geomjoin, "_separated", lambda A, B, shared: False)
     monkeypatch.setattr(geomjoin, "lp_max", recording)
-    verify_small_configs()
+    join_small_configs()
     assert len(seen) >= 50
     for P, res in seen:
         assert res == reference_lp_max(P)
@@ -181,24 +182,34 @@ def count_functional_and_lps(monkeypatch):
 
 
 def test_small_configs_never_reach_the_lp(monkeypatch):
-    # the separating functional proves every pair the verifiers meet at
+    # the separating functional proves every pair of a_sigma * S_sigma at
     # m <= 2, k <= 2 proper
     accepted, lps = count_functional_and_lps(monkeypatch)
-    verify_small_configs()
+    join_small_configs()
     assert lps == []
     assert len(accepted) >= 50 and all(accepted)
 
 
 def test_geometry_sweep_never_reaches_the_lp(monkeypatch):
     # the CLI's sweep at m <= 3, k <= 2, W on the boundary of the 2-simplex
-    # included (the grid only sizes the map checks): no benchmark workload
-    # reaches the LP, so this count is what shows the standard configuration
-    # falling back to it.  1,363 pairs while verify_gji folded joinable over
-    # each family; fact (i) decides those families with no pair
+    # included (the grid only sizes the map checks), decides no pair of
+    # simplices: fact (ii), gjs and w1 read each a_i's block coordinates.
+    # 1,363 pairs while verify_gji folded joinable over each family, and 900
+    # while fact (ii) and verify_gjs called joinable
     accepted, lps = count_functional_and_lps(monkeypatch)
     assert main(["verify", "geometry", "--m", "3", "--k", "2", "--grid", "1"]) == 0
-    assert lps == []
-    assert len(accepted) == 900 and all(accepted)
+    assert lps == [] and accepted == []
+
+
+def test_proper_intersection_lp_status_failure_raises(monkeypatch):
+    # an LP that ends neither optimal nor infeasible decides nothing: the
+    # T-touch pair reaches the LP, here made to end unbounded.  No command
+    # reaches the LP, so this is a library test, not an exit code
+    a = [pt(0, 0), pt(2, 0)]
+    b = [pt(1, 0), pt(1, 1)]
+    monkeypatch.setattr(geomjoin, "lp_max", lambda P: LPResult("unbounded"))
+    with pytest.raises(RuntimeError, match="^proper-intersection LP ended 'unbounded'"):
+        proper_intersection(a, b)
 
 
 def test_independent_pair_the_functional_declines_goes_to_the_lp(monkeypatch):
@@ -285,14 +296,14 @@ def test_proper_intersection_cases():
 def test_joinable_positive_and_negative():
     X = embedded_point(pt(0, 0, 1))
     Y = from_simplices(3, [frozenset({pt(1, 0, 0), pt(0, 1, 0)})])
-    ok, _ = joinable(X, Y)
+    ok, _ = ref.joinable(X, Y)
     assert ok
     J = geometric_join(X, Y)
     assert len(J.maximal) == 1
     # join segments crossing at the square center: improper intersection
     A = from_simplices(2, [frozenset({pt(0, 0)}), frozenset({pt(0, 1)})])
     B = from_simplices(2, [frozenset({pt(1, 1)}), frozenset({pt(1, 0)})])
-    ok, failures = joinable(A, B)
+    ok, failures = ref.joinable(A, B)
     assert not ok
     assert any(f["kind"] == "improper intersection" for f in failures)
     # geometric_join only builds: it returns the four segments all the same
@@ -300,7 +311,7 @@ def test_joinable_positive_and_negative():
     # collinear combination: affine dependence failure
     P = embedded_point(pt(0, 0))
     Q = from_simplices(2, [frozenset({pt(1, 1), pt(2, 2)})])
-    ok, failures = joinable(P, Q)
+    ok, failures = ref.joinable(P, Q)
     assert not ok
     assert any(f["kind"] == "affine dependence" for f in failures)
 
@@ -581,23 +592,25 @@ def test_verify_gjs_small():
         verify_gjs(standard_config(2, 1), ())
 
 
-def test_verify_gjs_failure_counts_are_pinned(monkeypatch):
-    # barycenters doubled: a_sigma leaves Delta_sigma, so the containment,
-    # tiling and volume checks fail; the counts are hull misses, improper
-    # pairs and piece vertices outside Delta_sigma
-    scaled_a = geomjoin.StandardConfig.scaled_a
-    monkeypatch.setattr(geomjoin.StandardConfig, "scaled_a",
-                        lambda self, i: tuple(2 * x for x in scaled_a(self, i)))
-    cfg = standard_config(2, 1)
-    for sigma, violations in [((1,), 4), ((1, 2), 12)]:
-        checks = [(c.name, c.passed, c.actual) for c in verify_gjs(cfg, sigma).checks]
-        assert checks == [
-            ("a_sigma joinable to S_sigma", True, "joinable"),
-            ("join vertices inside Delta_sigma", False, "outside"),
-            ("pieces intersect properly and stay inside", False,
-             f"{violations} violations"),
-            ("volume identity (tiling of Delta_sigma)", False, "0"),
-        ], sigma
+class _DoubledBarycenters(StandardConfig):
+    """Every a_i doubled: off the affine hull of Delta_[m]."""
+
+    def scaled_a(self, i):
+        return tuple(2 * x for x in StandardConfig.scaled_a(self, i))
+
+
+def test_verify_gjs_failure_counts_are_pinned():
+    # barycenters doubled: a_i leaves the affine hull of Delta_[m], where the
+    # join lemma decides nothing, so gjs raises and names a_1 instead of
+    # failing its containment, tiling and volume lines with 4 and 12
+    # violations (exit 1 before the verdicts became per-block reads of the
+    # frame, exit 3 now).  The counts are pinned on barycenters inside their
+    # blocks' hulls, below
+    cfg = _DoubledBarycenters(2, 1)
+    for sigma in [(1,), (1, 2)]:
+        with pytest.raises(InvariantError) as failed:
+            verify_gjs(cfg, sigma)
+        assert str(failed.value) == "a_1 = (2, 2, 0, 0) is off the affine hull of Delta_1"
 
 
 class _BarycenterAcrossBlocks(StandardConfig):
@@ -610,41 +623,54 @@ class _BarycenterAcrossBlocks(StandardConfig):
         return tuple((x + y) // 2 for x, y in zip(self.block(1)[0], self.block(2)[0]))
 
 
+class _SphereVertexInTheNextBlock(StandardConfig):
+    """S_1's first vertex moved onto L v_2^1: a point of Delta_[m], not of
+    Delta_1 (k >= 1, m >= 2)."""
+
+    def sphere(self, i):
+        first, moved = self.block(1)[0], self.block(2)[0]
+        return EmbeddedComplex(self.n, frozenset(
+            frozenset(moved if p == first else p for p in s)
+            for s in StandardConfig.sphere(self, i).maximal))
+
+
 def test_gjs_reads_delta_sigma_on_its_own_columns_of_the_shared_frame():
-    # Delta_sigma is a face of the configuration's frame of Delta_[m]: a_1
-    # lies in Delta_[2] but not in Delta_1, so at sigma = (1,) it is outside
-    # and its pieces have no volume ratio on block 1's columns.  The checks
-    # are those a frame of Delta_sigma's own gives
+    # Delta_sigma is a face of the configuration's frame of Delta_[m]: S_1's
+    # moved vertex lies in Delta_[2] but not in Delta_1, so at sigma = (1,)
+    # it is outside and its piece has no volume ratio on block 1's columns.
+    # The checks are those a frame of Delta_sigma's own gives.  a_1 moved
+    # across the blocks is off Delta_1's affine hull: gjs raises at each
+    # sigma that holds block 1 (it failed report lines before the verdicts
+    # became per-block reads of the frame) and passes at sigma = (2,)
+    cfg = _SphereVertexInTheNextBlock(2, 1)
+    assert [(c.name, c.passed, c.actual) for c in verify_gjs(cfg, (1,)).checks] == [
+        ("a_sigma joinable to S_sigma", True, "joinable"),
+        ("join vertices inside Delta_sigma", False, "outside"),
+        ("pieces intersect properly and stay inside", False, "2 violations"),
+        ("volume identity (tiling of Delta_sigma)", False, "1/2")]
     cfg = _BarycenterAcrossBlocks(2, 1)
-    expected = {
-        (1,): [
-            ("a_sigma joinable to S_sigma", True, "joinable"),
-            ("join vertices inside Delta_sigma", False, "outside"),
-            ("pieces intersect properly and stay inside", False, "4 violations"),
-            ("volume identity (tiling of Delta_sigma)", False, "0")],
-        (1, 2): [
-            ("a_sigma joinable to S_sigma", False, "not joinable"),
-            ("join vertices inside Delta_sigma", True, "contained"),
-            ("pieces intersect properly and stay inside", True, "0 violations"),
-            ("volume identity (tiling of Delta_sigma)", False, "1/2")],
-    }
-    for sigma, checks in expected.items():
-        assert [(c.name, c.passed, c.actual) for c in verify_gjs(cfg, sigma).checks] == checks
+    for sigma in [(1,), (1, 2)]:
+        with pytest.raises(InvariantError) as failed:
+            verify_gjs(cfg, sigma)
+        assert str(failed.value) == "a_1 = (1, 0, 1, 0) is off the affine hull of Delta_1"
+    assert verify_gjs(cfg, (2,)).passed
 
 
-def test_verify_gjs_reads_improper_pairs_from_joinable(monkeypatch):
-    # every join pair called improper: joinability fails, and each improper
-    # pair is one violation of the tiling, counted once
-    monkeypatch.setattr(geomjoin, "proper_intersection", lambda a, b: (False, None))
-    cfg = standard_config(2, 1)
-    for sigma, pairs in [((1,), 1), ((1, 2), 6)]:
+def test_verify_gjs_counts_each_block_whose_a_i_is_not_interior():
+    # a_i = 2 L v_i^1 - L v_i^2 lies on block i's line, outside Delta_i: no
+    # block of sigma has its a_i interior, so joinability fails, and each
+    # such block is one violation of the tiling, next to the piece vertices
+    # outside Delta_sigma (2 per block of sigma): 1 + 2 at (1,), 2 + 8 at
+    # (1, 2).  Each piece's ratio is the product of its blocks', 1 or 2
+    cfg = _DependentBarycenters(2, 1)
+    for sigma, violations, total in [((1,), 3, 3), ((1, 2), 10, 9)]:
         checks = [(c.name, c.passed, c.actual) for c in verify_gjs(cfg, sigma).checks]
         assert checks == [
             ("a_sigma joinable to S_sigma", False, "not joinable"),
-            ("join vertices inside Delta_sigma", True, "contained"),
+            ("join vertices inside Delta_sigma", False, "outside"),
             ("pieces intersect properly and stay inside", False,
-             f"{pairs} violations"),
-            ("volume identity (tiling of Delta_sigma)", True, "1"),
+             f"{violations} violations"),
+            ("volume identity (tiling of Delta_sigma)", False, str(total)),
         ], sigma
 
 
@@ -1414,7 +1440,7 @@ def test_W_union_frames_solve_each_point_once(monkeypatch):
     monkeypatch.setattr(BarycentricFrame, "_solve_point", counted)
     assert verify_W_union(standard_config(3, 1), simplex_boundary(2)).passed
     assert solves and max(solves.values()) == 1
-    # every piece of the Delta_sigma * S*_sigma is a face of one frame
+    # each Delta_i, tiled by a_i * S_i, is a face of one frame
     assert len({frame for frame, _ in solves}) == 1
 
 
@@ -1441,7 +1467,9 @@ def test_W_union_is_built_without_independence_tests(monkeypatch):
     monkeypatch.setattr(geomjoin, "affinely_independent", counted_independent)
     monkeypatch.setattr(EmbeddedComplex, "union", classmethod(watched_union))
     assert verify_W_union(standard_config(3, 1), simplex_boundary(2)).passed
-    assert tests[True] == 0 and tests[False] > 0
+    # none at all: fact (ii) made the only ones, (k + 1)^m before the union,
+    # while it called joinable; it reads the a_i's block coordinates now
+    assert not tests
     ((parts, out),) = unions
     monkeypatch.setattr(geomjoin, "affinely_independent", independent)
     simplices = [s for X in parts for s in X.maximal]
@@ -1458,13 +1486,17 @@ class _DependentBarycenters(StandardConfig):
 
 def test_dependent_W_side_raises_at_its_construction(monkeypatch):
     # with k = 2, a_1 * S_[m] holds {a_1, L v_1^1, L v_1^2, ...}, which is
-    # dependent: building that side must refuse it, before any union
+    # dependent: fact (ii) refuses it before any side is built.  a_1 lies on
+    # block 1's line, so the message names it outside Delta_1's interior
+    # (it named the dependent join before fact (ii) read the a_i's blocks)
     unions = []
     monkeypatch.setattr(EmbeddedComplex, "union",
                         classmethod(lambda cls, parts: unions.append(parts)))
     cfg = _DependentBarycenters(2, 2)
-    with pytest.raises(ValueError, match="affinely dependent"):
+    with pytest.raises(InvariantError) as failed:
         verify_W_union(cfg, full_simplex(1))
+    assert str(failed.value) == ("a_1 = (6, -3, 0, 0, 0, 0) is not in the relative"
+                                 " interior of Delta_1")
     assert unions == []
 
 
@@ -1491,20 +1523,26 @@ def test_repeated_block_vertex_fails_fact_i():
 
 @pytest.mark.parametrize("m, k", [(1, 0), (1, 2), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2)])
 def test_W_union_decides_fact_ii_once(m, k, monkeypatch):
-    # fact (ii) depends on (m, k) alone: one independence test per facet of
-    # S_[m], (k + 1)^m, at the configuration's first W-union, and none after
+    # fact (ii) depends on (m, k) alone and is read from the frame's solve
+    # of each a_i, made at the configuration's first W-union with those of
+    # the block vertices (n + m points, n at k = 0, where a_i is its block's
+    # vertex), and none after; no independence test, where joinable took
+    # (k + 1)^m at the first W-union
     cfg = standard_config(m, k)
     corpus = [empty_complex(m), full_simplex(m - 1),
               from_facets(m, [(i,) for i in range(1, m + 1)])]
     if m >= 3:
         corpus.append(simplex_boundary(m - 1))
-    tests = Counter()
+    counts = Counter()
     monkeypatch.setattr(geomjoin, "affinely_independent",
-                        counted(tests, "tests", geomjoin.affinely_independent))
+                        counted(counts, "tests", geomjoin.affinely_independent))
+    monkeypatch.setattr(BarycentricFrame, "_solve_point",
+                        counted(counts, "solves", BarycentricFrame._solve_point))
     for K in corpus:
-        tests.clear()
+        counts.clear()
         assert verify_W_union(cfg, K).passed
-        assert tests["tests"] == ((k + 1) ** m if K is corpus[0] else 0), K
+        assert counts["tests"] == 0, K
+        assert counts["solves"] == (cfg.n + m * bool(k) if K is corpus[0] else 0), K
 
 
 class _BarycenterOnABlockVertex(StandardConfig):
@@ -1518,14 +1556,17 @@ class _BarycenterOnABlockVertex(StandardConfig):
 def test_W_union_refuses_a_barycenter_on_a_sphere_vertex(m):
     # a_[m] and a facet of S_[m] share L v_1^1.  Tested as one set, their
     # union merged the shared point and stayed independent, so every W-union
-    # check passed; fact (ii) requires a_[m] and S_[m] disjoint and names
-    # the shared vertex.  verify_gjs rejects the same configuration
+    # check passed; fact (ii) requires each a_i interior to Delta_i, which a
+    # vertex is not at k = 1, and names a_1 (it named the shared vertex
+    # while fact (ii) tested a_[m] and S_[m] disjoint).  verify_gjs rejects
+    # the same configuration
     cfg = _BarycenterOnABlockVertex(m, 1)
     shared = cfg.block(1)[0]
     for K in [empty_complex(m), full_simplex(m - 1), from_facets(m, [(1,)])]:
         with pytest.raises(InvariantError) as failed:
             verify_W_union(cfg, K)
-        assert str(failed.value) == f"a_[m] and S_[m] share the vertex {shared}"
+        assert str(failed.value) == (f"a_1 = {shared} is not in the relative"
+                                     " interior of Delta_1")
     assert not verify_gjs(cfg, (1,)).passed
 
 
@@ -1533,28 +1574,30 @@ def test_fact_ii_refuses_an_improper_join_of_independent_simplices():
     # at k = 1 each a_i lies on the line of S_i's two points, beyond the
     # first: every a_[m] | beta is independent, but the join's simplices
     # overlap.  Only the per-tile pairs of the w1 tiling caught this, for
-    # each K but {empty}; fact (ii) decides the whole join a_[m] * S_[m], so
-    # every W-union on the configuration raises and names the pair's witness
+    # each K but {empty}; fact (ii) decides a_[m] * S_[m] block by block, so
+    # every W-union on the configuration raises and names the first a_i
+    # outside its block's interior (joinable's witness of an improper pair,
+    # (0, 0, 2, 0), was named while fact (ii) decided the whole join).  The
+    # oracle agrees that the join is not geometric
     cfg = _DependentBarycenters(2, 1)
     a_full = [cfg.scaled_a(i) for i in (1, 2)]
     s_full = cfg.sphere_join((1, 2)).maximal
     assert all(affinely_independent([*a_full, *beta]) for beta in s_full)
+    assert not ref.joinable(geomjoin._a_sigma(cfg, (1, 2)), cfg.sphere_join((1, 2)))[0]
     for K in [empty_complex(2), full_simplex(1), from_facets(2, [(1,), (2,)])]:
         with pytest.raises(InvariantError) as failed:
             verify_W_union(cfg, K)
-        assert str(failed.value) == ("a_[m] * S_[m] has an improper intersection"
-                                     " at (0, 0, 2, 0)")
-    # at k = 2 the join's simplices are dependent, which fact (ii) says first
-    with pytest.raises(InvariantError, match="affinely dependent"):
-        verify_W_union(_DependentBarycenters(2, 2), empty_complex(2))
+        assert str(failed.value) == ("a_1 = (4, -2, 0, 0) is not in the relative"
+                                     " interior of Delta_1")
 
 
 @pytest.mark.parametrize("m, k, K", [(3, 1, simplex_boundary(2)), (3, 2, full_simplex(2))])
 def test_W_union_decides_pairs_only_in_fact_ii(m, k, K, monkeypatch):
-    # the first W-union on a configuration decides fact (ii), one proper
-    # intersection per pair of the (k + 1)^m simplices of a_[m] * S_[m], and
-    # carrier_equal tests no pair of tiles, so every later call makes none
-    # (48 per call at (3, 1) and 756 at (3, 2) when each tiling tested its pairs)
+    # fact (ii) reads each a_i's block coordinates, and carrier_equal tests
+    # no pair of tiles, so no W-union call decides a pair.  The first call
+    # made one per pair of the (k + 1)^m simplices of a_[m] * S_[m] while
+    # fact (ii) called joinable (28 at (3, 1), 351 at (3, 2)), and every call
+    # 48 at (3, 1) and 756 at (3, 2) when each tiling tested its pairs
     counts = Counter()
     monkeypatch.setattr(geomjoin, "proper_intersection",
                         counted(counts, "pairs", geomjoin.proper_intersection))
@@ -1564,12 +1607,13 @@ def test_W_union_decides_pairs_only_in_fact_ii(m, k, K, monkeypatch):
         counts.clear()
         assert verify_W_union(cfg, L).passed
         pairs.append(counts["pairs"])
-    assert pairs == [math.comb((k + 1) ** m, 2), 0, 0]  # 28 at (3, 1), 351 at (3, 2)
+    assert pairs == [0, 0, 0]
 
 
 def test_gjs_reports_a_dependent_join_and_finishes():
-    # each a_sigma | t is dependent: joinable rejects the join, and the
-    # pieces are still built, with no independence test, and fail the tiling
+    # each a_sigma | t is dependent: no a_i is interior, so the join is
+    # rejected, and the pieces are still built, with no independence test,
+    # and fail the tiling
     cfg = _DependentBarycenters(2, 2)
     for sigma in [(1,), (1, 2)]:
         checks = [(c.name, c.passed) for c in verify_gjs(cfg, sigma).checks]
@@ -1584,23 +1628,23 @@ def test_gjs_reports_a_dependent_join_and_finishes():
 def test_dependent_configuration_is_an_internal_error(monkeypatch, capsys):
     # the sweep's configurations with k >= 1 take _DependentBarycenters's
     # barycenters; fact (ii) fails at the first of them, (m, k) = (1, 1),
-    # where a_1 lies on the line of S_1's two points, so the segments of
-    # a_1 * S_1 overlap: a fault of the program's own configuration, not of
-    # its input
+    # where a_1 lies on the line of S_1's two points, outside Delta_1, so the
+    # segments of a_1 * S_1 overlap: a fault of the program's own
+    # configuration, not of its input
     scaled_a = StandardConfig.scaled_a
     monkeypatch.setattr(StandardConfig, "scaled_a", lambda self, i: (
         _DependentBarycenters.scaled_a(self, i) if self.k else scaled_a(self, i)))
     assert main(["verify", "geometry", "--m", "2", "--k", "2"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("internal error:") and "improper intersection" in err
+    assert err == ("internal error: a_1 = (4, -2) is not in the relative interior"
+                   " of Delta_1\n")
 
 
 def test_gji_reads_fact_i_and_tests_the_a_i_once(monkeypatch):
     # Delta_i and S_i are read from fact (i) as faces of Delta_[m], and the
-    # a_i take one independence test: no joinable call, where the fold made
-    # m - 1 per collection
+    # a_i take one independence test, where the fold made m - 1 joinable
+    # calls per collection
     counts = Counter()
-    monkeypatch.setattr(geomjoin, "joinable", counted(counts, "joinable", joinable))
     monkeypatch.setattr(geomjoin, "affinely_independent",
                         counted(counts, "tests", affinely_independent))
     for m in (1, 2, 3, 4):
@@ -1632,33 +1676,21 @@ def counted(counts, name, fn):
 
 
 def test_gji_and_gjs_build_accepted_joins_without_independence_tests(monkeypatch):
-    # geometric_join builds and tests nothing: from a verifier's first
-    # joinable call on, every independence test is one of the disjoint
-    # pairs joinable tests, and building the accepted joins adds none
+    # geometric_join builds and tests nothing, and gjs decides its join by
+    # the a_i's block coordinates: its only independence tests were the
+    # disjoint pairs of its joinable call.  gji's one test is of the a_i
     counts = Counter()
-    joinable = geomjoin.joinable
-    independent = geomjoin.affinely_independent
-
-    def counted_joinable(X, Y):
-        counts["pairs"] += sum(not s & t for s in X.maximal for t in Y.maximal)
-        return joinable(X, Y)
-
-    def counted_independent(points):
-        counts["tests"] += "pairs" in counts
-        return independent(points)
-
-    monkeypatch.setattr(geomjoin, "joinable", counted_joinable)
-    monkeypatch.setattr(geomjoin, "affinely_independent", counted_independent)
+    monkeypatch.setattr(geomjoin, "affinely_independent",
+                        counted(counts, "tests", geomjoin.affinely_independent))
     for m in (1, 2, 3):
         for k in (0, 1, 2):
             cfg = standard_config(m, k)
-            cases = [partial(verify_gji, cfg, range(1, m + 1))]
-            cases += [partial(verify_gjs, cfg, range(1, s + 1)) for s in range(1, m + 1)]
-            for case in cases:
+            cases = [(partial(verify_gji, cfg, range(1, m + 1)), 1)]
+            cases += [(partial(verify_gjs, cfg, range(1, s + 1)), 0) for s in range(1, m + 1)]
+            for case, tests in cases:
                 counts.clear()
                 assert case().passed
-                assert counts["tests"] == counts["pairs"], (m, k, case)
-    assert counts["pairs"] > 0
+                assert counts["tests"] == tests, (m, k, case)
 
 
 def test_geometry_sweep_work_counts_are_pinned(monkeypatch, capsys):
@@ -1667,22 +1699,25 @@ def test_geometry_sweep_work_counts_are_pinned(monkeypatch, capsys):
     # every join was tested, 2,434 when accepted joins were built from
     # joinable's pairs, and 411 since the configuration's two facts decide
     # its complexes, 371 since verify_gji decides each family by its fold
-    # alone, and 220 since the configuration decides both facts once: fact
-    # (ii) takes sum (k + 1)^m = 56 tests over the sweep's 9 configurations,
-    # not 198 per K, and fact (i) reads its frame's rank, not 9 tests;
+    # alone, and 220 since the configuration decides both facts once;
     # proper_intersection ran 2,574 times when verify_gji decided every pair
     # and its whole fold, 2,490 when the fold skipped its first pair, 2,406
     # by the fold alone, and 1,363 since fact (ii) decides a_[m] * S_[m] a
-    # geometric join, C((k + 1)^m, 2) pairs per configuration, 425 over the
-    # sweep, and carrier_equal tests no pair of its tiles.  A frame per piece
-    # of each Delta_sigma * S*_sigma made 402 frames and 3,033 solves; one
-    # frame of Delta_[m] per verify_W_union and verify_gjs call made 45
-    # frames and 222 solves; one per configuration makes 9, and solves each
-    # of its n block vertices and m barycenters (the block vertices at k = 0)
-    # once: 48.  verify_gji's folds made 82 of the 220 independence tests and
-    # 463 of the 1,363 proper intersections; it now reads Delta_i and S_i
-    # from fact (i) and tests the a_i once per configuration, 9 tests and no
-    # pair: 147 and 900
+    # geometric join and carrier_equal tests no pair of its tiles.  A frame
+    # per piece of each Delta_sigma * S*_sigma made 402 frames and 3,033
+    # solves; one frame of Delta_[m] per verify_W_union and verify_gjs call
+    # made 45 frames and 222 solves; one per configuration makes 9, and
+    # solves each of its n block vertices and m barycenters (the block
+    # vertices at k = 0) once: 48.  verify_gji's folds made 82 of the 220
+    # independence tests and 463 of the 1,363 proper intersections; it reads
+    # Delta_i and S_i from fact (i) and tests the a_i once per
+    # configuration: 147 and 900 then.  Since fact (ii), gjs and w1 read the
+    # a_i's block coordinates (the join lemma), the 27 joinable calls are
+    # gone: fact (ii)'s 56 independence tests and 425 proper intersections,
+    # gjs's 82 and 475, so gji's 9 tests are the only ones and no pair is
+    # decided.  w1 tiles each Delta_i by a_i * S_i, one carrier_equal per
+    # block and call, 60 (93 per sigma), with (k + 1) volume ratios each, 120
+    # next to gjs's 82 (841 next to 82 tiling each Delta_sigma * S*_sigma)
     counts = Counter()
     targets = [
         (geomjoin, "affinely_independent"),
@@ -1690,30 +1725,161 @@ def test_geometry_sweep_work_counts_are_pinned(monkeypatch, capsys):
         (geomjoin, "proper_intersection"),
         (geomjoin, "lp_max"),
         (BarycentricFrame, "__init__"),
+        (geomjoin, "carrier_equal"),
+        (BarycentricFrame, "volume_ratio"),
     ]
     for owner, name in targets:
         monkeypatch.setattr(owner, name, counted(counts, name, getattr(owner, name)))
-    declined = []
-    separated = geomjoin._separated
-
-    def recorded(A, B, shared):
-        ok = separated(A, B, shared)
-        if not ok:
-            declined.append((A, B))
-        return ok
-
-    monkeypatch.setattr(geomjoin, "_separated", recorded)
     # frames pivot through the LP's fraction-free _pivot, once per vertex of
     # their independent vertex lists (sum n = 36 over the 9 frames), so a
     # frame with an elimination of its own reads 0 here
     monkeypatch.setattr(geomjoin, "_pivot", counted(counts, "frame pivots",
                                                      exactlin._pivot), raising=False)
     assert main(["verify", "geometry", "--m", "3", "--k", "2"]) == 0
-    assert [counts[name] for _, name in targets] == [147, 48, 900, 0, 9]
+    assert [counts[name] for _, name in targets] == [9, 48, 0, 0, 9, 60, 202]
     assert counts["frame pivots"] == 36
-    # the functional proves every pair of both sweeps, so neither runs an
-    # LP: a configuration that needs one names itself here
+    # --m 4 --k 1 made 353 proper intersections and 907 volume ratios
     counts.clear()
     assert main(["verify", "geometry", "--m", "4", "--k", "1"]) == 0
-    assert counts["lp_max"] == 0 and counts["proper_intersection"] > 0
-    assert declined == []
+    assert [counts[name] for _, name in targets] == [8, 40, 0, 0, 8, 72, 170]
+
+
+# -- w1 through verify_W_union ------------------------------------------------------------
+
+
+class _SphereMissingAFacet(StandardConfig):
+    """S_1 without its first facet (k >= 1): a_1 * S_1 leaves part of Delta_1
+    uncovered, and S_1 is a disk."""
+
+    def sphere(self, i):
+        S = StandardConfig.sphere(self, i)
+        if i != 1:
+            return S
+        return EmbeddedComplex(self.n, S.maximal - {min(S.maximal, key=sorted)})
+
+
+@pytest.mark.parametrize("m, k", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)])
+def test_W_union_fails_w1_exactly_at_the_sigmas_of_a_block_that_fails(m, k):
+    # w1 at sigma is the conjunction of sigma's blocks only: Delta_1 is not
+    # a_1 * S_1, so w1 fails at every sigma that holds 1 and passes at every
+    # other (at sigma = () both presentations are S_[m]).  The union is a
+    # join with the contractible S_1, so w2 fails where K's suspension is
+    # not contractible: K = {empty}, and m >= 2 points.  27 lines over the
+    # 15 calls, the same as when w1 tiled each Delta_sigma * S*_sigma
+    cfg = _SphereMissingAFacet(m, k)
+    points = from_facets(m, [(i,) for i in range(1, m + 1)])
+    for K, w2_fails in [(full_simplex(m - 1), False), (empty_complex(m), True),
+                        (points, m >= 2)]:
+        failing = [c.name for c in verify_W_union(cfg, K).checks if not c.passed]
+        expected = [f"W_sigma two presentations agree, sigma={list(sigma)}"
+                    for sigma in K.faces() if 1 in sigma]
+        expected += ["union W_sigma homology = km-shifted homology of K"] * w2_fails
+        assert failing == expected, (m, k, K)
+
+
+# -- blockwise verdicts against the pairwise oracle ------------------------------------
+
+
+def fact_ii_verdict(cfg):
+    """Whether fact (ii) holds; an InvariantError other than its verdict,
+    such as an a_i off its block's hull, propagates."""
+    try:
+        cfg.fact_ii()
+    except InvariantError as e:
+        if "is not in the relative interior of Delta_" not in str(e):
+            raise
+        return False
+    return True
+
+
+def oracle(cfg, sigma):
+    """The pairwise verdict: a_sigma * S_sigma is a geometric join."""
+    return ref.joinable(geomjoin._a_sigma(cfg, sigma), cfg.sphere_join(sigma))[0]
+
+
+def check_blockwise_against_oracle(cfg):
+    """Where each a_i of a block lies in its block's affine hull, fact (ii)
+    and gjs's joinability line at sigma = (1,) and [m] give the oracle's
+    verdicts; where one does not, fact (ii) and gjs raise InvariantError."""
+    full = tuple(range(1, cfg.m + 1))
+    off_hull = "is off the affine hull of Delta_"
+    if all(in_block_hull(cfg, i) for i in full):
+        assert fact_ii_verdict(cfg) == oracle(cfg, full)
+    else:
+        with pytest.raises(InvariantError, match=off_hull):
+            cfg.fact_ii()
+    for sigma in sorted({(1,), full}):
+        if all(in_block_hull(cfg, i) for i in sigma):
+            assert verify_gjs(cfg, sigma).checks[0].passed == oracle(cfg, sigma), sigma
+        else:
+            with pytest.raises(InvariantError, match=off_hull):
+                verify_gjs(cfg, sigma)
+
+
+@st.composite
+def moved_barycenters(draw):
+    """a_1 at m <= 3, k <= 2: in block 1's hull, by k + 1 rational weights
+    summing to 1, all positive or each negative, zero or positive; and,
+    in two of three draws, pushed by a rational vector or by c (e_j - e_l),
+    which may leave it in block 1's hull, in Delta_[m]'s but off the block,
+    or off both."""
+    m, k = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    n = (k + 1) * m
+    if draw(st.booleans()):
+        parts = draw(st.lists(st.integers(1, 5), min_size=k + 1, max_size=k + 1))
+        weights = tuple(F(p, sum(parts)) for p in parts)
+    else:
+        free = draw(st.lists(st.one_of(st.just(F(0)), rationals(-2, 2)),
+                             min_size=k, max_size=k))
+        weights = (*free, 1 - sum(free))
+    push = draw(st.sampled_from(["none", "vector", "across"]))
+    if push == "vector":
+        push = tuple(draw(st.lists(rationals(-2, 2), min_size=n, max_size=n)))
+    elif push == "across":
+        j, l = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c = draw(rationals(-2, 2))
+        push = tuple(c * ((x == j) - (x == l)) for x in range(n))
+    else:
+        push = ()
+    return MovedBarycenter(m, k, weights, push)
+
+
+@settings(max_examples=150, deadline=None)
+@given(moved_barycenters())
+@example(MovedBarycenter(3, 2, (F(1, 3),) * 3))
+@example(MovedBarycenter(2, 1, (F(1), F(0))))
+@example(MovedBarycenter(2, 2, (F(-1, 2), F(1), F(1, 2))))
+@example(MovedBarycenter(2, 1, (F(1, 2),) * 2, (-1, 0, 1)))
+def test_blockwise_verdicts_match_the_pairwise_oracle(cfg):
+    check_blockwise_against_oracle(cfg)
+
+
+@pytest.mark.parametrize("config, least", [
+    (StandardConfig, (1, 0)), (_OffBlockBarycenter, (1, 0)),
+    (_BarycenterOnTheFirst, (2, 0)), (_CollinearBarycenters, (3, 0)),
+    (_BarycenterAcrossBlocks, (2, 0)), (_DoubledBarycenters, (1, 0)),
+    (_DependentBarycenters, (1, 1)), (_BarycenterOnABlockVertex, (1, 0)),
+    (_RepeatedBlockVertex, (1, 0)), (_SphereMissingAFacet, (1, 1)),
+    (_RepeatedSphere, (3, 0)), (_SphereVertexOffBlock, (1, 0)),
+    (_SphereVertexInTheNextBlock, (2, 0))])
+def test_mutants_blockwise_verdicts_match_the_pairwise_oracle(config, least):
+    # every StandardConfig mutant of this file at m <= 3, k <= 2 from its
+    # least (m, k).  The join lemma needs each S_i in Delta_i's boundary:
+    # where a sphere leaves it, fact (ii) and gjs's joinability line, which
+    # read the a_i alone, pass, the oracle may reject the join (it does for
+    # _RepeatedSphere and _SphereVertexInTheNextBlock), and gjs's tiling
+    # lines and w1 fail.  A repeated block vertex fails fact (i) first
+    for m in range(least[0], 4):
+        for k in range(least[1], 3):
+            try:
+                cfg = config(m, k)
+            except InvariantError:
+                assert config is _RepeatedBlockVertex and k
+                continue
+            full = tuple(range(1, m + 1))
+            if all(s < set(cfg.block(i)) for i in full for s in cfg.sphere(i).maximal):
+                check_blockwise_against_oracle(cfg)
+                continue
+            assert fact_ii_verdict(cfg) and verify_gjs(cfg, full).checks[0].passed
+            assert not verify_gjs(cfg, full).passed, (m, k)
+            assert not verify_W_union(cfg, full_simplex(m - 1)).passed, (m, k)
