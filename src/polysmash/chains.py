@@ -7,12 +7,11 @@ homology, including the convention H~_{-1}(empty space) = Z.
 A ChainComplex stores each boundary d_n as its columns, a (row, coeff) list
 per n-cell, and their transpose as coface lists, the n-cells meeting each
 (n-1)-cell.  Every ChainComplex is checked when it is built, by one walk per
-degree that checks the columns, records the coface lists and pushes each
-column of d_n through d_{n-1} for d o d = 0.  A column whose coefficients
-are all +-1, on rows whose own columns are too, is pushed through as two
-lists, the rows of C_{n-2} hit with +1 and those hit with -1; every term is
-+-1, so the sum vanishes exactly when the two lists, sorted, are equal.
-Any other column is summed in exact integers.  The reduction below reads
+degree that checks the columns, records the coface lists and checks d o d =
+0 on each column.  A column of the oriented simplicial boundary on distinct
+bitmask labels passes by the identity dd = 0 (Munkres, Elements of Algebraic
+Topology, Lemma 5.3), in one step per entry; any other column is pushed
+through d_{n-1} and summed in exact integers.  The reduction below reads
 columns and coface lists as they are, and SparseIntMatrix is built only for
 Smith normal form and boundary(n).
 
@@ -20,7 +19,8 @@ Every complex the library builds, C(K), the direct smash model and C(K(J)),
 comes from one assembler, _assemble(levels, odd, shift): the faces of a
 simplicial complex as vertex bitmasks in lexicographic order (the one face
 enumeration, complexes.face_levels), the mask of the vertices whose sign is
-negated and a degree shift.
+negated and a degree shift.  Its columns share their entries: each row's
+(i, 1) and (i, -1) are written once per degree.
 
 homology() first deletes coreduction pairs (Kaczynski-Mrozek-Slusarek
 1998; Mrozek-Batko 2009): cells a in C_{n-1} and b in C_n with
@@ -43,7 +43,7 @@ the same, only slower.  The library builds no such complex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress, repeat
 
 from .complexes import face_levels
 from .exactlin import InvariantError, SparseIntMatrix, smith_normal_form
@@ -90,23 +90,33 @@ class ChainComplex:
     def check_dd_zero(self):
         """One walk per degree, ascending, checks the column count and each
         column (rows inside C_{n-1}, none repeated, nonzero int coefficients),
-        appends it to the coface list of each of its rows and pushes it
-        through the columns of d_{n-1} it meets, where d o d = 0 needs the sum
-        to vanish.  Columns and cofaces are replaced once every degree passed.
+        appends it to the coface list of each of its rows and checks d o d =
+        0 on it.  Columns and cofaces are replaced once every degree passed.
 
-        A column whose coefficients are all +-1, on rows whose own columns
-        are too, is pushed through without arithmetic.  For each row i, the
-        rows of C_{n-2} that d_{n-1} i hits with +1 go to one list and those
-        it hits with -1 to the other, the two swapped when i's coefficient is
-        -1.  Every term of the sum is then +1 or -1, one list entry each, so
-        the sum at a row of C_{n-2} is its count in the first list less its
-        count in the second: the sum vanishes exactly when the two lists,
-        sorted, are equal.  Any other column is summed term by term in exact
-        integers.  Each cell's +1 and -1 rows are kept one degree, for the
-        walk of the degree above."""
+        A column passes by the boundary identity (Munkres, Elements of
+        Algebraic Topology, Lemma 5.3) when the labels are distinct ints >= 0
+        across the whole complex (checked once), the cell labelled f has the
+        rows labelled f ^ b over the bits b of f, highest first, with the
+        coefficients (-1)^position s_b, s_b one sign per bit for the whole
+        complex, read from the first column that meets b, and every row's own
+        column has that form too.  Proof: d d f sums the paths f -> f ^ b ->
+        f ^ b ^ b' over ordered pairs of distinct bits of f; for b > b', b'
+        sits one place earlier in f ^ b than in f, and b where it sits in f,
+        so the paths through b first and through b' first carry opposite
+        signs times s_b s_b' and end on the one cell labelled f ^ b ^ b'.  Per
+        entry the walk tests that f - g, g the row's label, is a power of two
+        below the last; these sum to f iff they are f's bits.  Every other
+        column, all of them if the labels are not such masks, is pushed
+        through the columns of d_{n-1} it meets and summed in exact integers.
+        Every library complex comes from _assemble, whose columns have the
+        form, so only complexes built by hand are summed."""
         columns = {}
         cofaces = {n: [[] for _ in labels] for n, labels in self.bases.items()}
-        walked = None  # (n, plus, minus, other) of the last degree n walked
+        labels = [*chain.from_iterable(self.bases.values())]
+        masks = ({*map(type, labels)} == {int} and min(labels) >= 0
+                 and len(set(labels)) == len(labels))
+        signs = {}  # s_b per bit b
+        walked = None  # (n, columns of d_n, its rough_up) of the last degree n walked
         for n in sorted(self.columns):
             cols = self.columns[n]
             if len(cols) != self.rank(n):
@@ -114,20 +124,18 @@ class ChainComplex:
                     f"boundary in degree {n} has {len(cols)} columns for {self.rank(n)} cells"
                 )
             rows, up = self.rank(n - 1), cofaces.get(n - 1)
-            # per cell of C_{n-1}: the rows of C_{n-2} its column hits with +1
-            # and with -1, both () for a cell in other, whose column has
-            # another coefficient, and for every cell when d_{n-1} is zero
             if walked and walked[0] == n - 1:
-                _, plus, minus, other = walked
-            else:
-                plus = minus = [()] * rows
-                other = set()
-            plus_up, minus_up, other_up = [], [], set()  # per cell of C_n
-            # d_{n-1} of a column summed exactly, by rows of C_{n-2}; it is
-            # zero again after every column that passes
-            outer, image = columns.get(n - 1) or [()] * rows, [0] * self.rank(n - 2)
-            for c, col in enumerate(cols):
-                hit, missed, p, q = [], [], [], []
+                _, outer, rough = walked
+            else:  # d_{n-1} is zero
+                outer, rough = [()] * rows, ()
+            # with labels that are not masks, f = -1 puts every column off the form
+            top, low = ((self.bases.get(n, ()), self.bases.get(n - 1, ())) if masks
+                        else (repeat(-1), range(rows)))
+            # d_{n-1} of a column summed exactly, by rows of C_{n-2}: zero
+            # again after every column that passes; rough_up: columns off the form
+            rough_up, image = set(), [0] * self.rank(n - 2)
+            for c, (f, col) in enumerate(zip(top, cols)):
+                rest, bit, sign = f, f + 1, 1  # f's bits not yet met, the last met
                 for i, v in col:
                     if (i.__class__ is not int or v.__class__ is not int
                             or not 0 <= i < rows or not v):
@@ -136,27 +144,15 @@ class ChainComplex:
                     if row_up and row_up[-1] == c:
                         raise _bad_column(n, i, v)
                     row_up.append(c)
-                    if v == 1:
-                        p.append(i)
-                        hit += plus[i]
-                        missed += minus[i]
-                    elif v == -1:
-                        q.append(i)
-                        hit += minus[i]
-                        missed += plus[i]
-                if len(p) + len(q) == len(col):
-                    plus_up.append(tuple(p))
-                    minus_up.append(tuple(q))
-                    if not other or other.isdisjoint(p + q):
-                        hit.sort()
-                        missed.sort()
-                        if hit != missed:
-                            raise MalformedComplexError(f"d_{n - 1} o d_{n} != 0")
-                        continue
-                else:
-                    plus_up.append(())
-                    minus_up.append(())
-                    other_up.add(c)
+                    b = f - low[i]
+                    if 0 < b < bit and not b & (b - 1) and signs.setdefault(b, s := sign * v) == s:
+                        rest, bit, sign = rest - b, b, -sign
+                    else:
+                        rest = bit = -1
+                if rest:
+                    rough_up.add(c)
+                elif not rough or rough.isdisjoint([i for i, _ in col]):
+                    continue
                 for i, v in col:
                     for r, w in outer[i]:
                         image[r] += v * w
@@ -166,7 +162,7 @@ class ChainComplex:
                             raise MalformedComplexError(f"d_{n - 1} o d_{n} != 0")
             if rows and cols:
                 columns[n] = cols
-            walked = n, plus_up, minus_up, other_up
+            walked = n, cols, rough_up
         self.columns, self.cofaces = columns, cofaces
 
     def euler(self):
@@ -304,22 +300,25 @@ def _assemble(levels, odd, shift):
     puts i in odd when j_1 + ... + j_{i-1} is odd, the Leibniz sign of a top
     cell's boundary in factor i behind slots of that total dimension.  Only
     the vertices of level 0, those in a face, get a bit, in increasing order,
-    so nothing here grows with the m of the masks.
+    so nothing here grows with the m of the masks.  The columns have the
+    form check_dd_zero's identity reads, with s_b = -1 on the bits of odd.
+    Each face below has its two entries, (i, 1) and (i, -1), written once
+    and shared by every column that meets it: a tuple per row, not per entry.
     """
-    bits = [(bit, -1 if odd & bit else 1) for bit in levels.get(0, ())]
+    bits = [(bit, 1 if odd & bit else 0) for bit in levels.get(0, ())]
     bases, columns = {}, {}
     for n, level in levels.items():
         bases[n + shift] = level
         if n < 0:
             continue
-        below = {f: i for i, f in enumerate(levels[n - 1])}
+        below = {f: ((i, 1), (i, -1)) for i, f in enumerate(levels[n - 1])}
         cols = columns[n + shift] = []
         for f in level:
-            col, sign = [], 1
-            for bit, s in bits:
+            col, k = [], 0
+            for bit, t in bits:
                 if f & bit:
-                    col.append((below[f ^ bit], sign * s))
-                    sign = -sign
+                    col.append(below[f ^ bit][k ^ t])
+                    k ^= 1
             cols.append(col)
     return ChainComplex(bases, columns)
 

@@ -295,11 +295,11 @@ def _refuse_over(budget, count, formula, prefix, suffix):
         raise ParseError(f"{prefix} {shown} {suffix}, over the budget of {budget}; refused")
 
 
-# The reduction route holds about 1 KB per face of K(J): verify_main on the
-# projective plane at J = 2^6 builds 257,936 faces in 5.2-6.9 s and peaks at
-# 271 MB RSS, 254 MB above the 17 MB of the interpreter with the library
+# The reduction route holds about 600 bytes per face of K(J): verify_main on
+# the projective plane at J = 2^6 builds 257,936 faces in 2.6-3.1 s and peaks
+# at 173 MB RSS, 156 MB above the 17 MB of the interpreter with the library
 # loaded (three runs, Python 3.11, 2 vCPUs).  A million faces is then about
-# 1 GB and 20-27 s, four times the largest case the repository runs.
+# 600 MB and 10-12 s, four times the largest case the repository runs.
 KJ_FACE_BUDGET = 1_000_000
 
 
@@ -358,8 +358,11 @@ def _check_label_budget(K, J):
 # chain complex the w2 check builds.  Its facets, m (k + 1)^m at most, do not
 # predict the cost: --m 2 --k 7 has 128 facets and 260,100 faces and took
 # 20.4 s with a peak of 279 MB RSS, --m 3 --k 4 375 facets and 238,328 faces,
-# 22.0 s and 253 MB, --m 2 --k 8 1,044,484 faces, 85 s and 1.15 GB.  That is
-# about 85 us and 1 KB a face, so 100,000 faces is about 9 s and 120 MB.
+# 22.0 s and 253 MB, --m 2 --k 8 1,044,484 faces, 85 s and 1.15 GB: about
+# 85 us a face.  Since chain complexes share their entries, --m 4 --k 2
+# (38,416 faces) peaks at 38 MB and --m 2 --k 6 --grid 1 (64,516) at 52 MB,
+# about 570 bytes a face above the interpreter's 17 MB (three runs each,
+# Python 3.11, 2 vCPUs), so 100,000 faces is about 9 s and 75 MB.
 GEOMETRY_FACE_BUDGET = 100_000
 
 

@@ -258,10 +258,6 @@ def _simplex(ambient, points):
     return EmbeddedComplex(ambient, frozenset([frozenset(points)]))
 
 
-def empty_embedded(ambient):
-    return _simplex(ambient, ())
-
-
 # ---------------------------------------------------------------------------
 # proper intersection and geometric joins
 # ---------------------------------------------------------------------------
@@ -446,14 +442,14 @@ class StandardConfig:
         return EmbeddedComplex(self.n, facets)
 
     def sphere_join(self, key):
-        """The join of the block spheres i in key, an increasing tuple, () the
-        empty space: its prefix's join with its last sphere, built once."""
+        """The join of the block spheres i in key, a nonempty increasing tuple:
+        its prefix's join with its last sphere, built once."""
         if key not in self._joins:
             if len(key) > 1:
                 self._joins[key] = geometric_join(self.sphere_join(key[:-1]),
                                                   self.sphere_join(key[-1:]))
             else:
-                self._joins[key] = self.sphere(*key) if key else empty_embedded(self.n)
+                self._joins[key] = self.sphere(*key)
         return self._joins[key]
 
 

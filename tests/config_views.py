@@ -8,7 +8,8 @@ configuration.  These views state the paper's rational points v_i^l and a_i
 from their definitions, so that the tests can compare the integer points
 with them, and rebuild the per-block complexes and the
 (Delta_sigma, S_sigma, S*_sigma, a_sigma) tuple from the library's own
-constructors, the sphere joins read from the configuration's memo.
+constructors, the sphere joins read from the configuration's memo, and
+the empty space, which the library never builds, from geom_reference.
 from_simplices is the checked constructor for any other points, and
 realization_AK builds A(K) on the block barycenters.  MovedBarycenter is
 the perturbed family: a_1 placed by weights on block 1's vertices, and
@@ -31,6 +32,8 @@ from polysmash.geomjoin import (
     _delta_sigma,
     affinely_independent,
 )
+
+from geom_reference import empty_embedded
 
 F = Fraction
 
@@ -85,15 +88,13 @@ def is_empty(X):
 
 def sigma_complexes(cfg, sigma):
     """(Delta_sigma, S_sigma, S*_sigma, a_sigma) for sigma a subset of [m],
-    on the configuration's integer points."""
+    on the configuration's integer points.  The library's sphere joins take
+    a block, so an empty sigma or complement is built here, the empty space."""
     sigma = sorted(set(sigma))
     comp = tuple(j for j in range(1, cfg.m + 1) if j not in sigma)
-    return (
-        _delta_sigma(cfg, sigma),
-        cfg.sphere_join(tuple(sigma)),
-        cfg.sphere_join(comp),
-        _a_sigma(cfg, sigma),
-    )
+    joins = [cfg.sphere_join(key) if key else empty_embedded(cfg.n)
+             for key in (tuple(sigma), comp)]
+    return _delta_sigma(cfg, sigma), *joins, _a_sigma(cfg, sigma)
 
 
 @dataclass(frozen=True)

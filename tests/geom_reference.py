@@ -22,7 +22,8 @@ of join simplices through the library's proper_intersection (its
 separating functional, then its exact LP), each vertex set independent by
 the Fraction elimination above.  It is the oracle for the blockwise
 verdicts, and the one caller that still drives the library's LP from a
-configuration.
+configuration.  empty_embedded is the empty space, the join's unit, which no
+command builds: every sphere join the library makes has a block.
 """
 
 import math
@@ -35,6 +36,11 @@ from polysmash.geomjoin import BarycentricFrame, _a_sigma, _delta_sigma, geometr
 from polysmash.report import Check, VerificationReport
 
 F = Fraction
+
+
+def empty_embedded(ambient):
+    """The empty space {empty simplex} in Q^ambient."""
+    return geomjoin.EmbeddedComplex(ambient, frozenset([frozenset()]))
 
 
 def affinely_independent(points):

@@ -523,3 +523,130 @@ def test_out_of_range_row_fails_construction(K, data):
     cols[j] = [(row if p == k else i, v) for p, (i, v) in enumerate(cols[j])]
     with pytest.raises(MalformedComplexError, match=f"row outside C_{n - 1}"):
         ChainComplex(C.bases, columns)
+
+
+# -- the boundary identity against the dense products -------------------------
+
+
+def mutated(C, kind, n, j, k=0, label=None):
+    """C's bases and columns with one change at column j of degree n:
+    'repeat' gives the row g of the column's entry k a twin in C_{n-1}, same
+    label and same column, and moves that entry onto the twin, so every
+    column keeps its simplicial form; 'flip' negates entry k; 'label' makes
+    the label of cell j of C_n label; 'drop' drops the column's last entry."""
+    bases = {d: list(labels) for d, labels in C.bases.items()}
+    columns = {d: list(cols) for d, cols in C.columns.items()}
+    col = columns[n][j] if n in columns else []
+    if kind == "repeat":
+        g, v = col[k]
+        bases[n - 1].append(bases[n - 1][g])
+        if n - 1 in columns:
+            columns[n - 1].append(columns[n - 1][g])
+        columns[n][j] = col[:k] + [(len(bases[n - 1]) - 1, v)] + col[k + 1:]
+    elif kind == "flip":
+        columns[n][j] = [(i, -v if p == k else v) for p, (i, v) in enumerate(col)]
+    elif kind == "label":
+        bases[n][j] = label
+    else:
+        columns[n][j] = col[:-1]
+    return bases, columns
+
+
+def assert_checked_as_dense(bases, columns):
+    """The constructor builds the complex iff the dense products vanish, and
+    otherwise names the first degree where they do not."""
+    broken = object.__new__(ChainComplex)
+    broken.bases, broken.columns = bases, columns
+    bad = dd_reference(broken)
+    if bad is None:
+        ChainComplex(bases, columns)
+    else:
+        with pytest.raises(MalformedComplexError, match=rf"^d_{bad} o d_{bad + 1} != 0$"):
+            ChainComplex(bases, columns)
+
+
+TRIANGLE = from_facets(3, [(1, 2, 3)])
+NOT_MASKS = [True, -1, Fraction(1), 1.0, "v"]
+
+
+def case(C, change, message, name):
+    return pytest.param(C, change, message, id=name)
+
+
+@pytest.mark.parametrize("C, change, message", [
+    # vertex 2's twin takes edge {1, 2}'s entry: d_0 d_1 still vanishes, but
+    # the triangle's edges meet vertex 2 and its twin once each
+    case(simplicial_chain_complex(TRIANGLE), ("repeat", 1, 0, 1), "d_1 o d_2 != 0",
+         "repeated-vertex"),
+    case(reduction_path_model(TRIANGLE, (1, 0, 0)), ("repeat", 2, 0, 0), "d_2 o d_3 != 0",
+         "repeated-vertex-kj"),
+    # the first column read for vertex 1's bit sets its sign: every edge at
+    # vertex 1 then fails the form, and d_0 d_1 does not vanish
+    case(simplicial_chain_complex(RP2), ("flip", 0, 0), "d_0 o d_1 != 0", "first-sign"),
+    case(direct_smash_model(RP2, (2, 1, 0, 2, 1, 1))[1], ("flip", 8, 3), "d_8 o d_9 != 0",
+         "first-sign-direct"),
+    # an edge or a triangle without its last vertex; a vertex without its
+    # one entry, whose edges keep their form
+    case(simplicial_chain_complex(TRIANGLE), ("drop", 1, 2), "d_0 o d_1 != 0", "edge-drop"),
+    case(simplicial_chain_complex(TRIANGLE), ("drop", 2, 0), "d_1 o d_2 != 0",
+         "triangle-drop"),
+    case(simplicial_chain_complex(TRIANGLE), ("drop", 0, 1), "d_0 o d_1 != 0",
+         "vertex-drop"),
+    case(reduction_path_model(RP2, (1, 0, 0, 0, 0, 0)), ("drop", 1, 3), "d_1 o d_2 != 0",
+         "vertex-drop-kj"),
+] + [
+    # labels that are not masks send every column to the exact sum
+    case(simplicial_chain_complex(TRIANGLE), ("label", n, 0, 0, bad), None,
+         f"label-{n}-{bad!r}")
+    for n in (0, 2) for bad in NOT_MASKS
+])
+def test_identity_route_mutants(C, change, message):
+    bases, columns = mutated(C, *change)
+    broken = object.__new__(ChainComplex)
+    broken.bases, broken.columns = bases, columns
+    bad = dd_reference(broken)
+    assert (None if bad is None else f"d_{bad} o d_{bad + 1} != 0") == message
+    assert_checked_as_dense(bases, columns)
+    if change[0] == "label":
+        # and so does a flipped sign on top of them
+        assert_checked_as_dense(*mutated(ChainComplex(bases, columns), "flip", 1, 0))
+
+
+@st.composite
+def identity_cases(draw):
+    """A library complex (C(K), C(K(J)) or a direct model) and one mutation
+    of it, small enough for the dense products."""
+    K = draw(drawn_complexes(max_m=5))
+    kind = draw(st.sampled_from(["K", "KJ", "direct"]))
+    if kind == "KJ":
+        C = reduction_path_model(K, draw(small_j(K.m, total=2)))
+    elif kind == "direct":
+        C = direct_smash_model(K, draw(st.lists(st.integers(0, 2), min_size=K.m,
+                                                max_size=K.m)))[1]
+    else:
+        C = simplicial_chain_complex(K)
+    change = draw(st.sampled_from(["repeat", "flip", "label", "drop"]))
+    degrees = [n for n, cols in C.columns.items()
+               if any(cols) and (change != "flip" or n == min(C.columns))]
+    assume(degrees)
+    n = draw(st.sampled_from(degrees))
+    if change == "label":
+        n = draw(st.sampled_from(sorted(C.bases)))
+        return C, (change, n, draw(st.integers(0, C.rank(n) - 1)), 0,
+                   draw(st.sampled_from(NOT_MASKS)))
+    j = draw(st.sampled_from([j for j, col in enumerate(C.columns[n]) if col]))
+    return C, (change, n, j, draw(st.integers(0, len(C.columns[n][j]) - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(identity_cases())
+@example((simplicial_chain_complex(TRIANGLE), ("repeat", 1, 0, 1)))
+@example((simplicial_chain_complex(RP2), ("flip", 0, 0)))
+@example((simplicial_chain_complex(TRIANGLE), ("label", 0, 0, 0, True)))
+@example((simplicial_chain_complex(TRIANGLE), ("drop", 0, 1)))
+def test_identity_route_matches_dense_products(case):
+    # every mutation of a library complex is refused exactly where the dense
+    # products first fail; the lowest degree's flips are the first columns
+    # read for their bits
+    C, change = case
+    assert_checked_as_dense(*mutated(C, *change))

@@ -32,7 +32,6 @@ from polysmash.geomjoin import (
     barycentric_coords,
     carrier_equal,
     determinant,
-    empty_embedded,
     geometric_join,
     proper_intersection,
     standard_config,
@@ -318,7 +317,7 @@ def test_joinable_positive_and_negative():
 
 def test_join_with_empty_space_is_identity():
     X = embedded_point(pt(1, 0))
-    E = empty_embedded(2)
+    E = ref.empty_embedded(2)
     assert geometric_join(X, E).maximal == X.maximal
     assert geometric_join(E, X).maximal == X.maximal
 
@@ -403,7 +402,7 @@ def test_sigma_complexes_sphere_joins_are_the_left_fold():
             _, s_sigma, s_star, _ = sigma_complexes(cfg, sigma)
             assert s_sigma == geometric_join_many(spheres[i] for i in sigma)
             assert s_star == (geometric_join_many(spheres[j] for j in comp)
-                              if comp else empty_embedded(cfg.n))
+                              if comp else ref.empty_embedded(cfg.n))
 
 
 def test_s_full_join_is_sphere():
