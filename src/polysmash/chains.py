@@ -42,11 +42,10 @@ the same, only slower.  The library builds no such complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, compress, repeat
 
 from .complexes import face_levels
-from .exactlin import InvariantError, SparseIntMatrix, smith_normal_form
+from .exactlin import InvariantError, SparseIntMatrix, _Frozen, smith_normal_form
 
 
 class MalformedComplexError(ValueError):
@@ -185,17 +184,18 @@ def _bad_column(n, i, v):
     )
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
+class HomologyGroup(_Frozen):
     """Z^betti + Z/t_1 + ... with t_1 | t_2 | ... (invariant factors > 1)."""
 
-    betti: int
-    torsion: tuple = ()
-
-    def __post_init__(self):
-        for a, b in zip(self.torsion, self.torsion[1:]):
+    def __init__(self, betti, torsion=()):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise InvariantError("torsion coefficients violate divisibility")
+        object.__setattr__(self, "betti", betti)
+        object.__setattr__(self, "torsion", torsion)
+
+    def _key(self):
+        return self.betti, self.torsion
 
     def is_zero(self):
         return self.betti == 0 and not self.torsion

@@ -16,34 +16,36 @@ masks straight from K's, each once, and doubled_face_count counts them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate, chain, combinations, product
 from math import prod
 from operator import and_
 
-from .exactlin import _rational
+from .exactlin import _Frozen, _rational
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
-    m: int
-    facets: frozenset  # increasing vertex tuples, made maximal; frozenset({()}) is K = {empty}
+class SimplicialComplex(_Frozen):
+    """m, the vertex count, and facets, a frozenset of increasing vertex
+    tuples made maximal; frozenset({()}) is K = {empty}."""
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, m, facets):
+        if m < 1:
             raise ValueError("m must be positive")
-        if not self.facets:
+        if not facets:
             raise ValueError("no facets: K = {empty} has the one facet ()")
-        for f in self.facets:
+        for f in facets:
             for v in f:
                 if v.__class__ is not int:  # bool is an int subclass: refuse it too
                     raise ValueError(f"vertex {v!r} is not an int")
-                if not 1 <= v <= self.m:
-                    raise ValueError(f"vertex {v} outside 1..{self.m}")
+                if not 1 <= v <= m:
+                    raise ValueError(f"vertex {v} outside 1..{m}")
             if f.__class__ is not tuple or list(f) != sorted(set(f)):
                 raise ValueError(f"facet {f!r} is not a strictly increasing vertex tuple")
-        object.__setattr__(self, "facets", _maximal(self.facets))  # tuples are sets here
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "facets", _maximal(facets))  # tuples are sets here
+
+    def _key(self):
+        return self.m, self.facets
 
     @cached_property
     def _levels(self):

@@ -41,7 +41,6 @@ or discarded from, never recreated or reordered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -142,17 +141,41 @@ class InvariantError(ValueError):
     """An internal invariant failed: a fault in the program, not in its input."""
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class _Frozen:
+    """A value whose fields, _key(), are set once by __init__ through
+    object.__setattr__: assigning or deleting an attribute raises
+    AttributeError, and equality and hashing are the fields'.  A
+    cached_property still works, as it writes the instance's __dict__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class SmithForm(_Frozen):
     """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix."""
 
-    factors: tuple
-    rank: int
-
-    def __post_init__(self):
-        for a, b in zip(self.factors, self.factors[1:]):
+    def __init__(self, factors, rank):
+        for a, b in zip(factors, factors[1:]):
             if b % a:
                 raise InvariantError("invariant factors violate the divisibility chain")
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "rank", rank)
+
+    def _key(self):
+        return self.factors, self.rank
 
     @property
     def torsion(self):
@@ -384,21 +407,19 @@ def bareiss(rows):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class RationalLP:
     """max objective . x  subject to  a_eq x = b_eq, a_ub x <= b_ub, x >= 0.
 
     All data rational (lp_max refuses a float); upper bounds on variables go
-    in as a_ub rows.
+    in as a_ub rows, and an omitted constraint list is a new empty one.
     """
 
-    objective: list
-    a_eq: list = field(default_factory=list)
-    b_eq: list = field(default_factory=list)
-    a_ub: list = field(default_factory=list)
-    b_ub: list = field(default_factory=list)
-
-    def __post_init__(self):
+    def __init__(self, objective, a_eq=None, b_eq=None, a_ub=None, b_ub=None):
+        self.objective = objective
+        self.a_eq = [] if a_eq is None else a_eq
+        self.b_eq = [] if b_eq is None else b_eq
+        self.a_ub = [] if a_ub is None else a_ub
+        self.b_ub = [] if b_ub is None else b_ub
         n = len(self.objective)
         if len(self.a_eq) != len(self.b_eq) or len(self.a_ub) != len(self.b_ub):
             raise ValueError("constraint row/rhs count mismatch")
@@ -407,11 +428,20 @@ class RationalLP:
                 raise ValueError("constraint row length != number of variables")
 
 
-@dataclass(frozen=True)
-class LPResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    value: Fraction | None = None
-    point: tuple | None = None
+class LPResult(_Frozen):
+    """status "optimal" | "infeasible" | "unbounded"; the optimum's value
+    (a Fraction) and point (a tuple) when optimal, else None."""
+
+    def __init__(self, status, value=None, point=None):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "point", point)
+
+    def _key(self):
+        return self.status, self.value, self.point
+
+    def __repr__(self):
+        return f"LPResult(status={self.status!r}, value={self.value!r}, point={self.point!r})"
 
 
 def lp_max(P: RationalLP) -> LPResult:

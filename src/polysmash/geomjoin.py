@@ -47,7 +47,6 @@ generator expressions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -59,6 +58,7 @@ from .complexes import SimplicialComplex, _maximal
 from .exactlin import (
     InvariantError,
     RationalLP,
+    _Frozen,
     _integer_points,
     _pivot,
     _scaled,
@@ -222,16 +222,20 @@ def determinant(rows):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EmbeddedComplex:
-    """Simplicial complex embedded in Q^n, stored by maximal simplices.
+class EmbeddedComplex(_Frozen):
+    """Simplicial complex embedded in Q^n, n = ambient, stored by maximal simplices.
 
-    Each simplex is a frozenset of points; faces are all subsets.  The
-    complex {empty simplex} is the empty space (and the identity for joins).
+    maximal is a frozenset of simplices, each a frozenset of points; faces
+    are all subsets.  The complex {empty simplex} is the empty space (and
+    the identity for joins).
     """
 
-    ambient: int
-    maximal: frozenset  # of frozensets of points
+    def __init__(self, ambient, maximal):
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "maximal", maximal)
+
+    def _key(self):
+        return self.ambient, self.maximal
 
     @classmethod
     def union(cls, parts):
@@ -354,8 +358,7 @@ def geometric_join(X: EmbeddedComplex, Y: EmbeddedComplex):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StandardConfig:
+class StandardConfig(_Frozen):
     """v_i^l = e_{(k+1)(i-1)+l}; a_i the barycenter of its block; Delta_i the
     block simplex; S_i its boundary (all proper faces).
 
@@ -370,15 +373,17 @@ class StandardConfig:
     one solve per point, kept by the frame.
     """
 
-    m: int
-    k: int
-
-    def __post_init__(self):
-        if self.m < 1 or self.k < 0:
+    def __init__(self, m, k):
+        if m < 1 or k < 0:
             raise ValueError("need m >= 1 and k >= 0")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "_joins", {})  # key -> sphere_join(key)
         if self.frame.rank < self.n:
             raise InvariantError("the block vertices are affinely dependent")
+
+    def _key(self):
+        return self.m, self.k
 
     @cached_property
     def frame(self):

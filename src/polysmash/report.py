@@ -4,16 +4,15 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 
 
-@dataclass
 class Check:
-    name: str
-    passed: bool
-    expected: str = ""
-    actual: str = ""
-    location: str = ""  # anchor naming the claim being checked
+    def __init__(self, name, passed, expected="", actual="", location=""):
+        self.name = name
+        self.passed = passed
+        self.expected = expected
+        self.actual = actual
+        self.location = location  # anchor naming the claim being checked
 
     def to_dict(self):
         return {
@@ -25,12 +24,15 @@ class Check:
         }
 
 
-@dataclass
 class VerificationReport:
-    title: str
-    checks: list = field(default_factory=list)
-    started: float = field(default_factory=time.monotonic)
-    wall_time: float = 0.0
+    """Checks under a title; started defaults to the time of construction,
+    and finish() sets wall_time."""
+
+    def __init__(self, title, checks=None, started=None, wall_time=0.0):
+        self.title = title
+        self.checks = [] if checks is None else checks
+        self.started = time.monotonic() if started is None else started
+        self.wall_time = wall_time
 
     def add(self, check: Check):
         self.checks.append(check)

@@ -19,7 +19,6 @@ to refuse the rest; in_block_hull says where that is from the point's
 coordinates alone.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from operator import mul
@@ -97,7 +96,6 @@ def sigma_complexes(cfg, sigma):
     return _delta_sigma(cfg, sigma), *joins, _a_sigma(cfg, sigma)
 
 
-@dataclass(frozen=True)
 class MovedBarycenter(StandardConfig):
     """The standard configuration with L a_1 = sum_l w_l L v_1^l + push:
     rational weights w, one per vertex of block 1, and a rational vector
@@ -105,8 +103,13 @@ class MovedBarycenter(StandardConfig):
     block 1's affine hull; in its relative interior iff every weight is
     positive."""
 
-    weights: tuple
-    push: tuple = ()
+    def __init__(self, m, k, weights, push=()):
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "push", push)
+        super().__init__(m, k)
+
+    def _key(self):
+        return self.m, self.k, self.weights, self.push
 
     def scaled_a(self, i):
         if i != 1:

@@ -370,13 +370,13 @@ def test_double_iterated_builds_one_complex(monkeypatch):
     # the closed form builds K(J) once, with no intermediate complexes
     K = from_facets(4, [(1, 2, 3), (2, 4), (3, 4)])
     built = []
-    post_init = SimplicialComplex.__post_init__
+    init = SimplicialComplex.__init__
 
-    def counting(self):
-        built.append(self.m)
-        post_init(self)
+    def counting(self, m, facets):
+        built.append(m)
+        init(self, m, facets)
 
-    monkeypatch.setattr(SimplicialComplex, "__post_init__", counting)
+    monkeypatch.setattr(SimplicialComplex, "__init__", counting)
     D, _ = double_iterated(K, (2, 0, 3, 1))
     assert built == [D.m] == [10]
 
