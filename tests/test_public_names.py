@@ -4,7 +4,9 @@ Every function the traced benchmark wraps (perfbench/spans.py) and every
 name in polysmash.__all__ must resolve, and each of the benchmark's counter
 hooks must read a real result of the function it wraps, so that deleting a
 name or reshaping a result fails here and not only in the benchmark's own
-smoke run.  Three AST scans keep the library
+smoke run.  The library's value classes are written out by hand, so that
+importing it generates no code: the tests pin that the import loads no
+dataclasses, and the behaviour the classes keep from the decorator.  Three AST scans keep the library
 lean and its checks live: every function and method is reached by library
 code or by the benchmark, with no exception, so test-only code lives in
 tests/; no assert statement stands in for an invariant check that python -O
@@ -16,15 +18,22 @@ commands and lists the library lines none of them executes.
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
 import polysmash
 from polysmash import chains, complexes, exactlin, geomjoin, smashmodel
-from polysmash.chains import ChainComplex, face_levels
-from polysmash.exactlin import RationalLP, SparseIntMatrix
+from polysmash.chains import ChainComplex, HomologyGroup, face_levels
+from polysmash.exactlin import LPResult, RationalLP, SmithForm, SparseIntMatrix
+from polysmash.geomjoin import EmbeddedComplex, StandardConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -186,3 +195,46 @@ def test_one_library_function_builds_chain_complexes():
     ]
     assert builders == ["chains._assemble"], builders
     assert smashmodel._assemble is chains._assemble
+
+
+def test_importing_the_cli_loads_no_code_generation_modules():
+    # dataclasses generates each class's methods at import and loads inspect,
+    # ast, dis and tokenize; the difference is taken in the child, so a module
+    # a site hook loads first does not count
+    code = ("import json, sys; before = set(sys.modules); import polysmash.cli; "
+            "print(json.dumps(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}"
+            " & (set(sys.modules) - before))))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded == [], loaded
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: HomologyGroup(1, (2,)), "betti"),
+    (lambda: complexes.from_facets(3, [(1, 2), (2, 3)]), "facets"),
+    (lambda: SmithForm((1, 2), 2), "rank"),
+    (lambda: LPResult("optimal", Fraction(1, 2), (Fraction(1, 2),)), "point"),
+    (lambda: EmbeddedComplex(2, frozenset([frozenset([(0, 0), (1, 0)])])), "maximal"),
+    (lambda: StandardConfig(2, 1), "k"),
+], ids=["HomologyGroup", "SimplicialComplex", "SmithForm", "LPResult",
+        "EmbeddedComplex", "StandardConfig"])
+def test_values_are_read_only_and_equal_by_their_fields(make, field):
+    a, b = make(), make()
+    assert a is not b and a == b and len({a, b}) == 1
+    for change in (lambda: setattr(a, field, None), lambda: delattr(a, field)):
+        with pytest.raises(AttributeError):
+            change()
+    assert a == b and hash(a) == hash(b)
+
+
+def test_lp_values_print_and_default_as_dataclasses_did():
+    # proper_intersection's RuntimeError prints an LPResult
+    assert str(LPResult("unbounded")) == "LPResult(status='unbounded', value=None, point=None)"
+    P, Q = RationalLP([1]), RationalLP([1])
+    P.a_ub.append([1])
+    P.b_ub.append(2)
+    assert (Q.a_eq, Q.b_eq, Q.a_ub, Q.b_ub) == ([], [], [], [])
+    assert P.a_eq is not Q.a_eq and P.b_eq is not Q.b_eq

@@ -6,11 +6,16 @@ homology, and double --i and --j -- on a seeded gen corpus and the
 projective plane, as text and as JSON input.  It then prints the functions
 of src/polysmash that no invocation called, and the statement lines of the
 called ones that none executed, grouped into ranges.  A statement line is
-one that starts bytecode in the compiled module.  The AST scan in
-test_public_names.py matches names; this trace shows what runs.
+one that starts bytecode in the compiled module.  Each instruction of the
+library's frames is traced too (frame.f_trace_opcodes), and the last list
+holds the executed lines with an instruction that never ran: an arm of a
+conditional expression, an and/or operand, a chained comparison cut short,
+a comprehension or lambda body never run.  Instructions reached only by an
+exception are left out.  The AST scan in test_public_names.py matches
+names; this trace shows what runs.
 
-Run from the repository root (about half a minute: tracing slows every
-line):
+Run from the repository root (about 40 s: tracing slows every line and
+instruction):
 
     PYTHONPATH=src python3 tests/traffic_trace.py
 
@@ -23,9 +28,13 @@ import dis
 import io
 import sys
 import tempfile
+from collections import defaultdict
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "polysmash"
+JUMPS = set(dis.hasjrel) | set(dis.hasjabs)
+STOPS = {"RETURN_VALUE", "RAISE_VARARGS", "RERAISE", "JUMP_FORWARD", "JUMP_BACKWARD",
+         "JUMP_BACKWARD_NO_INTERRUPT", "JUMP_ABSOLUTE"}
 
 # the projective plane, kept here: conftest would import the library before
 # the trace starts, and its module-level lines would read as unexecuted
@@ -70,18 +79,26 @@ def starts(code):
     return {line for _, line in dis.findlinestarts(code) if line}
 
 
+def key(code):
+    """A code object's identity across compilations of one source file."""
+    return (code.co_filename, code.co_firstlineno,
+            getattr(code, "co_qualname", code.co_name), code.co_code)
+
+
 def units(path):
-    """(name, first line, lines) per named code object of the module at path:
-    the module, each class body and each def, with the lines of the
-    comprehensions and lambdas inside it."""
+    """(name, first line, lines, code objects) per named code object of the
+    module at path: the module, each class body and each def, with the
+    lines and code objects of the comprehensions and lambdas inside it."""
     out = []
 
     def walk(code, owner):
         named = not code.co_name.startswith("<") or owner is None
         if named:
-            owner = [getattr(code, "co_qualname", code.co_name), code.co_firstlineno, set()]
+            owner = [getattr(code, "co_qualname", code.co_name), code.co_firstlineno,
+                     set(), []]
             out.append(owner)
         owner[2] |= starts(code)
+        owner[3].append(code)
         for const in code.co_consts:
             if hasattr(const, "co_code"):
                 walk(const, owner)
@@ -92,20 +109,28 @@ def units(path):
 
 def run(argvs):
     """Run each argv under the trace: (lines hit per file, code objects
-    entered as (file, first line), failures)."""
+    entered as (file, first line), offsets run per code object key,
+    failures)."""
     files = {str(p) for p in SRC.glob("*.py")}
     hit = {f: set() for f in files}
     entered = set()
-
-    def local(frame, event, arg):
-        hit[frame.f_code.co_filename].add(frame.f_lineno)
-        return local
+    ran = defaultdict(set)
 
     def call(frame, event, arg):
         code = frame.f_code
         if code.co_filename not in hit:
             return None
         entered.add((code.co_filename, code.co_firstlineno))
+        lines, offsets = hit[code.co_filename], ran[code]
+
+        def local(frame, event, arg):
+            if event == "opcode":
+                offsets.add(frame.f_lasti)
+            else:
+                lines.add(frame.f_lineno)
+            return local
+
+        frame.f_trace_opcodes = True
         return local(frame, event, arg)
 
     failures = []
@@ -121,7 +146,7 @@ def run(argvs):
                 failures.append((argv, code, out.getvalue()[-500:]))
     finally:
         sys.settrace(None)
-    return hit, entered, failures
+    return hit, entered, {key(code): offsets for code, offsets in ran.items()}, failures
 
 
 def ranges(lines):
@@ -135,12 +160,57 @@ def ranges(lines):
     return ", ".join(f"{a}-{b}" if a < b else f"{a}" for a, b in out)
 
 
-def report(hit, entered):
+def unran(code, ran, executed):
+    """The executed lines holding an instruction of code that never ran.
+    Skipped, as no opcode event reports them: the prologue up to the first
+    RESUME, which runs before the frame is traced; each RESUME, which
+    raises a call event instead; and the instruction after an
+    EXTENDED_ARG, which runs with it.  Exception handlers, which no jump
+    reaches, are skipped too."""
+    instructions = list(dis.get_instructions(code))
+    flow = normal_flow(instructions)
+    done = ran.get(key(code), ())
+    lines, line, prev, resumed = set(), None, None, False
+    for ins in instructions:
+        line = ins.starts_line or line
+        if ins.opname == "RESUME":
+            resumed = True
+        elif (resumed and ins.offset in flow and ins.offset not in done and line in executed
+              and prev.opname != "EXTENDED_ARG"):
+            lines.add(line)
+        prev = ins
+    return lines
+
+
+def normal_flow(instructions):
+    """The offsets reachable from the first instruction by falling through
+    and jumping, without an exception."""
+    at = {ins.offset: i for i, ins in enumerate(instructions)}
+    seen, todo = set(), [0]
+    while todo:
+        i = todo.pop()
+        if i >= len(instructions) or instructions[i].offset in seen:
+            continue
+        ins = instructions[i]
+        seen.add(ins.offset)
+        if ins.opcode in JUMPS:
+            todo.append(at[ins.argval])
+        if ins.opname not in STOPS:
+            todo.append(i + 1)
+    return seen
+
+
+def report(hit, entered, ran):
     total = executed = 0
+    partial = []
     for path in sorted(SRC.glob("*.py")):
         f = str(path)
         never, missed = [], []
-        for name, first, lines in units(path):
+        for name, first, lines, codes in units(path):
+            called = name == "<module>" or (f, first) in entered
+            arms = set().union(*(unran(c, ran, hit[f]) for c in codes)) if called else ()
+            if arms:
+                partial.append(f"  {path.name} {name}: lines {ranges(arms)}")
             total += len(lines)
             done = lines & hit[f]
             executed += len(done)
@@ -152,16 +222,19 @@ def report(hit, entered):
             print(f"{path.name}")
             print("\n".join(never + missed))
     print(f"{executed} of {total} statement lines executed")
+    print("executed lines holding bytecode that never ran:")
+    print("\n".join(partial))
+    print(f"{len(partial)} functions have such lines")
 
 
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         argvs = invocations(Path(tmp))
-        hit, entered, failures = run(argvs)
+        hit, entered, ran, failures = run(argvs)
     for argv, code, tail in failures:
         print(f"FAILED (exit {code}): polysmash {' '.join(argv)}\n{tail}")
     print(f"{len(argvs)} invocations traced")
-    report(hit, entered)
+    report(hit, entered, ran)
     return 1 if failures else 0
 
 
