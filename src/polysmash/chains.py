@@ -230,24 +230,34 @@ def homology(C: ChainComplex) -> HomologyTable:
     surviving cells span a chain complex homotopy equivalent to C whose
     boundary entries are those of C, so Smith normal form runs on the
     surviving rows and columns only, in the degrees where they meet in an
-    entry, and the Betti numbers come from the surviving ranks.
+    entry, and the Betti numbers come from the surviving ranks.  The
+    survivors are read once from the deletion's flags, in increasing degree;
+    a degree with none, or with none below it, builds no matrix, and a
+    HomologyGroup is built only for a nonzero group.
     """
     alive, down = _delete_unit_pairs(C)
-    survivors = {n: list(compress(range(C.rank(n)), alive[n])) for n in C.degrees()}
-    rank, torsion = {}, {}
-    for n, cols in survivors.items():
-        rows = {k: r for r, k in enumerate(survivors.get(n - 1, ()))}
+    survivors, rank, torsion = {}, {}, {}
+    for n, flags in alive.items():
+        cols = [*compress(range(len(flags)), flags)]
+        if not cols:
+            continue
+        survivors[n] = cols
+        if n - 1 not in survivors:
+            continue
+        rows = {k: r for r, k in enumerate(survivors[n - 1])}
         entries = {
             (rows[i], c): v for c, k in enumerate(cols) for i, v in down[n][k] if i in rows
         }
         if entries:  # no entries: rank 0 and no torsion, without SNF
             snf = smith_normal_form(SparseIntMatrix(len(rows), len(cols), entries))
             rank[n], torsion[n] = snf.rank, snf.torsion
-    return HomologyTable({
-        n: HomologyGroup(len(cols) - rank.get(n, 0) - rank.get(n + 1, 0),
-                         torsion.get(n + 1, ()))
-        for n, cols in survivors.items()
-    })
+    table = HomologyTable()
+    for n, cols in survivors.items():
+        betti = len(cols) - rank.get(n, 0) - rank.get(n + 1, 0)
+        factors = torsion.get(n + 1, ())
+        if betti or factors:
+            table[n] = HomologyGroup(betti, factors)
+    return table
 
 
 def _delete_unit_pairs(C: ChainComplex):
@@ -255,12 +265,12 @@ def _delete_unit_pairs(C: ChainComplex):
     when a is b's only live boundary cell and <db, a> = +-1.
 
     Returns ({n: bytearray alive flag per cell of C_n}, {n: the columns of
-    d_n, one (row, coeff) list per cell of C_n}).  The columns and coface
-    lists are C's own, read as each cell's boundary cells with their
-    coefficients and its cofaces; only the live boundary counts and the
-    flags are built here.
+    d_n, one (row, coeff) list per cell of C_n}), both in increasing degree.
+    The columns and coface lists are C's own, read as each cell's boundary
+    cells with their coefficients and its cofaces; only the live boundary
+    counts and the flags are built here.
     """
-    size = {n: C.rank(n) for n in C.degrees()}
+    size = {n: len(C.bases[n]) for n in sorted(C.bases)}
     down = {n: C.columns.get(n) or [()] * s for n, s in size.items()}
     up = C.cofaces
     ndown = {n: list(map(len, lists)) for n, lists in down.items()}  # live boundary cells

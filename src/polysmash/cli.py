@@ -378,8 +378,10 @@ def _check_geometry_budget(m, k):
 
 # verify_maps runs, for n = 1..4, a round trip per lam > 0 of the grid on each
 # of the C(grid + n, n) - 1 compositions of a d <= grid into n parts.  So
-# counted, a check took about 5 us: 0.51 s at --grid 16 (95,680), 3.3 s at 24,
-# 10.5 s at 32 and 30.7 s at 40 (5,959,600); two million is about 10 s.
+# counted, `verify geometry --m 0 --grid G` as a process took 0.47 s at G = 16
+# (95,680 checks), 1.5 s at 24 (569,904) and 5.0 s at 31 (1,825,900), about
+# 2.7 us a check (median of 3 runs, CPython 3.11, 2 vCPUs); two million is
+# about 5.5 s, and 32 (2,113,280) and 40 (5,959,600) are over.
 MAP_CHECK_BUDGET = 2_000_000
 
 

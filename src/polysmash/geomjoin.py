@@ -49,9 +49,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, groupby
 from math import gcd, prod
-from operator import mul
+from operator import itemgetter, mul, sub
 
 from .chains import homology, simplicial_chain_complex
 from .complexes import SimplicialComplex, _maximal
@@ -611,10 +611,13 @@ def carrier_equal(A: EmbeddedComplex, B: EmbeddedComplex, frame):
 # ---------------------------------------------------------------------------
 
 
-def _psi(n, X, D, p, q):
-    """psi on integers: x = X / D (D > 0) and lam = p / q (q > 0) give
-    psi(x, lam) = Y / E, returned as (Y, E).
+def _psi(n, X, D, lams):
+    """psi on integers over a row of lam: x = X / D (D > 0) and each
+    lam = p / q (q > 0) of lams give psi(x, lam) = Y / E, returned as one
+    (Y, E) per lam, in order.
 
+    The point is checked once, before any lam is read, and each lam as it
+    is reached, with the messages a call on that lam alone would raise.
     With M = max X, the scale is 2 p / q on the inner half and
     ((2q - 2p) M + 2 D (2p - q)) / (q M) outside it.
     """
@@ -622,16 +625,19 @@ def _psi(n, X, D, p, q):
         raise ValueError("x has wrong length")
     if (X and min(X) < 0) or sum(X) != D:
         raise ValueError("x is not barycentric")
-    if not 0 <= p <= q:
-        raise ValueError("lambda must be in [0, 1]")
-    if not D or not q:  # here D = sum X >= 0 and q >= p >= 0
-        raise ValueError("x and lambda need positive denominators")
-    if 2 * p <= q:
-        num, den = 2 * p, q * D
-    else:
-        M = max(X)
-        num, den = (2 * q - 2 * p) * M + 2 * D * (2 * p - q), q * M * D
-    return [num * c for c in X], den
+    M = max(X, default=0)
+    row = []
+    for p, q in lams:
+        if not 0 <= p <= q:
+            raise ValueError("lambda must be in [0, 1]")
+        if not D or not q:  # here D = sum X >= 0 and q >= p >= 0
+            raise ValueError("x and lambda need positive denominators")
+        if 2 * p <= q:
+            num, den = 2 * p, q * D
+        else:
+            num, den = (2 * q - 2 * p) * M + 2 * D * (2 * p - q), q * M * D
+        row.append(([num * c for c in X], den))
+    return row
 
 
 def _psi_inverse(n, Y, E):
@@ -645,8 +651,10 @@ def _psi_inverse(n, Y, E):
     """
     if len(Y) != n:
         raise ValueError("y has wrong length")
-    if Y and (min(Y) < 0 or max(Y) > 2 * E):
-        raise ValueError("y outside the cube [0, 2]^n")
+    if Y:
+        M = max(Y)
+        if min(Y) < 0 or M > 2 * E:
+            raise ValueError("y outside the cube [0, 2]^n")
     if E <= 0:  # E < 0 only with y empty; E = 0 with y = 0
         raise ValueError("y needs a positive denominator")
     S = sum(Y)
@@ -654,24 +662,25 @@ def _psi_inverse(n, Y, E):
         return ([1] * n, n), (0, 1)
     if S <= E:
         return (Y, S), (S, 2 * E)
-    M = max(Y)
     return (Y, S), (S * M - 2 * E * M + 2 * E * S, 2 * E * (2 * S - M))
 
 
 def _naturality(p, l, samples):
     """Naturality of psi under zero padding on integer samples (X, D, a, b),
     x = X / D and lam = a / b: psi_l(x, 0...0) and (psi_p(x), 0...0) are
-    compared by cross-multiplication."""
+    compared by cross-multiplication.  Each run of consecutive samples that
+    share a point is one row of lam for each side."""
     if not 1 <= p <= l:
         raise ValueError("need 1 <= p <= l")
     report = VerificationReport(f"naturality p={p} l={l}")
     pad = [0] * (l - p)
     count = bad = 0
-    for X, D, a, b in samples:
-        count += 1
-        lhs, e_lhs = _psi(l, list(X) + pad, D, a, b)
-        rhs, e_rhs = _psi(p, X, D, a, b)
-        bad += [u * e_rhs for u in lhs] != [v * e_lhs for v in rhs + pad]
+    for (X, D), run in groupby(samples, itemgetter(0, 1)):
+        lams = [(a, b) for _, _, a, b in run]
+        count += len(lams)
+        padded = _psi(l, list(X) + pad, D, lams)
+        for (lhs, e_lhs), (rhs, e_rhs) in zip(padded, _psi(p, X, D, lams)):
+            bad += [u * e_rhs for u in lhs] != [v * e_lhs for v in rhs + pad]
     report.add(Check(f"psi naturality on {count} samples", not bad,
                      "all equal", f"{bad} mismatches", "naturality k=0"))
     return report
@@ -681,28 +690,28 @@ def verify_maps(grid) -> VerificationReport:
     """The cube maps on rational grids of denominators up to grid, for
     n <= 4: the seam at lam = 1/2, the outer boundary at lam = 1, the round
     trip psi^-1 o psi = id for lam > 0, and naturality under padding (on
-    the grid capped at 4).  Every identity compares integer numerators by
+    the grid capped at 4).  psi runs once per point of the simplex grid, on
+    the row 1/2, 1 and the grid's lam > 0, and psi^-1 once per round-trip
+    sample.  Every identity compares integer numerators by
     cross-multiplication."""
     report = VerificationReport(f"maps grid={grid}")
     # lam > 0 only: psi(., 0) is the cone point, which psi^-1 sends to the
     # barycenter whatever x was
     lams = _unit_numerators(grid)[1:]
+    row = [(1, 2), (1, 1), *lams]
     for n in range(1, 5):
-        xs = _simplex_numerators(n, grid)
-        seam_ok = True
-        outer_ok = True
-        for X, D in xs:
-            Y, E = _psi(n, X, D, 1, 2)
+        seam_ok = outer_ok = round_ok = True
+        for X, D in _simplex_numerators(n, grid):
+            (Y, E), (Y1, E1), *ys = _psi(n, X, D, row)
             seam_ok &= [y * D for y in Y] == [c * E for c in X]
-            Y, E = _psi(n, X, D, 1, 1)
-            outer_ok &= max(Y) == 2 * E
+            outer_ok &= max(Y1) == 2 * E1
+            for (a, b), (Y, E) in zip(lams, ys):
+                (X2, S), (a2, b2) = _psi_inverse(n, Y, E)
+                round_ok &= a2 * b == a * b2 and [u * D for u in X2] == [c * S for c in X]
         report.add(Check(f"psi seam agreement n={n}", seam_ok, "x at lam=1/2",
                          "ok" if seam_ok else "mismatch", "Psidef"))
         report.add(Check(f"psi(.,1) hits the outer boundary n={n}", outer_ok,
                          "max coord 2", "ok" if outer_ok else "mismatch", "CD"))
-        round_ok = all(
-            _round_trip(n, X, D, a, b) for X, D in xs for a, b in lams
-        )
         report.add(Check(f"psi round trip n={n}", round_ok, "identity",
                          "ok" if round_ok else "mismatch", "Psidef"))
     small = min(grid, 4)
@@ -718,13 +727,6 @@ def verify_maps(grid) -> VerificationReport:
     return report
 
 
-def _round_trip(n, X, D, a, b):
-    """psi^-1(psi(X / D, a / b)) = (X / D, a / b), by cross-multiplication."""
-    Y, E = _psi(n, X, D, a, b)
-    (X2, S), (a2, b2) = _psi_inverse(n, Y, E)
-    return a2 * b == a * b2 and [u * D for u in X2] == [c * S for c in X]
-
-
 # ---------------------------------------------------------------------------
 # rational sample grids
 # ---------------------------------------------------------------------------
@@ -733,7 +735,9 @@ def _round_trip(n, X, D, a, b):
 def _simplex_numerators(n, max_denominator):
     """Each barycentric point of the (n-1)-simplex with denominator at most
     max_denominator once, in lowest terms, as (X, d) with x = X / d: the
-    compositions X of each d into n parts whose entries have gcd 1."""
+    compositions X of each d into n parts whose entries have gcd 1, in
+    lexicographic order: the gaps between the cuts 0 <= c_1 <= ... <=
+    c_(n-1) <= d, taken in lexicographic order of the cuts."""
     if n < 1:
         raise ValueError("need n >= 1")
     if max_denominator < 1:
@@ -741,18 +745,10 @@ def _simplex_numerators(n, max_denominator):
     return [
         (X, d)
         for d in range(1, max_denominator + 1)
-        for X in _compositions(d, n)
+        for cuts in combinations_with_replacement(range(d + 1), n - 1)
+        for X in [tuple(map(sub, (*cuts, d), (0, *cuts)))]
         if gcd(*X) == 1
     ]
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def _unit_numerators(denominator):

@@ -25,14 +25,14 @@ class Check:
 
 
 class VerificationReport:
-    """Checks under a title; started defaults to the time of construction,
-    and finish() sets wall_time."""
+    """Checks under a title, started at construction; finish() sets
+    wall_time."""
 
-    def __init__(self, title, checks=None, started=None, wall_time=0.0):
+    def __init__(self, title):
         self.title = title
-        self.checks = [] if checks is None else checks
-        self.started = time.monotonic() if started is None else started
-        self.wall_time = wall_time
+        self.checks = []
+        self.started = time.monotonic()
+        self.wall_time = 0.0
 
     def add(self, check: Check):
         self.checks.append(check)

@@ -1,11 +1,12 @@
 """Fraction views of the library's cube maps, kept to test them.
 
 The library computes psi, its inverse and naturality on integer numerators
-(geomjoin._psi, _psi_inverse and _naturality) and checks them in
-geomjoin.verify_maps; its answers never need the maps' values as Fractions.
-These views wrap the integer kernels in Fraction arguments and results, so
-that the tests can state each identity on rational points and compare the
-kernels with the independent Fraction references in geom_reference.py.
+(geomjoin._psi, over a row of lam, _psi_inverse and _naturality) and checks
+them in geomjoin.verify_maps; its answers never need the maps' values as
+Fractions.  These views wrap the integer kernels in Fraction arguments and
+results, one lam at a time, so that the tests can state each identity on
+rational points and compare the kernels with the independent Fraction
+references in geom_reference.py.
 """
 
 from fractions import Fraction
@@ -33,7 +34,7 @@ def eval_psi(n, x, lam):
     """
     D, X = _scaled([_rational(c) for c in x])
     lam = _rational(lam)
-    Y, E = _psi(n, X, D, lam.numerator, lam.denominator)
+    [(Y, E)] = _psi(n, X, D, [(lam.numerator, lam.denominator)])
     return tuple(F(c, E) for c in Y)
 
 
@@ -43,6 +44,14 @@ def eval_psi_inverse(n, y):
     D, Y = _scaled([_rational(c) for c in y])
     (X, S), (a, b) = _psi_inverse(n, Y, D)
     return tuple(F(c, S) for c in X), F(a, b)
+
+
+def round_trip(n, X, D, a, b):
+    """psi^-1(psi(X / D, a / b)) = (X / D, a / b), by cross-multiplication:
+    the round trip verify_maps checks, on one integer sample."""
+    [(Y, E)] = _psi(n, X, D, [(a, b)])
+    (X2, S), (a2, b2) = _psi_inverse(n, Y, E)
+    return a2 * b == a * b2 and [u * D for u in X2] == [c * S for c in X]
 
 
 def naturality_check_k0(p, l, samples) -> VerificationReport:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from polysmash.complexes import (
     double_iterated,
     empty_complex,
     from_facets,
+    full_simplex,
     random_complex,
     simplex_boundary,
 )
@@ -365,6 +367,29 @@ def test_reduction_leaves_little_for_snf(monkeypatch):
     assert sum(len(M.entries) for M in C.boundaries.values()) == 20952
     assert homology(C) == {8: HomologyGroup(0, (2,))}
     assert seen and all(seen) and sum(seen) < 100
+
+
+def test_homology_builds_groups_and_matrices_only_for_survivors(monkeypatch):
+    # C(boundary of the 4-simplex) reduces to its top cell, C(4-simplex) to
+    # nothing: no degree has survivors both in it and below it, and only a
+    # nonzero degree gets a HomologyGroup
+    sphere = simplicial_chain_complex(simplex_boundary(4))
+    disk = simplicial_chain_complex(full_simplex(4))
+    built = Counter()
+    for cls in (HomologyGroup, SparseIntMatrix):
+        def counting(self, *args, init=cls.__init__, name=cls.__name__, **kwargs):
+            built[name] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    sphere_homology = homology(sphere)
+    assert built == {"HomologyGroup": 1}
+    built.clear()
+    disk_homology = homology(disk)
+    assert built == {}
+    monkeypatch.undo()
+    assert sphere_homology == {3: HomologyGroup(1)}
+    assert disk_homology == {}
 
 
 # -- the coface lists ----------------------------------------------------------

@@ -61,6 +61,7 @@ from maps_views import (
     eval_psi,
     eval_psi_inverse,
     naturality_check_k0,
+    round_trip,
     simplex_grid,
     unit_grid,
 )
@@ -1226,7 +1227,7 @@ def test_psi_kernels_match_reference(sample, extra):
     X, D, a, b = sample
     n = len(X)
     x, lam = tuple(F(c, D) for c in X), F(a, b)
-    Y, E = geomjoin._psi(n, X, D, a, b)
+    [(Y, E)] = geomjoin._psi(n, X, D, [(a, b)])
     y = tuple(F(c, E) for c in Y)
     assert y == ref.eval_psi(n, x, lam)
     (X2, S), (a2, b2) = geomjoin._psi_inverse(n, Y, E)
@@ -1234,7 +1235,7 @@ def test_psi_kernels_match_reference(sample, extra):
     assert back == ref.eval_psi_inverse(n, y)
     if lam > 0:
         assert back == (x, lam)
-        assert geomjoin._round_trip(n, X, D, a, b)
+        assert round_trip(n, X, D, a, b)
     # naturality: padding by extra zeros before or after psi
     l = n + extra
     pad = (F(0),) * extra
@@ -1304,7 +1305,45 @@ def same_error(run, run_reference):
 @example((1, [1], 1, 3, 2))
 def test_psi_kernel_rejects_with_the_reference_message(args):
     n, X, D, a, b = args
-    same_error(lambda: geomjoin._psi(*args),
+    same_error(lambda: geomjoin._psi(n, X, D, [(a, b)]),
+               lambda: ref.eval_psi(n, [F(c, D) for c in X], F(a, b)))
+
+
+lam_numerators = st.integers(1, 50).flatmap(
+    lambda b: st.tuples(st.integers(-3, b + 3), st.just(b)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_samples(), st.lists(lam_numerators, max_size=5))
+@example(([1, 2], 3, 0, 1), [])
+@example(([1, 2], 3, 0, 1), [(1, 2), (4, 3), (-1, 2)])
+@example(([0, 3], 3, 0, 1), [(1, 1), (0, 5), (2, 3)])
+def test_psi_row_matches_the_reference_lam_by_lam(sample, lams):
+    # a row of lam gives the reference's psi(x, lam) for each lam in order,
+    # or raises the reference's message for its first lam outside [0, 1]
+    X, D, _, _ = sample
+    n, x = len(X), [F(c, D) for c in X]
+    bad = [F(a, b) for a, b in lams if not 0 <= a <= b]
+    if bad:
+        same_error(lambda: geomjoin._psi(n, X, D, lams),
+                   lambda: ref.eval_psi(n, x, bad[0]))
+    else:
+        row = geomjoin._psi(n, X, D, lams)
+        assert [tuple(F(c, E) for c in Y) for Y, E in row] == [
+            ref.eval_psi(n, x, F(a, b)) for a, b in lams]
+
+
+@settings(max_examples=200, deadline=None)
+@given(bad_integer_psi_arguments())
+def test_psi_row_checks_the_point_before_any_lam(args):
+    n, X, D, a, b = args
+    assume(len(X) != n or min(X) < 0 or sum(X) != D)
+
+    def unread():
+        raise AssertionError("a lam was read before the point was checked")
+        yield
+
+    same_error(lambda: geomjoin._psi(n, X, D, unread()),
                lambda: ref.eval_psi(n, [F(c, D) for c in X], F(a, b)))
 
 
@@ -1329,8 +1368,8 @@ def test_psi_inverse_kernel_rejects_with_the_reference_message(args):
 
 
 @pytest.mark.parametrize("kernel, args", [
-    ("_psi", (1, [0], 0, 1, 2)),
-    ("_psi", (2, [1, 1], 2, 0, 0)),
+    ("_psi", (1, [0], 0, [(1, 2)])),
+    ("_psi", (2, [1, 1], 2, [(0, 0)])),
     ("_psi_inverse", (2, [0, 0], 0)),
 ])
 def test_cube_maps_refuse_zero_denominators(kernel, args):
@@ -1385,19 +1424,28 @@ def test_inverse_with_coordinates_swapped_fails_the_round_trip(monkeypatch):
     assert failed_checks(verify_maps(8)) == {f"psi round trip n={n}" for n in (2, 3, 4)}
 
 
-def test_seam_scale_off_by_one_fails_the_seam(monkeypatch):
+def seam_scale_off_by_one(real_psi, n, X, D, lams):
     # the inner half scaled by (2p + 1) / q instead of 2p / q
-    def wrong_psi(n, X, D, p, q):
-        Y, E = real_psi(n, X, D, p, q)
-        if 2 * p <= q:
-            Y = [(2 * p + 1) * c for c in X]
-        return Y, E
+    lams = list(lams)
+    return [([(2 * p + 1) * c for c in X], E) if 2 * p <= q else (Y, E)
+            for (p, q), (Y, E) in zip(lams, real_psi(n, X, D, lams))]
 
-    real_psi = geomjoin._psi
-    monkeypatch.setattr(geomjoin, "_psi", wrong_psi)
+
+def test_seam_scale_off_by_one_fails_the_seam(monkeypatch):
+    monkeypatch.setattr(geomjoin, "_psi", partial(seam_scale_off_by_one, geomjoin._psi))
     failed = failed_checks(verify_maps(8))
     assert {f"psi seam agreement n={n}" for n in range(1, 5)} <= failed
     assert not any(name.startswith("psi(.,1)") for name in failed)
+
+
+def test_seam_is_checked_at_a_grid_without_one_half(monkeypatch):
+    # lam = 1/2 is not among the grid's lam at grid 3, so the seam check
+    # reads psi(., 1/2) from the head of each point's row, not from the grid
+    assert F(1, 2) not in unit_grid(3)
+    assert verify_maps(3).passed
+    monkeypatch.setattr(geomjoin, "_psi", partial(seam_scale_off_by_one, geomjoin._psi))
+    failed = failed_checks(verify_maps(3))
+    assert {f"psi seam agreement n={n}" for n in range(1, 5)} <= failed
 
 
 def zeros_first(Y, E):
@@ -1413,11 +1461,11 @@ def test_naturality_side_padded_wrongly_fails(monkeypatch, misplace):
     # psi of a point whose last coordinate is 0 comes out padded wrongly:
     # its zero moved first, or its last coordinate 1.  psi_l(x, 0...0) and
     # (psi_p(x), 0...0) then disagree whenever l > p, and agree at l = p
-    def wrong_psi(n, X, D, p, q):
-        Y, E = real_psi(n, X, D, p, q)
+    def wrong_psi(n, X, D, lams):
+        row = real_psi(n, X, D, lams)
         if n > 1 and X[-1] == 0:
-            Y = misplace(Y, E)
-        return Y, E
+            row = [(misplace(Y, E), E) for Y, E in row]
+        return row
 
     real_psi = geomjoin._psi
     monkeypatch.setattr(geomjoin, "_psi", wrong_psi)
