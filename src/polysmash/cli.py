@@ -378,10 +378,10 @@ def _check_geometry_budget(m, k):
 
 # verify_maps runs, for n = 1..4, a round trip per lam > 0 of the grid on each
 # of the C(grid + n, n) - 1 compositions of a d <= grid into n parts.  So
-# counted, `verify geometry --m 0 --grid G` as a process took 0.47 s at G = 16
-# (95,680 checks), 1.5 s at 24 (569,904) and 5.0 s at 31 (1,825,900), about
-# 2.7 us a check (median of 3 runs, CPython 3.11, 2 vCPUs); two million is
-# about 5.5 s, and 32 (2,113,280) and 40 (5,959,600) are over.
+# counted, `verify geometry --m 0 --grid G` as a process took 0.47-0.48 s at
+# G = 16 (95,680 checks), 1.5-1.6 s at 24 (569,904) and 5.0-5.9 s at 31
+# (1,825,900), about 3 us a check (two rounds of medians of 3 runs, CPython
+# 3.11, 2 vCPUs); two million is about 6 s, and 32 (2,113,280) is over.
 MAP_CHECK_BUDGET = 2_000_000
 
 

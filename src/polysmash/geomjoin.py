@@ -625,7 +625,7 @@ def _psi(n, X, D, lams):
         raise ValueError("x has wrong length")
     if (X and min(X) < 0) or sum(X) != D:
         raise ValueError("x is not barycentric")
-    M = max(X, default=0)
+    M = max(X) if X else 0
     row = []
     for p, q in lams:
         if not 0 <= p <= q:

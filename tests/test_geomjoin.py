@@ -1426,7 +1426,6 @@ def test_inverse_with_coordinates_swapped_fails_the_round_trip(monkeypatch):
 
 def seam_scale_off_by_one(real_psi, n, X, D, lams):
     # the inner half scaled by (2p + 1) / q instead of 2p / q
-    lams = list(lams)
     return [([(2 * p + 1) * c for c in X], E) if 2 * p <= q else (Y, E)
             for (p, q), (Y, E) in zip(lams, real_psi(n, X, D, lams))]
 
